@@ -10,7 +10,7 @@ Usage::
     python -m repro fig8 --trace t.jsonl   # + structured JSONL trace
     python -m repro report t.jsonl    # per-epoch / per-solve tables
     python -m repro lint              # static analysis: code + LP models
-    python -m repro bench --quick     # incremental-LP pipeline benchmark
+    python -m repro bench --quick     # epoch-LP backend benchmark
     python -m repro serve --sim       # crash-tolerant service soak
     python -m repro serve --sim --live-port 8377   # + live HTTP telemetry
     python -m repro top http://127.0.0.1:8377      # live dashboard
@@ -210,15 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="fan experiment sweeps out over N worker processes "
         "(equivalent to REPRO_WORKERS=N; 0/1 = serial, the default)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        default=None,
-        metavar="N",
-        help="decompose each epoch LP into block shards solved over N "
-        "worker processes (equivalent to REPRO_SHARDS=N; 1 = shard but "
-        "solve in process, 0 = monolithic, the default)",
     )
     add_live_port_flag(parser)
     add_solver_flags(parser)
@@ -690,16 +681,6 @@ def build_serve_parser() -> argparse.ArgumentParser:
         help="per-epoch LP deadline the watchdog enforces (default 0.75)",
     )
     parser.add_argument(
-        "--shards",
-        type=int,
-        default=0,
-        metavar="N",
-        help="decompose each epoch LP into block shards solved over N "
-        "worker processes (1 = shard but solve in process, 0 = "
-        "monolithic, the default); recorded in the WAL so recovery "
-        "replays with the same setting",
-    )
-    parser.add_argument(
         "--workdir",
         metavar="DIR",
         default=None,
@@ -746,7 +727,6 @@ def _run_serve(argv: Sequence[str]) -> int:
         else ((8,) if quick else (12,)),
         chaos=not args.no_chaos,
         epoch_deadline_s=args.deadline,
-        shards=args.shards,
     )
     if args.workdir is not None:
         work_dir = Path(args.workdir)
@@ -1011,18 +991,15 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 2
     with contextlib.ExitStack() as stack:
-        for flag, env in (("workers", "REPRO_WORKERS"), ("shards", "REPRO_SHARDS")):
-            value = getattr(args, flag, None)
-            if value is None:
-                continue
+        if args.workers is not None:
             import os
 
-            previous = os.environ.get(env)
-            os.environ[env] = str(value)
+            previous = os.environ.get("REPRO_WORKERS")
+            os.environ["REPRO_WORKERS"] = str(args.workers)
             stack.callback(
-                lambda env=env, previous=previous: os.environ.pop(env, None)
+                lambda: os.environ.pop("REPRO_WORKERS", None)
                 if previous is None
-                else os.environ.__setitem__(env, previous)
+                else os.environ.__setitem__("REPRO_WORKERS", previous)
             )
         previous_backend = install_resilient_solver(args)
         if previous_backend is not None:

@@ -22,7 +22,7 @@ block                 size                         meaning
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 from scipy import sparse
@@ -30,7 +30,6 @@ from scipy import sparse
 from repro.core.model import SchedulingInput
 from repro.core.solution import CoScheduleSolution
 from repro.lp.problem import AssembledLP
-from repro.obs.registry import current_registry
 
 #: Safety multiplier making the fake node dominate any real schedule cost.
 FAKE_PRICE_MULTIPLIER: float = 1.0e3
@@ -80,82 +79,6 @@ class _Triplets:
         vals = np.concatenate(self.vals)
         rhs = np.concatenate(self.rhs)
         mat = sparse.csr_matrix((vals, (rows, cols)), shape=(self.next_row, num_cols))
-        return mat, rhs
-
-
-class AssemblyCache:
-    """Reuses the COO -> CSR conversion plan across structurally equal builds.
-
-    The expensive part of re-assembling an epoch model is not computing the
-    coefficient values (vectorised) but scipy's coo->csr conversion: a sort
-    of every triplet plus duplicate detection.  Keyed on
-    :meth:`ModelAssembler.structural_signature`, this cache stores the
-    lexsort permutation and the resulting CSR skeleton (``indptr`` /
-    ``indices``); a hit rebuilds the matrix by permuting the fresh values
-    into the cached skeleton — no sort, no allocation of index arrays.
-
-    Plans are only stored for duplicate-free triplet sets (a duplicate would
-    need summing, which the skeleton cannot express); models with duplicate
-    entries fall back to the plain scipy path every time.
-    """
-
-    def __init__(self) -> None:
-        self._plans: Dict[tuple, dict] = {}
-        self.hits = 0
-        self.misses = 0
-
-    def _count(self, hit: bool) -> None:
-        registry = current_registry()
-        if registry is not None:
-            name = "assembly.cache_hits" if hit else "assembly.cache_misses"
-            registry.counter(name, help="assembly COO->CSR plan reuse").inc()
-
-    def build_matrix(
-        self, key: tuple, t: _Triplets, num_cols: int
-    ) -> Tuple[sparse.csr_matrix, np.ndarray]:
-        """Build ``(a_ub, b_ub)`` from triplets, reusing the plan for ``key``."""
-        if not t.rhs:
-            return sparse.csr_matrix((0, num_cols)), np.zeros(0)
-        vals = np.concatenate(t.vals)
-        rhs = np.concatenate(t.rhs)
-        shape = (t.next_row, num_cols)
-        plan = self._plans.get(key)
-        if plan is not None and plan["nnz"] == vals.shape[0] and plan["shape"] == shape:
-            self.hits += 1
-            self._count(hit=True)
-            # Assemble around the cached skeleton without the constructor's
-            # validation/cast pass; sharing the exact index-array objects
-            # also lets downstream identity-keyed caches (lp.presolve)
-            # recognise the unchanged pattern.
-            mat = sparse.csr_matrix(shape)
-            mat.data = vals[plan["order"]]
-            mat.indices = plan["indices"]
-            mat.indptr = plan["indptr"]
-            mat.has_sorted_indices = True
-            return mat, rhs
-        self.misses += 1
-        self._count(hit=False)
-        rows = np.concatenate(t.rows)
-        cols = np.concatenate(t.cols)
-        order = np.lexsort((cols, rows))
-        r_s = rows[order]
-        c_s = cols[order]
-        if np.any((r_s[1:] == r_s[:-1]) & (c_s[1:] == c_s[:-1])):
-            mat = sparse.csr_matrix((vals, (rows, cols)), shape=shape)
-            return mat, rhs
-        indptr = np.zeros(t.next_row + 1, dtype=np.int64)
-        np.cumsum(np.bincount(r_s, minlength=t.next_row), out=indptr[1:])
-        mat = sparse.csr_matrix((vals[order], c_s, indptr), shape=shape)
-        mat.has_sorted_indices = True
-        # store the matrix's own (possibly dtype-cast) index arrays so hits
-        # can share them verbatim
-        self._plans[key] = {
-            "order": order,
-            "indices": mat.indices,
-            "indptr": mat.indptr,
-            "nnz": vals.shape[0],
-            "shape": shape,
-        }
         return mat, rhs
 
 
@@ -299,124 +222,9 @@ class ModelAssembler:
             c[self.off_xd :] = unit.reshape(-1) + self.placement_tiebreak
         return c
 
-    # -- structural identity -------------------------------------------------
-    def structural_signature(self) -> tuple:
-        """Hashable key of everything that fixes the constraint *pattern*.
-
-        Two assemblers with equal signatures produce a_ub matrices with the
-        identical sparsity structure (same triplet order, same row layout) —
-        only coefficient/rhs *values* may differ.  This keys both the
-        :class:`AssemblyCache` and, indirectly, the standard-form and
-        warm-start caches downstream.
-        """
-        inp = self.inp
-        return (
-            self.K,
-            self.L,
-            self.S,
-            self.D,
-            self.kd.tobytes(),
-            self.kn.tobytes(),
-            np.asarray(inp.job_data, dtype=np.int64).tobytes(),
-            self.include_xd,
-            self.include_fake,
-            bool(self.epoch_bandwidth),
-            tuple(
-                tuple(int(k) for k in np.asarray(ids, dtype=int))
-                for ids, _ in self.min_cpu_rows
-            ),
-        )
-
-    def _data_keys(self, job_keys: Sequence) -> List:
-        """Stable identity of each data object: the key of its owning job."""
-        owner: Dict[int, object] = {}
-        for k in range(self.K):
-            d = int(self.inp.job_data[k])
-            if d >= 0 and d not in owner:
-                owner[d] = job_keys[k]
-        return [owner.get(i, ("data", i)) for i in range(self.D)]
-
-    def column_labels(self, job_keys: Sequence) -> List:
-        """Stable per-column labels for warm-start basis mapping.
-
-        ``job_keys`` maps each job id (0..K-1) to an identity that survives
-        across epochs (the epoch controller passes the original job ids).
-        """
-        if len(job_keys) != self.K:
-            raise ValueError(f"need {self.K} job keys, got {len(job_keys)}")
-        L, S = self.L, self.S
-        labels: List = [None] * self.num_cols
-        for pos, k in enumerate(self.kd):
-            key = job_keys[int(k)]
-            base = self.off_d + pos * L * S
-            for l in range(L):
-                for m in range(S):
-                    labels[base + l * S + m] = ("xt", key, l, m)
-        for pos, k in enumerate(self.kn):
-            key = job_keys[int(k)]
-            base = self.off_n + pos * L
-            for l in range(L):
-                labels[base + l] = ("xtn", key, l)
-        if self.include_fake:
-            for k in range(self.K):
-                labels[self.off_f + k] = ("fake", job_keys[k])
-        if self.include_xd:
-            dk = self._data_keys(job_keys)
-            for i in range(self.D):
-                base = self.off_xd + i * S
-                for j in range(S):
-                    labels[base + j] = ("xd", dk[i], j)
-        return labels
-
-    def row_labels_ub(self, job_keys: Sequence) -> List:
-        """Stable per-row labels for a_ub; requires a prior :meth:`build`."""
-        if not hasattr(self, "row_ranges"):
-            raise RuntimeError("row_labels_ub requires build() first")
-        dk = self._data_keys(job_keys) if self.include_xd else []
-        total = max((end for _, end in self.row_ranges.values()), default=0)
-        labels: List = [None] * total
-        for family, (start, end) in self.row_ranges.items():
-            if end <= start:
-                continue
-            if family == "job_coverage":
-                for k in range(self.K):
-                    labels[start + k] = ("cov", job_keys[k])
-            elif family == "coupling":
-                for pos, k in enumerate(self.kd):
-                    key = job_keys[int(k)]
-                    for m in range(self.S):
-                        labels[start + pos * self.S + m] = ("coup", key, m)
-            elif family == "machine_capacity":
-                for l in range(self.L):
-                    labels[start + l] = ("cap", l)
-            elif family == "data_coverage":
-                for i in range(self.D):
-                    labels[start + i] = ("dcov", dk[i])
-            elif family == "store_capacity":
-                for j in range(self.S):
-                    labels[start + j] = ("scap", j)
-            elif family == "epoch_bandwidth":
-                for pos, k in enumerate(self.kd):
-                    key = job_keys[int(k)]
-                    for l in range(self.L):
-                        labels[start + pos * self.L + l] = ("bw", key, l)
-            else:  # fairness and any future family: positional within block
-                for r in range(start, end):
-                    labels[r] = (family, r - start)
-        return labels
-
     # -- constraints ---------------------------------------------------------
-    def build(
-        self,
-        cache: Optional[AssemblyCache] = None,
-        job_keys: Optional[Sequence] = None,
-    ) -> AssembledLP:
-        """Assemble the sparse constraint system into an AssembledLP.
-
-        ``cache`` reuses the COO->CSR plan across structurally identical
-        builds; ``job_keys`` attaches stable column/row labels to the result
-        (enabling simplex warm starts downstream).
-        """
+    def build(self) -> AssembledLP:
+        """Assemble the sparse constraint system into an AssembledLP."""
         inp = self.inp
         t = _Triplets.empty()
         #: constraint-family name -> (first row, one-past-last row) in A_ub;
@@ -559,14 +367,9 @@ class ModelAssembler:
                 )
         done()
 
-        if cache is not None:
-            a_ub, b_ub = cache.build_matrix(
-                self.structural_signature(), t, self.num_cols
-            )
-        else:
-            a_ub, b_ub = t.build(self.num_cols)
+        a_ub, b_ub = t.build(self.num_cols)
         bounds = np.tile(np.array([0.0, 1.0]), (self.num_cols, 1))
-        asm = AssembledLP(
+        return AssembledLP(
             c=self.objective(),
             a_ub=a_ub,
             b_ub=b_ub,
@@ -574,10 +377,6 @@ class ModelAssembler:
             b_eq=np.zeros(0),
             bounds=bounds,
         )
-        if job_keys is not None:
-            asm.col_labels = self.column_labels(job_keys)
-            asm.row_labels_ub = self.row_labels_ub(job_keys)
-        return asm
 
     # -- decoding ----------------------------------------------------------
     def decode(self, x: np.ndarray, objective: float, model: str) -> CoScheduleSolution:

@@ -15,7 +15,7 @@ from the offline co-scheduling model:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Optional
 
 import numpy as np
 
@@ -50,9 +50,6 @@ def solve_co_online(
     fairness: Optional[object] = None,
     strict: bool = False,
     on_failure: str = "raise",
-    incremental: Optional[object] = None,
-    job_keys: Optional[Sequence] = None,
-    shards: Optional[int] = None,
 ) -> CoScheduleSolution:
     """Solve one epoch of the Figure 4 model.
 
@@ -68,20 +65,6 @@ def solve_co_online(
     ``RuntimeError``; ``"greedy"`` returns the degraded-mode
     :func:`~repro.resilience.degraded.greedy_epoch_solution` tagged with
     ``model="co-online-degraded"`` so the epoch still executes.
-
-    ``incremental`` (a :class:`repro.perf.IncrementalContext`) reuses the
-    assembly COO->CSR plan across structurally identical epochs and — on
-    backends advertising ``supports_warm_start`` — warm-starts the simplex
-    from the previous epoch's optimal basis.  ``job_keys`` supplies the
-    stable per-job identities (length ``inp.num_jobs``) the warm-start
-    labels are keyed on; without them the solve is cache-assisted but cold.
-
-    ``shards`` (default: the ``REPRO_SHARDS`` environment variable, else
-    off) routes the solve through :func:`repro.lp.sharded.solve_sharded`:
-    the epoch model is decomposed into per-job-block shards solved
-    concurrently and reconciled to the monolithic optimum within ``1e-7``
-    relative — with a transparent monolithic fallback whenever the model
-    does not decompose (e.g. under fairness rows).
     """
     if on_failure not in ("raise", "greedy"):
         raise ValueError(f"on_failure must be 'raise' or 'greedy', got {on_failure!r}")
@@ -103,33 +86,14 @@ def solve_co_online(
         store_capacity=store_capacity,
         min_cpu_rows=min_cpu_rows,
     )
-    warm_capable = incremental is not None and getattr(
-        backend, "supports_warm_start", False
-    )
-    asm = assembler.build(
-        cache=incremental.assembly_cache if incremental is not None else None,
-        job_keys=job_keys if warm_capable else None,
-    )
+    asm = assembler.build()
     asm.name = "co-online"
     if strict:
         from repro.lint import strict_check
 
         strict_check(assembler, asm, "co-online")
-    from repro.lp.sharded import resolve_shards, solve_sharded
-
-    n_shards = resolve_shards(shards)
     try:
-        if n_shards >= 1:
-            result = solve_sharded(
-                asm,
-                backend=backend,
-                shards=n_shards,
-                warm=incremental.warm if warm_capable else None,
-            )
-        elif warm_capable:
-            result = backend.solve_assembled(asm, warm=incremental.warm)
-        else:
-            result = backend.solve_assembled(asm)
+        result = backend.solve_assembled(asm)
         failure = (
             None
             if result.status is LPStatus.OPTIMAL

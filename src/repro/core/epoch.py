@@ -164,8 +164,6 @@ class EpochController:
         tracer: Optional[object] = None,
         strict: bool = False,
         degraded_mode: bool = True,
-        incremental: bool = False,
-        shards: Optional[int] = None,
     ) -> None:
         if epoch_length <= 0:
             raise ValueError("epoch_length must be positive")
@@ -185,15 +183,6 @@ class EpochController:
         self.degraded_mode = degraded_mode
         #: epochs scheduled by the degraded path in the most recent run
         self.degraded_epochs = 0
-        #: reuse assembly/standard-form structure and warm-start the simplex
-        #: from the previous epoch's basis (see repro.perf); off by default —
-        #: warm solves may pick a different optimal vertex under degeneracy
-        self.incremental = incremental
-        #: decompose each epoch LP into block shards solved concurrently
-        #: (see repro.lp.sharded); None defers to the REPRO_SHARDS env var
-        self.shards = shards
-        #: the IncrementalContext of the most recent run (None when off)
-        self.incremental_context = None
         #: optional live reconciliation: a :class:`repro.obs.ledger.
         #: RollingLedger` folded + re-reconciled against the run ledger
         #: after every scheduled epoch (repro.serve enables this; plain
@@ -307,10 +296,6 @@ class EpochController:
         """Open an incremental run (resets all per-run state)."""
         tracer = self.tracer if self.tracer is not None else current_tracer()
         self.degraded_epochs = 0
-        if self.incremental:
-            from repro.perf import IncrementalContext
-
-            self.incremental_context = IncrementalContext()
         self._state: Optional[_RunState] = _RunState(
             tracer=tracer,
             ledger=CostLedger(),
@@ -431,9 +416,6 @@ class EpochController:
                     fairness=self.fairness,
                     strict=self.strict,
                     on_failure="greedy" if self.degraded_mode else "raise",
-                    incremental=self.incremental_context,
-                    job_keys=original_ids,
-                    shards=self.shards,
                 )
         if tracer.enabled:
             for rec in prof.records:

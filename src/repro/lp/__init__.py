@@ -5,9 +5,10 @@ equivalent, self-contained LP layer with two interchangeable backends:
 
 * :class:`~repro.lp.scipy_backend.HighsBackend` — wraps
   :func:`scipy.optimize.linprog` (HiGHS); the default, fast path.
-* :class:`~repro.lp.simplex.SimplexBackend` — a from-scratch dense two-phase
-  revised simplex implementation used as an independent reference for
-  cross-validation in the test suite.
+* :class:`~repro.lp.simplex.SimplexBackend` — a small from-scratch dense
+  two-phase revised simplex: the independent reference that
+  cross-validates HiGHS (tests, ``repro check``, ``repro bench``) and the
+  last-resort fallback of :class:`~repro.resilience.ResilientSolver`.
 
 Models are built with :class:`~repro.lp.problem.LinearProgram`, which offers a
 small modelling API (named variables, linear expressions, ``<=``/``>=``/``==``

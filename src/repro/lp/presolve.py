@@ -54,50 +54,8 @@ class PresolveResult:
         return self.status is PresolveStatus.REDUCED
 
 
-class PresolveCache:
-    """Reuses the COO pattern of ``a_ub`` across repeated presolves.
-
-    Soundness rests on *array identity*, not value comparison: when the
-    matrix's ``indices``/``indptr`` are the very array objects seen last
-    time (which is what :class:`repro.core.assembly.AssemblyCache` produces
-    on a structure hit), the expanded row/col index arrays are reused.
-    Anything value-dependent (signs, interval sums, redundancy decisions) is
-    recomputed every call.
-    """
-
-    def __init__(self) -> None:
-        self._indices_ref: Optional[np.ndarray] = None
-        self._indptr_ref: Optional[np.ndarray] = None
-        self._pattern: Optional[tuple] = None
-        self.hits = 0
-        self.misses = 0
-
-    def coo_pattern(self, mat: sparse.csr_matrix):
-        """``(row, col, row_counts)`` index arrays for a CSR matrix."""
-        if (
-            self._pattern is not None
-            and mat.indices is self._indices_ref
-            and mat.indptr is self._indptr_ref
-        ):
-            self.hits += 1
-            return self._pattern
-        self.misses += 1
-        row_counts = np.diff(mat.indptr)
-        rows = np.repeat(np.arange(mat.shape[0]), row_counts)
-        self._indices_ref = mat.indices
-        self._indptr_ref = mat.indptr
-        self._pattern = (rows, mat.indices, row_counts)
-        return self._pattern
-
-
-def presolve(
-    asm: AssembledLP, tol: float = 1e-12, cache: Optional[PresolveCache] = None
-) -> PresolveResult:
-    """Apply the reductions; never changes the optimal objective.
-
-    ``cache`` (optional) reuses pattern-dependent index arrays across calls
-    on structurally identical models — see :class:`PresolveCache`.
-    """
+def presolve(asm: AssembledLP, tol: float = 1e-12) -> PresolveResult:
+    """Apply the reductions; never changes the optimal objective."""
     lowers = asm.bounds[:, 0].copy()
     uppers = asm.bounds[:, 1].copy()
 
@@ -115,8 +73,6 @@ def presolve(
             return mat.tocsr(), rhs.copy()
         if not any_fixed:
             # nothing substituted out: the matrix passes through untouched
-            # (and keeps its index arrays, which is what lets the pattern
-            # cache hit across epochs)
             return mat, rhs.copy()
         rhs_adj = rhs - mat @ fixed_vals
         return mat.tocsc()[:, keep].tocsr(), rhs_adj
@@ -128,12 +84,8 @@ def presolve(
     # --- row analysis on the reduced <= system ---
     dropped = 0
     if a_ub.shape[0]:
-        if cache is not None and not any_fixed:
-            rr, jj, _counts = cache.coo_pattern(a_ub)
-            vv = a_ub.data
-        else:
-            coo = a_ub.tocoo()
-            rr, jj, vv = coo.row, coo.col, coo.data
+        coo = a_ub.tocoo()
+        rr, jj, vv = coo.row, coo.col, coo.data
         # interval arithmetic per row: min/max achievable lhs under bounds
         pos = vv > 0
         lo_c = vv * np.where(pos, lo_red[jj], up_red[jj])

@@ -238,11 +238,6 @@ class AssembledLP:
     objective_constant: float = 0.0
     #: model name carried into LP solve profiles (see repro.obs.lpprof)
     name: str = "lp"
-    #: optional stable per-column identities (hashables) attached by
-    #: labelled assemblers; enables simplex warm-start basis mapping
-    col_labels: Optional[list] = None
-    #: optional stable per-row identities for a_ub (same purpose)
-    row_labels_ub: Optional[list] = None
 
     @property
     def num_variables(self) -> int:

@@ -42,12 +42,8 @@ class HighsBackend:
         self.method = method
         #: apply repro.lp.presolve reductions before handing the model to
         #: HiGHS; duals are then not reported (row identities change under
-        #: row elimination).  The pattern cache makes repeated presolves on
-        #: structurally identical epoch models near-free.
+        #: row elimination)
         self.presolve = presolve
-        from repro.lp.presolve import PresolveCache
-
-        self._presolve_cache = PresolveCache()
         #: (fixed_vars, dropped_rows) of the most recent presolve, for the
         #: profiling wrapper
         self._last_presolve = None
@@ -92,7 +88,7 @@ class HighsBackend:
         if self.presolve:
             from repro.lp.presolve import PresolveStatus, presolve
 
-            pre = presolve(asm, cache=self._presolve_cache)
+            pre = presolve(asm)
             self._last_presolve = (pre.fixed_variables, pre.dropped_rows)
             if pre.status is PresolveStatus.INFEASIBLE:
                 return LPResult(

@@ -1,10 +1,10 @@
 """From-scratch two-phase revised simplex solver.
 
 The paper solves its scheduling LPs with GLPK's simplex; this module is an
-independent, dependency-free (NumPy/SciPy only) reference implementation used
-to cross-validate the HiGHS backend in the test suite, in the LP-backend
-ablation benchmark, and as the engine behind the sharded epoch-LP
-decomposition (:mod:`repro.lp.sharded`).
+independent, dependency-free (NumPy/SciPy only) reference implementation.
+It cross-validates the HiGHS backend (the test suite, ``repro check``,
+``repro bench``) and is the last-resort fallback of
+:class:`~repro.resilience.ResilientSolver`.  Every solve is cold.
 
 Implementation notes
 --------------------
@@ -15,43 +15,24 @@ Implementation notes
 * Pricing uses Dantzig's rule (most negative reduced cost) with an automatic
   switch to Bland's rule after a stall to guarantee termination under
   degeneracy.
-* The basis factorisation lives behind the engine interface of
-  :mod:`repro.lp.sparse_core`: small bases keep the classic explicit dense
-  inverse (rank-one product-form updates), large bases use a sparse LU
-  factorisation plus an eta file whose per-pivot cost tracks basis fill-in
-  instead of m^2.  Basic values are maintained incrementally across pivots
-  and recomputed at each periodic refactorisation (``refactor_every``),
-  which bounds both numerical drift and the eta-file length.
-* **Warm starts**: ``solve_assembled(asm, warm=ctx)`` threads a
-  :class:`~repro.lp.warmstart.WarmStartContext` through a stream of related
-  models.  The previous epoch's optimal basis is repaired onto the new
-  model by stable row/column labels (departed columns fall back to the
-  row's slack), re-factorised once, and then repaired by dual simplex when
-  the start is primal infeasible.  Any miss — unlabelled model, singular
-  basis, dual-infeasible start, non-convergence — falls back to the cold
-  two-phase path, so warm solves can only differ from cold solves within
-  solver tolerances, never in correctness.
+* The basis is held as an explicit dense inverse (:class:`BasisInverse`)
+  with rank-one product-form updates.  Basic values are maintained
+  incrementally across pivots; both are recomputed from scratch at each
+  periodic refactorisation (``refactor_every``), which bounds numerical
+  drift.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
-from repro.lp.sparse_core import (
-    DENSE_ENGINE_MAX_ROWS,
-    BasisSingularError,
-    dense_column,
-    make_engine,
-)
 from repro.lp.standard_form import StandardFormLP, to_standard_form
-from repro.lp.warmstart import WarmStartContext
 from repro.obs import lpprof
 
 
@@ -70,14 +51,81 @@ class SimplexError(RuntimeError):
         self.status = status
 
 
+class BasisSingularError(RuntimeError):
+    """The selected basis matrix is (numerically) singular."""
+
+
+def dense_column(a: sparse.csc_matrix, j: int) -> np.ndarray:
+    """Dense copy of column ``j`` of a CSC matrix (one indptr slice)."""
+    out = np.zeros(a.shape[0])
+    start, end = a.indptr[j], a.indptr[j + 1]
+    out[a.indices[start:end]] = a.data[start:end]
+    return out
+
+
+class BasisInverse:
+    """Explicit dense inverse of the basis ``a[:, basis]``.
+
+    The revised simplex needs only the products ``B^-1 v`` (FTRAN: pivot
+    directions, basic values) and ``w B^-1`` (BTRAN: row prices, inverse
+    rows).  Each pivot applies an O(m^2) rank-one product-form update;
+    :meth:`refactor` recomputes the inverse from scratch.
+    """
+
+    def __init__(self, a: sparse.csc_matrix, basis: np.ndarray) -> None:
+        self.b_inv: np.ndarray = np.zeros((0, 0))
+        self.refactor(a, basis)
+
+    def refactor(self, a: sparse.csc_matrix, basis: np.ndarray) -> None:
+        """Recompute the inverse from scratch (drift control)."""
+        cols = a[:, basis].toarray()
+        try:
+            b_inv = np.linalg.inv(cols)
+        except np.linalg.LinAlgError:
+            raise BasisSingularError("singular basis matrix") from None
+        if not np.all(np.isfinite(b_inv)):
+            raise BasisSingularError("non-finite basis inverse")
+        # LAPACK will "invert" an exactly singular matrix when rounding
+        # leaves it a tiny nonzero pivot; a 1-norm condition estimate
+        # (O(m^2), cheap next to the O(m^3) inversion) catches that
+        if cols.size:
+            cond = float(
+                np.abs(cols).sum(axis=0).max() * np.abs(b_inv).sum(axis=0).max()
+            )
+            if not np.isfinite(cond) or cond > 1e14:
+                raise BasisSingularError("numerically singular basis (cond estimate)")
+        self.b_inv = b_inv
+
+    def ftran(self, v: np.ndarray) -> np.ndarray:
+        """``B^-1 @ v``."""
+        return self.b_inv @ v
+
+    def btran(self, w: np.ndarray) -> np.ndarray:
+        """``w @ B^-1``."""
+        return w @ self.b_inv
+
+    def unit_btran(self, i: int) -> np.ndarray:
+        """Row ``i`` of ``B^-1`` (BTRAN of a unit vector)."""
+        return self.b_inv[i].copy()
+
+    def update(self, leaving: int, direction: np.ndarray) -> None:
+        """Rank-one product-form update for one pivot, O(m^2)."""
+        pivot = direction[leaving]
+        coef = direction / (-pivot)
+        coef[leaving] = 0.0
+        pivot_row = self.b_inv[leaving].copy()
+        self.b_inv += np.outer(coef, pivot_row)
+        self.b_inv[leaving] = pivot_row / pivot
+
+
 @dataclass
 class _Tableau:
-    """Mutable simplex state: basis indices, factorisation engine, values."""
+    """Mutable simplex state: basis indices, basis inverse, values."""
 
     a: sparse.csc_matrix
     b: np.ndarray
     basis: np.ndarray  # column index of each basic variable, len m
-    engine: object  # sparse_core engine: ftran/btran/unit_btran/update/refactor
+    inverse: BasisInverse
     xb_val: np.ndarray  # current basic values B^-1 b, maintained incrementally
     pivots_since_refactor: int = 0
 
@@ -86,7 +134,7 @@ class _Tableau:
 
 
 class SimplexBackend:
-    """Two-phase revised simplex over a sparse basis factorisation.
+    """Two-phase revised simplex over an explicit dense basis inverse.
 
     Parameters
     ----------
@@ -98,18 +146,12 @@ class SimplexBackend:
         Number of non-improving pivots after which pricing switches from
         Dantzig to Bland's anti-cycling rule.
     refactor_every:
-        Refactorise the basis after this many eta updates (0 disables).
-        Eta files accumulate rounding and length; periodic refactorisation
-        keeps long solves and warm-started chains well conditioned.
-    dense_engine_max_rows:
-        Bases with at most this many rows use the explicit dense inverse
-        engine; larger bases use the sparse LU + eta-file engine (see
-        :mod:`repro.lp.sparse_core`).  ``0`` forces sparse everywhere.
+        Recompute the basis inverse after this many rank-one updates (0
+        disables).  Updates accumulate rounding; periodic refactorisation
+        keeps long solves well conditioned.
     """
 
     name = "simplex"
-    #: the incremental pipeline may pass ``warm=`` to :meth:`solve_assembled`
-    supports_warm_start = True
 
     def __init__(
         self,
@@ -118,7 +160,6 @@ class SimplexBackend:
         bland_after: int = 50,
         presolve: bool = False,
         refactor_every: int = 256,
-        dense_engine_max_rows: int = DENSE_ENGINE_MAX_ROWS,
     ) -> None:
         self.max_iterations = max_iterations
         self.tol = tol
@@ -127,7 +168,6 @@ class SimplexBackend:
         #: reported (row identities change under row elimination)
         self.presolve = presolve
         self.refactor_every = refactor_every
-        self.dense_engine_max_rows = dense_engine_max_rows
         #: (fixed_vars, dropped_rows) of the most recent presolve, for the
         #: profiling wrapper
         self._last_presolve = None
@@ -140,22 +180,18 @@ class SimplexBackend:
             result.by_name = lp.value_map(result.x)
         return result
 
-    def solve_assembled(self, asm, warm: Optional[WarmStartContext] = None) -> LPResult:
+    def solve_assembled(self, asm) -> LPResult:
         """Solve a pre-assembled LP.
 
         When an :mod:`repro.obs.lpprof` collector is installed the solve is
         profiled (shape, presolve reductions, wall time, iterations,
         status); the presolve-then-solve path reports as a single record.
-
-        ``warm`` carries warm-start state across a stream of related models
-        (see :class:`~repro.lp.warmstart.WarmStartContext`); it is ignored
-        on the presolve path, where row/column identities change.
         """
         if not lpprof.active():
-            return self._solve_assembled(asm, warm=warm)
+            return self._solve_assembled(asm)
         self._last_presolve = None
         t0 = time.perf_counter()
-        result = self._solve_assembled(asm, warm=warm)
+        result = self._solve_assembled(asm)
         fixed, dropped = self._last_presolve or (0, 0)
         lpprof.observe(
             lpprof.LPSolveRecord(
@@ -173,7 +209,7 @@ class SimplexBackend:
         )
         return result
 
-    def _solve_assembled(self, asm, warm: Optional[WarmStartContext] = None) -> LPResult:
+    def _solve_assembled(self, asm) -> LPResult:
         if self.presolve:
             from repro.lp.presolve import PresolveStatus, presolve
 
@@ -193,7 +229,6 @@ class SimplexBackend:
                 bland_after=self.bland_after,
                 presolve=False,
                 refactor_every=self.refactor_every,
-                dense_engine_max_rows=self.dense_engine_max_rows,
             )._solve_assembled(pre.reduced)
             if inner.x is not None:
                 inner.x = pre.restore(inner.x)
@@ -209,25 +244,17 @@ class SimplexBackend:
                 by_name={},
                 backend=self.name,
             )
-        std = to_standard_form(asm, cache=warm.std_cache if warm is not None else None)
-        warm_out = None
-        attempted = False
-        if warm is not None and warm.snapshot is not None:
-            attempted = True
-            warm_out = self._try_warm(std, warm)
-        if warm_out is not None:
-            status, y, iters, pi, tab = warm_out
-        else:
-            try:
-                status, y, iters, pi, tab = self._solve_standard(std)
-            except SimplexError as exc:
-                return LPResult(
-                    status=exc.status,
-                    objective=float("nan"),
-                    x=None,
-                    backend=self.name,
-                    message=str(exc),
-                )
+        std = to_standard_form(asm)
+        try:
+            status, y, iters, pi = self._solve_standard(std)
+        except SimplexError as exc:
+            return LPResult(
+                status=exc.status,
+                objective=float("nan"),
+                x=None,
+                backend=self.name,
+                message=str(exc),
+            )
         if status is not LPStatus.OPTIMAL:
             return LPResult(
                 status=status,
@@ -235,10 +262,6 @@ class SimplexBackend:
                 x=None,
                 backend=self.name,
                 iterations=iters,
-            )
-        if warm is not None and tab is not None:
-            warm.record_solve(
-                std, tab.basis, iters, used_warm=warm_out is not None, attempted=attempted
             )
         x = std.recover(y)
         objective = float(std.c @ y) + std.objective_constant
@@ -280,78 +303,21 @@ class SimplexBackend:
     def _make_tableau(
         self, a: sparse.csc_matrix, b: np.ndarray, basis: np.ndarray
     ) -> _Tableau:
-        """Factorise ``basis`` and seed the incremental basic values."""
-        engine = make_engine(a, basis, self.dense_engine_max_rows)
-        return _Tableau(a=a, b=b, basis=basis, engine=engine, xb_val=engine.ftran(b))
-
-    # -- warm start -------------------------------------------------------------
-    def _try_warm(self, std: StandardFormLP, warm: WarmStartContext):
-        """Attempt a warm solve from the context's repaired basis.
-
-        Returns the same tuple as :meth:`_solve_standard` on success, or
-        ``None`` when the snapshot cannot be used — the caller then runs the
-        cold two-phase path.  An unbounded/infeasible claim reached from a
-        warm basis is *not* trusted (the repaired start could be atypical);
-        those also fall back to the cold certificate.
-        """
-        basis = warm.snapshot.map_onto(std)
-        if basis is None:
-            return None
-        a, b, c = std.a, std.b, std.c
-        m = a.shape[0]
-        if m == 0 or basis.shape[0] != m:
-            return None
-        try:
-            tab = self._make_tableau(a, b, basis.copy())
-        except BasisSingularError:
-            return None
-        if not np.all(np.isfinite(tab.xb_val)):
-            return None
-        at = a.T  # CSR view: reduced-cost products are row-major
-        scale_b = max(1.0, float(np.max(np.abs(b), initial=0.0)))
-        scale_c = max(1.0, float(np.max(np.abs(c), initial=0.0)))
-        feas_tol = 1e-9 * scale_b
-        try:
-            iters_repair = 0
-            if float(np.min(tab.xb(), initial=0.0)) < -feas_tol:
-                # primal-infeasible start: dual simplex repair is only valid
-                # from a dual-feasible basis
-                reduced = c - at @ tab.engine.btran(c[tab.basis])
-                reduced[tab.basis] = 0.0
-                if float(np.min(reduced)) < -1e-7 * scale_c:
-                    return None
-                status, iters_repair = self._iterate_dual(tab, c)
-                if status is not LPStatus.OPTIMAL:
-                    return None
-            status, iters_opt = self._iterate(tab, c)
-        except SimplexError:
-            return None
-        if status is not LPStatus.OPTIMAL:
-            return None
-        # validate the final basis against the original data: the eta chain
-        # must still reproduce a primal-feasible solution
-        xb = tab.xb()
-        if float(np.min(xb, initial=0.0)) < -1e-6 * scale_b:
-            return None
-        resid = a[:, tab.basis] @ xb - b
-        if float(np.max(np.abs(resid), initial=0.0)) > 1e-6 * scale_b:
-            return None
-        y = np.zeros(a.shape[1])
-        y[tab.basis] = xb
-        pi = tab.engine.btran(c[tab.basis])
-        return LPStatus.OPTIMAL, y, iters_repair + iters_opt, pi, tab
+        """Invert ``basis`` and seed the incremental basic values."""
+        inverse = BasisInverse(a, basis)
+        return _Tableau(a=a, b=b, basis=basis, inverse=inverse, xb_val=inverse.ftran(b))
 
     # -- standard form driver ---------------------------------------------------
     def _solve_standard(
         self, std: StandardFormLP
-    ) -> tuple[LPStatus, np.ndarray, int, "np.ndarray | None", "_Tableau | None"]:
+    ) -> tuple[LPStatus, np.ndarray, int, "np.ndarray | None"]:
         a, b, c = std.a, std.b, std.c
         m, n = a.shape
         if m == 0:
             # No constraints: optimum is 0 for c >= 0, else unbounded.
             if np.any(c < -self.tol):
-                return LPStatus.UNBOUNDED, np.zeros(n), 0, None, None
-            return LPStatus.OPTIMAL, np.zeros(n), 0, np.zeros(0), None
+                return LPStatus.UNBOUNDED, np.zeros(n), 0, None
+            return LPStatus.OPTIMAL, np.zeros(n), 0, np.zeros(0)
 
         # ---- phase 1: artificial basis ----
         a1 = sparse.hstack([a, sparse.identity(m, format="csc")], format="csc")
@@ -365,15 +331,15 @@ class SimplexBackend:
             raise SimplexError("phase 1 did not converge")
         phase1_obj = float(c1[tab.basis] @ tab.xb())
         if phase1_obj > 1e-7:
-            return LPStatus.INFEASIBLE, np.zeros(n), iters1, None, None
+            return LPStatus.INFEASIBLE, np.zeros(n), iters1, None
 
         # Drive any artificial variables still in the basis out (degeneracy).
         self._purge_artificials(tab, n)
 
         # ---- phase 2 ----
-        # Narrowing to the structural columns does not disturb the engine:
-        # only column *indices* are renamed, the basis matrix itself (and
-        # hence its factorisation) is unchanged.
+        # Narrowing to the structural columns does not disturb the inverse:
+        # only column *indices* are renamed, the basis matrix itself is
+        # unchanged.
         tab.a = tab.a[:, :n].tocsc()
         c2 = c
         # Rows whose basic variable is an un-purgeable artificial correspond
@@ -390,13 +356,13 @@ class SimplexBackend:
             tab.basis = np.array([remap.get(j, j) for j in tab.basis])
         status, iters2 = self._iterate(tab, c2)
         if status is LPStatus.UNBOUNDED:
-            return LPStatus.UNBOUNDED, np.zeros(n), iters1 + iters2, None, None
+            return LPStatus.UNBOUNDED, np.zeros(n), iters1 + iters2, None
         if status is not LPStatus.OPTIMAL:
             raise SimplexError("phase 2 did not converge")
         y = np.zeros(tab.a.shape[1])
         y[tab.basis] = tab.xb()
-        pi = tab.engine.btran(c2[tab.basis])  # row prices: d(obj)/d(b)
-        return LPStatus.OPTIMAL, y[:n], iters1 + iters2, pi, tab
+        pi = tab.inverse.btran(c2[tab.basis])  # row prices: d(obj)/d(b)
+        return LPStatus.OPTIMAL, y[:n], iters1 + iters2, pi
 
     # -- pivoting ---------------------------------------------------------------
     def _iterate(self, tab: _Tableau, c: np.ndarray) -> tuple[LPStatus, int]:
@@ -415,7 +381,7 @@ class SimplexBackend:
             use_bland = stall > self.bland_after
 
             # reduced costs: r = c - (c_B B^-1) A
-            y_dual = tab.engine.btran(c[tab.basis])
+            y_dual = tab.inverse.btran(c[tab.basis])
             reduced = c - at @ y_dual
             reduced[tab.basis] = 0.0  # numerical exactness for basics
 
@@ -429,7 +395,7 @@ class SimplexBackend:
                 if reduced[entering] >= -self.tol:
                     return LPStatus.OPTIMAL, it
 
-            direction = tab.engine.ftran(dense_column(tab.a, entering))
+            direction = tab.inverse.ftran(dense_column(tab.a, entering))
             positive = direction > self.tol
             if not np.any(positive):
                 return LPStatus.UNBOUNDED, it
@@ -451,53 +417,12 @@ class SimplexBackend:
             status=LPStatus.ITERATION_LIMIT,
         )
 
-    def _iterate_dual(self, tab: _Tableau, c: np.ndarray) -> tuple[LPStatus, int]:
-        """Dual simplex: restore primal feasibility from a dual-feasible basis.
-
-        Used only for warm-start repair — the caller guarantees reduced
-        costs are non-negative on entry, and every pivot preserves that.
-        Returns ``OPTIMAL`` once no basic variable is negative (the basis is
-        then primal feasible *and* dual feasible, i.e. optimal).
-        """
-        at = tab.a.T
-        feas_tol = 1e-9 * max(1.0, float(np.max(np.abs(tab.b), initial=0.0)))
-        for it in range(self.max_iterations):
-            xb = tab.xb()
-            violated = np.where(xb < -feas_tol)[0]
-            if violated.size == 0:
-                return LPStatus.OPTIMAL, it
-            leaving = int(violated[np.argmin(xb[violated])])
-            y_dual = tab.engine.btran(c[tab.basis])
-            reduced = c - at @ y_dual
-            reduced[tab.basis] = 0.0
-            row = at @ tab.engine.unit_btran(leaving)
-            row[tab.basis] = 0.0  # basic columns never re-enter on their own row
-            candidates = np.where(row < -self.tol)[0]
-            if candidates.size == 0:
-                # the row proves primal infeasibility — but a warm-start
-                # repair must not certify that; callers fall back cold
-                raise SimplexError(
-                    "dual simplex found no entering column",
-                    status=LPStatus.INFEASIBLE,
-                )
-            ratios = reduced[candidates] / (-row[candidates])
-            entering = int(candidates[np.argmin(ratios)])
-            direction = tab.engine.ftran(dense_column(tab.a, entering))
-            self._pivot(tab, entering, leaving, direction)
-        raise SimplexError(
-            "dual simplex iteration cap reached", status=LPStatus.ITERATION_LIMIT
-        )
-
     def _pivot(self, tab: _Tableau, entering: int, leaving: int, direction: np.ndarray) -> None:
-        """One basis exchange: engine eta update plus incremental values.
-
-        The same value update serves primal and dual pivots — the new basic
-        values are ``E @ xb`` for the eta matrix ``E`` of this pivot.
-        """
+        """One basis exchange: rank-one inverse update plus incremental values."""
         pivot = direction[leaving]
         if abs(pivot) < 1e-12:
             raise SimplexError("numerically singular pivot")
-        tab.engine.update(leaving, direction)
+        tab.inverse.update(leaving, direction)
         t = tab.xb_val[leaving] / pivot
         tab.xb_val -= t * direction
         tab.xb_val[leaving] = t
@@ -508,12 +433,12 @@ class SimplexBackend:
 
     @staticmethod
     def _refactor(tab: _Tableau) -> None:
-        """Refactorise the basis and refresh the basic values (drift control)."""
+        """Re-invert the basis and refresh the basic values (drift control)."""
         try:
-            tab.engine.refactor(tab.a, tab.basis)
+            tab.inverse.refactor(tab.a, tab.basis)
         except BasisSingularError:
             raise SimplexError("singular basis at refactorisation") from None
-        tab.xb_val = tab.engine.ftran(tab.b)
+        tab.xb_val = tab.inverse.ftran(tab.b)
         tab.pivots_since_refactor = 0
 
     def _purge_artificials(self, tab: _Tableau, n: int) -> None:
@@ -523,11 +448,11 @@ class SimplexBackend:
         for row in range(m):
             if tab.basis[row] < n:
                 continue
-            row_vec = struct_t @ tab.engine.unit_btran(row)
+            row_vec = struct_t @ tab.inverse.unit_btran(row)
             candidates = np.where(np.abs(row_vec) > 1e-9)[0]
             if candidates.size == 0:
                 continue  # redundant row; handled in phase 2
             entering = int(candidates[0])
-            direction = tab.engine.ftran(dense_column(tab.a, entering))
+            direction = tab.inverse.ftran(dense_column(tab.a, entering))
             self._pivot(tab, entering, row, direction)
         tab.pivots_since_refactor = 0

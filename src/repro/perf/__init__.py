@@ -1,20 +1,7 @@
-"""Incremental-solve pipeline: caches, warm starts and benchmarks.
+"""Performance measurement for the epoch-LP pipeline.
 
-The online scheduler solves one LP per epoch, and consecutive epochs differ
-only in a few jobs and right-hand sides.  This package owns the state that
-lets the solve pipeline exploit that:
-
-* :class:`IncrementalContext` — bundles the
-  :class:`~repro.core.assembly.AssemblyCache` (COO->CSR plan reuse), the
-  :class:`~repro.lp.warmstart.WarmStartContext` (standard-form structure
-  cache + previous optimal basis) and is threaded through
-  :func:`repro.core.co_online.solve_co_online` by the epoch controller and
-  the LiPS scheduler when ``incremental=True``;
-* :mod:`repro.perf.bench` — the ``python -m repro bench`` harness timing
-  cold vs. incremental epoch loops and sweep throughput into
-  ``BENCH_epoch.json``.
+* :mod:`repro.perf.bench` — the ``python -m repro bench`` harness: the
+  cold reference simplex checked against the default HiGHS backend on an
+  epoch loop, HiGHS with and without presolve, and sweep throughput,
+  written to ``BENCH_epoch.json``.
 """
-
-from repro.perf.incremental import IncrementalContext
-
-__all__ = ["IncrementalContext"]

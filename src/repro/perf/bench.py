@@ -1,31 +1,22 @@
-"""``python -m repro bench`` — the incremental-pipeline benchmark.
+"""``python -m repro bench`` — the epoch-LP backend benchmark.
 
-Times three things on a deterministic epoch-loop scenario (the Figure 8
-testbed shape: paper machines, two long jobs sized to span several epochs):
+Times the epoch loop on a deterministic scenario (the Figure 8 testbed
+shape: paper machines, two long jobs sized to span several epochs):
 
-* **cold** — the from-scratch simplex re-assembling and re-solving every
-  epoch with no shared state;
-* **incremental** — the same loop with an
-  :class:`~repro.perf.IncrementalContext`: assembly-plan reuse, cached
-  standard-form conversion and warm-started simplex;
-* **HiGHS** — the production backend plain vs ``presolve=True`` with the
-  pattern cache (reported, not gated: HiGHS is already fast here);
+* **HiGHS** — the default backend, plain vs ``presolve=True`` (reported,
+  not gated);
+* **reference** — every epoch model the plain HiGHS loop solved, re-solved
+  cold by the from-scratch dense simplex.  Gated: each per-epoch objective
+  must match HiGHS within ``REL_TOL``.  Comparing per model rather than per
+  trajectory keeps alternative optima, which feed back into later epochs,
+  from masquerading as solver disagreement;
 * **sweep throughput** — a small figure-5 grid run serially and through
-  the process-pool path (reported, not gated: single-core CI boxes show
-  no speedup by construction);
-* **sharded decomposition** (``--shards``) — the incremental non-sharded
-  epoch loop vs the same loop routed through
-  :func:`repro.lp.sharded.solve_sharded` on a 100-machine, 8-job profile
-  whose epoch LPs decompose into per-job blocks.  Gated: the sharded loop
-  must be at least ``SHARDED_MIN_SPEEDUP``x faster and every captured
-  epoch model must re-solve sharded to the monolithic objective within
-  ``REL_TOL``;
+  the process-pool path (gated on identical results; the speed is only
+  reported, since single-core CI boxes show no speedup by construction);
 * **scaling sweep** (``--scaling``) — epoch solve time and simulator
   event throughput at 20/100/500/1000 machines, appended as one
   ``repro.bench-history/1`` row per size (reported, not gated).
 
-The regression gate requires the incremental loop to be no slower than the
-cold loop and every per-epoch objective to agree within ``REL_TOL``.
 Results are written as JSON (schema ``repro.bench/1``, documented in the
 README's Benchmarks section) and mirrored into ``bench.*`` gauges when a
 metrics registry is active.
@@ -35,7 +26,7 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
+import math
 import sys
 import time
 from typing import Optional, Sequence, Tuple
@@ -45,10 +36,13 @@ import numpy as np
 from repro.cluster.builder import ClusterBuilder, build_paper_testbed, paper_topology
 from repro.cluster.ec2 import ec2_instance
 from repro.core.epoch import EpochController
+from repro.lp.scipy_backend import HighsBackend
+from repro.lp.simplex import SimplexBackend
 from repro.obs.registry import current_registry
 from repro.workload.job import DataObject, Job, Workload
 
-#: warm and cold epoch objectives must agree to this relative tolerance
+#: reference-simplex and HiGHS epoch objectives must agree to this
+#: relative tolerance
 REL_TOL = 1e-7
 
 #: JSON schema identifier written into every benchmark file
@@ -56,10 +50,6 @@ SCHEMA = "repro.bench/1"
 
 #: JSONL schema identifier for the append-only history file
 HISTORY_SCHEMA = "repro.bench-history/1"
-
-#: the sharded epoch loop must beat the incremental non-sharded loop by
-#: this factor on the 100-machine profile (the ``--shards`` gate)
-SHARDED_MIN_SPEEDUP = 2.0
 
 #: machine counts of the ``--scaling`` sweep
 SCALING_MACHINES = (20, 100, 500, 1000)
@@ -84,13 +74,10 @@ def history_row(doc: dict) -> dict:
         "machines": doc["scenario"]["machines"],
         "epochs": doc["cold"]["epochs"],
         "cold_wall_s": doc["cold"]["wall_s"],
-        "incremental_wall_s": doc["incremental"]["wall_s"],
-        "speedup": doc["speedup"],
         "highs_cold_wall_s": doc["highs"]["cold_wall_s"],
         "highs_presolve_wall_s": doc["highs"]["presolve_wall_s"],
         "sweep_serial_points_per_s": doc["sweep"]["serial_points_per_s"],
         "sweep_parallel_points_per_s": doc["sweep"]["parallel_points_per_s"],
-        "sharded_speedup": (doc.get("sharded") or {}).get("speedup"),
         "gate_ok": doc["gate"]["ok"],
     }
 
@@ -129,8 +116,7 @@ def build_scenario(quick: bool = False) -> Tuple[object, Workload, float, dict]:
     """The benchmark scenario: ``(cluster, workload, epoch_length, meta)``.
 
     Two jobs sized so the workload spans several epochs of the paper
-    testbed — each epoch's LP is structurally identical to the last, which
-    is exactly the shape the incremental pipeline exploits.
+    testbed, so the loop solves one epoch LP per epoch.
     """
     machines = 12 if quick else 20
     epochs_target = 8 if quick else 10
@@ -168,10 +154,8 @@ def _block_testbed(machines: int, n_stores: int, seed: int = 0):
     ``build_paper_testbed`` co-locates a store with *every* machine, which
     makes the online model's transfer-variable count grow with
     ``machines**2`` — fine at testbed sizes, needlessly huge for the
-    sharded and scaling profiles.  Concentrating the stores keeps the
-    model at ``O(stores * machines)`` while preserving the block
-    structure the decomposition exploits (one block per job when each job
-    reads its own data object).
+    scaling profile.  Concentrating the stores keeps the model at
+    ``O(stores * machines)``.
     """
     rng = np.random.default_rng(seed)
     builder = ClusterBuilder(topology=paper_topology())
@@ -198,12 +182,11 @@ def _block_testbed(machines: int, n_stores: int, seed: int = 0):
 def build_block_scenario(
     machines: int, n_jobs: int = 8, epochs_target: int = 3, util: float = 0.9
 ) -> Tuple[object, Workload, float, dict]:
-    """A block-decomposable epoch scenario at ``machines`` nodes.
+    """An epoch scenario at ``machines`` nodes with one store per job.
 
-    ``n_jobs`` jobs each read their own data object, so the epoch LP
-    splits into one block per job coupled only through machine capacity —
-    the shape :func:`repro.lp.sharded.solve_sharded` decomposes.  Total
-    work is ``util`` of cluster capacity over ``epochs_target`` epochs.
+    ``n_jobs`` jobs each read their own data object, placed on ``n_jobs``
+    stores.  Total work is ``util`` of cluster capacity over
+    ``epochs_target`` epochs.
     """
     epoch_length = 60.0
     cluster = _block_testbed(machines, n_stores=n_jobs)
@@ -240,77 +223,68 @@ def build_block_scenario(
     return cluster, Workload(jobs=jobs, data=data), epoch_length, meta
 
 
-def _timed_epoch_loop(cluster, workload, epoch_length, backend, incremental, shards=0):
-    """Run the epoch loop once; returns (wall_s, objectives, controller)."""
+def _timed_epoch_loop(cluster, workload, epoch_length, backend):
+    """Run the epoch loop once; returns (wall_s, objectives)."""
     controller = EpochController(
-        cluster,
-        epoch_length,
-        backend=backend,
-        keep_solutions=True,
-        incremental=incremental,
-        shards=shards,
+        cluster, epoch_length, backend=backend, keep_solutions=True
     )
     t0 = time.perf_counter()
     result = controller.run(workload)
     wall = time.perf_counter() - t0
-    objectives = [r.solution.objective for r in result.reports]
-    return wall, objectives, controller
+    return wall, [r.solution.objective for r in result.reports]
 
 
-def _rel_delta(cold: Sequence[float], warm: Sequence[float]) -> float:
-    """Worst relative per-epoch objective disagreement."""
-    if len(cold) != len(warm):
+def _rel_delta(expected: Sequence[float], actual: Sequence[float]) -> float:
+    """Worst relative per-epoch objective disagreement (inf on a mismatch)."""
+    if len(expected) != len(actual):
         return float("inf")
-    return max(
-        (abs(a - b) / max(1.0, abs(a)) for a, b in zip(cold, warm)), default=0.0
-    )
+    deltas = [abs(a - b) / max(1.0, abs(a)) for a, b in zip(expected, actual)]
+    if not all(math.isfinite(d) for d in deltas):
+        return float("inf")
+    return max(deltas, default=0.0)
 
 
-def _bench_simplex(cluster, workload, epoch_length) -> dict:
-    """Cold vs incremental epoch loops on the from-scratch simplex."""
-    from repro.lp.simplex import SimplexBackend
+class _CapturingHighs(HighsBackend):
+    """The default backend, keeping every model it is asked to solve."""
 
-    cold_wall, cold_obj, _ = _timed_epoch_loop(
-        cluster, workload, epoch_length, SimplexBackend(), incremental=False
+    def __init__(self) -> None:
+        super().__init__()
+        self.models: list = []
+
+    def solve_assembled(self, asm):  # lint: ok=AST005 (delegates)
+        self.models.append(asm)
+        return super().solve_assembled(asm)
+
+
+def _bench_backends(cluster, workload, epoch_length) -> dict:
+    """HiGHS epoch loops, and the reference simplex on the same models.
+
+    Returns the ``cold`` (reference simplex), ``equivalence`` and
+    ``highs`` sections of the document.
+    """
+    highs = _CapturingHighs()
+    plain_wall, plain_obj = _timed_epoch_loop(cluster, workload, epoch_length, highs)
+    pre_wall, pre_obj = _timed_epoch_loop(
+        cluster, workload, epoch_length, HighsBackend(presolve=True)
     )
-    warm_wall, warm_obj, controller = _timed_epoch_loop(
-        cluster, workload, epoch_length, SimplexBackend(), incremental=True
-    )
-    delta = _rel_delta(cold_obj, warm_obj)
-    speedup = cold_wall / warm_wall if warm_wall > 0 else float("inf")
+    reference = SimplexBackend()
+    t0 = time.perf_counter()
+    ref_obj = [reference.solve_assembled(asm).objective for asm in highs.models]
+    ref_wall = time.perf_counter() - t0
+    delta = _rel_delta(plain_obj, ref_obj)
     return {
-        "cold": {"wall_s": cold_wall, "epochs": len(cold_obj)},
-        "incremental": {
-            "wall_s": warm_wall,
-            "epochs": len(warm_obj),
-            "stats": controller.incremental_context.stats(),
-        },
-        "speedup": speedup,
+        "cold": {"wall_s": ref_wall, "epochs": len(ref_obj)},
         "equivalence": {
             "max_rel_objective_delta": delta,
             "tolerance": REL_TOL,
             "ok": bool(delta <= REL_TOL),
         },
-    }
-
-
-def _bench_highs(cluster, workload, epoch_length) -> dict:
-    """Plain vs presolve+pattern-cache epoch loops on HiGHS (reported only)."""
-    from repro.lp.scipy_backend import HighsBackend
-
-    plain_wall, plain_obj, _ = _timed_epoch_loop(
-        cluster, workload, epoch_length, HighsBackend(), incremental=False
-    )
-    backend = HighsBackend(presolve=True)
-    pre_wall, pre_obj, _ = _timed_epoch_loop(
-        cluster, workload, epoch_length, backend, incremental=True
-    )
-    return {
-        "cold_wall_s": plain_wall,
-        "presolve_wall_s": pre_wall,
-        "presolve_cache_hits": backend._presolve_cache.hits,
-        "presolve_cache_misses": backend._presolve_cache.misses,
-        "max_rel_objective_delta": _rel_delta(plain_obj, pre_obj),
+        "highs": {
+            "cold_wall_s": plain_wall,
+            "presolve_wall_s": pre_wall,
+            "epochs": len(plain_obj),
+            "max_rel_objective_delta": _rel_delta(plain_obj, pre_obj),
+        },
     }
 
 
@@ -344,85 +318,6 @@ def _bench_sweep(quick: bool, workers: Optional[int]) -> dict:
     }
 
 
-def resolve_bench_shards(shards: int) -> int:
-    """The shard count the ``--shards`` section runs with (0 = auto).
-
-    Auto picks ``min(8, cpu count)`` — a process pool when cores are
-    available, the in-process sharded path on single-core boxes where a
-    pool is pure overhead.
-    """
-    if shards >= 1:
-        return shards
-    return min(8, os.cpu_count() or 1)
-
-
-def _bench_sharded(quick: bool, shards: int) -> dict:
-    """Incremental non-sharded vs sharded epoch loops at 100 machines.
-
-    Wall-clock speedup comes from two full controller runs.  Objective
-    equivalence is then checked per *model*, not per trajectory: the
-    non-sharded run's epoch LPs are captured and each is re-solved through
-    :func:`~repro.lp.sharded.solve_sharded`, so alternative optima feeding
-    back into later epochs cannot masquerade as solver disagreement.
-    """
-    from repro.lp.sharded import solve_sharded
-    from repro.lp.simplex import SimplexBackend
-    from repro.lp.warmstart import WarmStartContext
-
-    n = resolve_bench_shards(shards)
-    cluster, workload, epoch_length, meta = build_block_scenario(
-        machines=100, n_jobs=8, epochs_target=3 if quick else 5
-    )
-
-    captured = []
-
-    class _CapturingSimplex(SimplexBackend):
-        def solve_assembled(self, asm, warm=None):  # lint: ok=AST005 (delegates)
-            if getattr(asm, "name", "") == "co-online":
-                captured.append(asm)
-            return super().solve_assembled(asm, warm=warm)
-
-    plain_wall, plain_obj, _ = _timed_epoch_loop(
-        cluster, workload, epoch_length, _CapturingSimplex(), incremental=True
-    )
-    sharded_wall, sharded_obj, controller = _timed_epoch_loop(
-        cluster, workload, epoch_length, SimplexBackend(), incremental=True, shards=n
-    )
-    loop_stats = controller.incremental_context.warm.stats()
-
-    # per-model equivalence over the captured epoch LPs
-    warm = WarmStartContext()
-    resolved = [
-        solve_sharded(asm, backend=SimplexBackend(), shards=n, warm=warm).objective
-        for asm in captured
-    ]
-    delta = _rel_delta(plain_obj, resolved)
-    speedup = plain_wall / sharded_wall if sharded_wall > 0 else float("inf")
-    return {
-        "scenario": meta,
-        "shards": n,
-        "non_sharded": {"wall_s": plain_wall, "epochs": len(plain_obj)},
-        "sharded": {
-            "wall_s": sharded_wall,
-            "epochs": len(sharded_obj),
-            "stats": {
-                k: v
-                for k, v in loop_stats.items()
-                if k.startswith(("shard", "sharded"))
-            },
-        },
-        "speedup": speedup,
-        "min_speedup": SHARDED_MIN_SPEEDUP,
-        "equivalence": {
-            "max_rel_objective_delta": delta,
-            "tolerance": REL_TOL,
-            "ok": bool(delta <= REL_TOL),
-            "models_decomposed": warm.sharded_solves,
-            "models_fallback": warm.sharded_fallbacks,
-        },
-    }
-
-
 def _bench_scaling(sizes: Sequence[int] = SCALING_MACHINES) -> list:
     """Epoch solve time and simulator event throughput per cluster size.
 
@@ -431,7 +326,6 @@ def _bench_scaling(sizes: Sequence[int] = SCALING_MACHINES) -> list:
     reports seconds per epoch solve plus simulator events per wall second.
     """
     from repro.hadoop.sim import HadoopSimulator, SimConfig
-    from repro.lp.scipy_backend import HighsBackend
     from repro.schedulers.lips import LipsScheduler
 
     rows = []
@@ -439,8 +333,8 @@ def _bench_scaling(sizes: Sequence[int] = SCALING_MACHINES) -> list:
         cluster, workload, epoch_length, _meta = build_block_scenario(
             machines, n_jobs=8, epochs_target=2
         )
-        solve_wall, objectives, _ = _timed_epoch_loop(
-            cluster, workload, epoch_length, HighsBackend(), incremental=False
+        solve_wall, objectives = _timed_epoch_loop(
+            cluster, workload, epoch_length, HighsBackend()
         )
         sim = HadoopSimulator(
             cluster,
@@ -469,60 +363,37 @@ def _bench_scaling(sizes: Sequence[int] = SCALING_MACHINES) -> list:
 def run_bench(
     quick: bool = False,
     workers: Optional[int] = None,
-    shards: Optional[int] = None,
     scaling: bool = False,
 ) -> dict:
     """Run the full benchmark; returns the ``repro.bench/1`` document.
 
-    ``shards`` (None = skip) adds the gated sharded-decomposition section
-    with that worker count (0 = auto); ``scaling`` adds the ungated
-    multi-size sweep.
+    ``scaling`` adds the ungated multi-size sweep.
     """
     cluster, workload, epoch_length, meta = build_scenario(quick)
-    simplex = _bench_simplex(cluster, workload, epoch_length)
-    highs = _bench_highs(cluster, workload, epoch_length)
+    backends = _bench_backends(cluster, workload, epoch_length)
     sweep = _bench_sweep(quick, workers)
-    sharded = _bench_sharded(quick, shards) if shards is not None else None
     scaling_rows = _bench_scaling() if scaling else None
     gate_checks = {
-        "incremental_not_slower": bool(simplex["speedup"] >= 1.0),
-        "objectives_match": simplex["equivalence"]["ok"],
+        "objectives_match": backends["equivalence"]["ok"],
         "sweep_results_identical": sweep["results_identical"],
     }
-    if sharded is not None:
-        gate_checks["sharded_speedup"] = bool(
-            sharded["speedup"] >= SHARDED_MIN_SPEEDUP
-        )
-        gate_checks["sharded_objectives_match"] = sharded["equivalence"]["ok"]
-        gate_checks["sharded_exercised"] = bool(
-            sharded["equivalence"]["models_decomposed"] > 0
-        )
     doc = {
         "schema": SCHEMA,
         "quick": quick,
         "scenario": meta,
-        **simplex,
-        "highs": highs,
+        **backends,
         "sweep": sweep,
-        "sharded": sharded,
         "scaling": scaling_rows,
         "gate": {"ok": all(gate_checks.values()), "checks": gate_checks},
     }
     registry = current_registry()
     if registry is not None:
-        registry.gauge("bench.cold_wall_s", help="cold epoch loop wall").set(
-            simplex["cold"]["wall_s"]
-        )
         registry.gauge(
-            "bench.incremental_wall_s", help="incremental epoch loop wall"
-        ).set(simplex["incremental"]["wall_s"])
-        registry.gauge("bench.speedup", help="cold/incremental wall ratio").set(
-            simplex["speedup"]
+            "bench.cold_wall_s", help="reference simplex wall over the epoch models"
+        ).set(backends["cold"]["wall_s"])
+        registry.gauge("bench.highs_wall_s", help="HiGHS epoch loop wall").set(
+            backends["highs"]["cold_wall_s"]
         )
-        if sharded is not None:
-            registry.gauge(
-                "bench.sharded_speedup", help="non-sharded/sharded wall ratio"
-            ).set(sharded["speedup"])
     return doc
 
 
@@ -530,10 +401,11 @@ def build_bench_parser() -> argparse.ArgumentParser:
     """Parser for the ``python -m repro bench`` subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro bench",
-        description="Benchmark the incremental epoch-LP pipeline (assembly "
-        "caching + simplex warm starts) against cold per-epoch solves, and "
-        "the parallel sweep path against serial.  Writes a repro.bench/1 "
-        "JSON document and exits 1 when the regression gate fails.",
+        description="Benchmark the epoch-LP backends: check the reference "
+        "simplex against HiGHS on every epoch model, time HiGHS with and "
+        "without presolve, and the parallel sweep path against serial.  "
+        "Writes a repro.bench/1 JSON document and exits 1 when the gate "
+        "fails.",
     )
     parser.add_argument(
         "--quick",
@@ -553,18 +425,6 @@ def build_bench_parser() -> argparse.ArgumentParser:
         metavar="N",
         help="process-pool size for the sweep-throughput section "
         "(default: REPRO_WORKERS, else 2)",
-    )
-    parser.add_argument(
-        "--shards",
-        type=int,
-        nargs="?",
-        const=0,
-        default=None,
-        metavar="N",
-        help="run the sharded-decomposition section on the 100-machine "
-        "profile and gate a >=2x speedup over the incremental non-sharded "
-        "loop (N = shard worker processes; bare --shards auto-picks "
-        "min(8, cpu count))",
     )
     parser.add_argument(
         "--scaling",
@@ -625,7 +485,6 @@ def main(argv: Sequence[str]) -> int:
         doc = run_bench(
             quick=args.quick,
             workers=args.workers,
-            shards=args.shards,
             scaling=args.scaling,
         )
         if registry is not None:
@@ -640,16 +499,14 @@ def main(argv: Sequence[str]) -> int:
     eq = doc["equivalence"]
     print(
         f"epoch loop ({doc['scenario']['machines']} machines, "
-        f"{doc['cold']['epochs']} epochs): "
-        f"cold {doc['cold']['wall_s']:.2f}s, "
-        f"incremental {doc['incremental']['wall_s']:.2f}s "
-        f"({doc['speedup']:.2f}x), "
-        f"max rel obj delta {eq['max_rel_objective_delta']:.2e}"
+        f"{doc['highs']['epochs']} epochs): "
+        f"highs {doc['highs']['cold_wall_s']:.2f}s, "
+        f"highs+presolve {doc['highs']['presolve_wall_s']:.2f}s"
     )
     print(
-        f"highs: plain {doc['highs']['cold_wall_s']:.2f}s, "
-        f"presolve+cache {doc['highs']['presolve_wall_s']:.2f}s "
-        f"({doc['highs']['presolve_cache_hits']} cache hits)"
+        f"reference simplex: {doc['cold']['epochs']} epoch models in "
+        f"{doc['cold']['wall_s']:.2f}s, "
+        f"max rel obj delta vs highs {eq['max_rel_objective_delta']:.2e}"
     )
     print(
         f"sweep: {doc['sweep']['points']} points, "
@@ -657,18 +514,6 @@ def main(argv: Sequence[str]) -> int:
         f"parallel[{doc['sweep']['workers']}] "
         f"{doc['sweep']['parallel_wall_s']:.2f}s"
     )
-    if doc.get("sharded"):
-        sh = doc["sharded"]
-        sheq = sh["equivalence"]
-        print(
-            f"sharded[{sh['shards']}]: non-sharded "
-            f"{sh['non_sharded']['wall_s']:.2f}s, sharded "
-            f"{sh['sharded']['wall_s']:.2f}s ({sh['speedup']:.2f}x, "
-            f"gate >={sh['min_speedup']:.1f}x), "
-            f"{sheq['models_decomposed']} models decomposed "
-            f"({sheq['models_fallback']} fallback), "
-            f"max rel obj delta {sheq['max_rel_objective_delta']:.2e}"
-        )
     for row in doc.get("scaling") or ():
         print(
             f"scaling[{row['machines']:>4} machines]: "

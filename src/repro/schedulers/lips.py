@@ -113,19 +113,6 @@ class LipsScheduler(TaskScheduler):
         unplaced tasks stay unplanned (the usual fake-node parking) and
         replan next epoch.  An ``epoch.degraded`` trace event is emitted
         and ``epochs_degraded_total`` counted.
-    incremental:
-        Thread a :class:`repro.perf.IncrementalContext` through the
-        per-epoch solves: assembly structure reuse on every backend plus
-        simplex warm starts keyed on stable (job, zone) sub-job identities
-        on backends that support them.  Off by default — warm solves may
-        pick a different optimal vertex under degeneracy.
-    shards:
-        Decompose each epoch LP into per-job-block shards solved
-        concurrently over a process pool (see :mod:`repro.lp.sharded`);
-        objective-equivalent to the monolithic solve within ``1e-7``
-        relative, with a transparent fallback when the model does not
-        decompose.  ``None`` defers to the ``REPRO_SHARDS`` environment
-        variable; ``0`` (the resolved default) is monolithic.
     """
 
     def __init__(
@@ -135,8 +122,6 @@ class LipsScheduler(TaskScheduler):
         enforce_bandwidth: bool = True,
         strict: bool = False,
         degraded_mode: bool = True,
-        incremental: bool = False,
-        shards: Optional[int] = None,
     ) -> None:
         super().__init__()
         if epoch_length <= 0:
@@ -146,13 +131,6 @@ class LipsScheduler(TaskScheduler):
         self.enforce_bandwidth = enforce_bandwidth
         self.strict = strict
         self.degraded_mode = degraded_mode
-        self.shards = shards
-        if incremental:
-            from repro.perf import IncrementalContext
-
-            self.incremental_context = IncrementalContext()
-        else:
-            self.incremental_context = None
         #: epochs planned by the greedy degraded path over this sim's lifetime
         self.degraded_epochs = 0
         self.plans: Dict[int, Deque[_PlanEntry]] = {}
@@ -191,11 +169,6 @@ class LipsScheduler(TaskScheduler):
         if not subjobs:
             return
         inp, groups = self._build_lp_input(subjobs)
-        # stable sub-job identities: (simulator job id, zone) survives across
-        # epochs even as the positional LP job ids shift
-        job_keys = [
-            (job.job_id, "free" if zone is None else zone) for job, zone, _ in groups
-        ]
         sol = solve_co_online(
             inp,
             OnlineModelConfig(
@@ -205,9 +178,6 @@ class LipsScheduler(TaskScheduler):
             backend=self.backend,
             strict=self.strict,
             on_failure="greedy" if self.degraded_mode else "raise",
-            incremental=self.incremental_context,
-            job_keys=job_keys,
-            shards=self.shards,
         )
         if sol.model == DEGRADED_MODEL:
             self.degraded_epochs += 1

@@ -89,10 +89,6 @@ class ServiceConfig:
     enforce_bandwidth: bool = True
     strict: bool = False
     max_epochs: int = 1000000
-    #: shard each epoch LP over a process pool (repro.lp.sharded); 0 is
-    #: monolithic.  Safe under recovery: sharded solves are deterministic
-    #: and objective-equivalent, so replay reproduces the journaled costs.
-    shards: int = 0
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready echo for the WAL ``start`` record."""
@@ -104,7 +100,6 @@ class ServiceConfig:
             "checkpoint_every": self.checkpoint_every,
             "epoch_deadline_s": self.health.epoch_deadline_s,
             "wal_fsync": self.wal_fsync,
-            "shards": self.shards,
         }
 
 
@@ -199,9 +194,6 @@ class SchedulingService:
             tracer=tracer,
             strict=config.strict,
             degraded_mode=True,
-            # explicit (env-independent): replay must solve exactly like the
-            # journaled run even if REPRO_SHARDS differs at recovery time
-            shards=config.shards,
         )
         self.health = HealthMonitor(
             config=config.health,

@@ -14,7 +14,6 @@ from repro.perf.bench import (
     build_block_scenario,
     build_scenario,
     history_row,
-    resolve_bench_shards,
     scaling_history_rows,
 )
 
@@ -24,12 +23,9 @@ SCHEMA_KEYS = {
     "quick",
     "scenario",
     "cold",
-    "incremental",
-    "speedup",
     "equivalence",
     "highs",
     "sweep",
-    "sharded",
     "scaling",
     "gate",
 }
@@ -59,8 +55,8 @@ class TestScenario:
             machines=20, n_jobs=4, epochs_target=2
         )
         assert cluster.num_machines == meta["machines"] == 20
-        # stores are scarce (one per job), so the LP stays block-decomposable
-        # in size rather than exploding to O(data x machines^2)
+        # stores are scarce (one per job), so the LP stays small rather
+        # than exploding to O(data x machines^2)
         assert cluster.num_stores == meta["stores"] == 4
         assert len(workload.jobs) == meta["jobs"] == 4
         assert epoch_length == meta["epoch_length_s"]
@@ -78,8 +74,8 @@ class TestParser:
         assert not args.quick and args.workers is None
         assert args.history == "BENCH_history.jsonl" and not args.no_history
         assert args.trace is None and args.metrics is None
-        # sharded/scaling sections are opt-in
-        assert args.shards is None and not args.scaling
+        # the scaling section is opt-in
+        assert not args.scaling
 
     def test_flags(self):
         args = build_bench_parser().parse_args(
@@ -90,17 +86,8 @@ class TestParser:
         assert args.history == "h.jsonl"
         assert args.trace == "t.jsonl" and args.metrics == "m.json"
 
-    def test_shards_flag(self):
-        # bare --shards means "auto-pick"; an explicit count passes through
-        assert build_bench_parser().parse_args(["--shards"]).shards == 0
-        assert build_bench_parser().parse_args(["--shards", "4"]).shards == 4
+    def test_scaling_flag(self):
         assert build_bench_parser().parse_args(["--scaling"]).scaling is True
-
-    def test_resolve_bench_shards(self):
-        assert resolve_bench_shards(4) == 4
-        assert resolve_bench_shards(1) == 1
-        # auto never exceeds 8 and is always at least 1
-        assert 1 <= resolve_bench_shards(0) <= 8
 
 
 #: a minimal repro.bench/1 document with every field history_row reads
@@ -108,8 +95,6 @@ FAKE_DOC = {
     "quick": True,
     "scenario": {"machines": 12},
     "cold": {"epochs": 8, "wall_s": 2.0},
-    "incremental": {"wall_s": 1.0},
-    "speedup": 2.0,
     "highs": {"cold_wall_s": 0.5, "presolve_wall_s": 0.25},
     "sweep": {"serial_points_per_s": 10.0, "parallel_points_per_s": 30.0},
     "gate": {"ok": True},
@@ -122,7 +107,7 @@ class TestHistory:
         assert row["schema"] == HISTORY_SCHEMA == "repro.bench-history/1"
         assert row["ts"].endswith("+00:00")  # real UTC timestamp
         assert row["machines"] == 12 and row["epochs"] == 8
-        assert row["speedup"] == 2.0 and row["gate_ok"] is True
+        assert row["cold_wall_s"] == 2.0 and row["gate_ok"] is True
 
     def test_append_is_append_only_jsonl(self, tmp_path):
         path = tmp_path / "BENCH_history.jsonl"
@@ -131,11 +116,6 @@ class TestHistory:
         rows = [json.loads(line) for line in path.read_text().splitlines()]
         assert len(rows) == 2
         assert all(r["schema"] == HISTORY_SCHEMA for r in rows)
-
-    def test_sharded_speedup_rides_on_the_main_row(self):
-        assert history_row(FAKE_DOC)["sharded_speedup"] is None
-        doc = dict(FAKE_DOC, sharded={"speedup": 2.5})
-        assert history_row(doc)["sharded_speedup"] == 2.5
 
     def test_scaling_rows_one_per_size(self, tmp_path):
         doc = dict(
@@ -175,13 +155,10 @@ class TestQuickBenchEndToEnd:
         assert doc["schema"] == SCHEMA
         assert doc["quick"] is True
         assert doc["gate"]["ok"] is True
-        # the whole point: incremental must beat cold, with cold-equal results
-        assert doc["speedup"] >= 1.0
+        # the reference simplex re-solves every HiGHS epoch model to the
+        # same objective
         assert doc["equivalence"]["max_rel_objective_delta"] <= REL_TOL
-        assert doc["cold"]["epochs"] == doc["incremental"]["epochs"] >= 8
-        stats = doc["incremental"]["stats"]
-        assert stats["warm_solves"] > 0
-        assert stats["assembly_cache_hits"] > 0
+        assert doc["cold"]["epochs"] == doc["highs"]["epochs"] >= 8
         assert doc["sweep"]["results_identical"] is True
-        # opt-in sections stay null (but present) when not requested
-        assert doc["sharded"] is None and doc["scaling"] is None
+        # the opt-in section stays null (but present) when not requested
+        assert doc["scaling"] is None

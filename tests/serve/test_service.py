@@ -254,6 +254,34 @@ class TestCrashRecovery:
         with pytest.raises(RecoveryError):
             SchedulingService.recover(two_zone_cluster, config, tmp_path / "victim")
 
+    def test_wal_with_legacy_shards_field_recovers(self, two_zone_cluster, tmp_path):
+        """WALs whose start record still echoes ``"shards": 0`` replay cleanly."""
+        config = _config()
+        assert "shards" not in config.to_dict()
+        victim = SchedulingService(
+            two_zone_cluster, config, wal_dir=tmp_path / "victim"
+        )
+        victim.start()
+        for job, data in _workload(num_jobs=3):
+            victim.submit(job, data)
+        for _ in range(3):
+            victim.tick()
+        del victim
+
+        wal_path = tmp_path / "victim" / "wal.jsonl"
+        lines = wal_path.read_text().splitlines()
+        start = json.loads(lines[0])
+        assert start["type"] == REC_START
+        start["config"]["shards"] = 0
+        lines[0] = json.dumps(start)
+        wal_path.write_text("\n".join(lines) + "\n")
+
+        _, stats = SchedulingService.recover(
+            two_zone_cluster, config, tmp_path / "victim"
+        )
+        assert stats.epochs_replayed == 3
+        assert stats.max_cost_drift <= 1e-9
+
     def test_missing_wal_is_loud(self, two_zone_cluster, tmp_path):
         with pytest.raises(RecoveryError, match="no WAL"):
             SchedulingService.recover(two_zone_cluster, _config(), tmp_path / "nope")
