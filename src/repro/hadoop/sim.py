@@ -17,7 +17,7 @@ pluggable scheduler, then replays a workload:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, List, Optional
+from typing import TYPE_CHECKING, List, Optional, Sequence
 
 from repro.cluster.builder import Cluster
 from repro.hadoop.events import EventQueue
@@ -152,6 +152,8 @@ class HadoopSimulator:
         self.history = JobHistory() if self.config.record_history else None
         self._heartbeat_scheduled = False
         self._last_progress = 0.0
+        #: map attempts occupying a slot anywhere (launch +1, complete/kill -1)
+        self._running_maps = 0
         self._epoch_index = 0
         #: causal identity of the in-flight epoch / most recent LP solve /
         #: most recent placement move (None on untraced runs) — plan-driven
@@ -185,11 +187,26 @@ class HadoopSimulator:
 
     # -- slot offering -------------------------------------------------------
     def _offer_all_idle(self) -> None:
-        for tracker in self.trackers:
-            while tracker.has_free_slot:
-                if not self._offer_slot(tracker):
-                    break
+        self._fill_map_slots(self.trackers)
         self._offer_reduce_slots()
+
+    def _fill_map_slots(self, trackers: Sequence[TaskTracker]) -> None:
+        """Offer each tracker's free map slots, in order, until one is declined.
+
+        The hot loop of every run: the clock, the scheduler's decision and
+        the speculation switch are read once per call, not once per offer.
+        """
+        now = self.now
+        select = self.scheduler.select_task
+        speculative = self.config.speculative
+        for tracker in trackers:
+            while tracker.alive and len(tracker.running) < tracker.map_slots:
+                assignment = select(tracker, now)
+                if assignment is None and speculative:
+                    assignment = self._speculative_assignment(tracker)
+                if assignment is None:
+                    break
+                self._launch(tracker, assignment)
 
     def _offer_reduce_slots(self) -> None:
         # cheap short-circuit: most runs are map-only, and this fires on
@@ -203,16 +220,6 @@ class HadoopSimulator:
                 if assignment is None:
                     break
                 self._launch_reduce(tracker, assignment)
-
-    def _offer_slot(self, tracker: TaskTracker) -> bool:
-        """Offer one free slot; returns True if a task launched."""
-        assignment = self.scheduler.select_task(tracker, self.now)
-        if assignment is None and self.config.speculative:
-            assignment = self._speculative_assignment(tracker)
-        if assignment is None:
-            return False
-        self._launch(tracker, assignment)
-        return True
 
     def _speculative_assignment(self, tracker: TaskTracker) -> Optional[Assignment]:
         cand = self.jobtracker.speculation_candidate(
@@ -284,6 +291,7 @@ class HadoopSimulator:
                 attempt.parent_span = assignment.links.epoch
                 attempt.links = assignment.links.link_ids()
         tracker.launch(attempt)
+        self._running_maps += 1
         self._last_progress = self.now
         if speculative:
             self.metrics.speculative_attempts += 1
@@ -333,6 +341,8 @@ class HadoopSimulator:
         if not attempt.read_is_local and task.input_mb > 0:
             self.network.flow_finished(tracker.machine_id, now=self.now)
         tracker.complete(attempt)
+        if not task.is_reduce:
+            self._running_maps -= 1
 
         # -- charge the attempt's real dollar cost --
         self.metrics.ledger.charge_cpu(
@@ -451,15 +461,14 @@ class HadoopSimulator:
             # a sibling already finished this task; nothing more to record
             self.jobtracker.drop_attempt(job, attempt)
 
-        # freed slot: offer immediately
-        while tracker.has_free_slot:
-            if not self._offer_slot(tracker):
-                break
+        self._fill_map_slots((tracker,))  # freed slot: offer immediately
 
     def _kill(self, attempt: TaskAttempt, job: JobState, detail: str = "killed-speculative") -> None:
         """Kill a running attempt, billing its partial burn."""
         tracker = self.trackers[attempt.machine_id]
         tracker.kill(attempt)
+        if not attempt.task.is_reduce:
+            self._running_maps -= 1
         self.jobtracker.drop_attempt(job, attempt)
         self.metrics.killed_attempts += 1
         if self.tracer.enabled:
@@ -589,9 +598,7 @@ class HadoopSimulator:
                     job.reduce_pending.append(task)
             elif task not in job.pending:
                 job.pending.append(task)
-        while tracker.has_free_slot:
-            if not self._offer_slot(tracker):
-                break
+        self._fill_map_slots((tracker,))
 
     def _fail_machine(self, machine_id: int, chaos: bool = False) -> None:
         tracker = self.trackers[machine_id]
@@ -643,9 +650,8 @@ class HadoopSimulator:
             return
         if self.jobtracker.has_pending_tasks():
             self._offer_all_idle()
-            running = any(t.running for t in self.trackers)
             if (
-                not running
+                not self._running_maps
                 and self.now - self._last_progress > self.config.starvation_timeout_s
             ):
                 raise RuntimeError(
@@ -743,7 +749,7 @@ class HadoopSimulator:
         with lpprof.collect(self._on_lp_solve):
             self.events.run(max_events=self.config.max_events)
         if not self.jobtracker.all_complete():
-            incomplete = [j.job.name for j in self.jobtracker.queue if not j.is_complete]
+            incomplete = [j.job.name for j in self.jobtracker.queue]
             raise RuntimeError(
                 f"simulation drained with {len(incomplete)} incomplete jobs: "
                 f"{incomplete[:5]}"
@@ -789,9 +795,7 @@ class HadoopSimulator:
                 self._epoch_index += 1
                 start = self.now
                 queued = sum(
-                    len(j.pending) + len(j.reduce_pending)
-                    for j in self.jobtracker.queue
-                    if not j.is_complete
+                    len(j.pending) + len(j.reduce_pending) for j in self.jobtracker.queue
                 )
                 cost0 = self.metrics.total_cost
                 moved0 = self.metrics.moved_mb

@@ -19,7 +19,7 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from repro.hadoop.events import EventHandle
 
 
-@dataclass
+@dataclass(eq=False)
 class SimTask:
     """A schedulable task: one block (map), an input-less slice, or a reduce.
 
@@ -30,6 +30,10 @@ class SimTask:
     Reduce tasks set ``is_reduce`` and carry ``shuffle_sources`` — MB of map
     output to fetch per source machine — instead of a block.  Their
     ``task_index`` continues the map numbering, keeping keys unique.
+
+    Tasks compare by identity: each is created once (``expand_job`` /
+    ``create_reduces``), so ``task in job.pending`` and
+    ``pending.remove(task)`` are pointer compares, not field-by-field ones.
     """
 
     job_id: int
@@ -98,6 +102,8 @@ class TaskTracker:
 
     def __init__(self, machine: Machine, tracer=None) -> None:
         self.machine = machine
+        #: the underlying machine's id (read on every slot offer)
+        self.machine_id: int = machine.machine_id
         self.map_slots = machine.map_slots
         self.reduce_slots = machine.reduce_slots
         self.running: Dict[int, TaskAttempt] = {}
@@ -107,11 +113,6 @@ class TaskTracker:
         self.alive = True  # failure injection flips this
         #: trace emitter for attempt lifecycle (the simulator installs its own)
         self.tracer = tracer if tracer is not None else NULL_TRACER
-
-    @property
-    def machine_id(self) -> int:
-        """The underlying machine's id."""
-        return self.machine.machine_id
 
     @property
     def free_slots(self) -> int:

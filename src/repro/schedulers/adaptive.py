@@ -74,8 +74,6 @@ class AdaptiveLipsScheduler(LipsScheduler):
     def _remaining_cpu(self) -> float:
         total = 0.0
         for job in self.sim.jobtracker.queue:
-            if job.is_complete:
-                continue
             total += sum(t.cpu_seconds for t in job.pending)
             for attempts in job.running.values():
                 if attempts:

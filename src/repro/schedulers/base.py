@@ -82,8 +82,6 @@ class TaskScheduler(abc.ABC):
         preference); cost-aware schedulers override this.
         """
         for job in self.sim.jobtracker.queue:
-            if job.is_complete or not job.reduce_pending:
-                continue
             for task in job.reduce_pending:
                 if task.earliest_start <= now:
                     return Assignment(job=job, task=task, source_store=None)

@@ -77,7 +77,7 @@ class CapacityScheduler(TaskScheduler):
         return sum(
             j.num_running
             for j in self.sim.jobtracker.queue
-            if j.job.pool == queue and not j.is_complete
+            if j.job.pool == queue
         )
 
     # -- decision ----------------------------------------------------------------

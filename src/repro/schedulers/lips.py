@@ -27,6 +27,7 @@ DataNode (a free intra-zone move) and reads node-locally.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
@@ -134,6 +135,9 @@ class LipsScheduler(TaskScheduler):
         #: epochs planned by the greedy degraded path over this sim's lifetime
         self.degraded_epochs = 0
         self.plans: Dict[int, Deque[_PlanEntry]] = {}
+        #: per machine, a lower bound on its plan entries' earliest_start:
+        #: an offer before it finds every entry's data still in flight
+        self._ready_at: Dict[int, float] = {}
         self._planned_keys: set = set()
         #: {"planned": n, "parked": m} for the most recent epoch — parked
         #: tasks landed on the LP's fake node and replan next epoch
@@ -147,6 +151,7 @@ class LipsScheduler(TaskScheduler):
     def bind(self, sim) -> None:
         super().bind(sim)
         self.plans = {m.machine_id: deque() for m in sim.cluster.machines}
+        self._ready_at = {m.machine_id: math.inf for m in sim.cluster.machines}
         self._zone_cluster = build_zone_aggregate(sim.cluster)
         self._zone_index = {
             z: i for i, z in enumerate(sim.cluster.topology.zone_names())
@@ -203,8 +208,6 @@ class LipsScheduler(TaskScheduler):
         """
         out: List[Tuple[JobState, Optional[int], List[SimTask]]] = []
         for job in self.sim.jobtracker.queue:
-            if job.is_complete:
-                continue
             unplanned = [t for t in job.pending if t.key not in self._planned_keys]
             if not unplanned:
                 continue
@@ -330,13 +333,20 @@ class LipsScheduler(TaskScheduler):
                             else None
                         )
                         entry = _PlanEntry(job, task, dst_store, links)
-                    self.plans[machine_id].append(entry)
-                    self._planned_keys.add(task.key)
+                    self._enqueue(machine_id, entry)
                     planned += 1
             # tasks still in `remaining` were parked on the fake node:
             # they stay unplanned and re-enter next epoch's LP
             parked += len(remaining)
         self.last_plan_stats = {"planned": planned, "parked": parked}
+
+    def _enqueue(self, machine_id: int, entry: _PlanEntry) -> None:
+        """Append a planned task to its machine's plan, lowering its ready bound."""
+        self.plans[machine_id].append(entry)
+        ready = entry.task.earliest_start
+        if ready < self._ready_at[machine_id]:
+            self._ready_at[machine_id] = ready
+        self._planned_keys.add(entry.task.key)
 
     # -- reduce placement ----------------------------------------------------
     def select_reduce_task(self, tracker: TaskTracker, now: float) -> Optional[Assignment]:
@@ -349,8 +359,6 @@ class LipsScheduler(TaskScheduler):
         """
         best = None
         for job in self.sim.jobtracker.queue:
-            if job.is_complete:
-                continue
             for task in job.reduce_pending:
                 if task.earliest_start > now:
                     continue
@@ -385,24 +393,34 @@ class LipsScheduler(TaskScheduler):
             # a pinned store on the dead machine is unreadable: fall back to
             # wherever the block actually is when the LP replans
             entry.task.pinned_store = None
+        self._ready_at[machine_id] = math.inf
 
     # -- slot offers ------------------------------------------------------------
     def select_task(self, tracker: TaskTracker, now: float) -> Optional[Assignment]:
-        plan = self.plans.get(tracker.machine_id)
-        if not plan:
+        machine_id = tracker.machine_id
+        plan = self.plans.get(machine_id)
+        if not plan or now < self._ready_at[machine_id]:
+            # every entry's data is still in flight: the scan below would
+            # rotate the plan back to its original order and find nothing
             return None
         # scan for the first runnable entry, preserving plan order
+        ready_at = math.inf
+        store_offline = False
         for _ in range(len(plan)):
             entry = plan[0]
             task = entry.task
             if task.key in entry.job.completed or task not in entry.job.pending:
                 plan.popleft()  # stale (shouldn't normally happen)
                 continue
-            if task.earliest_start > now or (
-                entry.source_store is not None
-                and not self.sim.store_online(entry.source_store)
+            if task.earliest_start > now:
+                ready_at = min(ready_at, task.earliest_start)
+                plan.rotate(-1)  # data in flight; try next
+                continue
+            if entry.source_store is not None and not self.sim.store_online(
+                entry.source_store
             ):
-                plan.rotate(-1)  # data in flight or store offline; try next
+                store_offline = True
+                plan.rotate(-1)  # store offline; try next
                 continue
             plan.popleft()
             self._planned_keys.discard(task.key)
@@ -412,6 +430,9 @@ class LipsScheduler(TaskScheduler):
                 source_store=entry.source_store,
                 links=entry.links,
             )
+        if not store_offline:
+            # only in-flight entries remain: none can run before the earliest
+            self._ready_at[machine_id] = ready_at
         return None
 
     @property

@@ -158,8 +158,6 @@ class QuincyScheduler(TaskScheduler):
 
         entries: List[Tuple[object, SimTask]] = []
         for job in self.sim.jobtracker.queue:
-            if job.is_complete:
-                continue
             for task in job.pending:
                 if task.earliest_start <= now:
                     entries.append((job, task))
