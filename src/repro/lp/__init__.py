@@ -3,8 +3,10 @@
 The paper solves its scheduling models with GLPK.  This package provides an
 equivalent, self-contained LP layer with two interchangeable backends:
 
-* :class:`~repro.lp.scipy_backend.HighsBackend` — wraps
-  :func:`scipy.optimize.linprog` (HiGHS); the default, fast path.
+* :class:`~repro.lp.scipy_backend.HighsBackend` — one direct call per
+  solve into the HiGHS core SciPy bundles; the default, fast path.  Its
+  plans are bit-identical to :func:`scipy.optimize.linprog`'s, which the
+  tests keep as its oracle.
 * :class:`~repro.lp.simplex.SimplexBackend` — a small from-scratch dense
   two-phase revised simplex: the independent reference that
   cross-validates HiGHS (tests, ``repro check``, ``repro bench``) and the

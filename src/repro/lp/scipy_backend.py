@@ -1,8 +1,12 @@
-"""HiGHS backend — solves assembled LPs via :func:`scipy.optimize.linprog`.
+"""HiGHS backend — one direct call per solve into the HiGHS core SciPy bundles.
 
 This is the production path (the paper used GLPK's simplex; HiGHS is its
-modern equivalent).  The from-scratch :mod:`repro.lp.simplex` backend exists
-to cross-check this one in tests.
+modern equivalent).  Each solve hands HiGHS exactly the model and options
+``scipy.optimize.linprog(method="highs")`` would, so plans are bit-identical
+to linprog's, but skips linprog's input re-validation and per-column
+bound-marginal loop.  ``linprog`` survives only as the test oracle
+(``tests/lp/test_highs_direct.py``); the from-scratch
+:mod:`repro.lp.simplex` backend cross-checks the optima.
 """
 
 from __future__ import annotations
@@ -10,43 +14,87 @@ from __future__ import annotations
 import time
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy import sparse
+
+try:
+    from scipy.optimize._highspy import _core
+except ImportError:  # pragma: no cover - depends on the installed scipy
+    raise ImportError(
+        "repro.lp needs scipy>=1.15 (scipy.optimize._highspy._core, the bundled HiGHS)"
+    ) from None
 
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
 from repro.obs import lpprof
 
-# scipy linprog status codes → our normalised statuses
-_STATUS_MAP = {
-    0: LPStatus.OPTIMAL,
-    1: LPStatus.ITERATION_LIMIT,
-    2: LPStatus.INFEASIBLE,
-    3: LPStatus.UNBOUNDED,
-    4: LPStatus.NUMERICAL,  # "numerical difficulties encountered"
+#: ``major.minor.patch`` of the bundled HiGHS, for benchmark host facts
+HIGHS_VERSION = (
+    f"{_core.HIGHS_VERSION_MAJOR}.{_core.HIGHS_VERSION_MINOR}.{_core.HIGHS_VERSION_PATCH}"
+)
+
+_MS = _core.HighsModelStatus
+
+#: HiGHS model status → normalised status, as linprog maps them.  Every
+#: other status (kUnboundedOrInfeasible, the load/presolve/solve/postsolve
+#: errors, kNotset, ...) is ``NUMERICAL``.
+STATUS_MAP = {
+    _MS.kOptimal: LPStatus.OPTIMAL,
+    _MS.kTimeLimit: LPStatus.ITERATION_LIMIT,
+    _MS.kIterationLimit: LPStatus.ITERATION_LIMIT,
+    _MS.kInfeasible: LPStatus.INFEASIBLE,
+    _MS.kModelError: LPStatus.INFEASIBLE,
+    _MS.kUnbounded: LPStatus.UNBOUNDED,
 }
+
+#: the options linprog(method="highs") changes from the HiGHS defaults
+_OPTIONS = (("presolve", "on"), ("output_flag", False), ("log_to_console", False))
+
+_COLWISE = int(_core.MatrixFormat.kColwise)
+_MINIMIZE = int(_core.ObjSense.kMinimize)
+_ERROR = _core.HighsStatus.kError
+
+#: linprog's post-solve feasibility tolerance: ``sqrt(tol) * 10`` with its
+#: default ``tol = 1e-9``
+FEAS_TOL = np.sqrt(1e-9) * 10
+
+
+def feasible_point(x, objective, slack, con, bounds) -> bool:
+    """linprog's post-solve guard on an optimal point, vectorised.
+
+    ``slack = b_ub - A_ub @ x`` and ``con = b_eq - A_eq @ x``.  False on any
+    NaN, any bound or ``<=`` row violated by more than ``FEAS_TOL``, or any
+    equality residual above it.
+    """
+    if (
+        np.isnan(objective)
+        or np.isnan(x).any()
+        or np.isnan(slack).any()
+        or np.isnan(con).any()
+    ):
+        return False
+    return bool(
+        np.all(x >= bounds[:, 0] - FEAS_TOL)
+        and np.all(x <= bounds[:, 1] + FEAS_TOL)
+        and not (slack < -FEAS_TOL).any()
+        and not (np.abs(con) > FEAS_TOL).any()
+    )
+
+
+def _highs_inf(values) -> np.ndarray:
+    """A contiguous copy with ±inf mapped to HiGHS's infinity."""
+    return np.clip(values, -_core.kHighsInf, _core.kHighsInf)
 
 
 class HighsBackend:
-    """Solve LPs with scipy's HiGHS wrappers.
+    """Solve LPs with the HiGHS dual simplex (after HiGHS presolve).
 
-    Parameters
-    ----------
-    method:
-        A ``linprog`` method name. ``"highs"`` lets HiGHS pick between its
-        dual simplex and interior-point solvers.
+    Stateless: every solve builds and discards its own HiGHS instance, so
+    one backend may serve concurrent solves (including
+    :class:`~repro.resilience.ResilientSolver` timeout threads that are
+    abandoned mid-solve).
     """
 
     name = "highs"
-
-    def __init__(self, method: str = "highs", presolve: bool = False) -> None:
-        self.method = method
-        #: apply repro.lp.presolve reductions before handing the model to
-        #: HiGHS; duals are then not reported (row identities change under
-        #: row elimination)
-        self.presolve = presolve
-        #: (fixed_vars, dropped_rows) of the most recent presolve, for the
-        #: profiling wrapper
-        self._last_presolve = None
 
     def solve(self, lp: LinearProgram) -> LPResult:
         """Assemble and solve a LinearProgram, mapping names."""
@@ -63,11 +111,9 @@ class HighsBackend:
         status are recorded; otherwise profiling costs nothing.
         """
         if not lpprof.active():
-            return self._solve_assembled(asm)
-        self._last_presolve = None
+            return self._solve_raw(asm)
         t0 = time.perf_counter()
-        result = self._solve_assembled(asm)
-        fixed, dropped = self._last_presolve or (0, 0)
+        result = self._solve_raw(asm)
         lpprof.observe(
             lpprof.LPSolveRecord(
                 name=getattr(asm, "name", "lp"),
@@ -75,40 +121,15 @@ class HighsBackend:
                 wall_seconds=time.perf_counter() - t0,
                 iterations=result.iterations,
                 status=result.status.value,
-                presolve_fixed_vars=fixed,
-                presolve_dropped_rows=dropped,
-                presolve_applied=self.presolve,
                 meta=lpprof.current_scope(),
                 **lpprof.describe_assembled(asm),
             )
         )
         return result
 
-    def _solve_assembled(self, asm) -> LPResult:
-        if self.presolve:
-            from repro.lp.presolve import PresolveStatus, presolve
-
-            pre = presolve(asm)
-            self._last_presolve = (pre.fixed_variables, pre.dropped_rows)
-            if pre.status is PresolveStatus.INFEASIBLE:
-                return LPResult(
-                    status=LPStatus.INFEASIBLE,
-                    objective=float("nan"),
-                    x=None,
-                    backend=self.name,
-                    message="presolve proved infeasibility",
-                )
-            inner = self._solve_raw(pre.reduced)
-            if inner.x is not None:
-                inner.x = pre.restore(inner.x)
-            # row identities changed; duals no longer line up with asm rows
-            inner.dual_ub = None
-            inner.dual_eq = None
-            return inner
-        return self._solve_raw(asm)
-
     def _solve_raw(self, asm) -> LPResult:
-        if asm.num_variables == 0:
+        n = asm.num_variables
+        if n == 0:
             # Degenerate empty model: feasible iff there are no constraints
             # with nonzero rhs requirements.
             feasible = bool(np.all(asm.b_ub >= 0)) and bool(np.all(asm.b_eq == 0))
@@ -121,39 +142,66 @@ class HighsBackend:
                 backend=self.name,
             )
 
-        res = linprog(
-            c=asm.c,
-            A_ub=asm.a_ub if asm.a_ub.shape[0] else None,
-            b_ub=asm.b_ub if asm.b_ub.shape[0] else None,
-            A_eq=asm.a_eq if asm.a_eq.shape[0] else None,
-            b_eq=asm.b_eq if asm.b_eq.shape[0] else None,
-            bounds=asm.bounds,
-            method=self.method,
+        # lhs <= A @ x <= rhs with A = [A_ub; A_eq], as linprog builds it
+        m_ub = asm.b_ub.shape[0]
+        if asm.b_eq.shape[0]:
+            a = sparse.csc_array(sparse.vstack((asm.a_ub, asm.a_eq)))
+            lhs = np.concatenate((np.full(m_ub, -np.inf), asm.b_eq))
+            rhs = np.concatenate((asm.b_ub, asm.b_eq))
+        else:
+            a = sparse.csc_array(asm.a_ub)
+            lhs, rhs = np.full(m_ub, -np.inf), asm.b_ub
+        highs = _core._Highs()
+        for option, value in _OPTIONS:
+            highs.setOptionValue(option, value)
+        loaded = highs.passModel(
+            n, a.shape[0], a.nnz, _COLWISE, _MINIMIZE, 0.0,
+            asm.c, _highs_inf(asm.bounds[:, 0]), _highs_inf(asm.bounds[:, 1]),
+            _highs_inf(lhs), _highs_inf(rhs),
+            a.indptr, a.indices, a.data,
+            np.zeros(n, dtype=np.int32),  # all columns continuous
         )
-        status = _STATUS_MAP.get(res.status, LPStatus.ERROR)
-        x = np.asarray(res.x) if res.x is not None else None
-        objective = (
-            float(res.fun) + asm.objective_constant
-            if status is LPStatus.OPTIMAL
-            else float("nan")
-        )
-        dual_ub = None
-        dual_eq = None
-        if status is LPStatus.OPTIMAL:
-            ineq = getattr(res, "ineqlin", None)
-            if ineq is not None and getattr(ineq, "marginals", None) is not None:
-                dual_ub = np.asarray(ineq.marginals)
-            eq = getattr(res, "eqlin", None)
-            if eq is not None and getattr(eq, "marginals", None) is not None:
-                dual_eq = np.asarray(eq.marginals)
+        ran = loaded != _ERROR and highs.run() != _ERROR
+        model_status = highs.getModelStatus() if loaded != _ERROR else _MS.kModelError
+        status = STATUS_MAP.get(model_status, LPStatus.NUMERICAL)
+        info = highs.getInfo() if ran else None
+        iterations = (info.simplex_iteration_count or info.ipm_iteration_count) if ran else 0
+        message = highs.modelStatusToString(model_status)
+        if not ran and status is LPStatus.OPTIMAL:
+            status = LPStatus.NUMERICAL  # an errored run has no solution to read
+        if status is not LPStatus.OPTIMAL:
+            return LPResult(
+                status=status,
+                objective=float("nan"),
+                x=None,
+                iterations=iterations,
+                backend=self.name,
+                message=message,
+            )
+
+        solution = highs.getSolution()
+        x = np.array(solution.col_value)
+        row_value = np.array(solution.row_value)
+        objective = info.objective_function_value
+        if not feasible_point(
+            x, objective, asm.b_ub - row_value[:m_ub], asm.b_eq - row_value[m_ub:], asm.bounds
+        ):
+            return LPResult(
+                status=LPStatus.NUMERICAL,
+                objective=float("nan"),
+                x=x,
+                iterations=iterations,
+                backend=self.name,
+                message=f"solution violates the constraints by more than {FEAS_TOL:.2e}",
+            )
+        row_dual = np.array(solution.row_dual)
         return LPResult(
             status=status,
-            objective=objective,
+            objective=float(objective) + asm.objective_constant,
             x=x,
-            by_name={},
-            iterations=int(getattr(res, "nit", 0) or 0),
+            iterations=iterations,
             backend=self.name,
-            message=str(res.message),
-            dual_ub=dual_ub,
-            dual_eq=dual_eq,
+            message=message,
+            dual_ub=row_dual[:m_ub],
+            dual_eq=row_dual[m_ub:],
         )

@@ -3,9 +3,9 @@
 Times the epoch loop on a deterministic scenario (the Figure 8 testbed
 shape: paper machines, two long jobs sized to span several epochs):
 
-* **HiGHS** — the default backend, plain vs ``presolve=True`` (reported,
-  not gated);
-* **reference** — every epoch model the plain HiGHS loop solved, re-solved
+* **HiGHS** — the default backend's epoch-loop wall time (reported, not
+  gated);
+* **reference** — every epoch model the HiGHS loop solved, re-solved
   cold by the from-scratch dense simplex.  Gated: each per-epoch objective
   must match HiGHS within ``REL_TOL``.  Comparing per model rather than per
   trajectory keeps alternative optima, which feed back into later epochs,
@@ -36,7 +36,7 @@ import numpy as np
 from repro.cluster.builder import ClusterBuilder, build_paper_testbed, paper_topology
 from repro.cluster.ec2 import ec2_instance
 from repro.core.epoch import EpochController
-from repro.lp.scipy_backend import HighsBackend
+from repro.lp.scipy_backend import HIGHS_VERSION, HighsBackend
 from repro.lp.simplex import SimplexBackend
 from repro.obs.registry import current_registry
 from repro.workload.job import DataObject, Job, Workload
@@ -55,12 +55,28 @@ HISTORY_SCHEMA = "repro.bench-history/1"
 SCALING_MACHINES = (20, 100, 500, 1000)
 
 
+def host_facts() -> dict:
+    """What a history row must carry to be compared like with like."""
+    import os
+    import platform
+
+    import scipy
+
+    return {
+        "nproc": os.cpu_count(),
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "scipy": scipy.__version__,
+        "highs": HIGHS_VERSION,
+    }
+
+
 def history_row(doc: dict) -> dict:
     """Flatten a ``repro.bench/1`` document into one history JSONL row.
 
-    The row carries a real UTC timestamp plus the headline numbers, so an
-    append-only ``BENCH_history.jsonl`` charts performance over time
-    without retaining full documents.
+    The row carries a real UTC timestamp, the host facts and the headline
+    numbers, so an append-only ``BENCH_history.jsonl`` charts performance
+    over time without retaining full documents.
     """
     import datetime
 
@@ -70,12 +86,12 @@ def history_row(doc: dict) -> dict:
             timespec="seconds"
         ),
         "kind": "bench",
+        "host": host_facts(),
         "quick": doc["quick"],
         "machines": doc["scenario"]["machines"],
         "epochs": doc["cold"]["epochs"],
         "cold_wall_s": doc["cold"]["wall_s"],
         "highs_cold_wall_s": doc["highs"]["cold_wall_s"],
-        "highs_presolve_wall_s": doc["highs"]["presolve_wall_s"],
         "sweep_serial_points_per_s": doc["sweep"]["serial_points_per_s"],
         "sweep_parallel_points_per_s": doc["sweep"]["parallel_points_per_s"],
         "gate_ok": doc["gate"]["ok"],
@@ -92,8 +108,9 @@ def scaling_history_rows(doc: dict) -> list:
     import datetime
 
     ts = datetime.datetime.now(datetime.timezone.utc).isoformat(timespec="seconds")
+    host = host_facts()
     return [
-        {"schema": HISTORY_SCHEMA, "ts": ts, "kind": "scaling", **row}
+        {"schema": HISTORY_SCHEMA, "ts": ts, "kind": "scaling", "host": host, **row}
         for row in doc.get("scaling") or ()
     ]
 
@@ -257,16 +274,13 @@ class _CapturingHighs(HighsBackend):
 
 
 def _bench_backends(cluster, workload, epoch_length) -> dict:
-    """HiGHS epoch loops, and the reference simplex on the same models.
+    """The HiGHS epoch loop, and the reference simplex on the same models.
 
     Returns the ``cold`` (reference simplex), ``equivalence`` and
     ``highs`` sections of the document.
     """
     highs = _CapturingHighs()
     plain_wall, plain_obj = _timed_epoch_loop(cluster, workload, epoch_length, highs)
-    pre_wall, pre_obj = _timed_epoch_loop(
-        cluster, workload, epoch_length, HighsBackend(presolve=True)
-    )
     reference = SimplexBackend()
     t0 = time.perf_counter()
     ref_obj = [reference.solve_assembled(asm).objective for asm in highs.models]
@@ -279,12 +293,7 @@ def _bench_backends(cluster, workload, epoch_length) -> dict:
             "tolerance": REL_TOL,
             "ok": bool(delta <= REL_TOL),
         },
-        "highs": {
-            "cold_wall_s": plain_wall,
-            "presolve_wall_s": pre_wall,
-            "epochs": len(plain_obj),
-            "max_rel_objective_delta": _rel_delta(plain_obj, pre_obj),
-        },
+        "highs": {"cold_wall_s": plain_wall, "epochs": len(plain_obj)},
     }
 
 
@@ -402,8 +411,8 @@ def build_bench_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro bench",
         description="Benchmark the epoch-LP backends: check the reference "
-        "simplex against HiGHS on every epoch model, time HiGHS with and "
-        "without presolve, and the parallel sweep path against serial.  "
+        "simplex against HiGHS on every epoch model, time the HiGHS epoch "
+        "loop, and the parallel sweep path against serial.  "
         "Writes a repro.bench/1 JSON document and exits 1 when the gate "
         "fails.",
     )
@@ -500,8 +509,7 @@ def main(argv: Sequence[str]) -> int:
     print(
         f"epoch loop ({doc['scenario']['machines']} machines, "
         f"{doc['highs']['epochs']} epochs): "
-        f"highs {doc['highs']['cold_wall_s']:.2f}s, "
-        f"highs+presolve {doc['highs']['presolve_wall_s']:.2f}s"
+        f"highs {doc['highs']['cold_wall_s']:.2f}s"
     )
     print(
         f"reference simplex: {doc['cold']['epochs']} epoch models in "

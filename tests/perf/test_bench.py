@@ -5,6 +5,7 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.lp.scipy_backend import HIGHS_VERSION
 from repro.perf.bench import (
     HISTORY_SCHEMA,
     REL_TOL,
@@ -95,7 +96,7 @@ FAKE_DOC = {
     "quick": True,
     "scenario": {"machines": 12},
     "cold": {"epochs": 8, "wall_s": 2.0},
-    "highs": {"cold_wall_s": 0.5, "presolve_wall_s": 0.25},
+    "highs": {"cold_wall_s": 0.5},
     "sweep": {"serial_points_per_s": 10.0, "parallel_points_per_s": 30.0},
     "gate": {"ok": True},
 }
@@ -108,6 +109,13 @@ class TestHistory:
         assert row["ts"].endswith("+00:00")  # real UTC timestamp
         assert row["machines"] == 12 and row["epochs"] == 8
         assert row["cold_wall_s"] == 2.0 and row["gate_ok"] is True
+        assert "highs_presolve_wall_s" not in row
+
+    def test_row_records_host_facts(self):
+        host = history_row(FAKE_DOC)["host"]
+        assert host["highs"] == HIGHS_VERSION
+        assert host["highs"].count(".") == 2
+        assert {"nproc", "python", "numpy", "scipy"} <= host.keys()
 
     def test_append_is_append_only_jsonl(self, tmp_path):
         path = tmp_path / "BENCH_history.jsonl"
