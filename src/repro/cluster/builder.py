@@ -9,7 +9,7 @@ can be added on top.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Dict, List, Optional
 
 import numpy as np
@@ -30,6 +30,15 @@ class Cluster:
     stores: List[DataStore]
     topology: Topology
     network: NetworkModel
+    #: machine id -> its first co-located store (see store_for_machine)
+    _store_of_machine: Dict[int, DataStore] = field(
+        init=False, repr=False, compare=False, default_factory=dict
+    )
+
+    def __post_init__(self) -> None:
+        for s in self.stores:
+            if s.colocated_machine is not None:
+                self._store_of_machine.setdefault(s.colocated_machine, s)
 
     @property
     def num_machines(self) -> int:
@@ -43,10 +52,7 @@ class Cluster:
 
     def store_for_machine(self, machine_id: int) -> Optional[DataStore]:
         """The co-located store of a machine, if any."""
-        for s in self.stores:
-            if s.colocated_machine == machine_id:
-                return s
-        return None
+        return self._store_of_machine.get(machine_id)
 
     def machines_by_zone(self) -> Dict[str, List[Machine]]:
         """Group machines by availability zone."""

@@ -45,8 +45,13 @@ class PlacementPolicy(abc.ABC):
         replication: int,
         rng: np.random.Generator,
         used_mb: np.ndarray,
+        capacity_mb: np.ndarray,
     ) -> List[int]:
-        """Return ``replication`` distinct store ids for ``block``."""
+        """Return ``replication`` distinct store ids for ``block``.
+
+        ``used_mb`` and ``capacity_mb`` are per-store MB in use and
+        ``Cap(S)``; ``HDFS.populate`` builds the capacity vector once.
+        """
 
 
 class RandomPlacement(PlacementPolicy):
@@ -57,9 +62,8 @@ class RandomPlacement(PlacementPolicy):
     "shuffles the data blocks randomly within the cluster" baseline does.)
     """
 
-    def choose(self, cluster, block, replication, rng, used_mb):
-        capacity = cluster.store_capacity_vector()
-        fits = np.where(used_mb + block.size_mb <= capacity)[0]
+    def choose(self, cluster, block, replication, rng, used_mb, capacity_mb):
+        fits = np.where(used_mb + block.size_mb <= capacity_mb)[0]
         if len(fits) == 0:
             raise RuntimeError("no store has capacity for a new block replica")
         k = min(replication, len(fits))
@@ -69,11 +73,10 @@ class RandomPlacement(PlacementPolicy):
 class ZoneSpreadPlacement(PlacementPolicy):
     """Rack/zone-aware variant: spread replicas across zones when possible."""
 
-    def choose(self, cluster, block, replication, rng, used_mb):
-        capacity = cluster.store_capacity_vector()
+    def choose(self, cluster, block, replication, rng, used_mb, capacity_mb):
         stores_by_zone: Dict[str, List[int]] = {}
         for s in cluster.stores:
-            if used_mb[s.store_id] + block.size_mb <= capacity[s.store_id]:
+            if used_mb[s.store_id] + block.size_mb <= capacity_mb[s.store_id]:
                 stores_by_zone.setdefault(s.zone, []).append(s.store_id)
         zones = sorted(stores_by_zone)
         if not zones:
@@ -106,18 +109,19 @@ class CapacityAwarePlacement(PlacementPolicy):
     without LiPS' cost awareness.
     """
 
-    def choose(self, cluster, block, replication, rng, used_mb):
-        capacity = cluster.store_capacity_vector()
+    def choose(self, cluster, block, replication, rng, used_mb, capacity_mb):
         weights = np.zeros(cluster.num_stores)
         for s in cluster.stores:
             if s.colocated_machine is None:
                 continue
-            if used_mb[s.store_id] + block.size_mb > capacity[s.store_id]:
+            if used_mb[s.store_id] + block.size_mb > capacity_mb[s.store_id]:
                 continue
             weights[s.store_id] = cluster.machines[s.colocated_machine].ecu
         if weights.sum() == 0:
             # no co-located capacity left: fall back to anything that fits
-            return RandomPlacement().choose(cluster, block, replication, rng, used_mb)
+            return RandomPlacement().choose(
+                cluster, block, replication, rng, used_mb, capacity_mb
+            )
         chosen: List[int] = []
         w = weights.copy()
         for _ in range(min(replication, int((w > 0).sum()))):
@@ -150,7 +154,7 @@ class ExplicitPlacement(PlacementPolicy):
             plan.extend([store] * int(count))
         return plan
 
-    def choose(self, cluster, block, replication, rng, used_mb):
+    def choose(self, cluster, block, replication, rng, used_mb, capacity_mb):
         data_blocks = self._cursor.get(block.data_id)
         if data_blocks is None:
             # total block count is unknown here; plans are built lazily per
@@ -206,6 +210,7 @@ class HDFS:
 
     def populate(self, data: Sequence[DataObject]) -> None:
         """Create and place all blocks for the given data objects."""
+        capacity_mb = self.cluster.store_capacity_vector()
         for obj in data:
             if obj.data_id in self.blocks_by_data:
                 raise ValueError(f"data object {obj.data_id} already populated")
@@ -221,7 +226,7 @@ class HDFS:
                     size_mb=size,
                 )
                 replicas = self.policy.choose(
-                    self.cluster, block, self.replication, self.rng, self.used_mb
+                    self.cluster, block, self.replication, self.rng, self.used_mb, capacity_mb
                 )
                 if not replicas:
                     raise RuntimeError("placement policy returned no replicas")

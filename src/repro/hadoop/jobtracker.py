@@ -9,13 +9,95 @@ and mediates between free slots and the pluggable scheduler.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict, deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Deque, Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from repro.hadoop.hdfs import HDFS
 from repro.hadoop.tasktracker import SimTask, TaskAttempt, TaskTracker
 from repro.obs.trace import NULL_TRACER
 from repro.workload.job import Job, Workload
+
+
+#: one index entry: the task's pending-order stamp and the task
+Entry = Tuple[int, SimTask]
+
+
+def read_stores(task: SimTask) -> List[int]:
+    """The stores a map may read: its pinned store if set, else its replicas."""
+    return [task.pinned_store] if task.pinned_store is not None else task.candidate_stores
+
+
+class MapCache:
+    """A job's pending maps indexed by replica host and zone.
+
+    Hadoop's ``nonRunningMapCache``: ``by_host[m]`` lists the maps with a
+    replica on machine ``m``'s store, ``by_zone[z]`` those with a replica
+    in zone ``z``, and ``inputless`` the maps that read nothing.  Every
+    index holds ``(seq, task)`` entries in pending order, where ``seq``
+    stamps the task's place in the queue (renewed on re-queue).  An entry
+    is live while ``live[task] == seq``; launches and re-stamps leave stale
+    entries behind, trimmed from an index's head as lookups reach them.
+    The store lists are read once, when a task is indexed.
+    """
+
+    __slots__ = ("live", "by_host", "by_zone", "inputless", "store_host", "store_zone", "_seq")
+
+    def __init__(
+        self,
+        pending: Sequence[SimTask],
+        store_host: Sequence[Optional[int]],
+        store_zone: Sequence[str],
+    ) -> None:
+        self.live: Dict[SimTask, int] = {}
+        self.by_host: Dict[int, Deque[Entry]] = defaultdict(deque)
+        self.by_zone: Dict[str, Deque[Entry]] = defaultdict(deque)
+        self.inputless: Deque[Entry] = deque()
+        self.store_host = store_host
+        self.store_zone = store_zone
+        self._seq = itertools.count()
+        for task in pending:
+            self.add(task)
+
+    def add(self, task: SimTask) -> None:
+        """Index a task at the back of the pending order."""
+        seq = next(self._seq)
+        self.live[task] = seq
+        entry = (seq, task)
+        if task.input_mb == 0:
+            self.inputless.append(entry)
+            return
+        hosts: List[int] = []
+        zones: List[str] = []
+        for store in read_stores(task):
+            host = self.store_host[store]
+            if host is not None and host not in hosts:
+                hosts.append(host)
+                self.by_host[host].append(entry)
+            zone = self.store_zone[store]
+            if zone not in zones:
+                zones.append(zone)
+                self.by_zone[zone].append(entry)
+
+    def discard(self, task: SimTask) -> None:
+        """Forget a task that left the pending queue."""
+        self.live.pop(task, None)
+
+    def ready(self, entries: Deque[Entry], now: float) -> Iterator[Entry]:
+        """Live entries of one index whose task may start by ``now``, in order.
+
+        Trims stale entries off the index head first, so a lookup that
+        returns at the head costs O(1) however many maps have launched.
+        """
+        live = self.live
+        while entries:
+            seq, task = entries[0]
+            if live.get(task) == seq:
+                break
+            entries.popleft()
+        for seq, task in entries:
+            if task.earliest_start <= now and live.get(task) == seq:
+                yield seq, task
 
 
 @dataclass(eq=False)
@@ -31,7 +113,6 @@ class JobState:
     finish_time: Optional[float] = None
     #: delay-scheduler bookkeeping: when the job started waiting for locality
     wait_started: Optional[float] = None
-    locality_level_allowed: int = 0  # 0=node, 1=zone, 2=any
     #: reduce phase (created once all maps finish)
     reduce_tasks: List[SimTask] = field(default_factory=list)
     reduce_pending: List[SimTask] = field(default_factory=list)
@@ -42,6 +123,9 @@ class JobState:
     completed_reduces: int = 0
     #: trace identity of the job's submit event (traced runs only)
     span_id: Optional[int] = None
+    #: locality index of ``pending``, built on the first locality query
+    #: and dropped whenever ``pending`` empties (see :meth:`map_cache`)
+    _map_cache: Optional[MapCache] = field(default=None, init=False, repr=False)
 
     @property
     def job_id(self) -> int:
@@ -82,6 +166,33 @@ class JobState:
     def take_pending(self, task: SimTask) -> None:
         """Remove a task from the pending queue at launch."""
         self.pending.remove(task)
+        if self._map_cache is not None:
+            if self.pending:
+                self._map_cache.discard(task)
+            else:
+                self._map_cache = None
+
+    def requeue(self, task: SimTask) -> None:
+        """Put a task whose attempt died back at the end of its pending queue."""
+        if task.is_reduce:
+            if task not in self.reduce_pending:
+                self.reduce_pending.append(task)
+        elif task not in self.pending:
+            self.pending.append(task)
+            if self._map_cache is not None:
+                self._map_cache.add(task)
+
+    def map_cache(
+        self, store_host: Sequence[Optional[int]], store_zone: Sequence[str]
+    ) -> MapCache:
+        """The locality index of the pending maps, built on first use.
+
+        ``pending`` is mutated only through :meth:`take_pending` and
+        :meth:`requeue`, which keep the index in step with it.
+        """
+        if self._map_cache is None:
+            self._map_cache = MapCache(self.pending, store_host, store_zone)
+        return self._map_cache
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (
@@ -287,11 +398,16 @@ class JobTracker:
         for job in self.queue:
             if job.pending:
                 continue
-            for key, attempts in job.running.items():
-                live = [a for a in attempts if not a.killed and not a.task.is_reduce]
-                if not live or len(live) >= max_copies:
+            for attempts in job.running.values():
+                primary = None
+                copies = 0
+                for a in attempts:
+                    if not a.killed and not a.task.is_reduce:
+                        copies += 1
+                        if primary is None:
+                            primary = a
+                if primary is None or copies >= max_copies:
                     continue
-                primary = live[0]
                 if now - primary.start_time < min_elapsed:
                     continue
                 if primary.finish_time > best_finish:

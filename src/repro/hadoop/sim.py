@@ -81,7 +81,7 @@ class _OriginPlacement(PlacementPolicy):
     def __init__(self, workload: Workload) -> None:
         self.origin = {d.data_id: d.origin_store for d in workload.data}
 
-    def choose(self, cluster, block, replication, rng, used_mb):
+    def choose(self, cluster, block, replication, rng, used_mb, capacity_mb):
         return [self.origin[block.data_id]]
 
 
@@ -148,6 +148,10 @@ class HadoopSimulator:
             TaskTracker(m, tracer=self.tracer) for m in cluster.machines
         ]
         self.network = NetworkSimulator(cluster, tracer=self.tracer)
+        #: per store: the machine it is co-located with (None if remote) and
+        #: its zone, read by every locality lookup
+        self.store_host: List[Optional[int]] = [s.colocated_machine for s in cluster.stores]
+        self.store_zone: List[str] = [s.zone for s in cluster.stores]
         self.metrics = SimMetrics()
         self.history = JobHistory() if self.config.record_history else None
         self._heartbeat_scheduled = False
@@ -195,18 +199,23 @@ class HadoopSimulator:
 
         The hot loop of every run: the clock, the scheduler's decision and
         the speculation switch are read once per call, not once per offer.
+        A declined offer changes nothing the speculation scan reads, so once
+        that scan finds no candidate it is not repeated until a launch.
         """
         now = self.now
         select = self.scheduler.select_task
         speculative = self.config.speculative
+        may_speculate = speculative
         for tracker in trackers:
             while tracker.alive and len(tracker.running) < tracker.map_slots:
                 assignment = select(tracker, now)
-                if assignment is None and speculative:
+                if assignment is None and may_speculate:
                     assignment = self._speculative_assignment(tracker)
+                    may_speculate = assignment is not None
                 if assignment is None:
                     break
                 self._launch(tracker, assignment)
+                may_speculate = speculative
 
     def _offer_reduce_slots(self) -> None:
         # cheap short-circuit: most runs are map-only, and this fires on
@@ -527,10 +536,8 @@ class HadoopSimulator:
     # -- failure injection --------------------------------------------------
     def store_online(self, store_id: int) -> bool:
         """A co-located store is reachable iff its machine is alive."""
-        store = self.cluster.stores[store_id]
-        if store.colocated_machine is None:
-            return True
-        return self.trackers[store.colocated_machine].alive
+        host = self.store_host[store_id]
+        return host is None or self.trackers[host].alive
 
     def _schedule_failures(self) -> None:
         plans = []
@@ -593,11 +600,7 @@ class HadoopSimulator:
             task.earliest_start = max(
                 task.earliest_start, self.now + self.chaos.next_backoff()
             )
-            if task.is_reduce:
-                if task not in job.reduce_pending:
-                    job.reduce_pending.append(task)
-            elif task not in job.pending:
-                job.pending.append(task)
+            job.requeue(task)
         self._fill_map_slots((tracker,))
 
     def _fail_machine(self, machine_id: int, chaos: bool = False) -> None:
@@ -618,11 +621,7 @@ class HadoopSimulator:
             self._kill(attempt, job, detail="machine-failure")
             # already-completed siblings keep the task done; otherwise re-queue
             if attempt.task.key not in job.completed:
-                if attempt.task.is_reduce:
-                    if attempt.task not in job.reduce_pending:
-                        job.reduce_pending.append(attempt.task)
-                elif attempt.task not in job.pending:
-                    job.pending.append(attempt.task)
+                job.requeue(attempt.task)
             self.metrics.failed_attempts += 1
         self.scheduler.on_machine_failed(machine_id, self.now)
         self._offer_all_idle()  # survivors may take over immediately

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from repro.hadoop.jobtracker import JobState
+from repro.hadoop.jobtracker import JobState, read_stores
 from repro.hadoop.tasktracker import SimTask, TaskTracker
 from repro.schedulers.base import Assignment, TaskScheduler
 
@@ -22,46 +22,50 @@ from repro.schedulers.base import Assignment, TaskScheduler
 NODE, ZONE, ANY = 0, 1, 2
 
 
-def locality_of(sim, task: SimTask, tracker: TaskTracker, store_id: int) -> int:
-    """Locality level of reading ``store_id`` from ``tracker``."""
-    store = sim.cluster.stores[store_id]
-    if store.colocated_machine == tracker.machine_id:
-        return NODE
-    if store.zone == tracker.machine.zone:
-        return ZONE
-    return ANY
-
-
 def best_task_for(
     sim, job: JobState, tracker: TaskTracker, now: float, max_level: int = ANY
 ) -> Optional[Tuple[SimTask, Optional[int], int]]:
     """The job's ready pending task with the best locality for ``tracker``.
 
-    Returns ``(task, source_store, locality_level)`` or None.  Input-less
-    tasks count as node-local (no read).
+    Returns ``(task, source_store, locality_level)`` or None: the first
+    ready task, in pending order, at the best level up to ``max_level``
+    that has an online replica, read from its first online store at that
+    level.  Input-less tasks count as node-local (no read).  Each level is
+    one lookup in the job's :class:`~repro.hadoop.jobtracker.MapCache`:
+    the tracker's host index, then its zone index, then the pending list.
     """
-    best: Optional[Tuple[SimTask, Optional[int], int]] = None
+    cache = job.map_cache(sim.store_host, sim.store_zone)
+    machine = tracker.machine_id
+    host = None
+    if tracker.alive:  # a dead tracker's own replicas are offline
+        host = next(cache.ready(cache.by_host.get(machine, ()), now), None)
+    free = next(cache.ready(cache.inputless, now), None)
+    if free is not None and (host is None or free[0] < host[0]):
+        return free[1], None, NODE
+    if host is not None:
+        task = host[1]
+        store_host = cache.store_host
+        for store in read_stores(task):
+            if store_host[store] == machine:
+                return task, store, NODE
+    if max_level < ZONE:
+        return None
+    online = sim.store_online
+    zone = tracker.machine.zone
+    store_zone = cache.store_zone
+    for _seq, task in cache.ready(cache.by_zone.get(zone, ()), now):
+        for store in read_stores(task):
+            if store_zone[store] == zone and online(store):
+                return task, store, ZONE
+    if max_level < ANY:
+        return None
     for task in job.pending:
         if task.earliest_start > now:
             continue
-        if task.input_mb == 0:
-            return task, None, NODE
-        stores = (
-            [task.pinned_store]
-            if task.pinned_store is not None
-            else task.candidate_stores
-        )
-        for store in stores:
-            if not sim.store_online(store):
-                continue  # replica on a failed machine
-            level = locality_of(sim, task, tracker, store)
-            if level > max_level:
-                continue
-            if best is None or level < best[2]:
-                best = (task, store, level)
-            if level == NODE:
-                return best
-    return best
+        for store in read_stores(task):
+            if online(store):
+                return task, store, ANY
+    return None
 
 
 class FifoScheduler(TaskScheduler):

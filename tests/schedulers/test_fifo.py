@@ -6,7 +6,7 @@ from repro.cluster.builder import ClusterBuilder
 from repro.cluster.topology import Topology
 from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.schedulers import FifoScheduler
-from repro.schedulers.fifo import ANY, NODE, ZONE, best_task_for, locality_of
+from repro.schedulers.fifo import ANY, NODE, ZONE, best_task_for
 from repro.workload.job import DataObject, Job, Workload
 
 
@@ -26,11 +26,15 @@ def make_sim(cluster, jobs, data, **cfg):
 
 
 def test_locality_levels(cluster):
-    sim = make_sim(cluster, [Job(job_id=0, name="j", tcp=0.0, num_tasks=1, cpu_seconds_noinput=1.0)], [])
-    tracker = sim.trackers[0]
-    assert locality_of(sim, None, tracker, 0) == NODE  # own store
-    assert locality_of(sim, None, tracker, 1) == ZONE  # same zone
-    assert locality_of(sim, None, tracker, 2) == ANY  # cross zone
+    # one block, one replica, on a0's store
+    data = [DataObject(data_id=0, name="d", size_mb=64.0, origin_store=0)]
+    jobs = [Job(job_id=0, name="scan", tcp=0.1, data_ids=[0], num_tasks=1)]
+    sim = make_sim(cluster, jobs, data, replication=1, populate="origin")
+    sim.scheduler.bind(sim)
+    sim._populate()
+    state = sim.jobtracker.submit(jobs[0], Workload(jobs=jobs, data=data), now=0.0)
+    levels = [best_task_for(sim, state, t, now=0.0)[1:] for t in sim.trackers]
+    assert levels == [(0, NODE), (0, ZONE), (0, ANY)]  # own store, same zone, cross zone
 
 
 def test_fifo_order_respected(cluster):
