@@ -16,6 +16,7 @@ node-local reads strictly preferable, mirroring HDFS short-circuit reads.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -58,8 +59,6 @@ class NetworkModel:
         self._ss = self._build_ss()
         self._ms = self._build_ms()
         self._bw = self._build_bandwidth()
-        self._mm = self._build_mm()
-        self._mm_bw = self._build_mm_bandwidth()
 
     # -- matrix construction ------------------------------------------------
     def _pair_cost(self, zone_a: str, zone_b: str) -> float:
@@ -134,15 +133,17 @@ class NetworkModel:
         """(n_machines, n_stores) MB/s machine↔store bandwidth."""
         return self._bw
 
-    @property
+    # only reduce shuffles read the machine↔machine matrices, so they are
+    # built on first use rather than with every cluster
+    @functools.cached_property
     def mm_cost(self) -> np.ndarray:
         """(n_machines, n_machines) $/MB machine↔machine (shuffle) cost."""
-        return self._mm
+        return self._build_mm()
 
-    @property
+    @functools.cached_property
     def mm_bandwidth(self) -> np.ndarray:
         """(n_machines, n_machines) MB/s machine↔machine bandwidth."""
-        return self._mm_bw
+        return self._build_mm_bandwidth()
 
     def store_bandwidth(self, i: int, j: int) -> float:
         """MB/s between two stores (for re-placement transfer times)."""

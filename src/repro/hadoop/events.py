@@ -1,22 +1,23 @@
 """Discrete-event simulation core: a deterministic event queue.
 
-Events are ``(time, priority, seq, callback)`` heap entries; ``seq`` breaks
+Events are ``[time, priority, seq, callback]`` heap entries; ``seq`` breaks
 ties so same-time events fire in scheduling order, keeping runs fully
-deterministic for a given seed.
+deterministic for a given seed.  Entries are plain lists, so every heap
+comparison runs in C (``seq`` is unique, so ``callback`` is never compared).
 
-Cancellation is lazy — a cancelled entry stays in the heap and is skipped
-when popped — but not leaky: the queue counts cancelled residents and
-compacts the heap in place once they outnumber the live entries (beyond a
-small floor), so a workload that schedules and cancels aggressively (e.g.
-speculative retries) holds O(live) memory, not O(ever-scheduled).
+Cancellation is lazy — a cancelled entry (``callback`` set to ``None``)
+stays in the heap and is skipped when popped — but not leaky: the queue
+counts cancelled residents and compacts the heap in place once they
+outnumber the live entries (beyond a small floor), so a workload that
+schedules and cancels aggressively (e.g. speculative retries) holds O(live)
+memory, not O(ever-scheduled).
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
-from typing import Callable, List, Optional
+from typing import Any, Callable, List, Optional
 
 from repro.obs.trace import NULL_TRACER
 
@@ -26,14 +27,10 @@ Callback = Callable[[], None]
 #: are cheaper to scan lazily than to rebuild)
 COMPACT_MIN_CANCELLED = 64
 
-
-@dataclass(order=True)
-class _Entry:
-    time: float
-    priority: int
-    seq: int
-    callback: Callback = field(compare=False)
-    cancelled: bool = field(compare=False, default=False)
+#: a heap entry, ``[time, priority, seq, callback or None once cancelled]``
+_Entry = List[Any]
+_TIME = 0
+_CALLBACK = 3
 
 
 class EventHandle:
@@ -47,19 +44,19 @@ class EventHandle:
 
     def cancel(self) -> None:
         """Mark the event cancelled; it will not fire.  Idempotent."""
-        if not self._entry.cancelled:
-            self._entry.cancelled = True
+        if self._entry[_CALLBACK] is not None:
+            self._entry[_CALLBACK] = None
             self._queue._note_cancelled()
 
     @property
     def cancelled(self) -> bool:
         """True once the event has been cancelled."""
-        return self._entry.cancelled
+        return self._entry[_CALLBACK] is None
 
     @property
     def time(self) -> float:
         """The simulation time the event is scheduled for."""
-        return self._entry.time
+        return self._entry[_TIME]
 
 
 class EventQueue:
@@ -105,7 +102,7 @@ class EventQueue:
         """
         if time < self._now - 1e-9:
             raise ValueError(f"cannot schedule at {time} before now={self._now}")
-        entry = _Entry(time=max(time, self._now), priority=priority, seq=next(self._seq), callback=callback)
+        entry = [max(time, self._now), priority, next(self._seq), callback]
         heapq.heappush(self._heap, entry)
         return EventHandle(entry, self)
 
@@ -126,30 +123,31 @@ class EventQueue:
 
     def _compact(self) -> None:
         """Rebuild the heap without its cancelled entries, O(live)."""
-        self._heap = [e for e in self._heap if not e.cancelled]
+        self._heap = [e for e in self._heap if e[_CALLBACK] is not None]
         heapq.heapify(self._heap)
         self._cancelled = 0
         self._compactions += 1
 
     def step(self) -> bool:
         """Execute the next event; returns False when the queue is empty."""
-        while self._heap:
-            entry = heapq.heappop(self._heap)
-            if entry.cancelled:
+        heap = self._heap
+        while heap:
+            time, priority, seq, callback = heapq.heappop(heap)
+            if callback is None:
                 self._cancelled -= 1
                 continue
-            self._now = entry.time
+            self._now = time
             self._processed += 1
             tracer = self.tracer
             if tracer.enabled and tracer.wants("dispatch"):
                 tracer.event(
                     "dispatch",
-                    getattr(entry.callback, "__qualname__", "callback"),
-                    entry.time,
-                    priority=entry.priority,
-                    seq=entry.seq,
+                    getattr(callback, "__qualname__", "callback"),
+                    time,
+                    priority=priority,
+                    seq=seq,
                 )
-            entry.callback()
+            callback()
             return True
         return False
 
@@ -168,10 +166,10 @@ class EventQueue:
 
     def peek_time(self) -> Optional[float]:
         """Time of the next (non-cancelled) event, or None."""
-        while self._heap and self._heap[0].cancelled:
+        while self._heap and self._heap[0][_CALLBACK] is None:
             heapq.heappop(self._heap)
             self._cancelled -= 1
-        return self._heap[0].time if self._heap else None
+        return self._heap[0][_TIME] if self._heap else None
 
     def __len__(self) -> int:
         """Live (non-cancelled) events — O(1) via the cancellation count."""

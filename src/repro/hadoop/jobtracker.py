@@ -127,6 +127,10 @@ class JobState:
     #: and dropped whenever ``pending`` empties (see :meth:`map_cache`)
     _map_cache: Optional[MapCache] = field(default=None, init=False, repr=False)
 
+    def __post_init__(self) -> None:
+        for task in self.pending:
+            task.queued = True
+
     @property
     def job_id(self) -> int:
         """The underlying job's id."""
@@ -166,6 +170,7 @@ class JobState:
     def take_pending(self, task: SimTask) -> None:
         """Remove a task from the pending queue at launch."""
         self.pending.remove(task)
+        task.queued = False
         if self._map_cache is not None:
             if self.pending:
                 self._map_cache.discard(task)
@@ -177,8 +182,9 @@ class JobState:
         if task.is_reduce:
             if task not in self.reduce_pending:
                 self.reduce_pending.append(task)
-        elif task not in self.pending:
+        elif not task.queued:
             self.pending.append(task)
+            task.queued = True
             if self._map_cache is not None:
                 self._map_cache.add(task)
 
@@ -188,7 +194,8 @@ class JobState:
         """The locality index of the pending maps, built on first use.
 
         ``pending`` is mutated only through :meth:`take_pending` and
-        :meth:`requeue`, which keep the index in step with it.
+        :meth:`requeue`, which keep the index (and each task's ``queued``
+        flag) in step with it.
         """
         if self._map_cache is None:
             self._map_cache = MapCache(self.pending, store_host, store_zone)

@@ -14,19 +14,21 @@ labelled by scheduler.
 
 from __future__ import annotations
 
-from typing import Dict, Optional
+from typing import Dict, Optional, Union
 
 import numpy as np
 
 from repro.cost.accounting import CostLedger
-from repro.obs.registry import MetricsRegistry
+from repro.obs.registry import Counter, Gauge, MetricsRegistry
 
 
 class _CounterField:
     """A SimMetrics attribute backed by a registry counter.
 
     Reads return the counter total (cast for int-like counts); writes force
-    the total, so test fixtures can assign values directly.
+    the total, so test fixtures can assign values directly.  Each instance
+    holds its counters in ``_metric`` (see :meth:`SimMetrics.__init__`), so
+    an access does not look the name up in the registry.
     """
 
     def __init__(self, help: str = "", as_int: bool = False) -> None:
@@ -36,14 +38,18 @@ class _CounterField:
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
 
+    def metric(self, registry: MetricsRegistry) -> Counter:
+        """The registry counter behind this field."""
+        return registry.counter(self.name, help=self.help)
+
     def __get__(self, obj, objtype=None):
         if obj is None:
             return self
-        value = obj.registry.counter(self.name, help=self.help).value()
+        value = obj._metric[self.name].value()
         return int(value) if self.as_int else value
 
     def __set__(self, obj, value) -> None:
-        obj.registry.counter(self.name, help=self.help).set_total(value)
+        obj._metric[self.name].set_total(value)
 
 
 class _GaugeField:
@@ -55,13 +61,17 @@ class _GaugeField:
     def __set_name__(self, owner, name: str) -> None:
         self.name = name
 
+    def metric(self, registry: MetricsRegistry) -> Gauge:
+        """The registry gauge behind this field."""
+        return registry.gauge(self.name, help=self.help)
+
     def __get__(self, obj, objtype=None):
         if obj is None:
             return self
-        return obj.registry.gauge(self.name, help=self.help).value()
+        return obj._metric[self.name].value()
 
     def __set__(self, obj, value) -> None:
-        obj.registry.gauge(self.name, help=self.help).set(value)
+        obj._metric[self.name].set(value)
 
 
 class SimMetrics:
@@ -91,6 +101,10 @@ class SimMetrics:
     def __init__(self, registry: Optional[MetricsRegistry] = None) -> None:
         #: the run's metric registry; scalar fields above live here
         self.registry = registry if registry is not None else MetricsRegistry()
+        #: field name -> the registry metric behind it, resolved once
+        self._metric: Dict[str, Union[Counter, Gauge]] = {
+            name: field.metric(self.registry) for name, field in _FIELDS.items()
+        }
         self.ledger = CostLedger()
         self.job_durations: Dict[int, float] = {}
         self.machine_cpu_seconds: Dict[int, float] = {}
@@ -199,3 +213,11 @@ class SimMetrics:
             target.counter("machine_wall_busy_seconds").inc(
                 self.machine_wall_busy[m], machine=m, **labels
             )
+
+
+#: every registry-backed field of :class:`SimMetrics`, by attribute name
+_FIELDS: Dict[str, Union[_CounterField, _GaugeField]] = {
+    name: value
+    for name, value in vars(SimMetrics).items()
+    if isinstance(value, (_CounterField, _GaugeField))
+}

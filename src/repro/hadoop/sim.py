@@ -165,6 +165,9 @@ class HadoopSimulator:
         self.current_epoch_span: Optional[int] = None
         self.last_lp_span: Optional[int] = None
         self.last_move_span: Optional[int] = None
+        #: ``cluster.network.ss_cost`` as nested lists, built by the first
+        #: :meth:`move_block` (most schedulers never move data)
+        self._ss_cost: Optional[List[List[float]]] = None
 
     @property
     def now(self) -> float:
@@ -191,7 +194,12 @@ class HadoopSimulator:
 
     # -- slot offering -------------------------------------------------------
     def _offer_all_idle(self) -> None:
-        self._fill_map_slots(self.trackers)
+        trackers: Sequence[TaskTracker] = self.trackers
+        if not self.config.speculative:
+            # with speculation a declined offer goes on to the speculation
+            # scan, so only without it may the scheduler skip trackers
+            trackers = self.scheduler.offer_trackers(trackers)
+        self._fill_map_slots(trackers)
         self._offer_reduce_slots()
 
     def _fill_map_slots(self, trackers: Sequence[TaskTracker]) -> None:
@@ -263,6 +271,7 @@ class HadoopSimulator:
 
     # -- launching/completion ---------------------------------------------------
     def _launch(self, tracker: TaskTracker, assignment: Assignment) -> None:
+        now = self.now
         task = assignment.task
         job = assignment.job
         speculative = assignment.speculative
@@ -279,7 +288,7 @@ class HadoopSimulator:
             store = self.cluster.stores[source]
             local = store.colocated_machine == tracker.machine_id
             if not local:
-                self.network.flow_started(tracker.machine_id, now=self.now)
+                self.network.flow_started(tracker.machine_id, now=now)
         compute_s = task.cpu_seconds / tracker.machine.slot_ecu
         compute_s *= self._interference_factor(tracker)
         compute_s *= self._chaos_factor(tracker)
@@ -288,7 +297,7 @@ class HadoopSimulator:
             task,
             tracker,
             source,
-            self.now,
+            now,
             read_s,
             compute_s,
             speculative=speculative,
@@ -301,17 +310,17 @@ class HadoopSimulator:
                 attempt.links = assignment.links.link_ids()
         tracker.launch(attempt)
         self._running_maps += 1
-        self._last_progress = self.now
+        self._last_progress = now
         if speculative:
             self.metrics.speculative_attempts += 1
         if self._chaos_read_blocked(tracker, task, source):
             # the read is doomed: it burns its transfer time, then fails
             attempt.finish_event = self.events.schedule(
-                self.now + read_s, lambda: self._chaos_read_failed(tracker, attempt, job)
+                now + read_s, lambda: self._chaos_read_failed(tracker, attempt, job)
             )
             return
         attempt.finish_event = self.events.schedule(
-            self.now + attempt.duration, lambda: self._complete(tracker, attempt, job)
+            now + attempt.duration, lambda: self._complete(tracker, attempt, job)
         )
 
     def _launch_reduce(self, tracker: TaskTracker, assignment: Assignment) -> None:
@@ -345,10 +354,11 @@ class HadoopSimulator:
         )
 
     def _complete(self, tracker: TaskTracker, attempt: TaskAttempt, job: JobState) -> None:
+        now = self.now
         task = attempt.task
         machine = tracker.machine
         if not attempt.read_is_local and task.input_mb > 0:
-            self.network.flow_finished(tracker.machine_id, now=self.now)
+            self.network.flow_finished(tracker.machine_id, now=now)
         tracker.complete(attempt)
         if not task.is_reduce:
             self._running_maps -= 1
@@ -428,7 +438,7 @@ class HadoopSimulator:
                     task_index=task.task_index,
                     machine_id=machine.machine_id,
                     start_time=attempt.start_time,
-                    finish_time=self.now,
+                    finish_time=now,
                     read_seconds=attempt.read_seconds,
                     compute_seconds=attempt.compute_seconds,
                     outcome=SUCCESS,
@@ -443,7 +453,7 @@ class HadoopSimulator:
         self.metrics.machine_wall_busy[machine.machine_id] = (
             self.metrics.machine_wall_busy.get(machine.machine_id, 0.0) + attempt.duration
         )
-        self.metrics.machine_last_finish[machine.machine_id] = self.now
+        self.metrics.machine_last_finish[machine.machine_id] = now
 
         if task.key not in job.completed:
             if not task.is_reduce and job.job.num_reduces > 0:
@@ -451,10 +461,10 @@ class HadoopSimulator:
                     job.map_output_mb.get(machine.machine_id, 0.0)
                     + task.input_mb * job.job.shuffle_ratio
                 )
-            siblings = self.jobtracker.finish_attempt(job, attempt, self.now)
+            siblings = self.jobtracker.finish_attempt(job, attempt, now)
             for sib in siblings:
                 self._kill(sib, job)
-            self.scheduler.on_task_complete(job, task, self.now)
+            self.scheduler.on_task_complete(job, task, now)
             if (
                 not task.is_reduce
                 and job.job.num_reduces > 0
@@ -465,7 +475,7 @@ class HadoopSimulator:
                 self._offer_reduce_slots()
             if job.is_complete:
                 self.metrics.job_durations[job.job_id] = job.duration or 0.0
-                self.scheduler.on_job_complete(job, self.now)
+                self.scheduler.on_job_complete(job, now)
         else:
             # a sibling already finished this task; nothing more to record
             self.jobtracker.drop_attempt(job, attempt)
@@ -671,14 +681,13 @@ class HadoopSimulator:
         id so the planner can link the waiting task to it.
         """
         self.last_move_span = None
-        src_candidates = list(block.replicas)
-        if to_store in src_candidates:
+        if to_store in block.replicas:
             return self.now
-        src = min(
-            src_candidates,
-            key=lambda s: self.cluster.network.ss_cost[s, to_store],
-        )
-        price = self.cluster.network.ss_cost[src, to_store]
+        if self._ss_cost is None:
+            self._ss_cost = self.cluster.network.ss_cost.tolist()
+        ss = self._ss_cost
+        src = min(block.replicas, key=lambda s: ss[s][to_store])
+        price = ss[src][to_store]
         moved = self.hdfs.move_block(block, to_store)
         move_s = self.network.store_move_time(src, to_store, moved)
         if self.tracer.enabled and moved > 0:

@@ -32,8 +32,8 @@ class SimTask:
     ``task_index`` continues the map numbering, keeping keys unique.
 
     Tasks compare by identity: each is created once (``expand_job`` /
-    ``create_reduces``), so ``task in job.pending`` and
-    ``pending.remove(task)`` are pointer compares, not field-by-field ones.
+    ``create_reduces``), so ``pending.remove(task)`` is a pointer compare,
+    not a field-by-field one; ``queued`` answers "is it pending?" in O(1).
     """
 
     job_id: int
@@ -48,6 +48,9 @@ class SimTask:
     pinned_store: Optional[int] = None
     is_reduce: bool = False
     shuffle_sources: Dict[int, float] = field(default_factory=dict)
+    #: True while the task sits in its job's ``pending`` list (kept by
+    #: ``JobState``, so membership tests are O(1))
+    queued: bool = field(default=False, init=False, repr=False)
 
     @property
     def key(self) -> tuple:

@@ -13,7 +13,7 @@ short relative to the contention horizon (64 MB blocks are).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict
+from typing import Dict, Tuple
 
 
 from repro.cluster.builder import Cluster
@@ -38,6 +38,9 @@ class NetworkSimulator:
     #: trace emitter for netflow records (the simulator installs its own)
     tracer: object = NULL_TRACER
     _active_flows: Dict[int, int] = field(default_factory=dict)
+    #: store-to-store move bandwidth per (source, destination) store pair,
+    #: filled on first use of each pair
+    _move_bw: Dict[Tuple[int, int], float] = field(default_factory=dict)
 
     @returns(SECONDS)
     def read_time(self, machine_id: int, store_id: int, mb: float) -> float:
@@ -61,7 +64,10 @@ class NetworkSimulator:
         """Seconds to move ``mb`` between stores (placement transfers)."""
         if mb <= 0:
             return 0.0
-        bw = self.cluster.network.store_bandwidth(src_store, dst_store)
+        pair = (src_store, dst_store)
+        bw = self._move_bw.get(pair)
+        if bw is None:
+            bw = self._move_bw[pair] = self.cluster.network.store_bandwidth(*pair)
         return mb / bw
 
     def flow_started(self, machine_id: int, now: float = 0.0) -> None:

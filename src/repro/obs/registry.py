@@ -28,7 +28,9 @@ LabelKey = Tuple[Tuple[str, str], ...]
 
 
 def _label_key(labels: Mapping[str, object]) -> LabelKey:
-    """Canonical hashable form of a label mapping."""
+    """Canonical hashable form of a label mapping (``()`` when unlabelled)."""
+    if not labels:
+        return ()
     return tuple(sorted((k, str(v)) for k, v in labels.items()))
 
 

@@ -55,6 +55,28 @@ HISTORY_SCHEMA = "repro.bench-history/1"
 SCALING_MACHINES = (20, 100, 500, 1000)
 
 
+def git_sha() -> Optional[str]:
+    """The source checkout's commit (``-dirty`` if modified), or None.
+
+    None when git or a work tree is unavailable, e.g. in an installed copy.
+    """
+    import subprocess
+    from pathlib import Path
+
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty", "--abbrev=40"],
+            cwd=Path(__file__).resolve().parent,
+            capture_output=True,
+            text=True,
+            timeout=10,
+            check=True,
+        )
+    except (OSError, subprocess.SubprocessError):
+        return None
+    return out.stdout.strip() or None
+
+
 def host_facts() -> dict:
     """What a history row must carry to be compared like with like."""
     import os
@@ -68,6 +90,7 @@ def host_facts() -> dict:
         "numpy": np.__version__,
         "scipy": scipy.__version__,
         "highs": HIGHS_VERSION,
+        "git_sha": git_sha(),
     }
 
 
@@ -332,7 +355,9 @@ def _bench_scaling(sizes: Sequence[int] = SCALING_MACHINES) -> list:
 
     Each size runs the block scenario's epoch loop on the production
     HiGHS backend, then the block-level Hadoop simulator under LiPS, and
-    reports seconds per epoch solve plus simulator events per wall second.
+    reports seconds per epoch solve plus simulator events per wall second,
+    both over the whole run and over its simulator-only part (the wall
+    time minus the in-simulation LP solves).
     """
     from repro.hadoop.sim import HadoopSimulator, SimConfig
     from repro.schedulers.lips import LipsScheduler
@@ -354,6 +379,7 @@ def _bench_scaling(sizes: Sequence[int] = SCALING_MACHINES) -> list:
         t0 = time.perf_counter()
         sim.run()
         sim_wall = time.perf_counter() - t0
+        sim_only = max(0.0, sim_wall - sim.metrics.lp_solve_seconds)
         events = sim.events.processed
         rows.append(
             {
@@ -364,6 +390,8 @@ def _bench_scaling(sizes: Sequence[int] = SCALING_MACHINES) -> list:
                 "sim_wall_s": sim_wall,
                 "events": events,
                 "events_per_s": events / sim_wall if sim_wall > 0 else 0.0,
+                "sim_only_s": sim_only,
+                "sim_only_events_per_s": events / sim_only if sim_only > 0 else 0.0,
             }
         )
     return rows
@@ -526,7 +554,8 @@ def main(argv: Sequence[str]) -> int:
         print(
             f"scaling[{row['machines']:>4} machines]: "
             f"epoch solve {row['epoch_solve_s']:.3f}s, "
-            f"{row['events']} events at {row['events_per_s']:.0f} ev/s"
+            f"{row['events']} events at {row['events_per_s']:.0f} ev/s "
+            f"({row['sim_only_events_per_s']:.0f} ev/s without LP solves)"
         )
     print(f"wrote {args.out}")
     if not doc["gate"]["ok"]:

@@ -2,15 +2,16 @@
 
 The simulator offers a free slot to the scheduler whenever one opens (task
 completion, job arrival, heartbeat, epoch boundary); the scheduler answers
-with an :class:`Assignment` or ``None``.  Epoch-driven schedulers (LiPS)
-additionally receive ``on_epoch`` callbacks.
+with an :class:`Assignment` or ``None``, and may name the trackers worth
+offering (:meth:`TaskScheduler.offer_trackers`).  Epoch-driven schedulers
+(LiPS) additionally receive ``on_epoch`` callbacks.
 """
 
 from __future__ import annotations
 
 import abc
 from dataclasses import dataclass
-from typing import Optional, TYPE_CHECKING
+from typing import Optional, Sequence, TYPE_CHECKING
 
 from repro.hadoop.tasktracker import SimTask, TaskTracker
 from repro.obs.spans import PlanLinks
@@ -70,6 +71,16 @@ class TaskScheduler(abc.ABC):
         """A failed machine rejoined the cluster."""
 
     # -- the decision ------------------------------------------------------
+    def offer_trackers(self, trackers: Sequence[TaskTracker]) -> Sequence[TaskTracker]:
+        """The trackers whose free map slots are worth offering, in order.
+
+        ``trackers`` is the simulator's tracker list, indexed by machine id.
+        A scheduler may leave a tracker out only where :meth:`select_task`
+        would decline it without changing any state; the default offers
+        every tracker.
+        """
+        return trackers
+
     @abc.abstractmethod
     def select_task(self, tracker: TaskTracker, now: float) -> Optional[Assignment]:
         """Pick a task for a free slot on ``tracker`` (or decline)."""

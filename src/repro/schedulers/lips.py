@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from typing import Deque, Dict, List, Optional, Tuple
+from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
 
 from repro.cluster.builder import Cluster, ClusterBuilder
@@ -135,6 +135,9 @@ class LipsScheduler(TaskScheduler):
         #: epochs planned by the greedy degraded path over this sim's lifetime
         self.degraded_epochs = 0
         self.plans: Dict[int, Deque[_PlanEntry]] = {}
+        #: machines whose plan is non-empty: the only offers that can place
+        #: a task (see :meth:`offer_trackers`)
+        self._planned_machines: Set[int] = set()
         #: per machine, a lower bound on its plan entries' earliest_start:
         #: an offer before it finds every entry's data still in flight
         self._ready_at: Dict[int, float] = {}
@@ -151,6 +154,7 @@ class LipsScheduler(TaskScheduler):
     def bind(self, sim) -> None:
         super().bind(sim)
         self.plans = {m.machine_id: deque() for m in sim.cluster.machines}
+        self._planned_machines = set()
         self._ready_at = {m.machine_id: math.inf for m in sim.cluster.machines}
         self._zone_cluster = build_zone_aggregate(sim.cluster)
         self._zone_index = {
@@ -343,6 +347,7 @@ class LipsScheduler(TaskScheduler):
     def _enqueue(self, machine_id: int, entry: _PlanEntry) -> None:
         """Append a planned task to its machine's plan, lowering its ready bound."""
         self.plans[machine_id].append(entry)
+        self._planned_machines.add(machine_id)
         ready = entry.task.earliest_start
         if ready < self._ready_at[machine_id]:
             self._ready_at[machine_id] = ready
@@ -393,9 +398,19 @@ class LipsScheduler(TaskScheduler):
             # a pinned store on the dead machine is unreadable: fall back to
             # wherever the block actually is when the LP replans
             entry.task.pinned_store = None
+        self._planned_machines.discard(machine_id)
         self._ready_at[machine_id] = math.inf
 
     # -- slot offers ------------------------------------------------------------
+    def offer_trackers(self, trackers: Sequence[TaskTracker]) -> List[TaskTracker]:
+        """The trackers whose machine holds a plan, in ascending machine id.
+
+        :meth:`select_task` on an empty plan declines without touching any
+        state, so those offers are skipped.  The set is kept by
+        :meth:`_enqueue`, :meth:`select_task` and :meth:`on_machine_failed`.
+        """
+        return [trackers[m] for m in sorted(self._planned_machines)]
+
     def select_task(self, tracker: TaskTracker, now: float) -> Optional[Assignment]:
         machine_id = tracker.machine_id
         plan = self.plans.get(machine_id)
@@ -409,7 +424,7 @@ class LipsScheduler(TaskScheduler):
         for _ in range(len(plan)):
             entry = plan[0]
             task = entry.task
-            if task.key in entry.job.completed or task not in entry.job.pending:
+            if not task.queued or task.key in entry.job.completed:
                 plan.popleft()  # stale (shouldn't normally happen)
                 continue
             if task.earliest_start > now:
@@ -423,6 +438,8 @@ class LipsScheduler(TaskScheduler):
                 plan.rotate(-1)  # store offline; try next
                 continue
             plan.popleft()
+            if not plan:
+                self._planned_machines.discard(machine_id)
             self._planned_keys.discard(task.key)
             return Assignment(
                 job=entry.job,
@@ -430,6 +447,8 @@ class LipsScheduler(TaskScheduler):
                 source_store=entry.source_store,
                 links=entry.links,
             )
+        if not plan:
+            self._planned_machines.discard(machine_id)  # only stale entries
         if not store_offline:
             # only in-flight entries remain: none can run before the earliest
             self._ready_at[machine_id] = ready_at

@@ -232,7 +232,7 @@ class QuincyScheduler(TaskScheduler):
         plan = self._plans.get(tracker.machine_id)
         while plan:
             job, task, store = plan.popleft()
-            if task.key in job.completed or task not in job.pending:
+            if not task.queued or task.key in job.completed:
                 continue  # stale entry
             if store is not None and not self.sim.store_online(store):
                 self._dirty = True

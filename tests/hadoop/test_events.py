@@ -1,8 +1,10 @@
 """Unit tests for the discrete-event queue."""
 
+import random
+
 import pytest
 
-from repro.hadoop.events import EventQueue
+from repro.hadoop.events import COMPACT_MIN_CANCELLED, EventQueue
 
 
 def test_events_fire_in_time_order():
@@ -199,3 +201,62 @@ class TestCompaction:
             finally:
                 ev.COMPACT_MIN_CANCELLED = old
         assert run(compact_min=8) == run(compact_min=10**9)
+
+
+class TestHeapOrderEquivalence:
+    """Seeded schedule/cancel sequences pop in ``(time, priority, seq)`` order."""
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_pops_match_a_reference_sort(self, seed):
+        rng = random.Random(seed)
+        q = EventQueue()
+        fired = []
+        events = []  # (time, priority, seq, label), seq = scheduling order
+        handles = {}
+        cancelled = set()
+        #: label -> labels its callback cancels when it fires, if still pending
+        cancels_on_fire = {}
+
+        def fire(label):
+            fired.append(label)
+            for other in cancels_on_fire.get(label, ()):
+                if other not in fired:
+                    handles[other].cancel()
+
+        for label in range(rng.randint(50, 400)):
+            # few distinct times and priorities, so ties are common
+            time = float(rng.randint(0, 6))
+            priority = rng.choice([-3, -1, 0, 0, 5])
+            handles[label] = q.schedule(time, lambda label=label: fire(label), priority)
+            events.append((time, priority, label, label))
+            assert handles[label].time == time and not handles[label].cancelled
+            if rng.random() < 0.3:
+                victim = rng.randrange(label + 1)
+                handles[victim].cancel()
+                cancelled.add(victim)
+            if rng.random() < 0.2:
+                cancels_on_fire[label] = [rng.randrange(label + 1) for _ in range(3)]
+            limit = max(2 * len(q), len(q) + COMPACT_MIN_CANCELLED)
+            assert len(q._heap) <= limit  # compaction bounds the heap
+        q.run()
+
+        want = []
+        for _time, _priority, _seq, label in sorted(events):
+            if label in cancelled:
+                continue
+            want.append(label)
+            cancelled.update(o for o in cancels_on_fire.get(label, ()) if o not in want)
+        assert fired == want
+        for label, handle in handles.items():
+            assert handle.cancelled == (label in cancelled)
+        assert len(q) == 0
+
+    def test_handle_time_is_clamped_to_now(self):
+        q = EventQueue()
+        q.schedule(5.0, lambda: None)
+        q.step()
+        handle = q.schedule(5.0 - 1e-12, lambda: None)  # within the tolerance
+        assert handle.time == 5.0
+        assert not handle.cancelled
+        handle.cancel()
+        assert handle.cancelled and len(q) == 0

@@ -10,6 +10,7 @@ from repro.perf.bench import (
     HISTORY_SCHEMA,
     REL_TOL,
     SCHEMA,
+    _bench_scaling,
     append_history,
     build_bench_parser,
     build_block_scenario,
@@ -115,7 +116,9 @@ class TestHistory:
         host = history_row(FAKE_DOC)["host"]
         assert host["highs"] == HIGHS_VERSION
         assert host["highs"].count(".") == 2
-        assert {"nproc", "python", "numpy", "scipy"} <= host.keys()
+        assert {"nproc", "python", "numpy", "scipy", "git_sha"} <= host.keys()
+        sha = host["git_sha"]  # None only outside a git work tree
+        assert sha is None or len(sha.removesuffix("-dirty")) == 40
 
     def test_append_is_append_only_jsonl(self, tmp_path):
         path = tmp_path / "BENCH_history.jsonl"
@@ -147,6 +150,19 @@ class TestHistory:
         ]
         assert kinds == ["bench", "scaling", "scaling"]
         assert scaling_history_rows(FAKE_DOC) == []
+
+
+class TestScaling:
+    def test_rows_split_out_the_lp_solves(self):
+        (row,) = _bench_scaling(sizes=(20,))
+        assert row["machines"] == 20 and row["epochs"] >= 1 and row["events"] > 0
+        assert {"epoch_solve_s", "solve_wall_s", "sim_wall_s", "events_per_s"} <= row.keys()
+        # the simulator-only time is the wall time less the in-sim LP solves
+        assert 0.0 < row["sim_only_s"] < row["sim_wall_s"]
+        assert row["sim_only_events_per_s"] == pytest.approx(
+            row["events"] / row["sim_only_s"]
+        )
+        assert row["sim_only_events_per_s"] > row["events_per_s"]
 
 
 class TestQuickBenchEndToEnd:

@@ -1,12 +1,13 @@
-"""Golden baseline schedules: FIFO, delay, fair and capacity runs, pinned.
+"""Golden schedules: FIFO, delay, fair, capacity and both LiPS schedulers, pinned.
 
 Each case replays a small seeded SWIM-style workload on the 20-node paper
-testbed with speculation on, one machine that fails and recovers, one that
-is lost for good and, on odd seeds, chaos read faults (so failed reads are
-re-queued with a backoff).  The golden file freezes each run's cost,
-makespan and a sha256 over its full attempt history, so any change to which
-task a baseline scheduler launches, where, when or from which replica shows
-up as a drift here.
+testbed with one machine that fails and recovers, one that is lost for good
+(for an hour under LiPS) and, on odd seeds, chaos read faults (so failed
+reads are re-queued with a backoff).  The baseline schedulers run with
+speculation on; the LiPS schedulers run with it off, as in the paper.  The golden file freezes each
+run's cost, makespan and a sha256 over its full attempt history, so any
+change to which task a scheduler launches, where, when or from which
+replica shows up as a drift here.
 
 Regenerate (only for an intended schedule change) with::
 
@@ -21,6 +22,7 @@ import json
 import numbers
 import os
 from pathlib import Path
+from typing import Optional
 
 import pytest
 
@@ -28,21 +30,32 @@ from repro.cluster.builder import build_paper_testbed
 from repro.hadoop.failures import FailurePlan
 from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.resilience.chaos import ChaosPlan, ReadFaultEvent
-from repro.schedulers import CapacityScheduler, DelayScheduler, FairScheduler, FifoScheduler
+from repro.schedulers import (
+    AdaptiveLipsScheduler,
+    CapacityScheduler,
+    DelayScheduler,
+    FairScheduler,
+    FifoScheduler,
+    LipsScheduler,
+)
 from repro.workload.swim import SwimConfig, synthesize_facebook_day
 
 GOLDEN = Path(__file__).parent / "golden_schedules.json"
 
 SEEDS = tuple(range(6))
+NODES = 20
+JOBS = 40
+DAY_S = 3600.0
 SCHEDULERS = {
     "Delay": DelayScheduler,
     "FIFO": FifoScheduler,
     "Fair": FairScheduler,
     "Capacity": CapacityScheduler,
+    "LiPS": lambda: LipsScheduler(epoch_length=300.0),
+    "AdaptiveLiPS": lambda: AdaptiveLipsScheduler(target_makespan=DAY_S),
 }
-NODES = 20
-JOBS = 40
-DAY_S = 3600.0
+#: plan-driven schedulers run without speculation, as the paper runs LiPS
+NO_SPECULATION = frozenset({"LiPS", "AdaptiveLiPS"})
 #: job-size classes shrunk so a case runs in a fraction of a second
 CLASSES = (
     ("interactive", 0.6, (1, 8)),
@@ -51,8 +64,14 @@ CLASSES = (
 )
 
 
-def run_case(seed: int, scheduler: str) -> HadoopSimulator:
-    """Run one matrix case with job history recorded; returns the simulator."""
+def build_case(
+    seed: int, scheduler: str, speculative: Optional[bool] = None
+) -> HadoopSimulator:
+    """One matrix case with job history recorded, set up but not run.
+
+    ``speculative`` defaults to the matrix setting: on for the baseline
+    schedulers, off for LiPS.
+    """
     cluster = build_paper_testbed(NODES, c1_medium_fraction=0.25, seed=seed)
     workload = synthesize_facebook_day(
         SwimConfig(
@@ -69,7 +88,13 @@ def run_case(seed: int, scheduler: str) -> HadoopSimulator:
     failures = FailurePlan()
     t_fail = largest[0].arrival_time + 20.0
     failures.add(seed % NODES, t_fail, t_fail + 600.0)
-    failures.add((seed + 7) % NODES, largest[1].arrival_time + 20.0)  # never recovers
+    t_lost = largest[1].arrival_time + 20.0
+    if scheduler in NO_SPECULATION:
+        # LiPS keeps planning onto a dead machine (see ROADMAP), so a machine
+        # lost for good would strand its plan: here it returns an hour later
+        failures.add((seed + 7) % NODES, t_lost, t_lost + DAY_S)
+    else:
+        failures.add((seed + 7) % NODES, t_lost)  # never recovers
     chaos = None
     if seed % 2:
         chaos = ChaosPlan(
@@ -82,14 +107,21 @@ def run_case(seed: int, scheduler: str) -> HadoopSimulator:
             backoff_jitter=0.25,
             backoff_seed=seed,
         )
-    sim = HadoopSimulator(
+    if speculative is None:
+        speculative = scheduler not in NO_SPECULATION
+    return HadoopSimulator(
         cluster,
         workload,
         SCHEDULERS[scheduler](),
-        SimConfig(speculative=True, placement_seed=seed, record_history=True),
+        SimConfig(speculative=speculative, placement_seed=seed, record_history=True),
         failures=failures,
         chaos=chaos,
     )
+
+
+def run_case(seed: int, scheduler: str) -> HadoopSimulator:
+    """Run one matrix case; returns the simulator."""
+    sim = build_case(seed, scheduler)
     sim.run()
     return sim
 
@@ -146,3 +178,11 @@ def test_matrix_exercises_the_requeue_paths():
         assert sim.metrics.failed_attempts > 0
         assert sim.metrics.speculative_attempts > 0
     assert sims[1].metrics.chaos_faults_injected > 0
+    for name in sorted(NO_SPECULATION):
+        sims = [run_case(seed, name) for seed in (0, 1)]
+        for sim in sims:
+            assert sim.metrics.machine_failures == 2
+            assert sim.metrics.failed_attempts > 0
+            assert sim.metrics.speculative_attempts == 0
+            assert sim.metrics.moved_mb > 0
+        assert sims[1].metrics.chaos_faults_injected > 0

@@ -57,7 +57,7 @@ class _World:
             cpu_seconds=1.0, earliest_start=ready,
         )
         job.tasks.append(task)
-        job.pending.append(task)
+        job.requeue(task)  # through JobState, which keeps ``task.queued``
         return _PlanEntry(job, task, store)
 
     def launch(self, assignment) -> tuple:
@@ -130,6 +130,7 @@ def test_ready_bound_matches_full_scan(seed):
             assert got == want
         for m in range(MACHINES):
             assert order(sched.plans[m]) == order(ref_plans[m])
+        assert sched._planned_machines == {m for m in range(MACHINES) if ref_plans[m]}
     assert shortcuts > 0  # the bound actually short-circuited some offers
 
 
