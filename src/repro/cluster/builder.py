@@ -119,7 +119,6 @@ class ClusterBuilder:
         cpu_cost: float,
         zone: str = "default",
         map_slots: int = 2,
-        reduce_slots: int = 1,
         uptime: Optional[float] = None,
         memory_gb: float = 1.7,
         instance_type: str = "custom",
@@ -134,7 +133,6 @@ class ClusterBuilder:
             cpu_cost=cpu_cost,
             zone=zone,
             map_slots=map_slots,
-            reduce_slots=reduce_slots,
             uptime=uptime if uptime is not None else self.default_uptime,
             memory_gb=memory_gb,
             instance_type=instance_type,
@@ -178,7 +176,6 @@ class ClusterBuilder:
                     cpu_cost=it.cpu_cost_per_ecu_second(point),
                     zone=zone,
                     map_slots=max(1, it.cpus * 2),
-                    reduce_slots=max(1, it.cpus),
                     uptime=uptime,
                     memory_gb=it.memory_gb,
                     instance_type=it.name,

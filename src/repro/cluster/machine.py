@@ -31,8 +31,8 @@ class Machine:
         (``CPU_Cost(M)``).
     zone:
         Availability-zone name; determines bandwidth and transfer prices.
-    map_slots / reduce_slots:
-        Concurrent task slots exposed to the Hadoop simulator.
+    map_slots:
+        Concurrent map-task slots exposed to the Hadoop simulator.
     uptime:
         Seconds of availability considered by the *offline* models
         (``uptime(M)``); the online model replaces this with the epoch.
@@ -46,7 +46,6 @@ class Machine:
     cpu_cost: float
     zone: str = "default"
     map_slots: int = 2
-    reduce_slots: int = 1
     uptime: float = 3600.0
     memory_gb: float = 1.7
     instance_type: str = "custom"
@@ -57,7 +56,7 @@ class Machine:
             raise ValueError(f"machine {self.name!r}: ecu must be positive")
         if self.cpu_cost < 0:
             raise ValueError(f"machine {self.name!r}: cpu_cost must be >= 0")
-        if self.map_slots < 0 or self.reduce_slots < 0:
+        if self.map_slots < 0:
             raise ValueError(f"machine {self.name!r}: slots must be >= 0")
 
     @property

@@ -16,7 +16,6 @@ node-local reads strictly preferable, mirroring HDFS short-circuit reads.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -96,27 +95,6 @@ class NetworkModel:
                     bw[l, m] = self.topology.bandwidth_mb_per_s(mach.zone, store.zone)
         return bw
 
-    def _build_mm(self) -> np.ndarray:
-        n = len(self.machines)
-        mm = np.zeros((n, n))
-        for i, mi in enumerate(self.machines):
-            for j, mj in enumerate(self.machines):
-                if i == j:
-                    continue
-                mm[i, j] = self._pair_cost(mi.zone, mj.zone)
-        return mm
-
-    def _build_mm_bandwidth(self) -> np.ndarray:
-        n = len(self.machines)
-        bw = np.zeros((n, n))
-        for i, mi in enumerate(self.machines):
-            for j, mj in enumerate(self.machines):
-                if i == j:
-                    bw[i, j] = LOCAL_READ_MB_PER_S
-                else:
-                    bw[i, j] = self.topology.bandwidth_mb_per_s(mi.zone, mj.zone)
-        return bw
-
     # -- accessors ----------------------------------------------------------
     @property
     def ss_cost(self) -> np.ndarray:
@@ -132,18 +110,6 @@ class NetworkModel:
     def bandwidth(self) -> np.ndarray:
         """(n_machines, n_stores) MB/s machine↔store bandwidth."""
         return self._bw
-
-    # only reduce shuffles read the machine↔machine matrices, so they are
-    # built on first use rather than with every cluster
-    @functools.cached_property
-    def mm_cost(self) -> np.ndarray:
-        """(n_machines, n_machines) $/MB machine↔machine (shuffle) cost."""
-        return self._build_mm()
-
-    @functools.cached_property
-    def mm_bandwidth(self) -> np.ndarray:
-        """(n_machines, n_machines) MB/s machine↔machine bandwidth."""
-        return self._build_mm_bandwidth()
 
     def store_bandwidth(self, i: int, j: int) -> float:
         """MB/s between two stores (for re-placement transfer times)."""

@@ -7,7 +7,7 @@ scheduler-visible Hadoop surface —
 * :mod:`repro.hadoop.events` — the event queue / simulation clock;
 * :mod:`repro.hadoop.hdfs` — NameNode/DataNode block placement and
   replication (the paper's ``ReplicationTargetChooser`` hook);
-* :mod:`repro.hadoop.tasktracker` — per-node map/reduce slots and task
+* :mod:`repro.hadoop.tasktracker` — per-node map slots and task
   execution (CPU time scaled by node ECU, reads timed by bandwidth);
 * :mod:`repro.hadoop.jobtracker` — job queue, heartbeats, completion
   tracking, speculative execution;

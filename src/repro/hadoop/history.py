@@ -29,7 +29,6 @@ class AttemptRecord:
     read_seconds: float
     compute_seconds: float
     outcome: str
-    is_reduce: bool = False
     speculative: bool = False
     source_store: Optional[int] = None
     detail: str = ""

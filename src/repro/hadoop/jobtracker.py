@@ -113,14 +113,8 @@ class JobState:
     finish_time: Optional[float] = None
     #: delay-scheduler bookkeeping: when the job started waiting for locality
     wait_started: Optional[float] = None
-    #: reduce phase (created once all maps finish)
-    reduce_tasks: List[SimTask] = field(default_factory=list)
-    reduce_pending: List[SimTask] = field(default_factory=list)
-    #: map-output MB accumulated per machine (shuffle sources)
-    map_output_mb: Dict[int, float] = field(default_factory=dict)
-    #: completion counters kept by finish_attempt — O(1) is_complete checks
+    #: completion counter kept by finish_attempt — O(1) is_complete checks
     completed_maps: int = 0
-    completed_reduces: int = 0
     #: trace identity of the job's submit event (traced runs only)
     span_id: Optional[int] = None
     #: locality index of ``pending``, built on the first locality query
@@ -137,18 +131,9 @@ class JobState:
         return self.job.job_id
 
     @property
-    def maps_complete(self) -> bool:
+    def is_complete(self) -> bool:
         """True once every map task has completed."""
         return self.completed_maps == len(self.tasks)
-
-    @property
-    def is_complete(self) -> bool:
-        """True once maps and (created) reduces all finished."""
-        if not self.maps_complete:
-            return False
-        if self.job.num_reduces > 0 and not self.reduce_tasks:
-            return False  # reduces not even created yet
-        return self.completed_reduces == len(self.reduce_tasks)
 
     @property
     def num_pending(self) -> int:
@@ -157,7 +142,7 @@ class JobState:
 
     @property
     def num_running(self) -> int:
-        """Running attempts (all phases, speculative included)."""
+        """Running attempts (speculative included)."""
         return sum(len(v) for v in self.running.values())
 
     @property
@@ -179,10 +164,7 @@ class JobState:
 
     def requeue(self, task: SimTask) -> None:
         """Put a task whose attempt died back at the end of its pending queue."""
-        if task.is_reduce:
-            if task not in self.reduce_pending:
-                self.reduce_pending.append(task)
-        elif not task.queued:
+        if not task.queued:
             self.pending.append(task)
             task.queued = True
             if self._map_cache is not None:
@@ -285,44 +267,13 @@ class JobTracker:
                 job=job.job_id,
                 job_name=job.name,
                 tasks=len(tasks),
-                reduces=job.num_reduces,
                 span_id=state.span_id,
             )
         return state
 
     def has_pending_tasks(self) -> bool:
-        """True while any map or reduce awaits launch."""
-        return any(j.pending or j.reduce_pending for j in self.queue)
-
-    def create_reduces(self, job: JobState) -> List[SimTask]:
-        """Materialise a job's reduce tasks once every map has finished.
-
-        Each reducer pulls an equal share of the map output, with sources
-        proportional to where the maps actually produced it.
-        """
-        if job.reduce_tasks or job.job.num_reduces == 0:
-            return []
-        if not job.maps_complete:
-            raise RuntimeError(f"job {job.job.name!r}: maps not complete")
-        total_output = sum(job.map_output_mb.values())
-        n = job.job.num_reduces
-        per_reduce = total_output / n if n else 0.0
-        base_index = len(job.tasks)
-        for r in range(n):
-            sources = {
-                m: mb / n for m, mb in job.map_output_mb.items() if mb > 0
-            }
-            task = SimTask(
-                job_id=job.job_id,
-                task_index=base_index + r,
-                input_mb=per_reduce,
-                cpu_seconds=job.job.reduce_cpu_per_mb * per_reduce,
-                is_reduce=True,
-                shuffle_sources=sources,
-            )
-            job.reduce_tasks.append(task)
-            job.reduce_pending.append(task)
-        return job.reduce_tasks
+        """True while any map awaits launch."""
+        return any(j.pending for j in self.queue)
 
     # -- attempts ---------------------------------------------------------------
     def new_attempt(
@@ -359,10 +310,7 @@ class JobTracker:
         ]
         if attempt.task.key not in job.completed:
             job.completed.add(attempt.task.key)
-            if attempt.task.is_reduce:
-                job.completed_reduces += 1
-            else:
-                job.completed_maps += 1
+            job.completed_maps += 1
         if job.is_complete and job.finish_time is None:
             job.finish_time = now
             self.queue.remove(job)
@@ -375,7 +323,6 @@ class JobTracker:
                     job=job.job_id,
                     job_name=job.job.name,
                     tasks=len(job.tasks),
-                    reduces=len(job.reduce_tasks),
                     span_id=self.tracer.new_span_id(),
                     parent=job.span_id,
                 )
@@ -409,7 +356,7 @@ class JobTracker:
                 primary = None
                 copies = 0
                 for a in attempts:
-                    if not a.killed and not a.task.is_reduce:
+                    if not a.killed:
                         copies += 1
                         if primary is None:
                             primary = a

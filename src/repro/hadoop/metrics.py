@@ -82,9 +82,7 @@ class SimMetrics:
     zone_read_mb = _CounterField("map input MB read intra-zone")
     remote_read_mb = _CounterField("map input MB read cross-zone")
     moved_mb = _CounterField("MB moved between stores by placement")
-    shuffle_mb = _CounterField("MB pulled by reduce shuffles")
     tasks_run = _CounterField("successful map attempts", as_int=True)
-    reduces_run = _CounterField("successful reduce attempts", as_int=True)
     speculative_attempts = _CounterField("speculative attempts launched", as_int=True)
     killed_attempts = _CounterField("attempts killed", as_int=True)
     machine_failures = _CounterField("machine failure events", as_int=True)
@@ -183,10 +181,9 @@ class SimMetrics:
     # -- registry integration ----------------------------------------------
     _PUBLISHED_COUNTERS = (
         "local_read_mb", "zone_read_mb", "remote_read_mb", "moved_mb",
-        "shuffle_mb", "tasks_run", "reduces_run", "speculative_attempts",
-        "killed_attempts", "machine_failures", "failed_attempts",
-        "lp_solves", "lp_solve_seconds", "epochs_degraded",
-        "chaos_faults_injected",
+        "tasks_run", "speculative_attempts", "killed_attempts",
+        "machine_failures", "failed_attempts", "lp_solves",
+        "lp_solve_seconds", "epochs_degraded", "chaos_faults_injected",
     )
 
     def publish(self, target: MetricsRegistry, **labels: object) -> None:

@@ -200,7 +200,6 @@ class HadoopSimulator:
             # scan, so only without it may the scheduler skip trackers
             trackers = self.scheduler.offer_trackers(trackers)
         self._fill_map_slots(trackers)
-        self._offer_reduce_slots()
 
     def _fill_map_slots(self, trackers: Sequence[TaskTracker]) -> None:
         """Offer each tracker's free map slots, in order, until one is declined.
@@ -225,19 +224,6 @@ class HadoopSimulator:
                 self._launch(tracker, assignment)
                 may_speculate = speculative
 
-    def _offer_reduce_slots(self) -> None:
-        # cheap short-circuit: most runs are map-only, and this fires on
-        # every heartbeat for every tracker — without it, 100 trackers x
-        # 30k heartbeats x a full queue scan each dominates the wall clock
-        if not any(j.reduce_pending for j in self.jobtracker.queue):
-            return
-        for tracker in self.trackers:
-            while tracker.has_free_reduce_slot:
-                assignment = self.scheduler.select_reduce_task(tracker, self.now)
-                if assignment is None:
-                    break
-                self._launch_reduce(tracker, assignment)
-
     def _speculative_assignment(self, tracker: TaskTracker) -> Optional[Assignment]:
         cand = self.jobtracker.speculation_candidate(
             self.now, min_elapsed=self.config.speculation_min_elapsed
@@ -253,7 +239,7 @@ class HadoopSimulator:
         model = self.config.interference
         if model is None:
             return 1.0
-        running = list(tracker.running.values()) + list(tracker.reduce_running.values())
+        running = tracker.running.values()
         co_io = sum(1 for a in running if not a.read_is_local)
         return model.slowdown(len(running), co_io)
 
@@ -323,36 +309,6 @@ class HadoopSimulator:
             now + attempt.duration, lambda: self._complete(tracker, attempt, job)
         )
 
-    def _launch_reduce(self, tracker: TaskTracker, assignment: Assignment) -> None:
-        """Start a reduce attempt: fetch shuffle segments, then reduce."""
-        task = assignment.task
-        job = assignment.job
-        job.reduce_pending.remove(task)
-        mm_bw = self.cluster.network.mm_bandwidth
-        read_s = sum(
-            mb / mm_bw[src, tracker.machine_id]
-            for src, mb in task.shuffle_sources.items()
-        )
-        if task.shuffle_sources:
-            read_s += self.network.per_flow_latency_s
-        compute_s = task.cpu_seconds / tracker.machine.slot_ecu
-        compute_s *= self._interference_factor(tracker)
-        compute_s *= self._chaos_factor(tracker)
-        attempt = self.jobtracker.new_attempt(
-            job, task, tracker, None, self.now, read_s, compute_s
-        )
-        attempt.read_is_local = True  # shuffle locality tracked separately
-        if self.tracer.enabled:
-            attempt.span_id = self.tracer.new_span_id()
-            if assignment.links is not None:
-                attempt.parent_span = assignment.links.epoch
-                attempt.links = assignment.links.link_ids()
-        tracker.launch(attempt)
-        self._last_progress = self.now
-        attempt.finish_event = self.events.schedule(
-            self.now + attempt.duration, lambda: self._complete(tracker, attempt, job)
-        )
-
     def _complete(self, tracker: TaskTracker, attempt: TaskAttempt, job: JobState) -> None:
         now = self.now
         task = attempt.task
@@ -360,8 +316,7 @@ class HadoopSimulator:
         if not attempt.read_is_local and task.input_mb > 0:
             self.network.flow_finished(tracker.machine_id, now=now)
         tracker.complete(attempt)
-        if not task.is_reduce:
-            self._running_maps -= 1
+        self._running_maps -= 1
 
         # -- charge the attempt's real dollar cost --
         self.metrics.ledger.charge_cpu(
@@ -370,30 +325,6 @@ class HadoopSimulator:
             machine_id=machine.machine_id,
             span_id=attempt.span_id,
         )
-        if task.is_reduce:
-            mm = self.cluster.network.mm_cost
-            for src, mb in task.shuffle_sources.items():
-                price = mm[src, machine.machine_id]
-                if price > 0:
-                    self.metrics.ledger.charge_runtime_transfer(
-                        mb * price,
-                        job_id=job.job_id,
-                        machine_id=machine.machine_id,
-                        detail="shuffle",
-                        span_id=attempt.span_id,
-                    )
-            self.metrics.shuffle_mb += task.input_mb
-            if self.tracer.enabled and task.input_mb > 0:
-                self.tracer.event(
-                    "transfer",
-                    "shuffle",
-                    attempt.start_time,
-                    job=job.job_id,
-                    machine=machine.machine_id,
-                    mb=task.input_mb,
-                    tier="shuffle",
-                    sources=len(task.shuffle_sources),
-                )
         if task.input_mb > 0 and attempt.source_store is not None:
             price = self.cluster.network.ms_cost[machine.machine_id, attempt.source_store]
             if price > 0:
@@ -427,10 +358,7 @@ class HadoopSimulator:
                     read_s=attempt.read_seconds,
                 )
 
-        if task.is_reduce:
-            self.metrics.reduces_run += 1
-        else:
-            self.metrics.tasks_run += 1
+        self.metrics.tasks_run += 1
         if self.history is not None:
             self.history.add(
                 AttemptRecord(
@@ -442,7 +370,6 @@ class HadoopSimulator:
                     read_seconds=attempt.read_seconds,
                     compute_seconds=attempt.compute_seconds,
                     outcome=SUCCESS,
-                    is_reduce=task.is_reduce,
                     speculative=attempt.speculative,
                     source_store=attempt.source_store,
                 )
@@ -456,23 +383,10 @@ class HadoopSimulator:
         self.metrics.machine_last_finish[machine.machine_id] = now
 
         if task.key not in job.completed:
-            if not task.is_reduce and job.job.num_reduces > 0:
-                job.map_output_mb[machine.machine_id] = (
-                    job.map_output_mb.get(machine.machine_id, 0.0)
-                    + task.input_mb * job.job.shuffle_ratio
-                )
             siblings = self.jobtracker.finish_attempt(job, attempt, now)
             for sib in siblings:
                 self._kill(sib, job)
             self.scheduler.on_task_complete(job, task, now)
-            if (
-                not task.is_reduce
-                and job.job.num_reduces > 0
-                and job.maps_complete
-                and not job.reduce_tasks
-            ):
-                self.jobtracker.create_reduces(job)
-                self._offer_reduce_slots()
             if job.is_complete:
                 self.metrics.job_durations[job.job_id] = job.duration or 0.0
                 self.scheduler.on_job_complete(job, now)
@@ -486,8 +400,7 @@ class HadoopSimulator:
         """Kill a running attempt, billing its partial burn."""
         tracker = self.trackers[attempt.machine_id]
         tracker.kill(attempt)
-        if not attempt.task.is_reduce:
-            self._running_maps -= 1
+        self._running_maps -= 1
         self.jobtracker.drop_attempt(job, attempt)
         self.metrics.killed_attempts += 1
         if self.tracer.enabled:
@@ -536,7 +449,6 @@ class HadoopSimulator:
                     read_seconds=attempt.read_seconds,
                     compute_seconds=attempt.compute_seconds,
                     outcome=KILLED,
-                    is_reduce=attempt.task.is_reduce,
                     speculative=attempt.speculative,
                     source_store=attempt.source_store,
                     detail=detail,
@@ -621,7 +533,7 @@ class HadoopSimulator:
         self.metrics.machine_failures += 1
         if chaos:
             self._count_chaos_fault("machine")
-        victims = list(tracker.running.values()) + list(tracker.reduce_running.values())
+        victims = list(tracker.running.values())
         if self.tracer.enabled:
             self.tracer.event(
                 "machine", "fail", self.now, machine=machine_id, victims=len(victims)
@@ -774,7 +686,6 @@ class HadoopSimulator:
                 total_cost=self.metrics.total_cost,
                 makespan=self.metrics.makespan,
                 tasks_run=self.metrics.tasks_run,
-                reduces_run=self.metrics.reduces_run,
                 moved_mb=self.metrics.moved_mb,
                 lp_solves=self.metrics.lp_solves,
                 lp_wall_s=self.metrics.lp_solve_seconds,
@@ -802,9 +713,7 @@ class HadoopSimulator:
                 index = self._epoch_index
                 self._epoch_index += 1
                 start = self.now
-                queued = sum(
-                    len(j.pending) + len(j.reduce_pending) for j in self.jobtracker.queue
-                )
+                queued = sum(len(j.pending) for j in self.jobtracker.queue)
                 cost0 = self.metrics.total_cost
                 moved0 = self.metrics.moved_mb
                 solves0 = self.metrics.lp_solves

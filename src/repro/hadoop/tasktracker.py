@@ -21,19 +21,15 @@ if TYPE_CHECKING:  # pragma: no cover - import cycle guard
 
 @dataclass(eq=False)
 class SimTask:
-    """A schedulable task: one block (map), an input-less slice, or a reduce.
+    """A schedulable map task: one block, or one input-less slice.
 
     ``candidate_stores`` lists stores currently holding the task's block;
     LiPS may rewrite it after moving data.  ``earliest_start`` delays tasks
     whose input is still in flight (LiPS placement moves).
 
-    Reduce tasks set ``is_reduce`` and carry ``shuffle_sources`` — MB of map
-    output to fetch per source machine — instead of a block.  Their
-    ``task_index`` continues the map numbering, keeping keys unique.
-
-    Tasks compare by identity: each is created once (``expand_job`` /
-    ``create_reduces``), so ``pending.remove(task)`` is a pointer compare,
-    not a field-by-field one; ``queued`` answers "is it pending?" in O(1).
+    Tasks compare by identity: each is created once (by ``expand_job``), so
+    ``pending.remove(task)`` is a pointer compare, not a field-by-field one;
+    ``queued`` answers "is it pending?" in O(1).
     """
 
     job_id: int
@@ -46,15 +42,13 @@ class SimTask:
     earliest_start: float = 0.0
     #: set by LiPS plans: the store this task must read from
     pinned_store: Optional[int] = None
-    is_reduce: bool = False
-    shuffle_sources: Dict[int, float] = field(default_factory=dict)
     #: True while the task sits in its job's ``pending`` list (kept by
     #: ``JobState``, so membership tests are O(1))
     queued: bool = field(default=False, init=False, repr=False)
 
     @property
     def key(self) -> tuple:
-        """(job_id, task_index) — unique across map and reduce phases."""
+        """(job_id, task_index) — unique across the run."""
         return (self.job_id, self.task_index)
 
 
@@ -108,9 +102,7 @@ class TaskTracker:
         #: the underlying machine's id (read on every slot offer)
         self.machine_id: int = machine.machine_id
         self.map_slots = machine.map_slots
-        self.reduce_slots = machine.reduce_slots
         self.running: Dict[int, TaskAttempt] = {}
-        self.reduce_running: Dict[int, TaskAttempt] = {}
         self.cpu_busy_seconds = 0.0  # equivalent-CPU-seconds executed
         self.wall_busy_seconds = 0.0
         self.alive = True  # failure injection flips this
@@ -129,31 +121,11 @@ class TaskTracker:
         """True when a map slot is free."""
         return self.free_slots > 0
 
-    @property
-    def free_reduce_slots(self) -> int:
-        """Free reduce slots (0 while the machine is down)."""
-        if not self.alive:
-            return 0
-        return self.reduce_slots - len(self.reduce_running)
-
-    @property
-    def has_free_reduce_slot(self) -> bool:
-        """True when a reduce slot is free."""
-        return self.free_reduce_slots > 0
-
-    def _pool_for(self, attempt: TaskAttempt) -> Dict[int, TaskAttempt]:
-        return self.reduce_running if attempt.task.is_reduce else self.running
-
     def launch(self, attempt: TaskAttempt) -> None:
-        """Occupy a slot with an attempt (map or reduce pool)."""
-        if attempt.task.is_reduce:
-            if not self.has_free_reduce_slot:
-                raise RuntimeError(f"tracker {self.machine.name} has no free reduce slot")
-            self.reduce_running[attempt.attempt_id] = attempt
-        else:
-            if not self.has_free_slot:
-                raise RuntimeError(f"tracker {self.machine.name} has no free slot")
-            self.running[attempt.attempt_id] = attempt
+        """Occupy a map slot with an attempt."""
+        if not self.has_free_slot:
+            raise RuntimeError(f"tracker {self.machine.name} has no free slot")
+        self.running[attempt.attempt_id] = attempt
         if self.tracer.enabled:
             self.tracer.event(
                 "task",
@@ -163,7 +135,6 @@ class TaskTracker:
                 task=attempt.task.task_index,
                 attempt=attempt.attempt_id,
                 machine=self.machine_id,
-                reduce=attempt.task.is_reduce,
                 speculative=attempt.speculative,
                 read_s=attempt.read_seconds,
                 compute_s=attempt.compute_seconds,
@@ -172,7 +143,7 @@ class TaskTracker:
 
     def complete(self, attempt: TaskAttempt) -> None:
         """Release the slot and accrue busy time."""
-        self._pool_for(attempt).pop(attempt.attempt_id, None)
+        self.running.pop(attempt.attempt_id, None)
         if not attempt.killed:
             self.cpu_busy_seconds += attempt.task.cpu_seconds
             self.wall_busy_seconds += attempt.duration
@@ -191,7 +162,6 @@ class TaskTracker:
                     task=attempt.task.task_index,
                     attempt=attempt.attempt_id,
                     machine=self.machine_id,
-                    reduce=attempt.task.is_reduce,
                     speculative=attempt.speculative,
                     local=attempt.read_is_local,
                     source_store=attempt.source_store,
@@ -211,7 +181,7 @@ class TaskTracker:
         attempt.killed = True
         if attempt.finish_event is not None:
             attempt.finish_event.cancel()
-        self._pool_for(attempt).pop(attempt.attempt_id, None)
+        self.running.pop(attempt.attempt_id, None)
         return attempt.task.cpu_seconds  # conservatively bill the full burn
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid

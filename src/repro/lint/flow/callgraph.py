@@ -18,18 +18,14 @@ worst widens the audit surface.  Resolution strategy, in order:
    callbacks execute eventually, and reachability must follow them.
 6. **Nested defs** — defining a closure counts as potentially running it.
 
-Three special edge kinds are recorded alongside plain calls:
+Two special edge kinds are recorded alongside plain calls:
 
 * ``THREAD`` — ``threading.Thread(target=X)`` spawn sites;
 * ``POOL`` — process/executor fan-out (``pool.submit(f)``, ``pool.map(f)``,
-  :func:`repro.experiments.parallel.run_tasks`);
-* ``ASYNC`` — event-loop task/callback scheduling
-  (``asyncio.create_task(coro())``, ``ensure_future``, ``loop.call_soon``/
-  ``call_later``/``call_at``, ``run_coroutine_threadsafe``).
+  :func:`repro.experiments.parallel.run_tasks`).
 
 The concurrency pass walks THREAD edges to build the "worker side" of the
-program, POOL edges to find task functions whose purity matters, and ASYNC
-edges to find service callbacks that interleave with the main path.
+program and POOL edges to find task functions whose purity matters.
 """
 
 from __future__ import annotations
@@ -37,7 +33,7 @@ from __future__ import annotations
 import ast
 import enum
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Dict, Iterable, List, Optional, Set
 
 from repro.lint.flow.symbols import FunctionInfo, ModuleInfo, SymbolTable, _dotted
 
@@ -48,7 +44,6 @@ class EdgeKind(enum.Enum):
     CALL = "call"
     THREAD = "thread"  #: dst runs on a spawned thread
     POOL = "pool"  #: dst runs in a worker process
-    ASYNC = "async"  #: dst runs as an event-loop task/callback
 
 
 @dataclass(frozen=True)
@@ -71,8 +66,6 @@ class CallGraph:
     thread_spawns: List[Edge] = field(default_factory=list)
     #: (dispatching function, task qname, lineno) per pool fan-out site
     pool_dispatches: List[Edge] = field(default_factory=list)
-    #: (scheduling function, task qname, lineno) per asyncio spawn site
-    async_spawns: List[Edge] = field(default_factory=list)
 
     def add(self, edge: Edge) -> None:
         """Record an edge (deduplicated per src/dst/kind)."""
@@ -85,8 +78,6 @@ class CallGraph:
             self.thread_spawns.append(edge)
         elif edge.kind is EdgeKind.POOL:
             self.pool_dispatches.append(edge)
-        elif edge.kind is EdgeKind.ASYNC:
-            self.async_spawns.append(edge)
 
     @property
     def num_edges(self) -> int:
@@ -150,19 +141,6 @@ _POOL_METHODS = frozenset({"submit", "map"})
 #: Function names (suffix match on the resolved target) treated as pool
 #: fan-out helpers whose first argument is the task function.
 _POOL_HELPERS = ("run_tasks",)
-
-#: asyncio spawn/schedule entry points, mapped to the index of the argument
-#: carrying the task (``call_later(delay, cb)``/``call_at(when, cb)`` put
-#: the callback second).
-_ASYNC_SPAWNERS: Dict[str, int] = {
-    "create_task": 0,
-    "ensure_future": 0,
-    "run_coroutine_threadsafe": 0,
-    "call_soon": 0,
-    "call_soon_threadsafe": 0,
-    "call_later": 1,
-    "call_at": 1,
-}
 
 
 class _FunctionResolver:
@@ -341,33 +319,6 @@ def _pool_task(call: ast.Call, resolver: _FunctionResolver) -> Optional[ast.AST]
     return None
 
 
-def _async_task(call: ast.Call, resolver: _FunctionResolver) -> Optional[ast.AST]:
-    """The task expression handed to an asyncio spawn/schedule call.
-
-    ``create_task(coro_fn(...))`` hands an already-started coroutine, so the
-    task function is the inner callee; ``call_soon(cb)`` passes the callback
-    itself.  Only expressions that resolve to an analyzed function count —
-    that keeps an unrelated ``obj.create_task(x)`` on a non-loop receiver
-    from minting edges out of thin air.
-    """
-    fn = call.func
-    if isinstance(fn, ast.Attribute):
-        name = fn.attr
-    elif isinstance(fn, ast.Name):
-        name = fn.id
-    else:
-        return None
-    index = _ASYNC_SPAWNERS.get(name)
-    if index is None or len(call.args) <= index:
-        return None
-    expr = call.args[index]
-    if isinstance(expr, ast.Call):
-        expr = expr.func
-    if resolver.resolve_callable(expr):
-        return expr
-    return None
-
-
 def build_call_graph(table: SymbolTable) -> CallGraph:
     """Resolve every call/reference site of every analyzed function."""
     graph = CallGraph(table=table)
@@ -401,9 +352,8 @@ def _resolve_body(graph: CallGraph, resolver: _FunctionResolver, fn: FunctionInf
             graph.add(Edge(fn.qname, nested.qname, EdgeKind.CALL, nested.lineno))
 
     called_nodes: Set[int] = set()
-    skip_calls: Set[int] = set()
     for node in _own_nodes(fn):
-        if not isinstance(node, ast.Call) or id(node) in skip_calls:
+        if not isinstance(node, ast.Call):
             continue
         called_nodes.add(id(node.func))
         target_expr = _thread_target(node, resolver)
@@ -411,18 +361,6 @@ def _resolve_body(graph: CallGraph, resolver: _FunctionResolver, fn: FunctionInf
             for dst in resolver.resolve_callable(target_expr):
                 graph.add(Edge(fn.qname, dst, EdgeKind.THREAD, node.lineno))
             called_nodes.add(id(target_expr))
-            continue
-        async_expr = _async_task(node, resolver)
-        if async_expr is not None:
-            for dst in resolver.resolve_callable(async_expr):
-                graph.add(Edge(fn.qname, dst, EdgeKind.ASYNC, node.lineno))
-            called_nodes.add(id(async_expr))
-            # create_task(coro_fn(...)): the inner coroutine call must not
-            # also mint a plain CALL edge — the task runs on the loop, not
-            # inline in the spawner
-            for arg in node.args:
-                if isinstance(arg, ast.Call) and arg.func is async_expr:
-                    skip_calls.add(id(arg))
             continue
         task_expr = _pool_task(node, resolver)
         if task_expr is not None:

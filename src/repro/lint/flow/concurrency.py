@@ -1,4 +1,4 @@
-"""Concurrency pass (``FLOW101-104``): races and impure process fan-out.
+"""Concurrency pass (``FLOW101-103``): races and impure process fan-out.
 
 The one real race this repo has shipped — ``Tracer.emit`` corruption from
 abandoned ``ResilientSolver`` timeout threads writing the shared record
@@ -27,15 +27,6 @@ after the fact.  This pass finds the pattern statically:
     draws from ambient/unseeded RNG (``np.random.*``, unseeded
     ``default_rng()``), so worker results depend on per-process RNG state
     instead of explicit seed parameters carried in the task tuple.
-``FLOW104``
-    **shared-state writes from asyncio tasks/service callbacks without a
-    lock** — the event-loop twin of ``FLOW101``.  The *task side* is
-    everything reachable from an ``asyncio.create_task``/``ensure_future``/
-    ``call_soon``/``call_later``/``call_at``/``run_coroutine_threadsafe``
-    spawn site; any ``await`` inside the main path is a point where a
-    scheduled task interleaves, so unlocked writes visible from both sides
-    corrupt state exactly like the thread case (and the lock that fixes it
-    is ``asyncio.Lock`` under ``async with``).
 
 Soundness limits are documented in DESIGN.md §11: lock detection is lexical
 (``with`` statements naming something lock-ish), receiver types resolve by
@@ -278,28 +269,22 @@ def _race_findings(
     graph: CallGraph,
     entry_points: Dict[str, List[str]],
     accesses_by_fn: Dict[str, List[Access]],
-    rule: str,
-    spawns: List,
-    spawn_kind: EdgeKind,
-    worker_label: str,
-    hint: str,
 ) -> List[Finding]:
-    """Shared-state race detection between one spawn kind and the main path.
+    """FLOW101: shared-state races between Thread targets and the main path.
 
-    FLOW101 (threads) and FLOW104 (asyncio tasks) are the same analysis with
-    a different worker side: the *worker side* is everything reachable from
-    a spawn site of ``spawn_kind``; the *main side* is everything reachable
-    from the entry points (plus the spawners themselves — the race partner
-    is whatever the spawner does after, or instead of, joining) via plain
-    calls.  Tracked state with an unlocked write visible from both sides is
-    a finding.
+    The *worker side* is everything reachable from a ``Thread(target=...)``
+    spawn site; the *main side* is everything reachable from the entry
+    points (plus the spawners themselves — the race partner is whatever the
+    spawner does after, or instead of, joining) via plain calls.  Tracked
+    state with an unlocked write visible from both sides is a finding.
     """
     table = graph.table
     findings: List[Finding] = []
+    spawns = graph.thread_spawns
     worker_roots = [e.dst for e in spawns]
     if not worker_roots:
         return findings
-    worker_side = _closure(graph, worker_roots, {EdgeKind.CALL, spawn_kind})
+    worker_side = _closure(graph, worker_roots, {EdgeKind.CALL, EdgeKind.THREAD})
     main_roots = [q for qs in entry_points.values() for q in qs]
     main_roots += [e.src for e in spawns]
     main_side = _closure(graph, main_roots, {EdgeKind.CALL})
@@ -333,7 +318,7 @@ def _race_findings(
         module = table.module_of(anchor.fn)
         if module is None:
             continue
-        if rule in suppressed_rules(module.line(anchor.lineno)):
+        if "FLOW101" in suppressed_rules(module.line(anchor.lineno)):
             continue
         kind, owner, name = state
         target = f"{owner}.{name}" if kind == "attr" else f"{owner}:{name}"
@@ -341,14 +326,14 @@ def _race_findings(
         main_fns = sorted({a.fn.split(":")[-1] for a in sides["main"]})
         findings.append(
             Finding(
-                rule=rule,
+                rule="FLOW101",
                 severity=Severity.ERROR,
                 message=(
                     f"shared mutable state {target} is written without a "
                     f"lock ({anchor.describe()} in {anchor.fn.split(':')[-1]}) "
-                    f"and is reachable from both {worker_label} "
+                    f"and is reachable from both a Thread target "
                     f"(via {', '.join(worker_fns[:3])}) and the main path "
-                    f"(via {', '.join(main_fns[:3])}); {hint}"
+                    f"(via {', '.join(main_fns[:3])}); guard every access with one lock"
                 ),
                 location=str(module.path),
                 line=anchor.lineno,
@@ -361,38 +346,12 @@ def _race_findings(
 def run_concurrency_pass(
     graph: CallGraph, entry_points: Dict[str, List[str]]
 ) -> List[Finding]:
-    """FLOW101/104 shared-state races + FLOW102/103 pool-task checks."""
+    """FLOW101 shared-state races + FLOW102/103 pool-task checks."""
     table = graph.table
-    findings: List[Finding] = []
     accesses_by_fn = _collect_all_accesses(table)
 
     # -- FLOW101: thread/main shared state -------------------------------
-    findings.extend(
-        _race_findings(
-            graph,
-            entry_points,
-            accesses_by_fn,
-            rule="FLOW101",
-            spawns=graph.thread_spawns,
-            spawn_kind=EdgeKind.THREAD,
-            worker_label="a Thread target",
-            hint="guard every access with one lock",
-        )
-    )
-
-    # -- FLOW104: asyncio-task/main shared state --------------------------
-    findings.extend(
-        _race_findings(
-            graph,
-            entry_points,
-            accesses_by_fn,
-            rule="FLOW104",
-            spawns=graph.async_spawns,
-            spawn_kind=EdgeKind.ASYNC,
-            worker_label="an asyncio task",
-            hint="guard every access with one asyncio.Lock under async with",
-        )
-    )
+    findings = _race_findings(graph, entry_points, accesses_by_fn)
 
     # -- FLOW102/103: pool task purity ------------------------------------
     seen: Set[Tuple[str, str]] = set()

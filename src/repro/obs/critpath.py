@@ -149,9 +149,8 @@ def _end(r: dict) -> float:
 
 
 def _attempt_detail(r: dict) -> str:
-    phase = "reduce" if r.get("reduce") else "map"
     return (
-        f"job {r.get('job')} {phase} task {r.get('task')} "
+        f"job {r.get('job')} map task {r.get('task')} "
         f"attempt {r.get('attempt')} @ machine {r.get('machine')}"
     )
 
@@ -247,11 +246,7 @@ def critical_path(records: Iterable[dict]) -> CriticalPath:
         job = current.get("job")
         pred = None
         for r in attempts:
-            if r is current or _end(r) > cursor + _EPS:
-                continue
-            same_machine = r.get("machine") == machine
-            same_job_for_reduce = current.get("reduce") and r.get("job") == job
-            if not (same_machine or same_job_for_reduce):
+            if r is current or _end(r) > cursor + _EPS or r.get("machine") != machine:
                 continue
             if pred is None or (_end(r), r.get("ts", 0.0)) > (_end(pred), pred.get("ts", 0.0)):
                 pred = r

@@ -49,8 +49,7 @@ def machine_table(records: List[dict]) -> str:
         return per.setdefault(
             int(machine),
             {
-                "attempts": 0, "reduces": 0, "kills": 0, "busy_s": 0.0,
-                "read_mb": 0.0, "remote_mb": 0.0,
+                "attempts": 0, "kills": 0, "busy_s": 0.0, "read_mb": 0.0, "remote_mb": 0.0,
             },
         )
 
@@ -58,21 +57,21 @@ def machine_table(records: List[dict]) -> str:
         cat, name = r.get("cat"), r.get("name")
         if r.get("type") == "span" and cat == "task" and r.get("machine") is not None:
             b = bucket(r["machine"])
-            b["reduces" if r.get("reduce") else "attempts"] += 1
+            b["attempts"] += 1
             b["busy_s"] += r.get("dur", 0.0)
         elif cat == "task" and name == "kill" and r.get("machine") is not None:
             bucket(r["machine"])["kills"] += 1
-        elif cat == "transfer" and name in ("read", "shuffle") and r.get("machine") is not None:
+        elif cat == "transfer" and name == "read" and r.get("machine") is not None:
             b = bucket(r["machine"])
             b["read_mb"] += r.get("mb", 0.0)
             if r.get("tier") not in (None, "local"):
                 b["remote_mb"] += r.get("mb", 0.0)
     if not per:
         return "no task records in trace"
-    headers = ["machine", "maps", "reduces", "kills", "busy s", "read MB", "non-local MB"]
+    headers = ["machine", "maps", "kills", "busy s", "read MB", "non-local MB"]
     rows = [
         (
-            m, int(b["attempts"]), int(b["reduces"]), int(b["kills"]),
+            m, int(b["attempts"]), int(b["kills"]),
             f"{b['busy_s']:.0f}", f"{b['read_mb']:.0f}", f"{b['remote_mb']:.0f}",
         )
         for m, b in sorted(per.items())

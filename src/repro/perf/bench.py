@@ -210,7 +210,6 @@ def _block_testbed(machines: int, n_stores: int, seed: int = 0):
             cpu_cost=it.cpu_cost_per_ecu_second(float(rng.uniform())),
             zone=zones[i % len(zones)],
             map_slots=max(1, it.cpus * 2),
-            reduce_slots=max(1, it.cpus),
             memory_gb=it.memory_gb,
             instance_type=it.name,
             with_store=(i < n_stores),

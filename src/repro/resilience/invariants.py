@@ -44,28 +44,24 @@ def check_sim_invariants(sim) -> List[InvariantViolation]:
 
     # task conservation: every task completed exactly once
     for job in sim.jobtracker.jobs.values():
-        if job.completed_maps != len(job.tasks) or job.completed_reduces != len(
-            job.reduce_tasks
-        ):
+        if job.completed_maps != len(job.tasks):
             out.append(
                 InvariantViolation(
                     "task_conservation",
-                    f"job {job.job.name!r}: maps {job.completed_maps}/{len(job.tasks)}, "
-                    f"reduces {job.completed_reduces}/{len(job.reduce_tasks)} completed",
+                    f"job {job.job.name!r}: maps {job.completed_maps}/{len(job.tasks)} completed",
                 )
             )
-        if job.pending or job.reduce_pending:
+        if job.pending:
             out.append(
                 InvariantViolation(
                     "queue_leak",
-                    f"job {job.job.name!r} still has "
-                    f"{len(job.pending)}+{len(job.reduce_pending)} pending tasks",
+                    f"job {job.job.name!r} still has {len(job.pending)} pending tasks",
                 )
             )
 
     # queue never leaks: no tracker still holds running attempts
     for tracker in sim.trackers:
-        if tracker.running or tracker.reduce_running:
+        if tracker.running:
             out.append(
                 InvariantViolation(
                     "queue_leak",

@@ -86,16 +86,12 @@ class TaskScheduler(abc.ABC):
         """Pick a task for a free slot on ``tracker`` (or decline)."""
 
     def select_reduce_task(self, tracker: TaskTracker, now: float) -> Optional[Assignment]:
-        """Pick a reduce for a free reduce slot (default: FIFO first-ready).
+        """Always ``None``: the simulator is map-only and never calls this.
 
-        Hadoop schedules reduces wherever slots free up ("reduce operations
-        are scheduled preferably close to their target data" is only a
-        preference); cost-aware schedulers override this.
+        Kept only because the benchmark's traced runs
+        (``perfbench/workloads.py``) wrap this hook by name; it goes when
+        they stop doing so.
         """
-        for job in self.sim.jobtracker.queue:
-            for task in job.reduce_pending:
-                if task.earliest_start <= now:
-                    return Assignment(job=job, task=task, source_store=None)
         return None
 
     @property

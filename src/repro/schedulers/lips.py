@@ -79,7 +79,6 @@ def build_zone_aggregate(cluster: Cluster) -> Cluster:
             cpu_cost=m.cpu_cost,
             zone=m.zone,
             map_slots=m.map_slots,
-            reduce_slots=m.reduce_slots,
             uptime=m.uptime,
             memory_gb=m.memory_gb,
             instance_type=m.instance_type,
@@ -352,39 +351,6 @@ class LipsScheduler(TaskScheduler):
         if ready < self._ready_at[machine_id]:
             self._ready_at[machine_id] = ready
         self._planned_keys.add(entry.task.key)
-
-    # -- reduce placement ----------------------------------------------------
-    def select_reduce_task(self, tracker: TaskTracker, now: float) -> Optional[Assignment]:
-        """Cost-optimal reduce placement.
-
-        Reduces are not part of the map co-scheduling LP (the paper's models
-        schedule map work); LiPS places each pending reduce on the tracker
-        minimising ``shuffle transfer $ + reduce CPU $``, declining the offer
-        when a strictly cheaper reduce slot is currently free elsewhere.
-        """
-        best = None
-        for job in self.sim.jobtracker.queue:
-            for task in job.reduce_pending:
-                if task.earliest_start > now:
-                    continue
-                cost = self._reduce_cost(task, tracker.machine_id)
-                if best is None or cost < best[0]:
-                    best = (cost, job, task)
-        if best is None:
-            return None
-        cost, job, task = best
-        for other in self.sim.trackers:
-            if other.machine_id == tracker.machine_id or not other.has_free_reduce_slot:
-                continue
-            if self._reduce_cost(task, other.machine_id) < cost - 1e-15:
-                return None  # let the cheaper tracker take it at its offer
-        return Assignment(job=job, task=task, source_store=None)
-
-    def _reduce_cost(self, task, machine_id: int) -> float:
-        machine = self.sim.cluster.machines[machine_id]
-        mm = self.sim.cluster.network.mm_cost
-        shuffle = sum(mb * mm[src, machine_id] for src, mb in task.shuffle_sources.items())
-        return shuffle + machine.execution_cost(task.cpu_seconds)
 
     # -- failure handling -----------------------------------------------------
     def on_machine_failed(self, machine_id: int, now: float) -> None:

@@ -31,7 +31,12 @@ from pathlib import Path
 from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro.cost.accounting import CostLedger, CostRecord
-from repro.workload.job import DataObject, Job
+from repro.workload.serialize import (  # noqa: F401 - the WAL's record codecs
+    data_from_dict,
+    data_to_dict,
+    job_from_dict,
+    job_to_dict,
+)
 
 FORMAT_WAL = "repro-serve-wal"
 FORMAT_SNAPSHOT = "repro-serve-snapshot"
@@ -49,47 +54,6 @@ PathLike = Union[str, Path]
 
 
 # -- field-level (de)serialisers ---------------------------------------------
-def job_to_dict(job: Job) -> Dict[str, Any]:
-    """Serialise one job (same field set as repro.workload.serialize)."""
-    return {
-        "job_id": job.job_id,
-        "name": job.name,
-        "tcp": job.tcp,
-        "data_ids": list(job.data_ids),
-        "num_tasks": job.num_tasks,
-        "cpu_seconds_noinput": job.cpu_seconds_noinput,
-        "arrival_time": job.arrival_time,
-        "pool": job.pool,
-        "app": job.app,
-        "priority": job.priority,
-        "num_reduces": job.num_reduces,
-        "shuffle_ratio": job.shuffle_ratio,
-        "reduce_cpu_per_mb": job.reduce_cpu_per_mb,
-        "read_fraction": job.read_fraction,
-    }
-
-
-def job_from_dict(payload: Dict[str, Any]) -> Job:
-    """Rebuild one job."""
-    return Job(**payload)
-
-
-def data_to_dict(obj: DataObject) -> Dict[str, Any]:
-    """Serialise one data object."""
-    return {
-        "data_id": obj.data_id,
-        "name": obj.name,
-        "size_mb": obj.size_mb,
-        "origin_store": obj.origin_store,
-        "block_mb": obj.block_mb,
-    }
-
-
-def data_from_dict(payload: Dict[str, Any]) -> DataObject:
-    """Rebuild one data object."""
-    return DataObject(**payload)
-
-
 def ledger_to_dicts(ledger: CostLedger) -> List[Dict[str, Any]]:
     """Serialise every cost record; ``repr``-exact floats via JSON."""
     return [

@@ -38,17 +38,11 @@ class AppProfile:
 
     ``cpu_per_block`` is Table I's equivalent-CPU-seconds per 64 MB block;
     ``None`` marks the input-less Pi estimator (the table's ∞ entry).
-
-    ``shuffle_ratio`` and ``reduce_cpu_per_mb`` parameterise the optional
-    reduce phase: grep emits almost nothing (<0.01% matches), WordCount
-    shuffles a word-count table, the stress readers emit small summaries.
     """
 
     name: str
     kind: str  # "I/O", "Mixed", or "CPU"
     cpu_per_block: Optional[float]
-    shuffle_ratio: float = 0.0
-    reduce_cpu_per_mb: float = 0.0
 
     @property
     def tcp(self) -> float:
@@ -63,24 +57,12 @@ class AppProfile:
         return self.cpu_per_block is None
 
 
-#: Paper Table I verbatim (shuffle parameters are our reduce-phase model).
+#: Paper Table I verbatim.
 APP_PROFILES: Dict[str, AppProfile] = {
-    "grep": AppProfile(
-        name="grep", kind="I/O", cpu_per_block=20.0,
-        shuffle_ratio=0.0001, reduce_cpu_per_mb=0.1,
-    ),
-    "stress1": AppProfile(
-        name="stress1", kind="I/O", cpu_per_block=37.0,
-        shuffle_ratio=0.01, reduce_cpu_per_mb=0.1,
-    ),
-    "stress2": AppProfile(
-        name="stress2", kind="Mixed", cpu_per_block=75.0,
-        shuffle_ratio=0.01, reduce_cpu_per_mb=0.1,
-    ),
-    "wordcount": AppProfile(
-        name="wordcount", kind="CPU", cpu_per_block=90.0,
-        shuffle_ratio=0.3, reduce_cpu_per_mb=0.5,
-    ),
+    "grep": AppProfile(name="grep", kind="I/O", cpu_per_block=20.0),
+    "stress1": AppProfile(name="stress1", kind="I/O", cpu_per_block=37.0),
+    "stress2": AppProfile(name="stress2", kind="Mixed", cpu_per_block=75.0),
+    "wordcount": AppProfile(name="wordcount", kind="CPU", cpu_per_block=90.0),
     "pi": AppProfile(name="pi", kind="CPU", cpu_per_block=None),
 }
 
@@ -110,20 +92,12 @@ def make_job(
     arrival_time: float = 0.0,
     pool: str = "default",
     name: Optional[str] = None,
-    num_reduces: int = 0,
 ) -> Job:
-    """Instantiate a job from a Table I application profile.
-
-    ``num_reduces > 0`` enables the reduce phase with the profile's shuffle
-    parameters (map-only remains the default — the paper's evaluation counts
-    map tasks).
-    """
+    """Instantiate a (map-only) job from a Table I application profile."""
     prof = app_profile(app)
     if prof.is_input_less:
         if data_ids:
             raise ValueError(f"{app} takes no input data")
-        if num_reduces:
-            raise ValueError(f"{app} has no shuffle output to reduce")
         return Job(
             job_id=job_id,
             name=name or f"{app}-{job_id}",
@@ -146,9 +120,6 @@ def make_job(
         arrival_time=arrival_time,
         pool=pool,
         app=app,
-        num_reduces=num_reduces,
-        shuffle_ratio=prof.shuffle_ratio if num_reduces else 0.0,
-        reduce_cpu_per_mb=prof.reduce_cpu_per_mb if num_reduces else 0.0,
     )
 
 

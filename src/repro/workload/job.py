@@ -84,12 +84,6 @@ class Job:
         Submission time in seconds (0 in the offline models).
     pool:
         FairScheduler pool name (user/class); informational for FIFO/LiPS.
-    num_reduces:
-        Reduce task count (0 = map-only, the scheduling models' focus).
-    shuffle_ratio:
-        Map-output bytes per input byte (drives shuffle traffic).
-    reduce_cpu_per_mb:
-        Equivalent-CPU-seconds a reducer spends per MB of shuffle input.
     read_fraction:
         Fraction of each accessed data object the job actually reads — the
         paper's partial-access extension ("fractional values in JD_ij").
@@ -106,9 +100,6 @@ class Job:
     pool: str = "default"
     app: str = "custom"
     priority: int = 0
-    num_reduces: int = 0
-    shuffle_ratio: float = 0.0
-    reduce_cpu_per_mb: float = 0.0
     read_fraction: float = 1.0
 
     def __post_init__(self) -> None:
@@ -118,10 +109,6 @@ class Job:
             raise ValueError(f"job {self.name!r}: needs at least one task")
         if self.cpu_seconds_noinput < 0:
             raise ValueError(f"job {self.name!r}: cpu_seconds_noinput must be >= 0")
-        if self.num_reduces < 0:
-            raise ValueError(f"job {self.name!r}: num_reduces must be >= 0")
-        if self.shuffle_ratio < 0 or self.reduce_cpu_per_mb < 0:
-            raise ValueError(f"job {self.name!r}: shuffle parameters must be >= 0")
         if not 0.0 < self.read_fraction <= 1.0:
             raise ValueError(f"job {self.name!r}: read_fraction must be in (0, 1]")
 
@@ -145,10 +132,6 @@ class Job:
         proportionally less work).
         """
         return self.tcp * self.total_read_mb(data) + self.cpu_seconds_noinput
-
-    def shuffle_mb(self, data: Sequence[DataObject]) -> float:
-        """Map-output MB shuffled to reducers."""
-        return self.shuffle_ratio * self.total_read_mb(data)
 
     def cpu_seconds_for(self, data_obj: DataObject) -> float:
         """CPU demand attributable to one of the job's data objects."""

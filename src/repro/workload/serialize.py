@@ -5,13 +5,18 @@ these helpers give them a stable, versioned on-disk form:
 
 * :func:`workload_to_dict` / :func:`workload_from_dict` (+ ``save/load``)
   round-trip every :class:`~repro.workload.job.Job` and
-  :class:`~repro.workload.job.DataObject` field;
+  :class:`~repro.workload.job.DataObject` field, one record at a time
+  through :func:`job_to_dict` / :func:`data_to_dict` (the service's WAL
+  and snapshots use the same four functions);
 * :func:`cluster_to_dict` / :func:`cluster_from_dict` rebuild a
   :class:`~repro.cluster.builder.Cluster` including zones, per-pair
   topology overrides and remote stores.
 
 The format is plain JSON with a ``format``/``version`` header; loading an
-unknown version fails loudly rather than guessing.
+unknown version fails loudly rather than guessing.  Files written before
+the reduce phase was removed still load: their ``num_reduces``,
+``shuffle_ratio``, ``reduce_cpu_per_mb`` and ``reduce_slots`` keys are
+dropped, and a job with ``num_reduces > 0`` is rejected.
 """
 
 from __future__ import annotations
@@ -31,41 +36,67 @@ VERSION = 1
 PathLike = Union[str, Path]
 
 
+# -- jobs and data objects -----------------------------------------------------
+def job_to_dict(job: Job) -> Dict[str, Any]:
+    """Serialise one job."""
+    return {
+        "job_id": job.job_id,
+        "name": job.name,
+        "tcp": job.tcp,
+        "data_ids": list(job.data_ids),
+        "num_tasks": job.num_tasks,
+        "cpu_seconds_noinput": job.cpu_seconds_noinput,
+        "arrival_time": job.arrival_time,
+        "pool": job.pool,
+        "app": job.app,
+        "priority": job.priority,
+        "read_fraction": job.read_fraction,
+    }
+
+
+def job_from_dict(payload: Dict[str, Any]) -> Job:
+    """Rebuild one job, accepting the reduce keys of older files.
+
+    A job written with ``num_reduces == 0`` ran map-only, and its
+    ``shuffle_ratio`` and ``reduce_cpu_per_mb`` were never read, so all
+    three keys are dropped.  A job that had reduces cannot run here.
+    """
+    fields = dict(payload)
+    reduces = fields.pop("num_reduces", 0)
+    if reduces:
+        raise ValueError(
+            f"job {fields.get('name')!r} has num_reduces={reduces}; "
+            "the simulator runs map-only jobs"
+        )
+    fields.pop("shuffle_ratio", None)
+    fields.pop("reduce_cpu_per_mb", None)
+    return Job(**fields)
+
+
+def data_to_dict(obj: DataObject) -> Dict[str, Any]:
+    """Serialise one data object."""
+    return {
+        "data_id": obj.data_id,
+        "name": obj.name,
+        "size_mb": obj.size_mb,
+        "origin_store": obj.origin_store,
+        "block_mb": obj.block_mb,
+    }
+
+
+def data_from_dict(payload: Dict[str, Any]) -> DataObject:
+    """Rebuild one data object."""
+    return DataObject(**payload)
+
+
 # -- workloads ----------------------------------------------------------------
 def workload_to_dict(workload: Workload) -> Dict[str, Any]:
     """Serialise a workload to a JSON-ready dict."""
     return {
         "format": FORMAT_WORKLOAD,
         "version": VERSION,
-        "data": [
-            {
-                "data_id": d.data_id,
-                "name": d.name,
-                "size_mb": d.size_mb,
-                "origin_store": d.origin_store,
-                "block_mb": d.block_mb,
-            }
-            for d in workload.data
-        ],
-        "jobs": [
-            {
-                "job_id": j.job_id,
-                "name": j.name,
-                "tcp": j.tcp,
-                "data_ids": list(j.data_ids),
-                "num_tasks": j.num_tasks,
-                "cpu_seconds_noinput": j.cpu_seconds_noinput,
-                "arrival_time": j.arrival_time,
-                "pool": j.pool,
-                "app": j.app,
-                "priority": j.priority,
-                "num_reduces": j.num_reduces,
-                "shuffle_ratio": j.shuffle_ratio,
-                "reduce_cpu_per_mb": j.reduce_cpu_per_mb,
-                "read_fraction": j.read_fraction,
-            }
-            for j in workload.jobs
-        ],
+        "data": [data_to_dict(d) for d in workload.data],
+        "jobs": [job_to_dict(j) for j in workload.jobs],
     }
 
 
@@ -81,8 +112,8 @@ def _check_header(payload: Dict[str, Any], expected_format: str) -> None:
 def workload_from_dict(payload: Dict[str, Any]) -> Workload:
     """Rebuild a workload from its dict form."""
     _check_header(payload, FORMAT_WORKLOAD)
-    data = [DataObject(**d) for d in payload["data"]]
-    jobs = [Job(**j) for j in payload["jobs"]]
+    data = [data_from_dict(d) for d in payload["data"]]
+    jobs = [job_from_dict(j) for j in payload["jobs"]]
     return Workload(jobs=jobs, data=data)
 
 
@@ -125,7 +156,6 @@ def cluster_to_dict(cluster: Cluster) -> Dict[str, Any]:
                 "cpu_cost": m.cpu_cost,
                 "zone": m.zone,
                 "map_slots": m.map_slots,
-                "reduce_slots": m.reduce_slots,
                 "uptime": m.uptime,
                 "memory_gb": m.memory_gb,
                 "instance_type": m.instance_type,
@@ -170,7 +200,6 @@ def cluster_from_dict(payload: Dict[str, Any]) -> Cluster:
             cpu_cost=m["cpu_cost"],
             zone=m["zone"],
             map_slots=m["map_slots"],
-            reduce_slots=m["reduce_slots"],
             uptime=m["uptime"],
             memory_gb=m["memory_gb"],
             instance_type=m["instance_type"],

@@ -7,9 +7,9 @@ the file the paper replays) are tab-separated with one job per line::
 
 This module converts such files into :class:`~repro.workload.job.Workload`
 objects: map counts derive from input bytes at one 64 MB block per map,
-shuffle ratios from the shuffle/input byte ratio, and the compute profile
-(CPU per input byte) is assigned per job from the Table I app mix since the
-trace carries no CPU information.
+and the compute profile (CPU per input byte) is assigned per job from the
+Table I app mix since the trace carries no CPU information.  Jobs are
+map-only: the shuffle and output columns are parsed but not replayed.
 
 The repository ships no trace (SWIM's files are third-party); tests build
 synthetic TSVs with the same schema, and
@@ -80,15 +80,13 @@ def workload_from_swim(
     rows: Sequence[SwimTraceRow],
     num_origin_stores: int = 1,
     app_mix: Optional[Sequence[Tuple[str, float]]] = None,
-    reduces_per_job: int = 0,
     seed: int = 0,
 ) -> Workload:
     """Build a workload from parsed trace rows.
 
     ``app_mix`` assigns a Table I compute profile to each job (the trace
     has bytes but no CPU); default mirrors the synthesiser's FB-like mix,
-    excluding the input-less Pi profile.  ``reduces_per_job > 0`` turns on
-    the reduce phase with the trace's own shuffle ratio.
+    excluding the input-less Pi profile.
     """
     if num_origin_stores < 1:
         raise ValueError("num_origin_stores must be >= 1")
@@ -117,11 +115,6 @@ def workload_from_swim(
             origin_store=len(data) % num_origin_stores,
         )
         data.append(d)
-        shuffle_ratio = (
-            min(4.0, row.shuffle_bytes / row.map_input_bytes)
-            if row.map_input_bytes > 0
-            else 0.0
-        )
         jobs.append(
             Job(
                 job_id=len(jobs),
@@ -132,9 +125,6 @@ def workload_from_swim(
                 arrival_time=max(0.0, row.submit_time_s),
                 pool=_size_class(maps),
                 app=prof.name,
-                num_reduces=reduces_per_job,
-                shuffle_ratio=shuffle_ratio if reduces_per_job else 0.0,
-                reduce_cpu_per_mb=prof.reduce_cpu_per_mb if reduces_per_job else 0.0,
             )
         )
     return Workload(jobs=jobs, data=data)

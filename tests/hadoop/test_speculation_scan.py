@@ -32,7 +32,7 @@ def reference_candidate(queue, now, max_copies=2, min_elapsed=60.0):
         if job.pending:
             continue
         for _key, attempts in job.running.items():
-            live = [a for a in attempts if not a.killed and not a.task.is_reduce]
+            live = [a for a in attempts if not a.killed]
             if not live or len(live) >= max_copies:
                 continue
             primary = live[0]
@@ -50,10 +50,7 @@ def random_queue(rng):
     for j in range(rng.randint(1, 5)):
         job = Job(job_id=j, name=f"j{j}", tcp=0.0, num_tasks=1, cpu_seconds_noinput=1.0)
         tasks = [
-            SimTask(
-                job_id=j, task_index=i, input_mb=0.0, cpu_seconds=1.0,
-                is_reduce=rng.random() < 0.2,
-            )
+            SimTask(job_id=j, task_index=i, input_mb=0.0, cpu_seconds=1.0)
             for i in range(rng.randint(1, 8))
         ]
         state = JobState(job=job, tasks=tasks)

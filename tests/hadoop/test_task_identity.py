@@ -52,7 +52,7 @@ def cluster():
     for i in range(4):
         b.add_machine(
             f"m{i}", ecu=2.0, cpu_cost=1e-5, zone="za" if i < 2 else "zb",
-            map_slots=2, reduce_slots=1,
+            map_slots=2,
         )
     return b.build()
 
@@ -64,26 +64,23 @@ def mixed_workload():
     ]
     jobs = [
         Job(job_id=0, name="scan", tcp=1.0, data_ids=[0], num_tasks=10),
-        make_job("wordcount", 1, data_ids=[1], num_tasks=5, num_reduces=2),
+        make_job("wordcount", 1, data_ids=[1], num_tasks=5),
         Job(job_id=2, name="pi", tcp=0.0, num_tasks=6, cpu_seconds_noinput=600.0,
             arrival_time=30.0),
     ]
     return Workload(jobs=jobs, data=data)
 
 
-def pi_job(job_id=0, tasks=2, reduces=0):
+def pi_job(job_id=0, tasks=2):
     return Job(
         job_id=job_id, name=f"pi{job_id}", tcp=0.0, num_tasks=tasks,
-        cpu_seconds_noinput=10.0 * tasks, num_reduces=reduces,
+        cpu_seconds_noinput=10.0 * tasks,
     )
 
 
 def finish_all(jt, state, tasks, tracker, now):
     for task in tasks:
-        if task.is_reduce:
-            state.reduce_pending.remove(task)
-        else:
-            state.take_pending(task)
+        state.take_pending(task)
         attempt = jt.new_attempt(state, task, tracker, None, now, 0.0, 1.0)
         jt.finish_attempt(state, attempt, now)
 
@@ -121,19 +118,6 @@ class TestQueue:
         finish_all(jt, second, list(second.pending), tracker, now=9.0)
         assert jt.queue == [] and jt.all_complete()
         assert jt.makespan() == 9.0  # read from jobs, not the drained queue
-
-    def test_job_with_reduces_stays_until_reduces_finish(self, cluster, tracker_env):
-        jt, tracker = tracker_env
-        w = Workload(jobs=[pi_job(0, tasks=2, reduces=2)], data=[])
-        state = jt.submit(w.jobs[0], w, now=0.0)
-        finish_all(jt, state, list(state.pending), tracker, now=5.0)
-        assert state.maps_complete and jt.queue == [state]  # reduces not created
-        reduces = jt.create_reduces(state)
-        assert len(reduces) == 2 and jt.queue == [state]
-        finish_all(jt, state, reduces[:1], tracker, now=7.0)
-        assert jt.queue == [state]
-        finish_all(jt, state, reduces[1:], tracker, now=8.0)
-        assert jt.queue == [] and state.finish_time == 8.0
 
     def test_job_without_blocks_never_queues(self, cluster):
         # an input job over empty data expands to no tasks: it is complete

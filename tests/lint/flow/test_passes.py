@@ -23,7 +23,6 @@ RULE_FIXTURES = [
     ("FLOW101", "flow101", ["run"]),
     ("FLOW102", "flow102", []),
     ("FLOW103", "flow103", []),
-    ("FLOW104", "flow104", ["run"]),
     ("FLOW201", "flow201", []),
 ]
 
@@ -51,17 +50,6 @@ def test_tracer_race_fixture_flags_the_unlocked_write():
     assert finding.severity is Severity.ERROR
     assert "Recorder.records" in finding.message
     assert "Thread target" in finding.message
-
-
-def test_async_task_fixture_flags_the_unlocked_write():
-    """Satellite: service callbacks racing the main path through the loop."""
-    report = analyze_paths([FIXTURES / "flow104_bad.py"], entry_points=["run"])
-    [finding] = report.findings
-    assert finding.rule == "FLOW104"
-    assert finding.severity is Severity.ERROR
-    assert "Gauge.samples" in finding.message
-    assert "asyncio task" in finding.message
-    assert "asyncio.Lock" in finding.message
 
 
 def test_pool_rng_fixture_names_the_unseeded_site():

@@ -13,15 +13,13 @@ TRACE = [
      "presolve_fixed_vars": 1, "presolve_dropped_rows": 0,
      "presolve_applied": True},
     {"type": "span", "cat": "task", "name": "attempt", "ts": 1.0, "dur": 9.0,
-     "machine": 0, "job": 0, "reduce": False},
+     "machine": 0, "job": 0},
     {"type": "span", "cat": "task", "name": "attempt", "ts": 2.0, "dur": 5.0,
-     "machine": 1, "job": 0, "reduce": True},
+     "machine": 1, "job": 0},
     {"type": "event", "cat": "task", "name": "kill", "ts": 3.0, "machine": 0,
      "job": 0, "detail": "killed-speculative"},
     {"type": "event", "cat": "transfer", "name": "read", "ts": 1.0,
      "machine": 0, "store": 1, "mb": 64.0, "tier": "remote"},
-    {"type": "event", "cat": "transfer", "name": "shuffle", "ts": 2.0,
-     "machine": 1, "mb": 16.0, "tier": "shuffle"},
 ]
 
 
@@ -60,7 +58,7 @@ class TestMachineTable:
         assert len(lines) == 2  # machines 0 and 1
         m0 = lines[0].split("|")
         assert m0[1].strip() == "1"  # one map attempt
-        assert m0[3].strip() == "1"  # one kill
+        assert m0[2].strip() == "1"  # one kill
 
     def test_remote_mb_excludes_local(self):
         trace = TRACE + [
@@ -70,7 +68,7 @@ class TestMachineTable:
         out = machine_table(trace)
         row0 = next(l for l in out.splitlines() if l.startswith("0"))
         cols = [c.strip() for c in row0.split("|")]
-        assert cols[5] == "164" and cols[6] == "64"
+        assert cols[4] == "164" and cols[5] == "64"
 
 
 class TestRender:

@@ -28,6 +28,7 @@ import pytest
 
 from repro.cluster.builder import build_paper_testbed
 from repro.hadoop.failures import FailurePlan
+from repro.hadoop.history import AttemptRecord
 from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.resilience.chaos import ChaosPlan, ReadFaultEvent
 from repro.schedulers import (
@@ -135,12 +136,18 @@ def _plain(value):
     return float(value)
 
 
+#: where attempt records held an ``is_reduce`` flag (always False) when the
+#: golden digests were recorded; the hashed tuple keeps that layout
+_RETIRED_FLAG_AT = [f.name for f in dataclasses.fields(AttemptRecord)].index("outcome") + 1
+
+
 def fingerprint(sim: HadoopSimulator) -> dict:
     """Cost, makespan and a sha256 over every attempt record, in order."""
     digest = hashlib.sha256()
     for record in sim.history.records:
-        fields = tuple(_plain(v) for v in dataclasses.astuple(record))
-        digest.update(repr(fields).encode())
+        fields = [_plain(v) for v in dataclasses.astuple(record)]
+        fields.insert(_RETIRED_FLAG_AT, False)
+        digest.update(repr(tuple(fields)).encode())
         digest.update(b"\n")
     return {
         "cost": repr(float(sim.metrics.total_cost)),

@@ -171,12 +171,40 @@ class TestStateCodecs:
             num_tasks=5,
             arrival_time=312.5,
             pool="etl",
-            num_reduces=2,
-            shuffle_ratio=0.4,
-            reduce_cpu_per_mb=0.01,
             read_fraction=0.75,
         )
         assert job_from_dict(job_to_dict(job)) == job
+
+    def test_parent_wal_admission_record_loads(self, tmp_path):
+        # an admission record as written before the reduce phase was removed
+        line = (
+            '{"seq": 2, "type": "admission", "job": {"job_id": 0, "name": "serve-job-0", '
+            '"tcp": 1.3042240826119438, "data_ids": [0], "num_tasks": 4, '
+            '"cpu_seconds_noinput": 0.0, "arrival_time": 495.6703579933351, '
+            '"pool": "default", "app": "custom", "priority": 0, "num_reduces": 0, '
+            '"shuffle_ratio": 0.0, "reduce_cpu_per_mb": 0.0, "read_fraction": 1.0}, '
+            '"data": {"data_id": 0, "name": "serve-d0", "size_mb": 244.47406894729852, '
+            '"origin_store": 2, "block_mb": 64.0}, "admitted": true, "reason": null, '
+            '"ts": 540.0}'
+        )
+        path = tmp_path / "wal.jsonl"
+        path.write_text('{"seq": 0, "type": "start"}\n{"seq": 1, "type": "start"}\n' + line + "\n")
+        [record] = [r for r in read_wal(path) if r["type"] == REC_ADMISSION]
+        assert job_from_dict(record["job"]) == Job(
+            job_id=0,
+            name="serve-job-0",
+            tcp=1.3042240826119438,
+            data_ids=[0],
+            num_tasks=4,
+            arrival_time=495.6703579933351,
+        )
+        assert "num_reduces" not in job_to_dict(job_from_dict(record["job"]))
+
+    def test_job_with_reduces_rejected(self):
+        payload = job_to_dict(Job(job_id=3, name="wc", tcp=1.0, data_ids=[0]))
+        payload["num_reduces"] = 2
+        with pytest.raises(ValueError, match="'wc'.*num_reduces=2"):
+            job_from_dict(payload)
 
     def test_data_round_trip_is_exact(self):
         obj = DataObject(data_id=1, name="logs", size_mb=96.5, origin_store=2)

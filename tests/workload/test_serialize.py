@@ -38,19 +38,13 @@ class TestWorkloadRoundTrip:
         assert [j.arrival_time for j in w2.jobs] == [j.arrival_time for j in w.jobs]
         assert [j.pool for j in w2.jobs] == [j.pool for j in w.jobs]
 
-    def test_reduce_and_partial_fields_survive(self):
-        from repro.workload.apps import make_job
+    def test_partial_fields_survive(self):
         from repro.workload.job import DataObject, Job, Workload
 
         data = [DataObject(data_id=0, name="d", size_mb=128.0, origin_store=0)]
-        jobs = [
-            make_job("wordcount", 0, data_ids=[0], num_tasks=2, num_reduces=3),
-            Job(job_id=1, name="p", tcp=1.0, data_ids=[0], read_fraction=0.4),
-        ]
+        jobs = [Job(job_id=0, name="p", tcp=1.0, data_ids=[0], read_fraction=0.4)]
         w2 = workload_from_dict(workload_to_dict(Workload(jobs=jobs, data=data)))
-        assert w2.jobs[0].num_reduces == 3
-        assert w2.jobs[0].shuffle_ratio == pytest.approx(0.3)
-        assert w2.jobs[1].read_fraction == pytest.approx(0.4)
+        assert w2.jobs[0].read_fraction == pytest.approx(0.4)
 
     def test_file_roundtrip(self, tmp_path):
         w = table4_jobs()
@@ -70,6 +64,83 @@ class TestWorkloadRoundTrip:
         payload["version"] = 99
         with pytest.raises(ValueError, match="version"):
             workload_from_dict(payload)
+
+
+#: files as written before the reduce phase was removed: every job carries
+#: the three reduce keys and every machine a reduce_slots count
+PARENT_WORKLOAD = """{"format": "repro-workload", "version": 1,
+ "data": [{"data_id": 0, "name": "logs", "size_mb": 128.0, "origin_store": 0, "block_mb": 64.0}],
+ "jobs": [
+  {"job_id": 0, "name": "grep-0", "tcp": 0.3125, "data_ids": [0], "num_tasks": 2,
+   "cpu_seconds_noinput": 0.0, "arrival_time": 30.0, "pool": "default", "app": "grep",
+   "priority": 0, "num_reduces": 0, "shuffle_ratio": 0.0, "reduce_cpu_per_mb": 0.0,
+   "read_fraction": 1.0},
+  {"job_id": 1, "name": "pi-1", "tcp": 0.0, "data_ids": [], "num_tasks": 2,
+   "cpu_seconds_noinput": 600.0, "arrival_time": 0.0, "pool": "default", "app": "pi",
+   "priority": 0, "num_reduces": 0, "shuffle_ratio": 0.0, "reduce_cpu_per_mb": 0.0,
+   "read_fraction": 1.0}]}"""
+
+PARENT_CLUSTER = """{"format": "repro-cluster", "version": 1,
+ "topology": {
+  "zones": [{"name": "za", "intra_bandwidth_mbps": 500.0, "rtt_ms": 0.5},
+            {"name": "zb", "intra_bandwidth_mbps": 500.0, "rtt_ms": 0.5}],
+  "inter_bandwidth_mbps": 250.0, "bandwidth_overrides": [], "rtt_overrides": []},
+ "machines": [
+  {"name": "m0", "ecu": 2.0, "cpu_cost": 1e-05, "zone": "za", "map_slots": 2,
+   "reduce_slots": 1, "uptime": 3600.0, "memory_gb": 1.7, "instance_type": "custom"},
+  {"name": "c1.medium-zb-001", "ecu": 5.0, "cpu_cost": 1.1000000000000001e-05, "zone": "zb",
+   "map_slots": 4, "reduce_slots": 2, "uptime": 3600.0, "memory_gb": 1.7,
+   "instance_type": "c1.medium"}],
+ "stores": [
+  {"name": "dn-m0", "capacity_mb": 163840.0, "zone": "za", "colocated_machine": 0},
+  {"name": "dn-c1.medium-zb-001", "capacity_mb": 358400.0, "zone": "zb", "colocated_machine": 1},
+  {"name": "s3", "capacity_mb": 5000.0, "zone": "zb", "colocated_machine": null}]}"""
+
+
+class TestParentFormatFiles:
+    def test_workload_with_reduce_keys_loads_map_only(self, tmp_path):
+        from repro.workload.apps import make_job
+        from repro.workload.job import DataObject
+
+        p = tmp_path / "w.json"
+        p.write_text(PARENT_WORKLOAD)
+        w = load_workload(p)
+        assert w.data == [DataObject(data_id=0, name="logs", size_mb=128.0, origin_store=0)]
+        assert w.jobs == [
+            make_job("grep", 0, data_ids=[0], num_tasks=2, arrival_time=30.0),
+            make_job("pi", 1, num_tasks=2),
+        ]
+        # re-saving drops the reduce keys; the format version stays
+        save_workload(w, p)
+        saved = json.loads(p.read_text())
+        assert saved["version"] == 1
+        assert not {"num_reduces", "shuffle_ratio", "reduce_cpu_per_mb"} & set(saved["jobs"][0])
+
+    def test_workload_job_with_reduces_rejected(self):
+        payload = json.loads(PARENT_WORKLOAD)
+        payload["jobs"][0]["num_reduces"] = 2
+        with pytest.raises(ValueError, match="'grep-0'.*num_reduces=2"):
+            workload_from_dict(payload)
+
+    def test_cluster_with_reduce_slots_loads(self, tmp_path):
+        from repro.cluster.builder import ClusterBuilder
+        from repro.cluster.topology import Topology
+
+        p = tmp_path / "c.json"
+        p.write_text(PARENT_CLUSTER)
+        c = load_cluster(p)
+        b = ClusterBuilder(topology=Topology.of(["za", "zb"]))
+        b.add_machine("m0", ecu=2.0, cpu_cost=1e-5, zone="za")
+        b.add_ec2_nodes("c1.medium", 1, "zb")
+        b.add_remote_store("s3", capacity_mb=5000.0, zone="zb")
+        expected = b.build()
+        assert c.machines == expected.machines
+        assert c.stores == expected.stores
+        assert np.array_equal(c.network.ms_cost, expected.network.ms_cost)
+        assert np.array_equal(c.network.ss_cost, expected.network.ss_cost)
+        assert np.array_equal(c.network.bandwidth, expected.network.bandwidth)
+        save_cluster(c, p)
+        assert all("reduce_slots" not in m for m in json.loads(p.read_text())["machines"])
 
 
 class TestRoundTripProperty:

@@ -28,6 +28,7 @@ class TestParse:
         rows = parse_swim_tsv(p)
         assert len(rows) == 2
         assert rows[0].map_input_bytes == 128 * MB
+        assert rows[0].shuffle_bytes == 10 * MB
         assert rows[1].submit_time_s == 60.0
 
     def test_blank_lines_skipped(self, tmp_path):
@@ -74,15 +75,13 @@ class TestConvert:
         assert pools["swim-a"] == "interactive"
         assert pools["swim-c"] == "medium"
 
-    def test_shuffle_ratio_from_trace(self):
-        w = workload_from_swim(self._rows(), reduces_per_job=2)
-        job_a = next(j for j in w.jobs if j.name == "swim-a")
-        assert job_a.num_reduces == 2
-        assert job_a.shuffle_ratio == pytest.approx(38 / 128)
-
     def test_map_only_by_default(self):
-        w = workload_from_swim(self._rows())
-        assert all(j.num_reduces == 0 for j in w.jobs)
+        # the shuffle and output columns are parsed but change no job
+        rows = self._rows()
+        bare = [
+            SwimTraceRow(r.job_name, r.submit_time_s, r.map_input_bytes, 0.0, 0.0) for r in rows
+        ]
+        assert workload_from_swim(rows).jobs == workload_from_swim(bare).jobs
 
     def test_app_mix_validation(self):
         with pytest.raises(ValueError, match="sum to 1"):
