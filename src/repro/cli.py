@@ -249,8 +249,8 @@ def add_solver_flags(parser: argparse.ArgumentParser) -> None:
         type=float,
         metavar="SECONDS",
         default=None,
-        help="per-solve wall-clock budget; a timed-out solve is retried, "
-        "then handed to the next backend",
+        help="per-solve wall-clock budget, enforced by HiGHS's own time "
+        "limit; a timed-out solve is retried, then handed to the next backend",
     )
     group.add_argument(
         "--solver-retries",
@@ -283,12 +283,11 @@ def install_resilient_solver(args) -> Optional[object]:
     from repro.lp import HighsBackend, SimplexBackend, set_default_backend
     from repro.resilience import ResilientSolver
 
-    backends: List[object] = [HighsBackend()]
+    backends: List[object] = [HighsBackend(time_limit_s=args.solver_timeout)]
     if args.solver_fallback:
         backends.append(SimplexBackend())
     solver = ResilientSolver(
         backends,
-        timeout_s=args.solver_timeout,
         max_retries=2 if args.solver_retries is None else args.solver_retries,
     )
     return set_default_backend(solver)
@@ -504,7 +503,8 @@ def build_chaos_parser() -> argparse.ArgumentParser:
         type=float,
         metavar="SECONDS",
         default=None,
-        help="per-solve wall-clock budget inside the soak's solver chain",
+        help="per-solve wall-clock budget of the soak chain's HiGHS backend "
+        "(HiGHS's own time limit)",
     )
     parser.add_argument(
         "--solver-retries",

@@ -45,7 +45,7 @@ class Finding:
     #: 1-based line for AST findings; None for model findings
     line: Optional[int] = None
     #: stable anchor for baseline matching (flow findings: the function
-    #: qname or shared-state token the finding is about); None elsewhere
+    #: qname the finding is about); None elsewhere
     symbol: Optional[str] = None
 
     def to_dict(self) -> dict:

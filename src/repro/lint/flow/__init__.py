@@ -9,9 +9,7 @@ builds a *program-level* view of ``src/repro`` — a module symbol table
   ambient/unseeded RNG, wall-clock reads and order-unstable iteration in
   any function reachable from the simulation/solve entry points
   (``HadoopSimulator.run``, ``solve_co_online``, ``EpochController.run``);
-* **concurrency** (:mod:`repro.lint.flow.concurrency`, ``FLOW101-103``) —
-  shared mutable state reachable from both a ``threading.Thread`` target
-  (the daemon LP-solve worker) and the main path without a lock held, plus
+* **concurrency** (:mod:`repro.lint.flow.concurrency`, ``FLOW102-103``) —
   process-pool task purity and seed-carrying checks (the dataflow-backed
   upgrade of syntactic rule ``AST006``);
 * **units** (:mod:`repro.lint.flow.units`, ``FLOW201``) — a lightweight
@@ -20,7 +18,7 @@ builds a *program-level* view of ``src/repro`` — a module symbol table
   ``+``/``-``/comparison arithmetic.
 
 Findings flow through the shared :class:`repro.lint.findings.Finding`
-vocabulary, honour the same per-line suppressions (``# lint: ok=FLOW101``)
+vocabulary, honour the same per-line suppressions (``# lint: ok=FLOW102``)
 and can be grandfathered in a repo-root baseline file
 (:mod:`repro.lint.flow.baseline`).  CLI: ``python -m repro lint --flow``.
 """

@@ -11,17 +11,17 @@ suppression comment at every site.  The baseline file
       "version": 1,
       "entries": [
         {
-          "rule": "FLOW101",
-          "path": "src/repro/obs/trace.py",
-          "symbol": "repro.obs.trace:_current",
-          "reason": "module-global rebind is a single atomic STORE_GLOBAL"
+          "rule": "FLOW102",
+          "path": "src/repro/experiments/common.py",
+          "symbol": "repro.experiments.common:_scheduler_task",
+          "reason": "lpprof state stays process-local by design"
         }
       ]
     }
 
 Matching is deliberately line-number-free — entries key on
 ``(rule, path suffix, symbol)`` where *symbol* is the finding's stable
-anchor (function qname or shared-state token), so ordinary code churn does
+anchor (a function qname), so ordinary code churn does
 not invalidate the baseline.  Every entry **must** carry a non-empty
 ``reason``; entries that no longer match anything are reported as *stale*
 so the file cannot silently rot.  ``python -m repro lint --flow

@@ -1,9 +1,9 @@
 """Interprocedural call graph over a :class:`~repro.lint.flow.symbols.SymbolTable`.
 
 Edges are *over-approximate* by design: the flow passes use reachability to
-decide which functions execute on the simulation path or on a spawned
-thread, and a missed edge silently hides a finding while a spurious edge at
-worst widens the audit surface.  Resolution strategy, in order:
+decide which functions execute on the simulation path or in a pool worker,
+and a missed edge silently hides a finding while a spurious edge at worst
+widens the audit surface.  Resolution strategy, in order:
 
 1. **Direct names** — calls to module-level functions of the same module,
    from-imported functions of analyzed modules, and nested functions.
@@ -18,14 +18,10 @@ worst widens the audit surface.  Resolution strategy, in order:
    callbacks execute eventually, and reachability must follow them.
 6. **Nested defs** — defining a closure counts as potentially running it.
 
-Two special edge kinds are recorded alongside plain calls:
-
-* ``THREAD`` — ``threading.Thread(target=X)`` spawn sites;
-* ``POOL`` — process/executor fan-out (``pool.submit(f)``, ``pool.map(f)``,
-  :func:`repro.experiments.parallel.run_tasks`).
-
-The concurrency pass walks THREAD edges to build the "worker side" of the
-program and POOL edges to find task functions whose purity matters.
+One special edge kind is recorded alongside plain calls: ``POOL`` —
+process/executor fan-out (``pool.submit(f)``, ``pool.map(f)``,
+:func:`repro.experiments.parallel.run_tasks`).  The concurrency pass walks
+POOL edges to find task functions whose purity matters.
 """
 
 from __future__ import annotations
@@ -42,7 +38,6 @@ class EdgeKind(enum.Enum):
     """How control can flow from one function to another."""
 
     CALL = "call"
-    THREAD = "thread"  #: dst runs on a spawned thread
     POOL = "pool"  #: dst runs in a worker process
 
 
@@ -58,12 +53,10 @@ class Edge:
 
 @dataclass
 class CallGraph:
-    """Edges plus the thread/pool dispatch indexes the passes need."""
+    """Edges plus the pool dispatch index the concurrency pass needs."""
 
     table: SymbolTable
     edges: Dict[str, List[Edge]] = field(default_factory=dict)
-    #: (spawning function, target qname, lineno) per Thread(target=...) site
-    thread_spawns: List[Edge] = field(default_factory=list)
     #: (dispatching function, task qname, lineno) per pool fan-out site
     pool_dispatches: List[Edge] = field(default_factory=list)
 
@@ -74,9 +67,7 @@ class CallGraph:
             if existing.dst == edge.dst and existing.kind == edge.kind:
                 return
         bucket.append(edge)
-        if edge.kind is EdgeKind.THREAD:
-            self.thread_spawns.append(edge)
-        elif edge.kind is EdgeKind.POOL:
+        if edge.kind is EdgeKind.POOL:
             self.pool_dispatches.append(edge)
 
     @property
@@ -95,17 +86,14 @@ class CallGraph:
         self,
         roots: Iterable[str],
         kinds: Optional[Set[EdgeKind]] = None,
-        follow_spawns: bool = True,
     ) -> Dict[str, Optional[str]]:
         """BFS closure from ``roots``; returns ``{qname: predecessor}``.
 
         ``kinds`` filters which edges are followed (default: all — code a
-        spawned thread or pool worker runs is still code the program runs).
-        ``follow_spawns=False`` restricts to plain CALL edges, giving the
-        "main path only" view the concurrency pass contrasts against.
+        pool worker runs is still code the program runs).
         """
         if kinds is None:
-            kinds = set(EdgeKind) if follow_spawns else {EdgeKind.CALL}
+            kinds = set(EdgeKind)
         parents: Dict[str, Optional[str]] = {}
         queue: List[str] = []
         for root in roots:
@@ -289,20 +277,6 @@ class _FunctionResolver:
         return []
 
 
-def _thread_target(call: ast.Call, resolver: _FunctionResolver) -> Optional[ast.AST]:
-    """The ``target=`` expression of a ``threading.Thread(...)`` call."""
-    fn = call.func
-    is_thread = (isinstance(fn, ast.Name) and fn.id == "Thread") or (
-        isinstance(fn, ast.Attribute) and fn.attr == "Thread"
-    )
-    if not is_thread:
-        return None
-    for kw in call.keywords:
-        if kw.arg == "target":
-            return kw.value
-    return None
-
-
 def _pool_task(call: ast.Call, resolver: _FunctionResolver) -> Optional[ast.AST]:
     """The task-function expression of a pool fan-out call, if any."""
     fn = call.func
@@ -356,12 +330,6 @@ def _resolve_body(graph: CallGraph, resolver: _FunctionResolver, fn: FunctionInf
         if not isinstance(node, ast.Call):
             continue
         called_nodes.add(id(node.func))
-        target_expr = _thread_target(node, resolver)
-        if target_expr is not None:
-            for dst in resolver.resolve_callable(target_expr):
-                graph.add(Edge(fn.qname, dst, EdgeKind.THREAD, node.lineno))
-            called_nodes.add(id(target_expr))
-            continue
         task_expr = _pool_task(node, resolver)
         if task_expr is not None:
             for dst in resolver.resolve_callable(task_expr):

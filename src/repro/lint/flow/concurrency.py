@@ -1,20 +1,5 @@
-"""Concurrency pass (``FLOW101-103``): races and impure process fan-out.
+"""Concurrency pass (``FLOW102-103``): impure process fan-out.
 
-The one real race this repo has shipped — ``Tracer.emit`` corruption from
-abandoned ``ResilientSolver`` timeout threads writing the shared record
-list concurrently with the main thread — was found dynamically and patched
-after the fact.  This pass finds the pattern statically:
-
-``FLOW101``
-    **shared mutable state written without a lock from code both sides can
-    run.**  The *worker side* is everything reachable from a
-    ``threading.Thread(target=...)``; the *main side* is everything
-    reachable from the entry points via plain calls.  Tracked state:
-    module-level globals (rebinding, container mutation, reads) and
-    instance attributes of classes marked ``# flow: shared`` (the ambient
-    tracer/metrics-registry singletons).  An access lexically inside
-    ``with <...lock...>:`` counts as locked; ``__init__``-time writes are
-    exempt (the object is not yet shared).
 ``FLOW102``
     **impure process-pool tasks** — a task function handed to
     ``pool.submit``/``pool.map``/``run_tasks`` that is a closure (captures
@@ -28,9 +13,8 @@ after the fact.  This pass finds the pattern statically:
     ``default_rng()``), so worker results depend on per-process RNG state
     instead of explicit seed parameters carried in the task tuple.
 
-Soundness limits are documented in DESIGN.md §11: lock detection is lexical
-(``with`` statements naming something lock-ish), receiver types resolve by
-name-based CHA, and aliasing through containers is invisible.
+Soundness limits are documented in DESIGN.md §11: receiver types resolve
+by name-based CHA, and aliasing through containers is invisible.
 """
 
 from __future__ import annotations
@@ -42,7 +26,7 @@ from typing import Dict, Iterable, List, Optional, Set, Tuple
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow.callgraph import CallGraph, EdgeKind, _own_nodes
 from repro.lint.flow.determinism import function_hazards
-from repro.lint.flow.symbols import FunctionInfo, ModuleInfo, SymbolTable, _dotted
+from repro.lint.flow.symbols import FunctionInfo, ModuleInfo, SymbolTable
 from repro.lint.runner import suppressed_rules
 
 #: Method calls that mutate their receiver in place.
@@ -54,54 +38,27 @@ _MUTATOR_METHODS = frozenset(
     }
 )
 
-#: Methods that never see a shared instance: the object is under
-#: construction (or being pickled back) while they run.
-_CONSTRUCTION_METHODS = frozenset({"__init__", "__post_init__", "__new__", "__setstate__"})
-
-#: A state element: ("global", module, name) or ("attr", class_qname, attr).
-StateKey = Tuple[str, str, str]
+#: A module global: (module, name).
+StateKey = Tuple[str, str]
 
 
 @dataclass(frozen=True)
 class Access:
-    """One read or write of a tracked state element."""
+    """One read or write of a module global."""
 
     state: StateKey
     fn: str  #: function qname the access occurs in
     lineno: int
     write: bool
-    locked: bool
-
-    def describe(self) -> str:
-        """Human-readable ``write of module:name``-style form."""
-        kind, owner, name = self.state
-        target = f"{owner}.{name}" if kind == "attr" else f"{owner}:{name}"
-        return f"{'write' if self.write else 'read'} of {target}"
-
-
-def _lockish(node: ast.AST) -> bool:
-    """True for ``with`` context expressions that look like a lock."""
-    expr = node
-    if isinstance(expr, ast.Call):
-        expr = expr.func
-    dotted = _dotted(expr) or ""
-    return "lock" in dotted.lower()
 
 
 class _AccessCollector:
-    """Collects tracked-state accesses in one function body."""
+    """Collects module-global accesses in one function body."""
 
-    def __init__(
-        self,
-        table: SymbolTable,
-        module: ModuleInfo,
-        fn: FunctionInfo,
-        shared_classes: Dict[str, Set[str]],
-    ) -> None:
+    def __init__(self, table: SymbolTable, module: ModuleInfo, fn: FunctionInfo) -> None:
         self.table = table
         self.module = module
         self.fn = fn
-        self.shared_classes = shared_classes
         self.accesses: List[Access] = []
         # names declared ``global`` in this function
         self.global_decls: Set[str] = set()
@@ -123,28 +80,14 @@ class _AccessCollector:
         if name in self.local_names:
             return None
         if name in self.module.globals:
-            return ("global", self.module.name, name)
+            return (self.module.name, name)
         target = self.module.imports.get(name)
         if target is not None:
             mod, _, leaf = target.rpartition(".")
             other = self.table.modules.get(mod)
             if other is not None and leaf in other.globals:
-                return ("global", mod, leaf)
+                return (mod, leaf)
         return None
-
-    def _attr_state(self, node: ast.Attribute) -> Optional[StateKey]:
-        """self.attr inside a ``# flow: shared`` class method."""
-        if not (
-            isinstance(node.value, ast.Name)
-            and node.value.id == "self"
-            and self.fn.class_name
-            and self.fn.name not in _CONSTRUCTION_METHODS
-        ):
-            return None
-        owner = self.module.classes.get(self.fn.class_name)
-        if owner is None or not owner.shared:
-            return None
-        return ("attr", owner.qname, node.attr)
 
     def _module_attr_state(self, node: ast.Attribute) -> Optional[StateKey]:
         """``mod.GLOBAL`` through an imported-module alias."""
@@ -155,107 +98,89 @@ class _AccessCollector:
             return None
         other = self.table.modules.get(target)
         if other is not None and node.attr in other.globals:
-            return ("global", target, node.attr)
+            return (target, node.attr)
         return None
 
     def _state_of(self, node: ast.AST) -> Optional[StateKey]:
         if isinstance(node, ast.Name):
             return self._global_state(node.id)
         if isinstance(node, ast.Attribute):
-            return self._attr_state(node) or self._module_attr_state(node)
+            return self._module_attr_state(node)
         return None
 
     # -- walking -----------------------------------------------------------
     def collect(self) -> List[Access]:
-        """All tracked accesses, with per-site lock status."""
+        """All module-global accesses of the function."""
         for stmt in self.fn.node.body:
-            self._walk(stmt, locked=False)
+            self._walk(stmt)
         return self.accesses
 
-    def _record(self, state: Optional[StateKey], node: ast.AST, write: bool, locked: bool) -> None:
+    def _record(self, state: Optional[StateKey], node: ast.AST, write: bool) -> None:
         if state is None:
             return
-        self.accesses.append(
-            Access(state=state, fn=self.fn.qname, lineno=node.lineno, write=write, locked=locked)
-        )
+        self.accesses.append(Access(state=state, fn=self.fn.qname, lineno=node.lineno, write=write))
 
-    def _walk(self, node: ast.AST, locked: bool) -> None:
+    def _walk(self, node: ast.AST) -> None:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             return  # nested defs are separate functions
-        if isinstance(node, (ast.With, ast.AsyncWith)):
-            inner = locked or any(_lockish(item.context_expr) for item in node.items)
-            for item in node.items:
-                self._walk(item.context_expr, locked)
-            for stmt in node.body:
-                self._walk(stmt, inner)
-            return
         if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
-                self._target_write(target, locked)
+                self._target_write(target)
             if getattr(node, "value", None) is not None:
-                self._walk(node.value, locked)
+                self._walk(node.value)
             if isinstance(node, ast.AugAssign):
                 # augmented assignment reads the target too
-                self._record(self._state_of(node.target), node.target, False, locked)
+                self._record(self._state_of(node.target), node.target, False)
             return
         if isinstance(node, ast.Delete):
             for target in node.targets:
-                self._target_write(target, locked)
+                self._target_write(target)
             return
         if isinstance(node, ast.Call):
             fn = node.func
             if isinstance(fn, ast.Attribute) and fn.attr in _MUTATOR_METHODS:
                 # X.append(...) mutates X (also X.attr.append -> X.attr)
-                self._record(self._state_of(fn.value), fn.value, True, locked)
-            self._walk(fn, locked)
+                self._record(self._state_of(fn.value), fn.value, True)
+            self._walk(fn)
             for arg in node.args:
-                self._walk(arg, locked)
+                self._walk(arg)
             for kw in node.keywords:
-                self._walk(kw.value, locked)
+                self._walk(kw.value)
             return
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            self._record(self._global_state(node.id), node, False, locked)
+            self._record(self._global_state(node.id), node, False)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            self._record(
-                self._attr_state(node) or self._module_attr_state(node), node, False, locked
-            )
-            self._walk(node.value, locked)
+            self._record(self._module_attr_state(node), node, False)
+            self._walk(node.value)
             return
         for child in ast.iter_child_nodes(node):
-            self._walk(child, locked)
+            self._walk(child)
 
-    def _target_write(self, target: ast.AST, locked: bool) -> None:
+    def _target_write(self, target: ast.AST) -> None:
         if isinstance(target, (ast.Tuple, ast.List)):
             for elt in target.elts:
-                self._target_write(elt, locked)
+                self._target_write(elt)
             return
         if isinstance(target, ast.Subscript):
             # X[k] = v mutates X
-            self._record(self._state_of(target.value), target.value, True, locked)
-            self._walk(target.slice, locked)
+            self._record(self._state_of(target.value), target.value, True)
+            self._walk(target.slice)
             return
         if isinstance(target, ast.Name):
             if target.id in self.global_decls:
-                self._record(("global", self.module.name, target.id), target, True, locked)
+                self._record((self.module.name, target.id), target, True)
         elif isinstance(target, ast.Attribute):
-            self._record(
-                self._attr_state(target) or self._module_attr_state(target),
-                target,
-                True,
-                locked,
-            )
-            self._walk(target.value, locked)
+            self._record(self._module_attr_state(target), target, True)
+            self._walk(target.value)
 
 
 def _collect_all_accesses(table: SymbolTable) -> Dict[str, List[Access]]:
     """Accesses per function qname, program-wide."""
-    shared: Dict[str, Set[str]] = {}
     out: Dict[str, List[Access]] = {}
     for fn in table.functions.values():
         module = table.modules[fn.module]
-        collector = _AccessCollector(table, module, fn, shared)
-        accesses = collector.collect()
+        accesses = _AccessCollector(table, module, fn).collect()
         if accesses:
             out[fn.qname] = accesses
     return out
@@ -265,95 +190,11 @@ def _closure(graph: CallGraph, roots: Iterable[str], kinds: Set[EdgeKind]) -> Se
     return set(graph.reachable(roots, kinds=kinds))
 
 
-def _race_findings(
-    graph: CallGraph,
-    entry_points: Dict[str, List[str]],
-    accesses_by_fn: Dict[str, List[Access]],
-) -> List[Finding]:
-    """FLOW101: shared-state races between Thread targets and the main path.
-
-    The *worker side* is everything reachable from a ``Thread(target=...)``
-    spawn site; the *main side* is everything reachable from the entry
-    points (plus the spawners themselves — the race partner is whatever the
-    spawner does after, or instead of, joining) via plain calls.  Tracked
-    state with an unlocked write visible from both sides is a finding.
-    """
-    table = graph.table
-    findings: List[Finding] = []
-    spawns = graph.thread_spawns
-    worker_roots = [e.dst for e in spawns]
-    if not worker_roots:
-        return findings
-    worker_side = _closure(graph, worker_roots, {EdgeKind.CALL, EdgeKind.THREAD})
-    main_roots = [q for qs in entry_points.values() for q in qs]
-    main_roots += [e.src for e in spawns]
-    main_side = _closure(graph, main_roots, {EdgeKind.CALL})
-
-    by_state: Dict[StateKey, Dict[str, List[Access]]] = {}
-    for qname, accesses in accesses_by_fn.items():
-        on_worker = qname in worker_side
-        on_main = qname in main_side
-        if not (on_worker or on_main):
-            continue
-        for access in accesses:
-            sides = by_state.setdefault(access.state, {"worker": [], "main": []})
-            if on_worker:
-                sides["worker"].append(access)
-            if on_main:
-                sides["main"].append(access)
-
-    for state in sorted(by_state):
-        sides = by_state[state]
-        if not sides["worker"] or not sides["main"]:
-            continue
-        writes = [a for a in sides["worker"] + sides["main"] if a.write]
-        if not writes:
-            continue
-        unlocked_writes = sorted(
-            {a for a in writes if not a.locked}, key=lambda a: (a.fn, a.lineno)
-        )
-        if not unlocked_writes:
-            continue
-        anchor = unlocked_writes[0]
-        module = table.module_of(anchor.fn)
-        if module is None:
-            continue
-        if "FLOW101" in suppressed_rules(module.line(anchor.lineno)):
-            continue
-        kind, owner, name = state
-        target = f"{owner}.{name}" if kind == "attr" else f"{owner}:{name}"
-        worker_fns = sorted({a.fn.split(":")[-1] for a in sides["worker"]})
-        main_fns = sorted({a.fn.split(":")[-1] for a in sides["main"]})
-        findings.append(
-            Finding(
-                rule="FLOW101",
-                severity=Severity.ERROR,
-                message=(
-                    f"shared mutable state {target} is written without a "
-                    f"lock ({anchor.describe()} in {anchor.fn.split(':')[-1]}) "
-                    f"and is reachable from both a Thread target "
-                    f"(via {', '.join(worker_fns[:3])}) and the main path "
-                    f"(via {', '.join(main_fns[:3])}); guard every access with one lock"
-                ),
-                location=str(module.path),
-                line=anchor.lineno,
-                symbol=target,
-            )
-        )
-    return findings
-
-
-def run_concurrency_pass(
-    graph: CallGraph, entry_points: Dict[str, List[str]]
-) -> List[Finding]:
-    """FLOW101 shared-state races + FLOW102/103 pool-task checks."""
+def run_concurrency_pass(graph: CallGraph) -> List[Finding]:
+    """FLOW102/103 pool-task checks."""
     table = graph.table
     accesses_by_fn = _collect_all_accesses(table)
-
-    # -- FLOW101: thread/main shared state -------------------------------
-    findings = _race_findings(graph, entry_points, accesses_by_fn)
-
-    # -- FLOW102/103: pool task purity ------------------------------------
+    findings: List[Finding] = []
     seen: Set[Tuple[str, str]] = set()
     for edge in sorted(graph.pool_dispatches, key=lambda e: (e.src, e.dst)):
         task = table.functions.get(edge.dst)
@@ -370,9 +211,7 @@ def run_concurrency_pass(
             global_touches: List[str] = []
             for q in sorted(closure):
                 for access in accesses_by_fn.get(q, []):
-                    kind, owner, name = access.state
-                    if kind != "global":
-                        continue
+                    owner, name = access.state
                     if not access.write and name.isupper():
                         continue  # ALL_CAPS reads: constant by convention
                     glob = table.globals.get(f"{owner}:{name}")

@@ -21,19 +21,19 @@ finds the three ways reproductions rot, *interprocedurally*:
     ``glob.glob`` output — reachable from an entry point.  This is the
     interprocedural sibling of syntactic rule ``AST001``.
 
-Reachability follows CALL, THREAD and POOL edges: code run by the daemon
-solve worker or a pool task is still code a seeded run executes.
+Reachability follows CALL and POOL edges: code run by a pool task is
+still code a seeded run executes.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List
 
 from repro.lint.findings import Finding, Severity
 from repro.lint.flow.callgraph import CallGraph
-from repro.lint.flow.symbols import FunctionInfo, ModuleInfo, SymbolTable, _dotted
+from repro.lint.flow.symbols import FunctionInfo, ModuleInfo, _dotted
 from repro.lint.runner import suppressed_rules
 
 #: numpy.random module-level draw/seed functions (legacy global RNG).

@@ -111,7 +111,7 @@ def analyze(
     resolved = resolve_entry_points(table, entry_points)
     findings: List[Finding] = []
     findings.extend(run_determinism_pass(graph, resolved))
-    findings.extend(run_concurrency_pass(graph, resolved))
+    findings.extend(run_concurrency_pass(graph))
     findings.extend(run_units_pass(graph))
     findings.sort(key=lambda f: (f.location or "", f.line or 0, f.rule))
     return FlowReport(

@@ -8,8 +8,7 @@ One :class:`SymbolTable` covers every ``.py`` file handed to
 * **functions** — every ``def``, including methods and nested functions,
   keyed by a qualified name of the form ``pkg.mod:Class.method`` (nested
   functions use ``outer.<locals>.inner``, mirroring ``__qualname__``);
-* **classes** — base-class expressions, methods and whether the class is
-  marked as shared-mutable state (``# flow: shared`` on the ``class`` line);
+* **classes** — base-class expressions and methods;
 * **globals** — module-level assignments, with a flag for values that are
   mutable containers (list/dict/set literals or constructor calls).
 
@@ -24,11 +23,6 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
-
-#: Marker comment on a ``class`` line declaring its instances are shared
-#: across threads (ambient singletons like the tracer/metrics registry).
-SHARED_MARKER = "# flow: shared"
-
 
 @dataclass
 class FunctionInfo:
@@ -62,8 +56,6 @@ class ClassInfo:
     bases: Tuple[str, ...] = ()
     #: method name -> function qname
     methods: Dict[str, str] = field(default_factory=dict)
-    #: instances are shared across threads (``# flow: shared`` marker)
-    shared: bool = False
 
 
 @dataclass
@@ -236,7 +228,6 @@ class _ModuleVisitor(ast.NodeVisitor):
             name=node.name,
             lineno=node.lineno,
             bases=bases,
-            shared=SHARED_MARKER in self.info.line(node.lineno),
         )
         self.info.classes[node.name] = cls
         self._qual.append(node.name)

@@ -18,7 +18,6 @@ constraints) and assembles the sparse matrices handed to the backends.
 """
 
 from repro.lp.expr import LinExpr, Variable
-from repro.lp.presolve import PresolveResult, PresolveStatus, presolve
 from repro.lp.problem import Constraint, LinearProgram, Sense
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.scipy_backend import HighsBackend
@@ -33,8 +32,6 @@ __all__ = [
     "LPStatus",
     "LinExpr",
     "LinearProgram",
-    "PresolveResult",
-    "PresolveStatus",
     "Sense",
     "SimplexBackend",
     "SimplexError",
@@ -42,7 +39,6 @@ __all__ = [
     "Variable",
     "check_solution",
     "duality_gap",
-    "presolve",
     "set_default_backend",
     "to_standard_form",
 ]

@@ -12,17 +12,19 @@ import numpy as np
 class LPStatus(enum.Enum):
     """Outcome of an LP solve, normalised across backends.
 
-    ``ITERATION_LIMIT`` and ``NUMERICAL`` are structured failure statuses
-    (pivot-limit exhaustion and numerical breakdown respectively) so retry
-    layers like :class:`~repro.resilience.ResilientSolver` can classify
-    failures without string-matching exception messages; ``ERROR`` remains
-    the catch-all for anything a backend cannot attribute.
+    ``ITERATION_LIMIT``, ``TIME_LIMIT`` and ``NUMERICAL`` are structured
+    failure statuses (pivot-limit exhaustion, an exhausted wall-clock
+    budget and numerical breakdown respectively) so retry layers like
+    :class:`~repro.resilience.ResilientSolver` can classify failures
+    without string-matching exception messages; ``ERROR`` remains the
+    catch-all for anything a backend cannot attribute.
     """
 
     OPTIMAL = "optimal"
     INFEASIBLE = "infeasible"
     UNBOUNDED = "unbounded"
     ITERATION_LIMIT = "iteration_limit"
+    TIME_LIMIT = "time_limit"
     NUMERICAL = "numerical"
     ERROR = "error"
 

@@ -12,6 +12,7 @@ bound-marginal loop.  ``linprog`` survives only as the test oracle
 from __future__ import annotations
 
 import time
+from typing import Optional
 
 import numpy as np
 from scipy import sparse
@@ -34,12 +35,13 @@ HIGHS_VERSION = (
 
 _MS = _core.HighsModelStatus
 
-#: HiGHS model status → normalised status, as linprog maps them.  Every
-#: other status (kUnboundedOrInfeasible, the load/presolve/solve/postsolve
-#: errors, kNotset, ...) is ``NUMERICAL``.
+#: HiGHS model status → normalised status, as linprog maps them except
+#: that ``kTimeLimit`` is ``TIME_LIMIT`` (linprog folds it into the
+#: iteration limit).  Every other status (kUnboundedOrInfeasible, the
+#: load/presolve/solve/postsolve errors, kNotset, ...) is ``NUMERICAL``.
 STATUS_MAP = {
     _MS.kOptimal: LPStatus.OPTIMAL,
-    _MS.kTimeLimit: LPStatus.ITERATION_LIMIT,
+    _MS.kTimeLimit: LPStatus.TIME_LIMIT,
     _MS.kIterationLimit: LPStatus.ITERATION_LIMIT,
     _MS.kInfeasible: LPStatus.INFEASIBLE,
     _MS.kModelError: LPStatus.INFEASIBLE,
@@ -88,13 +90,24 @@ def _highs_inf(values) -> np.ndarray:
 class HighsBackend:
     """Solve LPs with the HiGHS dual simplex (after HiGHS presolve).
 
-    Stateless: every solve builds and discards its own HiGHS instance, so
-    one backend may serve concurrent solves (including
-    :class:`~repro.resilience.ResilientSolver` timeout threads that are
-    abandoned mid-solve).
+    Every solve builds and discards its own HiGHS instance; the backend
+    holds only its configuration.
+
+    Parameters
+    ----------
+    time_limit_s:
+        Wall-clock budget per solve, enforced by HiGHS itself (its
+        ``time_limit`` option): a solve that runs out stops and returns
+        ``TIME_LIMIT``.  ``None`` (the default) sets no option, so solves
+        stay bit-identical to ``linprog``'s.
     """
 
     name = "highs"
+
+    def __init__(self, time_limit_s: Optional[float] = None) -> None:
+        if time_limit_s is not None and time_limit_s <= 0:
+            raise ValueError("time_limit_s must be positive (or None)")
+        self.time_limit_s = time_limit_s
 
     def solve(self, lp: LinearProgram) -> LPResult:
         """Assemble and solve a LinearProgram, mapping names."""
@@ -154,6 +167,8 @@ class HighsBackend:
         highs = _core._Highs()
         for option, value in _OPTIONS:
             highs.setOptionValue(option, value)
+        if self.time_limit_s is not None:
+            highs.setOptionValue("time_limit", float(self.time_limit_s))
         loaded = highs.passModel(
             n, a.shape[0], a.nnz, _COLWISE, _MINIMIZE, 0.0,
             asm.c, _highs_inf(asm.bounds[:, 0]), _highs_inf(asm.bounds[:, 1]),

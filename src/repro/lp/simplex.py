@@ -158,19 +158,12 @@ class SimplexBackend:
         max_iterations: int = 20000,
         tol: float = 1e-9,
         bland_after: int = 50,
-        presolve: bool = False,
         refactor_every: int = 256,
     ) -> None:
         self.max_iterations = max_iterations
         self.tol = tol
         self.bland_after = bland_after
-        #: apply repro.lp.presolve reductions first; duals are then not
-        #: reported (row identities change under row elimination)
-        self.presolve = presolve
         self.refactor_every = refactor_every
-        #: (fixed_vars, dropped_rows) of the most recent presolve, for the
-        #: profiling wrapper
-        self._last_presolve = None
 
     # -- public API -----------------------------------------------------------
     def solve(self, lp: LinearProgram) -> LPResult:
@@ -184,15 +177,12 @@ class SimplexBackend:
         """Solve a pre-assembled LP.
 
         When an :mod:`repro.obs.lpprof` collector is installed the solve is
-        profiled (shape, presolve reductions, wall time, iterations,
-        status); the presolve-then-solve path reports as a single record.
+        profiled (shape, wall time, iterations, status).
         """
         if not lpprof.active():
             return self._solve_assembled(asm)
-        self._last_presolve = None
         t0 = time.perf_counter()
         result = self._solve_assembled(asm)
-        fixed, dropped = self._last_presolve or (0, 0)
         lpprof.observe(
             lpprof.LPSolveRecord(
                 name=getattr(asm, "name", "lp"),
@@ -200,9 +190,6 @@ class SimplexBackend:
                 wall_seconds=time.perf_counter() - t0,
                 iterations=result.iterations,
                 status=result.status.value,
-                presolve_fixed_vars=fixed,
-                presolve_dropped_rows=dropped,
-                presolve_applied=self.presolve,
                 meta=lpprof.current_scope(),
                 **lpprof.describe_assembled(asm),
             )
@@ -210,31 +197,6 @@ class SimplexBackend:
         return result
 
     def _solve_assembled(self, asm) -> LPResult:
-        if self.presolve:
-            from repro.lp.presolve import PresolveStatus, presolve
-
-            pre = presolve(asm)
-            self._last_presolve = (pre.fixed_variables, pre.dropped_rows)
-            if pre.status is PresolveStatus.INFEASIBLE:
-                return LPResult(
-                    status=LPStatus.INFEASIBLE,
-                    objective=float("nan"),
-                    x=None,
-                    backend=self.name,
-                    message="presolve proved infeasibility",
-                )
-            inner = SimplexBackend(
-                max_iterations=self.max_iterations,
-                tol=self.tol,
-                bland_after=self.bland_after,
-                presolve=False,
-                refactor_every=self.refactor_every,
-            )._solve_assembled(pre.reduced)
-            if inner.x is not None:
-                inner.x = pre.restore(inner.x)
-            inner.dual_ub = None  # row identities changed under elimination
-            inner.dual_eq = None
-            return inner
         if asm.num_variables == 0:
             feasible = bool(np.all(asm.b_ub >= 0)) and bool(np.all(asm.b_eq == 0))
             return LPResult(

@@ -6,8 +6,8 @@ Three complementary views of a run, all zero-cost when disabled:
   :class:`~repro.hadoop.metrics.SimMetrics` keeps its scalar fields on one.
 * :mod:`repro.obs.trace` — JSONL span/event records of the simulated
   timeline (task attempts, transfers, epochs, LP solves).
-* :mod:`repro.obs.lpprof` — per-solve LP profiles (shape, presolve
-  reductions, wall time, iterations, status) on the shared backend path.
+* :mod:`repro.obs.lpprof` — per-solve LP profiles (shape, wall time,
+  iterations, status) on the shared backend path.
 * :mod:`repro.obs.spans` — causal identity (``span_id``/``parent``/
   ``links``) and the :class:`SpanIndex` DAG view over a loaded trace.
 * :mod:`repro.obs.critpath` — critical-path extraction with a complete

@@ -126,7 +126,7 @@ def render_prometheus(snapshot: RegistrySnapshot) -> str:
 
 # -- the plane --------------------------------------------------------------
 
-class LiveTelemetryPlane:  # flow: shared
+class LiveTelemetryPlane:
     """Read-only aggregation point the HTTP endpoints serve from.
 
     Holds the run's :class:`MetricsRegistry`, a :class:`TraceTap` to attach

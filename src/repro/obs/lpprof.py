@@ -2,8 +2,8 @@
 
 Both LP backends (:class:`~repro.lp.scipy_backend.HighsBackend` and
 :class:`~repro.lp.simplex.SimplexBackend`) report every ``solve_assembled``
-call here — model shape (rows/cols/nonzeros), presolve reductions, wall
-seconds, simplex iterations and terminal status.  Collection is pull-based:
+call here — model shape (rows/cols/nonzeros), wall seconds, simplex
+iterations and terminal status.  Collection is pull-based:
 nothing is recorded unless a collector is installed with :func:`collect`,
 so standalone solves cost two ``perf_counter`` calls and one branch.
 
@@ -16,7 +16,6 @@ instead of only the ones a particular scheduler remembered to time.
 from __future__ import annotations
 
 import contextlib
-import threading
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Mapping
 
@@ -40,9 +39,6 @@ class LPSolveRecord:
     wall_seconds: float
     iterations: int
     status: str
-    presolve_fixed_vars: int = 0
-    presolve_dropped_rows: int = 0
-    presolve_applied: bool = False
     meta: Mapping[str, object] = field(default_factory=dict)
 
     @property
@@ -61,9 +57,6 @@ class LPSolveRecord:
             "wall_s": self.wall_seconds,
             "iterations": self.iterations,
             "status": self.status,
-            "presolve_fixed_vars": self.presolve_fixed_vars,
-            "presolve_dropped_rows": self.presolve_dropped_rows,
-            "presolve_applied": self.presolve_applied,
         }
         for key, value in self.meta.items():
             out.setdefault(key, value)
@@ -82,13 +75,6 @@ def describe_assembled(asm) -> dict:
 
 Collector = Callable[[LPSolveRecord], None]
 
-#: Guards the collector and scope stacks below.  Backends report solves
-#: from whatever thread ran them — including abandoned
-#: :class:`~repro.resilience.solver.ResilientSolver` timeout workers that
-#: finish long after the main thread moved on — so stack mutation and
-#: snapshotting must not interleave.
-_lock = threading.Lock()
-
 #: Installed collectors (a stack: nested scopes all observe).
 _collectors: List[Collector] = []
 
@@ -99,12 +85,10 @@ _scopes: List[dict] = []
 
 def current_scope() -> dict:
     """The merged attributes of every active solve scope (innermost wins)."""
-    with _lock:
-        snapshot = list(_scopes)
-    if not snapshot:
+    if not _scopes:
         return {}
     merged: dict = {}
-    for entry in snapshot:
+    for entry in _scopes:
         merged.update(entry)
     return merged
 
@@ -119,72 +103,42 @@ def scope(**attrs) -> Iterator[dict]:
     resilient retry chain) ran inside the same epoch.
     """
     entry = dict(attrs)
-    with _lock:
-        _scopes.append(entry)
+    _scopes.append(entry)
     try:
         yield entry
     finally:
-        with _lock:
-            _scopes.remove(entry)
+        _scopes.remove(entry)
 
 
 def active() -> bool:
     """True when at least one collector wants solve records."""
-    with _lock:
-        return bool(_collectors)
+    return bool(_collectors)
 
 
 def observe(record: LPSolveRecord) -> None:
-    """Deliver one solve record to every installed collector.
-
-    Callbacks run outside the stack lock — a collector is allowed to be
-    slow (or to call back into this module) without blocking installs.
-    """
-    with _lock:
-        snapshot = list(_collectors)
-    for cb in snapshot:
+    """Deliver one solve record to every installed collector."""
+    for cb in list(_collectors):
         cb(record)
 
 
 @contextlib.contextmanager
 def collect(callback: Collector) -> Iterator[Collector]:
     """Install ``callback`` as a solve-record collector for the extent."""
-    with _lock:
-        _collectors.append(callback)
+    _collectors.append(callback)
     try:
         yield callback
     finally:
-        with _lock:
-            _collectors.remove(callback)
+        _collectors.remove(callback)
 
 
 @dataclass
-class LPProfile:  # flow: shared
-    """A convenience collector accumulating records and summary stats.
-
-    Instances are handed to :func:`collect`, so :meth:`__call__` may run on
-    a late backend thread while the owner reads the summary properties —
-    appends go through a lock; readers see a consistent list snapshot.
-    """
+class LPProfile:
+    """A convenience collector accumulating records and summary stats."""
 
     records: List[LPSolveRecord] = field(default_factory=list)
-    _lock: threading.Lock = field(
-        default_factory=threading.Lock, repr=False, compare=False
-    )
 
     def __call__(self, record: LPSolveRecord) -> None:
-        with self._lock:
-            self.records.append(record)
-
-    # profiles ride back from sweep worker processes; locks do not pickle
-    def __getstate__(self) -> dict:
-        state = self.__dict__.copy()
-        state.pop("_lock", None)
-        return state
-
-    def __setstate__(self, state: dict) -> None:
-        self.__dict__.update(state)
-        self._lock = threading.Lock()
+        self.records.append(record)
 
     @property
     def solves(self) -> int:

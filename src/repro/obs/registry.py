@@ -83,7 +83,7 @@ class Metric:
         return {"name": self.name, "kind": self.kind, "help": self.help, "series": series}
 
 
-class Counter(Metric):  # flow: shared
+class Counter(Metric):
     """A monotonically-increasing sum per label set."""
 
     kind = "counter"
@@ -122,7 +122,7 @@ class Counter(Metric):  # flow: shared
             return dict(self._values)
 
 
-class Gauge(Metric):  # flow: shared
+class Gauge(Metric):
     """A value that can move both ways per label set."""
 
     kind = "gauge"
@@ -156,7 +156,7 @@ class Gauge(Metric):  # flow: shared
 
 
 #: Default histogram buckets — tuned for LP solve times (seconds); spans
-#: sub-millisecond presolves to multi-second paper-scale models.
+#: sub-millisecond toy models to multi-second paper-scale models.
 DEFAULT_BUCKETS: Tuple[float, ...] = (
     0.0005, 0.001, 0.0025, 0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0,
     2.5, 5.0, 10.0,
@@ -176,7 +176,7 @@ class _HistogramSeries:
         self.max = float("-inf")
 
 
-class Histogram(Metric):  # flow: shared
+class Histogram(Metric):
     """Bucketed distribution of observations per label set."""
 
     kind = "histogram"
@@ -357,7 +357,7 @@ class RegistrySnapshot:
         return self.scalars().get((name, _label_key(labels)), 0.0)
 
 
-class MetricsRegistry:  # flow: shared
+class MetricsRegistry:
     """A namespace of metrics, memoised by name.
 
     Asking twice for the same name returns the same object; asking for an

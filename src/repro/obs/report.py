@@ -80,13 +80,13 @@ def machine_table(records: List[dict]) -> str:
 
 
 def solve_table(records: List[dict], limit: Optional[int] = 40) -> str:
-    """Per-solve table: model shape, presolve reductions, wall time, status."""
+    """Per-solve table: model shape, wall time, status."""
     solves = [r for r in records if r.get("type") == "lp_solve"]
     if not solves:
         return "no LP solve records in trace"
     headers = [
-        "t", "model", "backend", "rows", "cols", "nnz", "fixed", "dropped",
-        "iters", "wall ms", "status",
+        "t", "model", "backend", "rows", "cols", "nnz", "iters", "wall ms",
+        "status",
     ]
     shown = solves if limit is None or len(solves) <= limit else solves[:limit]
     rows = []
@@ -99,8 +99,6 @@ def solve_table(records: List[dict], limit: Optional[int] = 40) -> str:
                 int(s.get("rows_ub", 0)) + int(s.get("rows_eq", 0)),
                 s.get("cols", 0),
                 s.get("nnz", 0),
-                s.get("presolve_fixed_vars", 0),
-                s.get("presolve_dropped_rows", 0),
                 s.get("iterations", 0),
                 f"{1e3 * s.get('wall_s', 0.0):.2f}",
                 s.get("status", "?"),

@@ -10,8 +10,8 @@ share a common envelope (``type``, ``cat``, ``name``, ``ts``):
     An interval: a task attempt (``ts`` = start, ``dur`` = read+compute
     seconds), a scheduling epoch, an epoch-controller epoch.
 ``lp_solve``
-    One LP backend solve: rows/cols/nonzeros, presolve reductions, wall
-    seconds, iterations and terminal status (see :mod:`repro.obs.lpprof`).
+    One LP backend solve: rows/cols/nonzeros, wall seconds, iterations
+    and terminal status (see :mod:`repro.obs.lpprof`).
 
 Causal identity
 ---------------
@@ -65,7 +65,7 @@ def json_default(obj):
     raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
 
 
-class TraceTap:  # flow: shared
+class TraceTap:
     """A bounded, non-blocking tap on a tracer's record stream.
 
     The live telemetry plane (:mod:`repro.obs.live`) attaches one of these
@@ -75,12 +75,11 @@ class TraceTap:  # flow: shared
     page forward with a cursor.  Offering never blocks and never raises:
     when the buffer is full the oldest record is evicted.
 
-    Drop accounting mirrors :attr:`Tracer.dropped_after_close`: an evicted
-    record counts in :attr:`dropped` only when a *registered subscriber*
-    (an attached streaming reader) had not consumed it yet — eviction past
-    nobody is the ring buffer working as designed, eviction past a lagging
-    subscriber is telemetry loss and must be visible.  The serve soak
-    gates on ``dropped == 0``.
+    Drop accounting: an evicted record counts in :attr:`dropped` only when
+    a *registered subscriber* (an attached streaming reader) had not
+    consumed it yet — eviction past nobody is the ring buffer working as
+    designed, eviction past a lagging subscriber is telemetry loss and
+    must be visible.  The serve soak gates on ``dropped == 0``.
 
     The tap is passive: it copies record references, never mutates them,
     and never touches the tracer's sink — attaching one cannot perturb the
@@ -226,7 +225,7 @@ class NullTracer:
 NULL_TRACER = NullTracer()
 
 
-class Tracer:  # flow: shared
+class Tracer:
     """Collects trace records in memory and/or streams them as JSONL.
 
     Parameters
@@ -255,16 +254,9 @@ class Tracer:  # flow: shared
         self.records: List[dict] = []
         self._owns_sink = False
         self.closed = False
-        #: records emitted after :meth:`close` — counted, never written
-        #: (abandoned solver-timeout threads can outlive the run)
-        self.dropped_after_close = 0
         self._next_span_id = 0
         #: live-plane taps fed from :meth:`emit` (see :class:`TraceTap`)
         self._taps: List[TraceTap] = []
-        # emission must be thread-safe: abandoned solver-timeout threads
-        # (repro.resilience) can outlive their solve and emit concurrently
-        # with the main thread; an unlocked two-part write interleaves lines
-        self._lock = threading.Lock()
 
     @classmethod
     def to_path(cls, path, categories: Optional[Sequence[str]] = None) -> "Tracer":
@@ -288,15 +280,13 @@ class Tracer:  # flow: shared
     # -- taps ---------------------------------------------------------------
     def add_tap(self, tap: TraceTap) -> None:
         """Attach a live tap; every subsequent emitted record is offered."""
-        with self._lock:
-            if tap not in self._taps:
-                self._taps.append(tap)
+        if tap not in self._taps:
+            self._taps.append(tap)
 
     def remove_tap(self, tap: TraceTap) -> None:
         """Detach a tap (idempotent)."""
-        with self._lock:
-            if tap in self._taps:
-                self._taps.remove(tap)
+        if tap in self._taps:
+            self._taps.remove(tap)
 
     # -- filtering ---------------------------------------------------------
     def wants(self, cat: str) -> bool:
@@ -308,34 +298,30 @@ class Tracer:  # flow: shared
     # -- causal identity ---------------------------------------------------
     def new_span_id(self) -> int:
         """Allocate the next span id (sequential, so seeded runs agree)."""
-        with self._lock:
-            self._next_span_id += 1
-            return self._next_span_id
+        self._next_span_id += 1
+        return self._next_span_id
 
     # -- emission ----------------------------------------------------------
     def emit(self, record: dict) -> None:
-        """Record one raw trace record (already enveloped); thread-safe.
+        """Record one raw trace record (already enveloped).
 
-        After :meth:`close` the record is dropped and counted in
-        :attr:`dropped_after_close` instead of raising on the closed sink.
+        Raises ``ValueError`` after :meth:`close`: a record emitted then
+        would be missing from the trace.
         """
+        if self.closed:
+            raise ValueError(f"emit on a closed tracer: {record.get('name')!r}")
         line = (
             json.dumps(record, separators=(",", ":"), default=json_default)
             if self._sink is not None
             else None
         )
-        with self._lock:
-            if self.closed:
-                self.dropped_after_close += 1
-                return
-            if self._keep:
-                self.records.append(record)
-            if self._sink is not None:
-                self._sink.write(line + "\n")
-            # taps see records in sink order (offer is non-blocking and the
-            # tap's own lock is only ever taken after this one)
-            for tap in self._taps:
-                tap.offer(record)
+        if self._keep:
+            self.records.append(record)
+        if line is not None:
+            self._sink.write(line + "\n")
+        # taps see records in sink order (offer is non-blocking)
+        for tap in self._taps:
+            tap.offer(record)
 
     def event(self, cat: str, name: str, ts: float, **attrs) -> None:
         """Emit an instant event."""
@@ -371,18 +357,15 @@ class Tracer:  # flow: shared
 
         Used as a context manager the tracer closes on exceptions too, so a
         crashed run still leaves a loadable (truncated) JSONL trace.
-        Records emitted afterwards are dropped and counted in
-        :attr:`dropped_after_close` rather than raising or interleaving
-        with a closed stream.
+        Emitting afterwards raises ``ValueError``.
         """
-        with self._lock:
-            if self.closed:
-                return
-            self.closed = True
-            if self._sink is not None:
-                self._sink.flush()
-                if self._owns_sink:
-                    self._sink.close()
+        if self.closed:
+            return
+        self.closed = True
+        if self._sink is not None:
+            self._sink.flush()
+            if self._owns_sink:
+                self._sink.close()
 
     def __enter__(self) -> "Tracer":
         return self

@@ -2,6 +2,6 @@
 
 * :mod:`repro.perf.bench` — the ``python -m repro bench`` harness: the
   cold reference simplex checked against the default HiGHS backend on an
-  epoch loop, HiGHS with and without presolve, and sweep throughput,
-  written to ``BENCH_epoch.json``.
+  epoch loop, sweep throughput and the ``--scaling`` sweep, written to
+  ``BENCH_epoch.json``.
 """

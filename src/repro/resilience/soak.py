@@ -36,7 +36,7 @@ from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.lp.scipy_backend import HighsBackend
 from repro.lp.simplex import SimplexBackend
 from repro.obs.registry import MetricsRegistry, current_registry, use_registry
-from repro.resilience.chaos import ChaosPlan, FaultInjectingBackend, random_chaos_plan
+from repro.resilience.chaos import FaultInjectingBackend, random_chaos_plan
 from repro.resilience.invariants import (
     InvariantViolation,
     check_online_invariants,
@@ -139,17 +139,13 @@ def build_soak_workload(
 
 def build_soak_backend(config: ChaosSoakConfig) -> ResilientSolver:
     """The LP chain under test, sabotaged per ``config.force``."""
-    primary: object = HighsBackend()
+    primary: object = HighsBackend(time_limit_s=config.solver_timeout_s)
     fallback: object = SimplexBackend()
     if config.force in ("primary", "all"):
         primary = FaultInjectingBackend(primary)
     if config.force == "all":
         fallback = FaultInjectingBackend(fallback)
-    return ResilientSolver(
-        [primary, fallback],
-        timeout_s=config.solver_timeout_s,
-        max_retries=config.solver_retries,
-    )
+    return ResilientSolver([primary, fallback], max_retries=config.solver_retries)
 
 
 def run_chaos_soak_seed(seed: int, config: ChaosSoakConfig) -> SoakOutcome:

@@ -1,4 +1,4 @@
-"""Fault-tolerant LP solving: timeouts, retries and a backend fallback chain.
+"""Fault-tolerant LP solving: retries and a backend fallback chain.
 
 The paper's online model is built for an unreliable world (the fake node F
 keeps every epoch feasible), but a reproduction that dies on one solver
@@ -6,9 +6,11 @@ hiccup is not.  :class:`ResilientSolver` wraps an *ordered chain* of LP
 backends behind the same ``solve``/``solve_assembled`` interface the plain
 backends expose, adding three production behaviours:
 
-* **per-solve wall-clock timeout** — the solve runs on a worker thread and
-  is abandoned (classified :attr:`FailureKind.TIMEOUT`) if it exceeds
-  ``timeout_s``;
+* **timeout classification** — a backend that stops on its own wall-clock
+  budget (:class:`~repro.lp.scipy_backend.HighsBackend` with
+  ``time_limit_s``, which HiGHS enforces inside the solve) returns
+  ``TIME_LIMIT``, classified :attr:`FailureKind.TIMEOUT`; the solve never
+  leaves the calling thread;
 * **bounded retries** on numerical failures and timeouts, each retry
   applying a small *deterministic* objective perturbation (a classic
   degeneracy-breaking trick — the perturbation pattern depends only on the
@@ -29,7 +31,6 @@ ambient trace stream (category ``solver``).
 from __future__ import annotations
 
 import enum
-import threading
 import time
 from dataclasses import dataclass, replace
 from typing import Callable, List, Optional, Sequence
@@ -61,6 +62,7 @@ _STATUS_TO_KIND = {
     LPStatus.INFEASIBLE: FailureKind.INFEASIBLE,
     LPStatus.UNBOUNDED: FailureKind.UNBOUNDED,
     LPStatus.ITERATION_LIMIT: FailureKind.NUMERICAL,
+    LPStatus.TIME_LIMIT: FailureKind.TIMEOUT,
     LPStatus.NUMERICAL: FailureKind.NUMERICAL,
     LPStatus.ERROR: FailureKind.BACKEND_ERROR,
 }
@@ -84,26 +86,21 @@ class SolveAttempt:
     message: str = ""
 
 
-class _SolveTimeout(Exception):
-    """Internal: the worker thread exceeded the wall-clock budget."""
-
-
 def _backend_name(backend) -> str:
     return getattr(backend, "name", type(backend).__name__)
 
 
 class ResilientSolver:
-    """An LP backend wrapper with timeout, retries and fallback.
+    """An LP backend wrapper with retries and fallback.
 
     Parameters
     ----------
     backends:
         Ordered fallback chain.  Defaults to ``HighsBackend`` then
         ``SimplexBackend`` (production path first, the independent
-        from-scratch implementation as a cross-check fallback).
-    timeout_s:
-        Per-attempt wall-clock budget in seconds.  ``None`` disables the
-        worker thread entirely (zero overhead, no timeout).
+        from-scratch implementation as a cross-check fallback).  A
+        per-solve wall-clock budget belongs to the backend that can honour
+        it: ``HighsBackend(time_limit_s=...)``.
     max_retries:
         Extra attempts per backend after the first, each with a perturbed
         objective.  Only :data:`RETRYABLE_KINDS` failures consume retries.
@@ -124,7 +121,6 @@ class ResilientSolver:
     def __init__(
         self,
         backends: Optional[Sequence[object]] = None,
-        timeout_s: Optional[float] = None,
         max_retries: int = 2,
         backoff_base_s: float = 0.0,
         perturb_scale: float = 1e-7,
@@ -137,12 +133,9 @@ class ResilientSolver:
             backends = [HighsBackend(), SimplexBackend()]
         if not backends:
             raise ValueError("ResilientSolver needs at least one backend")
-        if timeout_s is not None and timeout_s <= 0:
-            raise ValueError("timeout_s must be positive (or None)")
         if max_retries < 0:
             raise ValueError("max_retries must be >= 0")
         self.backends = list(backends)
-        self.timeout_s = timeout_s
         self.max_retries = max_retries
         self.backoff_base_s = backoff_base_s
         self.perturb_scale = perturb_scale
@@ -197,14 +190,12 @@ class ResilientSolver:
     # -- one attempt -------------------------------------------------------
     def _attempt(
         self, backend, asm: AssembledLP, attempt: int
-    ) -> tuple[Optional[LPResult], Optional[FailureKind], float]:
-        """Run one (possibly perturbed, possibly timed-out) solve."""
+    ) -> tuple[LPResult, Optional[FailureKind], float]:
+        """Run one (possibly perturbed) solve."""
         solve_asm = asm if attempt == 0 else self._perturbed(asm, attempt)
         t0 = time.perf_counter()
         try:
-            result = self._call(backend, solve_asm)
-        except _SolveTimeout:
-            return None, FailureKind.TIMEOUT, time.perf_counter() - t0
+            result = backend.solve_assembled(solve_asm)
         except Exception as exc:  # backend bug / injected fault
             wall = time.perf_counter() - t0
             result = LPResult(
@@ -221,27 +212,6 @@ class ResilientSolver:
             # re-evaluate the true objective: the solve ran on perturbed c
             result.objective = float(asm.c @ result.x) + asm.objective_constant
         return result, kind, wall
-
-    def _call(self, backend, asm: AssembledLP) -> LPResult:
-        if self.timeout_s is None:
-            return backend.solve_assembled(asm)
-        box: dict = {}
-
-        def run() -> None:
-            try:
-                box["result"] = backend.solve_assembled(asm)
-            except BaseException as exc:  # rethrown on the caller thread
-                box["exc"] = exc
-
-        worker = threading.Thread(target=run, daemon=True, name="lp-solve")
-        worker.start()
-        worker.join(self.timeout_s)
-        if worker.is_alive():
-            # the thread cannot be cancelled in-process; abandon it
-            raise _SolveTimeout
-        if "exc" in box:
-            raise box["exc"]
-        return box["result"]
 
     def _perturbed(self, asm: AssembledLP, attempt: int) -> AssembledLP:
         """Objective with a deterministic degeneracy-breaking perturbation.
@@ -263,14 +233,14 @@ class ResilientSolver:
 
     # -- accounting --------------------------------------------------------
     def _record_failure(
-        self, backend, attempt: int, kind: FailureKind, wall: float, result: Optional[LPResult]
+        self, backend, attempt: int, kind: FailureKind, wall: float, result: LPResult
     ) -> None:
         record = SolveAttempt(
             backend=_backend_name(backend),
             attempt=attempt,
             kind=kind,
             wall_seconds=wall,
-            message=result.message if result is not None else "",
+            message=result.message,
         )
         self.last_attempts.append(record)
         registry = current_registry()

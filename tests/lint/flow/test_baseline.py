@@ -43,7 +43,7 @@ def test_entries_without_reason_are_rejected(tmp_path):
             {
                 "version": 1,
                 "entries": [
-                    {"rule": "FLOW101", "path": "x.py", "symbol": "", "reason": "  "}
+                    {"rule": "FLOW102", "path": "x.py", "symbol": "", "reason": "  "}
                 ],
             }
         )
@@ -95,7 +95,7 @@ def test_symbol_must_match_when_given():
     from repro.lint.findings import Finding, Severity
 
     finding = Finding(
-        rule="FLOW101",
+        rule="FLOW102",
         severity=Severity.ERROR,
         message="m",
         location="src/x.py",
@@ -103,10 +103,10 @@ def test_symbol_must_match_when_given():
         symbol="mod:Cls.attr",
     )
     wrong = BaselineEntry(
-        rule="FLOW101", path="src/x.py", symbol="mod:Other.attr", reason="r"
+        rule="FLOW102", path="src/x.py", symbol="mod:Other.attr", reason="r"
     )
     right = BaselineEntry(
-        rule="FLOW101", path="src/x.py", symbol="mod:Cls.attr", reason="r"
+        rule="FLOW102", path="src/x.py", symbol="mod:Cls.attr", reason="r"
     )
     assert not wrong.matches(finding)
     assert right.matches(finding)

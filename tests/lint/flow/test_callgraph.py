@@ -52,7 +52,7 @@ def test_self_method_resolves_through_base_class(tmp_path):
     assert _dsts(graph, "mod:Child.run") == {"mod:Base.helper"}
 
 
-def test_thread_target_records_a_thread_edge(tmp_path):
+def test_thread_target_is_a_reference_call_edge(tmp_path):
     graph = _graph(
         tmp_path,
         """
@@ -66,8 +66,8 @@ def test_thread_target_records_a_thread_edge(tmp_path):
             t.start()
         """,
     )
-    assert _dsts(graph, "mod:spawn", EdgeKind.THREAD) == {"mod:work"}
-    assert [e.dst for e in graph.thread_spawns] == ["mod:work"]
+    # a target= argument is a callback reference: a plain CALL edge
+    assert _dsts(graph, "mod:spawn", EdgeKind.CALL) == {"mod:work"}
 
 
 def test_pool_submit_and_map_record_pool_edges(tmp_path):

@@ -18,12 +18,12 @@ def test_flow_findings_gate_the_exit_code(tmp_path, capsys):
             "run",
             "--baseline",
             str(tmp_path / "none.json"),
-            str(FIXTURES / "flow101_bad.py"),
+            str(FIXTURES / "flow001_bad.py"),
         ]
     )
     assert rc == 1
     out = capsys.readouterr().out
-    assert "FLOW101" in out
+    assert "FLOW001" in out
 
 
 def test_flow_json_schema(tmp_path, capsys):
@@ -94,7 +94,7 @@ def test_stale_baseline_entry_fails_the_run(tmp_path, capsys):
                 "version": 1,
                 "entries": [
                     {
-                        "rule": "FLOW101",
+                        "rule": "FLOW102",
                         "path": "ghost.py",
                         "symbol": "",
                         "reason": "ghost",

@@ -20,7 +20,6 @@ RULE_FIXTURES = [
     ("FLOW001", "flow001", ["run"]),
     ("FLOW002", "flow002", ["run"]),
     ("FLOW003", "flow003", ["run"]),
-    ("FLOW101", "flow101", ["run"]),
     ("FLOW102", "flow102", []),
     ("FLOW103", "flow103", []),
     ("FLOW201", "flow201", []),
@@ -42,20 +41,11 @@ def test_ok_fixture_is_clean(rule_id, stem, entries):
     assert report.findings == [], [f.render() for f in report.findings]
 
 
-def test_tracer_race_fixture_flags_the_unlocked_write():
-    """Satellite regression: the pre-PR-4 Tracer.emit race pattern."""
-    report = analyze_paths([FIXTURES / "flow101_bad.py"], entry_points=["run"])
-    [finding] = report.findings
-    assert finding.rule == "FLOW101"
-    assert finding.severity is Severity.ERROR
-    assert "Recorder.records" in finding.message
-    assert "Thread target" in finding.message
-
-
 def test_pool_rng_fixture_names_the_unseeded_site():
     report = analyze_paths([FIXTURES / "flow103_bad.py"], entry_points=[])
     [finding] = report.findings
     assert finding.rule == "FLOW103"
+    assert finding.severity is Severity.ERROR
     assert "default_rng() without a seed" in finding.message
     assert "seed" in finding.message
 
@@ -73,10 +63,10 @@ def test_hazards_unreachable_from_entries_stay_silent():
 
 
 def test_suppression_comment_silences_a_flow_rule(tmp_path):
-    source = (FIXTURES / "flow101_bad.py").read_text()
+    source = (FIXTURES / "flow001_bad.py").read_text()
     patched = source.replace(
-        "self.records.append(record)  # unlocked shared write — the race",
-        "self.records.append(record)  # lint: ok=FLOW101",
+        "return np.random.random(n)  # ambient global RNG — seeded runs diverge",
+        "return np.random.random(n)  # lint: ok=FLOW001",
     )
     assert patched != source
     path = tmp_path / "suppressed.py"

@@ -31,11 +31,6 @@ def test_simulator_reaches_tracer_and_metrics(graph):
     assert "repro.obs.registry:Counter.inc" in reach
 
 
-def test_daemon_solve_thread_spawn_is_detected(graph):
-    spawners = {e.src for e in graph.thread_spawns}
-    assert "repro.resilience.solver:ResilientSolver._call" in spawners
-
-
 def test_entry_points_reach_a_substantial_program_slice(graph):
     resolved = resolve_entry_points(graph.table, DEFAULT_ENTRY_POINTS)
     roots = [q for qs in resolved.values() for q in qs]

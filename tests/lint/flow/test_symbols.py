@@ -49,22 +49,6 @@ def test_function_qnames_mirror_qualname(tmp_path):
     assert not info.functions["top.<locals>.inner"].is_method
 
 
-def test_shared_marker_detected_on_class_line(tmp_path):
-    path = _module(
-        tmp_path,
-        """
-        class Plain:
-            pass
-
-        class Hot:  # flow: shared
-            pass
-        """,
-    )
-    info = parse_module(path, module_name="m")
-    assert not info.classes["Plain"].shared
-    assert info.classes["Hot"].shared
-
-
 def test_globals_record_mutability(tmp_path):
     path = _module(
         tmp_path,

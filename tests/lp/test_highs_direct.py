@@ -5,7 +5,10 @@
 tests keep linprog as the oracle: on random LPs, on Figure 4 epoch models
 and on a LiPS zone-aggregated model, status, ``x``, objective, duals and
 iteration count must be exactly equal — not merely close.  They also pin
-the HiGHS-status table and the post-solve feasibility guard to linprog's.
+the HiGHS-status table and the post-solve feasibility guard to linprog's,
+with one deliberate exception: ``kTimeLimit`` is ``TIME_LIMIT`` (linprog
+reports it as its iteration-limit code 1), so a solve stopped by
+``HighsBackend(time_limit_s=...)`` is classified as a timeout.
 """
 
 import threading
@@ -206,10 +209,14 @@ def test_zone_aggregated_lips_model_bit_identical():
 # -- status table and feasibility guard ------------------------------------
 
 
+#: where the status table departs from linprog's on purpose
+DEPARTURES = {HighsModelStatus.kTimeLimit: LPStatus.TIME_LIMIT}
+
+
 def test_status_table_pinned():
     assert STATUS_MAP == {
         HighsModelStatus.kOptimal: LPStatus.OPTIMAL,
-        HighsModelStatus.kTimeLimit: LPStatus.ITERATION_LIMIT,
+        HighsModelStatus.kTimeLimit: LPStatus.TIME_LIMIT,
         HighsModelStatus.kIterationLimit: LPStatus.ITERATION_LIMIT,
         HighsModelStatus.kInfeasible: LPStatus.INFEASIBLE,
         HighsModelStatus.kModelError: LPStatus.INFEASIBLE,
@@ -220,7 +227,10 @@ def test_status_table_pinned():
 @pytest.mark.parametrize("status", list(HighsModelStatus.__members__.values()), ids=str)
 def test_every_highs_status_maps_as_linprog_does(status):
     scipy_code, _ = _highs_to_scipy_status_message(status, "")
-    assert STATUS_MAP.get(status, LPStatus.NUMERICAL) is LINPROG_STATUS[scipy_code]
+    want = DEPARTURES.get(status, LINPROG_STATUS[scipy_code])
+    assert STATUS_MAP.get(status, LPStatus.NUMERICAL) is want
+    if status in DEPARTURES:
+        assert LINPROG_STATUS[scipy_code] is LPStatus.ITERATION_LIMIT
 
 
 def test_unbounded_or_infeasible_is_numerical():
@@ -285,4 +295,16 @@ def test_backend_is_stateless_across_threads():
     for t in threads:
         t.join()
     assert all(np.array_equal(a, b) for a, b in zip(serial, results))
-    assert vars(backend) == {}
+    assert vars(backend) == {"time_limit_s": None}  # configuration only
+
+
+def test_time_limit_is_enforced_by_highs():
+    asm = _assembled([1, 2, 3], [[-1, -1, -1]], [-3], [], [], [(0, 10)] * 3)
+    res = HighsBackend(time_limit_s=1e-9).solve_assembled(asm)
+    assert res.status is LPStatus.TIME_LIMIT
+    assert res.message == "Time limit reached" and res.x is None
+    # a budget the solve never reaches leaves the result untouched
+    roomy = HighsBackend(time_limit_s=60.0).solve_assembled(asm)
+    plain = HighsBackend().solve_assembled(asm)
+    assert roomy.status is LPStatus.OPTIMAL
+    assert np.array_equal(roomy.x, plain.x) and roomy.objective == plain.objective

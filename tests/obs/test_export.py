@@ -22,9 +22,7 @@ RECORDS = [
      "dur": 600.0, "index": 0},
     {"type": "lp_solve", "cat": "lp", "name": "co-online", "ts": 600.0,
      "backend": "highs", "rows_ub": 5, "rows_eq": 2, "cols": 9, "nnz": 20,
-     "wall_s": 0.01, "iterations": 7, "status": "optimal",
-     "presolve_fixed_vars": 0, "presolve_dropped_rows": 0,
-     "presolve_applied": False},
+     "wall_s": 0.01, "iterations": 7, "status": "optimal"},
 ]
 
 

@@ -65,22 +65,6 @@ class TestBackendProfiles:
             assert key in d
 
 
-class TestSimplexPresolve:
-    def test_presolve_reports_single_record(self):
-        # fixed variable: x == 2 forces a presolve reduction
-        lp = LinearProgram("presolved")
-        x = lp.new_var("x", lower=2.0, upper=2.0)
-        y = lp.new_var("y")
-        lp.add_constraint(x + y, Sense.GE, 3.0)
-        lp.set_objective(x + y)
-        with lpprof.profile() as prof:
-            result = SimplexBackend(presolve=True).solve(lp)
-        assert result.status.value == "optimal"
-        (rec,) = prof.records  # presolve + inner solve = ONE record
-        assert rec.presolve_applied is True
-        assert rec.presolve_fixed_vars >= 1
-
-
 class TestLPProfileSummary:
     def test_aggregates(self):
         with lpprof.profile() as prof:

@@ -9,9 +9,7 @@ TRACE = [
      "cost_delta": 1.25, "moved_mb": 640.0, "lp_solves": 1, "lp_wall_s": 0.02},
     {"type": "lp_solve", "cat": "lp", "name": "co-online", "ts": 0.0,
      "backend": "highs", "rows_ub": 10, "rows_eq": 2, "cols": 30, "nnz": 90,
-     "wall_s": 0.02, "iterations": 12, "status": "optimal",
-     "presolve_fixed_vars": 1, "presolve_dropped_rows": 0,
-     "presolve_applied": True},
+     "wall_s": 0.02, "iterations": 12, "status": "optimal"},
     {"type": "span", "cat": "task", "name": "attempt", "ts": 1.0, "dur": 9.0,
      "machine": 0, "job": 0},
     {"type": "span", "cat": "task", "name": "attempt", "ts": 2.0, "dur": 5.0,

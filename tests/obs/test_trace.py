@@ -3,6 +3,7 @@
 import json
 
 import numpy as np
+import pytest
 
 from repro.obs.trace import (
     NULL_TRACER,
@@ -100,22 +101,23 @@ class TestSpanIdentity:
 
 
 class TestLifecycle:
-    def test_context_manager_closes_and_counts_drops(self, tmp_path):
+    def test_context_manager_closes_and_rejects_late_emits(self, tmp_path):
         path = tmp_path / "t.jsonl"
         with Tracer.to_path(path) as t:
             t.event("task", "launch", 0.0, machine=1)
         assert t.closed
-        # emitting after close is tolerated but counted, never written
-        t.event("task", "launch", 1.0, machine=1)
-        t.span("task", "attempt", 1.0, 2.0)
-        assert t.dropped_after_close == 2
+        # a record emitted after close would be missing from the trace
+        with pytest.raises(ValueError, match="closed tracer"):
+            t.event("task", "launch", 1.0, machine=1)
+        with pytest.raises(ValueError):
+            t.span("task", "attempt", 1.0, 2.0)
         assert len(path.read_text().splitlines()) == 1
 
     def test_close_is_idempotent(self):
         t = Tracer()
         t.close()
         t.close()
-        assert t.closed and t.dropped_after_close == 0
+        assert t.closed
 
     def test_context_manager_closes_on_exception(self, tmp_path):
         path = tmp_path / "t.jsonl"
@@ -207,8 +209,6 @@ class TestTraceTap:
         assert tap.dropped == 0
 
     def test_rejects_silly_maxlen(self):
-        import pytest
-
         with pytest.raises(ValueError):
             TraceTap(maxlen=0)
 

@@ -1,10 +1,11 @@
 """Tests for ResilientSolver: classification, retries, fallback, timeout."""
 
-import time
+import threading
 
 import numpy as np
 import pytest
 
+from repro.core.assembly import ModelAssembler
 from repro.lp.problem import LinearProgram, Sense
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.scipy_backend import HighsBackend
@@ -17,6 +18,7 @@ from repro.resilience import (
     ResilientSolver,
     classify_result,
 )
+from tests.core.test_online_backend_contract import AMPLE_EPOCH_S, POOL, _cluster, _input_for
 
 
 def small_lp() -> LinearProgram:
@@ -49,17 +51,6 @@ class _FailingBackend:
         )
 
 
-class _SlowBackend:
-    name = "slow"
-
-    def __init__(self, delay_s: float):
-        self.delay_s = delay_s
-
-    def solve_assembled(self, asm):
-        time.sleep(self.delay_s)
-        return HighsBackend().solve_assembled(asm)
-
-
 class TestClassification:
     def test_optimal_is_none(self):
         res = LPResult(status=LPStatus.OPTIMAL, objective=0.0, x=np.zeros(1))
@@ -71,6 +62,7 @@ class TestClassification:
             (LPStatus.INFEASIBLE, FailureKind.INFEASIBLE),
             (LPStatus.UNBOUNDED, FailureKind.UNBOUNDED),
             (LPStatus.ITERATION_LIMIT, FailureKind.NUMERICAL),
+            (LPStatus.TIME_LIMIT, FailureKind.TIMEOUT),
             (LPStatus.NUMERICAL, FailureKind.NUMERICAL),
             (LPStatus.ERROR, FailureKind.BACKEND_ERROR),
         ],
@@ -195,22 +187,43 @@ class TestPerturbation:
 
 
 class TestTimeout:
-    def test_slow_solve_times_out_and_falls_back(self):
+    def test_slow_solve_times_out_and_falls_back(self, monkeypatch):
+        """HiGHS's own time limit times a Fig 4 epoch solve out, no thread."""
+        asm = ModelAssembler(
+            _input_for(_cluster(), POOL),
+            include_xd=True,
+            horizon=AMPLE_EPOCH_S,
+            include_fake=True,
+            epoch_bandwidth=True,
+        ).build()
+        want = SimplexBackend().solve_assembled(asm)
+        assert want.is_optimal
+
+        def no_threads(*args, **kwargs):
+            raise AssertionError("a timed solve must not start a thread")
+
+        monkeypatch.setattr(threading, "Thread", no_threads)
         solver = ResilientSolver(
-            [_SlowBackend(5.0), HighsBackend()], timeout_s=0.05, max_retries=0
+            [HighsBackend(time_limit_s=1e-9), SimplexBackend()], max_retries=2
         )
-        res = solver.solve(small_lp())
-        assert res.is_optimal
-        assert solver.last_attempts[0].kind is FailureKind.TIMEOUT
-        assert solver.fallbacks_total == 1
+        res = solver.solve_assembled(asm)
+        assert res.is_optimal and res.backend == "simplex"
+        assert res.objective == want.objective
+        assert np.array_equal(res.x, want.x)
+        # every HiGHS attempt (first try + 2 retries) ran out of time
+        assert [(a.backend, a.kind) for a in solver.last_attempts] == [
+            ("highs", FailureKind.TIMEOUT)
+        ] * 3
+        assert solver.retries_total == 2 and solver.fallbacks_total == 1
 
     def test_fast_solve_unaffected_by_timeout(self):
-        solver = ResilientSolver([HighsBackend()], timeout_s=30.0)
+        solver = ResilientSolver([HighsBackend(time_limit_s=30.0)])
         assert solver.solve(small_lp()).is_optimal
+        assert solver.last_attempts == []
 
     def test_timeout_validation(self):
         with pytest.raises(ValueError):
-            ResilientSolver([HighsBackend()], timeout_s=0.0)
+            HighsBackend(time_limit_s=0.0)
         with pytest.raises(ValueError):
             ResilientSolver([HighsBackend()], max_retries=-1)
 
