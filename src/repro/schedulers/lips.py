@@ -27,10 +27,12 @@ DataNode (a free intra-zone move) and reads node-locally.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from collections import deque
 from typing import Deque, Dict, List, Optional, Sequence, Set, Tuple
 
+import numpy as np
 
 from repro.cluster.builder import Cluster, ClusterBuilder
 from repro.cluster.topology import Topology
@@ -273,6 +275,11 @@ class LipsScheduler(TaskScheduler):
             )
         workload = Workload(jobs=jobs, data=data)
         inp = SchedulingInput.from_parts(self._zone_cluster, workload)
+        alive = np.array([tracker.alive for tracker in self.sim.trackers])
+        if not alive.all():
+            # a machine that is down has no CPU this epoch: planning onto it
+            # would strand the tasks until (unless) it recovers
+            inp = dataclasses.replace(inp, tp=np.where(alive, inp.tp, 0.0))
         return inp, subjobs
 
     # -- plan realisation ----------------------------------------------------

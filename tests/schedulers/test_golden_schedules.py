@@ -2,7 +2,7 @@
 
 Each case replays a small seeded SWIM-style workload on the 20-node paper
 testbed with one machine that fails and recovers, one that is lost for good
-(for an hour under LiPS) and, on odd seeds, chaos read faults (so failed
+and, on odd seeds, chaos read faults (so failed
 reads are re-queued with a backoff).  The baseline schedulers run with
 speculation on; the LiPS schedulers run with it off, as in the paper.  The golden file freezes each
 run's cost, makespan and a sha256 over its full attempt history, so any
@@ -90,12 +90,7 @@ def build_case(
     t_fail = largest[0].arrival_time + 20.0
     failures.add(seed % NODES, t_fail, t_fail + 600.0)
     t_lost = largest[1].arrival_time + 20.0
-    if scheduler in NO_SPECULATION:
-        # LiPS keeps planning onto a dead machine (see ROADMAP), so a machine
-        # lost for good would strand its plan: here it returns an hour later
-        failures.add((seed + 7) % NODES, t_lost, t_lost + DAY_S)
-    else:
-        failures.add((seed + 7) % NODES, t_lost)  # never recovers
+    failures.add((seed + 7) % NODES, t_lost)  # never recovers
     chaos = None
     if seed % 2:
         chaos = ChaosPlan(
