@@ -250,15 +250,15 @@ def add_solver_flags(parser: argparse.ArgumentParser) -> None:
         metavar="SECONDS",
         default=None,
         help="per-solve wall-clock budget, enforced by HiGHS's own time "
-        "limit; a timed-out solve is retried, then handed to the next backend",
+        "limit; a timed-out solve goes straight to the next backend",
     )
     group.add_argument(
         "--solver-retries",
         type=int,
         metavar="N",
         default=None,
-        help="perturbed re-attempts per backend on numerical failure or "
-        "timeout (default 2 when resilience is enabled)",
+        help="perturbed re-attempts per backend on numerical failure "
+        "(default 2 when resilience is enabled)",
     )
     group.add_argument(
         "--solver-fallback",

@@ -6,7 +6,9 @@ equivalent, self-contained LP layer with two interchangeable backends:
 * :class:`~repro.lp.scipy_backend.HighsBackend` — one direct call per
   solve into the HiGHS core SciPy bundles; the default, fast path.  Its
   plans are bit-identical to :func:`scipy.optimize.linprog`'s, which the
-  tests keep as its oracle.
+  tests keep as its oracle.  HiGHS (and with it ``scipy.optimize``) loads
+  at the first solve, not at import, so a run that solves no LP never
+  pays for it.
 * :class:`~repro.lp.simplex.SimplexBackend` — a small from-scratch dense
   two-phase revised simplex: the independent reference that
   cross-validates HiGHS (tests, ``repro check``, ``repro bench``) and the

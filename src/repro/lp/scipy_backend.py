@@ -11,49 +11,73 @@ bound-marginal loop.  ``linprog`` survives only as the test oracle
 
 from __future__ import annotations
 
+import functools
 import time
+from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 from scipy import sparse
 
-try:
-    from scipy.optimize._highspy import _core
-except ImportError:  # pragma: no cover - depends on the installed scipy
-    raise ImportError(
-        "repro.lp needs scipy>=1.15 (scipy.optimize._highspy._core, the bundled HiGHS)"
-    ) from None
-
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
 from repro.obs import lpprof
 
-#: ``major.minor.patch`` of the bundled HiGHS, for benchmark host facts
-HIGHS_VERSION = (
-    f"{_core.HIGHS_VERSION_MAJOR}.{_core.HIGHS_VERSION_MINOR}.{_core.HIGHS_VERSION_PATCH}"
-)
-
-_MS = _core.HighsModelStatus
-
-#: HiGHS model status → normalised status, as linprog maps them except
-#: that ``kTimeLimit`` is ``TIME_LIMIT`` (linprog folds it into the
-#: iteration limit).  Every other status (kUnboundedOrInfeasible, the
-#: load/presolve/solve/postsolve errors, kNotset, ...) is ``NUMERICAL``.
-STATUS_MAP = {
-    _MS.kOptimal: LPStatus.OPTIMAL,
-    _MS.kTimeLimit: LPStatus.TIME_LIMIT,
-    _MS.kIterationLimit: LPStatus.ITERATION_LIMIT,
-    _MS.kInfeasible: LPStatus.INFEASIBLE,
-    _MS.kModelError: LPStatus.INFEASIBLE,
-    _MS.kUnbounded: LPStatus.UNBOUNDED,
-}
-
 #: the options linprog(method="highs") changes from the HiGHS defaults
 _OPTIONS = (("presolve", "on"), ("output_flag", False), ("log_to_console", False))
 
-_COLWISE = int(_core.MatrixFormat.kColwise)
-_MINIMIZE = int(_core.ObjSense.kMinimize)
-_ERROR = _core.HighsStatus.kError
+
+@functools.cache
+def _highs() -> SimpleNamespace:
+    """The bundled HiGHS core and the constants read off it, loaded once.
+
+    Importing ``_core`` pulls in all of ``scipy.optimize``, so it waits for
+    the first solve: a run that never solves an LP (the Hadoop baselines)
+    never pays for it.
+
+    * ``core`` — the ``scipy.optimize._highspy._core`` module;
+    * ``STATUS_MAP`` — HiGHS model status → normalised status, as linprog
+      maps them except that ``kTimeLimit`` is ``TIME_LIMIT`` (linprog folds
+      it into the iteration limit).  Every other status
+      (kUnboundedOrInfeasible, the load/presolve/solve/postsolve errors,
+      kNotset, ...) is ``NUMERICAL``;
+    * ``HIGHS_VERSION`` — ``major.minor.patch``, for benchmark host facts.
+    """
+    try:
+        from scipy.optimize._highspy import _core
+    except ImportError:  # pragma: no cover - depends on the installed scipy
+        raise ImportError(
+            "repro.lp needs scipy>=1.15 (scipy.optimize._highspy._core, the bundled HiGHS)"
+        ) from None
+    ms = _core.HighsModelStatus
+    return SimpleNamespace(
+        core=_core,
+        MS=ms,
+        COLWISE=int(_core.MatrixFormat.kColwise),
+        MINIMIZE=int(_core.ObjSense.kMinimize),
+        ERROR=_core.HighsStatus.kError,
+        INF=_core.kHighsInf,
+        STATUS_MAP={
+            ms.kOptimal: LPStatus.OPTIMAL,
+            ms.kTimeLimit: LPStatus.TIME_LIMIT,
+            ms.kIterationLimit: LPStatus.ITERATION_LIMIT,
+            ms.kInfeasible: LPStatus.INFEASIBLE,
+            ms.kModelError: LPStatus.INFEASIBLE,
+            ms.kUnbounded: LPStatus.UNBOUNDED,
+        },
+        HIGHS_VERSION=(
+            f"{_core.HIGHS_VERSION_MAJOR}.{_core.HIGHS_VERSION_MINOR}."
+            f"{_core.HIGHS_VERSION_PATCH}"
+        ),
+    )
+
+
+def __getattr__(name: str):
+    """``STATUS_MAP`` and ``HIGHS_VERSION`` by name, loading HiGHS (PEP 562)."""
+    if name in ("STATUS_MAP", "HIGHS_VERSION"):
+        return getattr(_highs(), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 #: linprog's post-solve feasibility tolerance: ``sqrt(tol) * 10`` with its
 #: default ``tol = 1e-9``
@@ -84,7 +108,8 @@ def feasible_point(x, objective, slack, con, bounds) -> bool:
 
 def _highs_inf(values) -> np.ndarray:
     """A contiguous copy with ±inf mapped to HiGHS's infinity."""
-    return np.clip(values, -_core.kHighsInf, _core.kHighsInf)
+    inf = _highs().INF
+    return np.clip(values, -inf, inf)
 
 
 class HighsBackend:
@@ -164,21 +189,22 @@ class HighsBackend:
         else:
             a = sparse.csc_array(asm.a_ub)
             lhs, rhs = np.full(m_ub, -np.inf), asm.b_ub
-        highs = _core._Highs()
+        h = _highs()
+        highs = h.core._Highs()
         for option, value in _OPTIONS:
             highs.setOptionValue(option, value)
         if self.time_limit_s is not None:
             highs.setOptionValue("time_limit", float(self.time_limit_s))
         loaded = highs.passModel(
-            n, a.shape[0], a.nnz, _COLWISE, _MINIMIZE, 0.0,
+            n, a.shape[0], a.nnz, h.COLWISE, h.MINIMIZE, 0.0,
             asm.c, _highs_inf(asm.bounds[:, 0]), _highs_inf(asm.bounds[:, 1]),
             _highs_inf(lhs), _highs_inf(rhs),
             a.indptr, a.indices, a.data,
             np.zeros(n, dtype=np.int32),  # all columns continuous
         )
-        ran = loaded != _ERROR and highs.run() != _ERROR
-        model_status = highs.getModelStatus() if loaded != _ERROR else _MS.kModelError
-        status = STATUS_MAP.get(model_status, LPStatus.NUMERICAL)
+        ran = loaded != h.ERROR and highs.run() != h.ERROR
+        model_status = highs.getModelStatus() if loaded != h.ERROR else h.MS.kModelError
+        status = h.STATUS_MAP.get(model_status, LPStatus.NUMERICAL)
         info = highs.getInfo() if ran else None
         iterations = (info.simplex_iteration_count or info.ipm_iteration_count) if ran else 0
         message = highs.modelStatusToString(model_status)

@@ -11,7 +11,8 @@ backends expose, adding three production behaviours:
   ``time_limit_s``, which HiGHS enforces inside the solve) returns
   ``TIME_LIMIT``, classified :attr:`FailureKind.TIMEOUT`; the solve never
   leaves the calling thread;
-* **bounded retries** on numerical failures and timeouts, each retry
+* **bounded retries** on numerical failures (a timeout falls back at
+  once: a retry would spend the same budget on the same model), each retry
   applying a small *deterministic* objective perturbation (a classic
   degeneracy-breaking trick — the perturbation pattern depends only on the
   attempt number, so reruns are reproducible) plus exponential backoff;
@@ -56,7 +57,9 @@ class FailureKind(enum.Enum):
 #: Failure kinds where retrying (with perturbation) can plausibly help.
 #: Infeasibility/unboundedness are model properties — a retry on the same
 #: backend is wasted work, though the *next* backend still cross-checks.
-RETRYABLE_KINDS = frozenset({FailureKind.TIMEOUT, FailureKind.NUMERICAL})
+#: A timeout goes straight to the next backend too: a perturbed retry
+#: would spend the same time budget on the same model again.
+RETRYABLE_KINDS = frozenset({FailureKind.NUMERICAL})
 
 _STATUS_TO_KIND = {
     LPStatus.INFEASIBLE: FailureKind.INFEASIBLE,

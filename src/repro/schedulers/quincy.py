@@ -28,10 +28,9 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-import networkx as nx
-
 from repro.hadoop.tasktracker import SimTask, TaskTracker
 from repro.schedulers.base import Assignment, TaskScheduler
+from repro.util import import_networkx
 
 #: fixed-point scale for integer edge costs (networkx wants ints)
 COST_SCALE = 10**9
@@ -71,6 +70,7 @@ class QuincyScheduler(TaskScheduler):
         slots_lookahead: int = 3,
     ) -> None:
         super().__init__()
+        import_networkx("QuincyScheduler")  # fail at construction, not mid-run
         if objective not in ("locality", "dollars"):
             raise ValueError("objective must be 'locality' or 'dollars'")
         if refresh_s <= 0:
@@ -168,6 +168,7 @@ class QuincyScheduler(TaskScheduler):
         if not entries:
             return
 
+        nx = import_networkx("QuincyScheduler")
         g = nx.DiGraph()
         n = len(entries)
         g.add_node("src", demand=-n)

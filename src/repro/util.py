@@ -1,4 +1,4 @@
-"""Dependency-free numeric helpers importable from anywhere in the package.
+"""Dependency-free helpers importable from anywhere in the package.
 
 Lives outside the subpackages on purpose: ``repro.cluster`` and
 ``repro.workload`` need :func:`round_half_up` but must not pull in
@@ -8,6 +8,7 @@ Lives outside the subpackages on purpose: ``repro.cluster`` and
 from __future__ import annotations
 
 import math
+from types import ModuleType
 
 
 def round_half_up(x: float) -> int:
@@ -20,3 +21,20 @@ def round_half_up(x: float) -> int:
     instead of ``int(round(...))`` — enforced by lint rule ``AST003``.
     """
     return math.floor(x + 0.5)
+
+
+def import_networkx(user: str) -> ModuleType:
+    """networkx, imported at first use by ``user`` (Quincy, job DAGs).
+
+    networkx is an optional dependency, the ``graph`` extra: no experiment
+    or benchmark needs it, so ``import repro`` must not load it.  Raises an
+    ImportError naming the extra when it is not installed.
+    """
+    try:
+        # deferred: networkx is the optional ``graph`` extra
+        import networkx
+    except ImportError:
+        raise ImportError(
+            f"{user} needs networkx, the 'graph' extra: pip install -e '.[graph]'"
+        ) from None
+    return networkx

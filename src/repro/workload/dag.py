@@ -19,14 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-import networkx as nx
 import numpy as np
 
 from repro.cluster.builder import Cluster
 from repro.core.co_offline import solve_co_offline
 from repro.core.model import SchedulingInput
 from repro.core.solution import CoScheduleSolution
+from repro.util import import_networkx
 from repro.workload.job import DataObject, Job, Workload
+
+
+def _nx():
+    return import_networkx("JobDag")
 
 
 class JobDag:
@@ -38,7 +42,7 @@ class JobDag:
 
     def __init__(self, workload: Workload) -> None:
         self.workload = workload
-        self._graph = nx.DiGraph()
+        self._graph = _nx().DiGraph()
         self._graph.add_nodes_from(j.job_id for j in workload.jobs)
 
     def add_dependency(self, before: int, after: int) -> None:
@@ -49,7 +53,7 @@ class JobDag:
         if before == after:
             raise ValueError("a job cannot depend on itself")
         self._graph.add_edge(before, after)
-        if not nx.is_directed_acyclic_graph(self._graph):
+        if not _nx().is_directed_acyclic_graph(self._graph):
             self._graph.remove_edge(before, after)
             raise ValueError(f"dependency {before} -> {after} creates a cycle")
 
@@ -68,7 +72,7 @@ class JobDag:
 
     def levels(self) -> List[List[int]]:
         """Topological generations: mutually independent job sets, in order."""
-        return [sorted(gen) for gen in nx.topological_generations(self._graph)]
+        return [sorted(gen) for gen in _nx().topological_generations(self._graph)]
 
     def critical_path_length(self) -> int:
         """Number of levels (the DAG's depth)."""
@@ -76,7 +80,7 @@ class JobDag:
 
     def validate(self) -> None:
         """Raise if the dependency graph has a cycle."""
-        if not nx.is_directed_acyclic_graph(self._graph):
+        if not _nx().is_directed_acyclic_graph(self._graph):
             raise ValueError("dependency graph has a cycle")
 
     def sub_workload(self, job_ids: Sequence[int]) -> Tuple[Workload, Dict[int, int]]:

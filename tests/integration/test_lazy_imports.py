@@ -1,0 +1,125 @@
+"""Heavy optional dependencies load only when a run uses them.
+
+HiGHS (``scipy.optimize._highspy._core``, which pulls in all of
+``scipy.optimize``) loads at the first LP solve, and networkx (the
+``graph`` extra) only for Quincy and job DAGs.  A run that never solves an
+LP — the Hadoop baselines — pays for neither, and ``import repro`` works
+with only the declared dependencies.  Each check runs in a fresh
+interpreter, since this test process has long since imported both.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+SRC = Path(__file__).resolve().parents[2] / "src"
+
+HEAVY = ("scipy.optimize", "networkx")
+
+
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-c", code, *args],
+        capture_output=True,
+        text=True,
+        timeout=240,
+        env=env,
+    )
+
+
+#: the repro modules the benchmark's workloads import, then a small
+#: delay-scheduling run, then one HiGHS solve
+BASELINE_THEN_SOLVE = f"""
+import json, sys
+import repro.hadoop.sim, repro.schedulers, repro.core.assembly, repro.obs.lpprof
+import repro.serve.service, repro.serve.journal, repro.serve.soak
+import repro.schedulers.lips, repro.cluster.builder, repro.workload.swim
+from repro.cluster.builder import build_paper_testbed
+from repro.hadoop.sim import HadoopSimulator, SimConfig
+from repro.schedulers import DelayScheduler
+from repro.workload.swim import SwimConfig, synthesize_facebook_day
+
+heavy = {HEAVY!r}
+seen = {{"imported": [m for m in heavy if m in sys.modules]}}
+workload = synthesize_facebook_day(SwimConfig(
+    num_jobs=8, duration_s=1800.0, classes=(("small", 1.0, (1, 6)),),
+    num_origin_stores=6, seed=3,
+))
+sim = HadoopSimulator(
+    build_paper_testbed(6, seed=3), workload, DelayScheduler(),
+    SimConfig(speculative=True, placement_seed=3),
+)
+seen["jobs"] = sim.run().num_jobs
+seen["after_run"] = [m for m in heavy if m in sys.modules]
+
+from repro.lp import HighsBackend, LinearProgram, Sense
+lp = LinearProgram()
+x = lp.new_var("x")
+lp.add_constraint(x, Sense.GE, 1.0)
+lp.set_objective(x)
+seen["status"] = HighsBackend().solve(lp).status.value
+seen["core_after_solve"] = "scipy.optimize._highspy._core" in sys.modules
+print(json.dumps(seen))
+"""
+
+
+def test_baseline_run_loads_neither_highs_nor_networkx():
+    r = run_python(BASELINE_THEN_SOLVE)
+    assert r.returncode == 0, r.stderr
+    seen = json.loads(r.stdout.splitlines()[-1])
+    assert seen["imported"] == []
+    assert seen["jobs"] == 8
+    assert seen["after_run"] == []
+    assert seen["status"] == "optimal"
+    assert seen["core_after_solve"] is True
+
+
+#: networkx made unimportable, as after ``pip install -e .`` with no extras
+NO_NETWORKX = """
+import sys
+sys.modules["networkx"] = None
+"""
+
+
+def test_import_repro_without_networkx():
+    r = run_python(NO_NETWORKX + "import repro, repro.schedulers, repro.workload.dag\n")
+    assert r.returncode == 0, r.stderr
+
+
+def test_cli_help_without_networkx():
+    r = run_python(
+        NO_NETWORKX
+        + "import runpy\n"
+        + "sys.argv = ['repro', '--help']\n"
+        + "runpy.run_module('repro', run_name='__main__')\n"
+    )
+    assert r.returncode == 0, r.stderr
+    assert "usage" in r.stdout.lower()
+
+
+def test_graph_users_name_the_missing_extra():
+    r = run_python(
+        NO_NETWORKX
+        + """
+from repro.schedulers import QuincyScheduler
+from repro.workload.dag import JobDag
+from repro.workload.job import Workload
+for build in (QuincyScheduler, lambda: JobDag(Workload(jobs=[], data=[]))):
+    try:
+        build()
+    except ImportError as exc:
+        print(exc)
+    else:
+        raise SystemExit("constructed without networkx")
+"""
+    )
+    assert r.returncode == 0, r.stderr
+    lines = r.stdout.splitlines()
+    assert len(lines) == 2
+    for line, user in zip(lines, ("QuincyScheduler", "JobDag")):
+        assert line.startswith(f"{user} needs networkx")
+        assert "pip install -e '.[graph]'" in line

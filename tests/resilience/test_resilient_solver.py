@@ -71,8 +71,9 @@ class TestClassification:
         res = LPResult(status=status, objective=float("nan"), x=None)
         assert classify_result(res) is kind
 
-    def test_only_timeout_and_numerical_retry(self):
-        assert RETRYABLE_KINDS == {FailureKind.TIMEOUT, FailureKind.NUMERICAL}
+    def test_only_numerical_retries(self):
+        # a timeout falls back at once: a retry would pay the same budget again
+        assert RETRYABLE_KINDS == {FailureKind.NUMERICAL}
 
     def test_simplex_iteration_cap_is_structured(self):
         # satellite: SimplexError carries a structured status, no
@@ -210,11 +211,12 @@ class TestTimeout:
         assert res.is_optimal and res.backend == "simplex"
         assert res.objective == want.objective
         assert np.array_equal(res.x, want.x)
-        # every HiGHS attempt (first try + 2 retries) ran out of time
+        # the one HiGHS attempt ran out of time and went straight to the
+        # fallback: no retry spends the same budget again
         assert [(a.backend, a.kind) for a in solver.last_attempts] == [
             ("highs", FailureKind.TIMEOUT)
-        ] * 3
-        assert solver.retries_total == 2 and solver.fallbacks_total == 1
+        ]
+        assert solver.retries_total == 0 and solver.fallbacks_total == 1
 
     def test_fast_solve_unaffected_by_timeout(self):
         solver = ResilientSolver([HighsBackend(time_limit_s=30.0)])
