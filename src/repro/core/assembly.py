@@ -25,11 +25,10 @@ from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.core.model import SchedulingInput
 from repro.core.solution import CoScheduleSolution
-from repro.lp.problem import AssembledLP
+from repro.lp.problem import AssembledLP, CsrMatrix
 
 #: Safety multiplier making the fake node dominate any real schedule cost.
 FAKE_PRICE_MULTIPLIER: float = 1.0e3
@@ -71,15 +70,14 @@ class _Triplets:
         self.rhs.append(rhs)
         self.next_row += int(rhs.shape[0])
 
-    def build(self, num_cols: int) -> Tuple[sparse.csr_matrix, np.ndarray]:
+    def build(self, num_cols: int) -> Tuple[CsrMatrix, np.ndarray]:
         if not self.rhs:
-            return sparse.csr_matrix((0, num_cols)), np.zeros(0)
+            return CsrMatrix.from_coo([], [], [], (0, num_cols)), np.zeros(0)
         rows = np.concatenate(self.rows)
         cols = np.concatenate(self.cols)
         vals = np.concatenate(self.vals)
         rhs = np.concatenate(self.rhs)
-        mat = sparse.csr_matrix((vals, (rows, cols)), shape=(self.next_row, num_cols))
-        return mat, rhs
+        return CsrMatrix.from_coo(rows, cols, vals, (self.next_row, num_cols)), rhs
 
 
 class ModelAssembler:
@@ -255,9 +253,10 @@ class ModelAssembler:
             rows_parts.append(np.arange(self.K))
             cols_parts.append(self.cols_fake())
         done = mark("job_coverage")
-        rows = np.concatenate(rows_parts)
-        cols = np.concatenate(cols_parts)
-        t.add_block(rows, cols, np.full(rows.shape, -1.0), np.full(self.K, -1.0))
+        if rows_parts:
+            rows = np.concatenate(rows_parts)
+            cols = np.concatenate(cols_parts)
+            t.add_block(rows, cols, np.full(rows.shape, -1.0), np.full(self.K, -1.0))
         done()
 
         # (3)/(13)/(24): coupling per (input job, store).
@@ -373,7 +372,7 @@ class ModelAssembler:
             c=self.objective(),
             a_ub=a_ub,
             b_ub=b_ub,
-            a_eq=sparse.csr_matrix((0, self.num_cols)),
+            a_eq=CsrMatrix.from_coo([], [], [], (0, self.num_cols)),
             b_eq=np.zeros(0),
             bounds=bounds,
         )

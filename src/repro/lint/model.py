@@ -36,8 +36,9 @@ which paper figure the model claims to be:
 ``LIPS005`` every model needs one job-coverage row per job
 ==========  ==============================================================
 
-All checks are pure inspection of the sparse matrices and the assembler's
-``row_ranges`` bookkeeping; nothing here ever calls a backend.
+All checks are pure inspection of the compressed-row arrays of the model's
+matrices and the assembler's ``row_ranges`` bookkeeping; nothing here ever
+calls a backend.
 """
 
 from __future__ import annotations
@@ -46,10 +47,9 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy import sparse
 
 from repro.lint.findings import Finding, Severity
-from repro.lp.problem import AssembledLP, LinearProgram
+from repro.lp.problem import AssembledLP, CsrMatrix, LinearProgram
 
 #: max/min constraint-coefficient magnitude ratio before LM007 fires
 CONDITIONING_SPREAD: float = 1e8
@@ -82,13 +82,12 @@ def _row_label(ranges: Optional[dict], kind: str, i: int) -> str:
     return f"{kind}[{i}]"
 
 
-def _row_keys(mat: sparse.csr_matrix) -> List[tuple]:
+def _row_keys(mat: CsrMatrix) -> List[tuple]:
     """Hashable (cols, vals) signature per row, for duplicate detection."""
-    csr = mat.tocsr()
     keys = []
-    for r in range(csr.shape[0]):
-        sl = slice(csr.indptr[r], csr.indptr[r + 1])
-        pairs = sorted(zip(csr.indices[sl].tolist(), csr.data[sl].tolist()))
+    for r in range(mat.shape[0]):
+        sl = slice(mat.indptr[r], mat.indptr[r + 1])
+        pairs = sorted(zip(mat.indices[sl].tolist(), mat.data[sl].tolist()))
         keys.append(tuple(pairs))
     return keys
 
@@ -116,10 +115,8 @@ def lint_model(
     loc = asm.name
     n = asm.num_variables
 
-    a_ub = asm.a_ub.tocsc()
-    a_eq = asm.a_eq.tocsc()
-    ub_counts = np.diff(a_ub.indptr) if n else np.zeros(0, dtype=int)
-    eq_counts = np.diff(a_eq.indptr) if n else np.zeros(0, dtype=int)
+    ub_counts = np.bincount(asm.a_ub.indices, minlength=n)
+    eq_counts = np.bincount(asm.a_eq.indices, minlength=n)
 
     # LM001 — dangling variables
     for j in np.where((ub_counts == 0) & (eq_counts == 0) & (asm.c == 0.0))[0]:
@@ -134,7 +131,7 @@ def lint_model(
         )
 
     # LM002 — zero rows (ERROR when the empty row cannot hold)
-    for kind, mat, rhs in (("ub", asm.a_ub.tocsr(), asm.b_ub), ("eq", asm.a_eq.tocsr(), asm.b_eq)):
+    for kind, mat, rhs in (("ub", asm.a_ub, asm.b_ub), ("eq", asm.a_eq, asm.b_eq)):
         counts = np.diff(mat.indptr)
         for i in np.where(counts == 0)[0]:
             bad = rhs[i] < 0 if kind == "ub" else rhs[i] != 0
@@ -187,8 +184,7 @@ def lint_model(
     # it to the rest of the model).
     if n:
         has_pos_ub = np.zeros(n, dtype=bool)
-        coo = asm.a_ub.tocoo()
-        np.logical_or.at(has_pos_ub, coo.col, coo.data > 0)
+        np.logical_or.at(has_pos_ub, asm.a_ub.indices, asm.a_ub.data > 0)
         for j in np.where(
             (asm.c < 0) & ~np.isfinite(asm.bounds[:, 1]) & ~has_pos_ub & (eq_counts == 0)
         )[0]:
@@ -217,7 +213,7 @@ def lint_model(
             )
 
     # LM007 — conditioning of the constraint matrix
-    mags = np.abs(np.concatenate([asm.a_ub.tocoo().data, asm.a_eq.tocoo().data]))
+    mags = np.abs(np.concatenate([asm.a_ub.data, asm.a_eq.data]))
     mags = mags[mags > 0]
     if mags.size:
         spread = float(mags.max() / mags.min())
@@ -326,12 +322,12 @@ def lint_lips(assembler, asm: AssembledLP, kind: str) -> List[Finding]:
             )
         else:
             start, _ = assembler.row_ranges["data_coverage"]
-            rows = asm.a_ub.tocsr()[start : start + D]
+            indptr = asm.a_ub.indptr[start : start + D + 1]
             # each row i must put -1 on exactly object i's S columns, rhs -1
-            counts = np.diff(rows.indptr)
+            counts = np.diff(indptr)
             ok = (
                 bool(np.all(counts == S))
-                and bool(np.all(rows.tocoo().data == -1.0))
+                and bool(np.all(asm.a_ub.data[indptr[0] : indptr[-1]] == -1.0))
                 and bool(np.all(asm.b_ub[start : start + D] == -1.0))
             )
             if not ok:

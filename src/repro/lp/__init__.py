@@ -6,9 +6,9 @@ equivalent, self-contained LP layer with two interchangeable backends:
 * :class:`~repro.lp.scipy_backend.HighsBackend` — one direct call per
   solve into the HiGHS core SciPy bundles; the default, fast path.  Its
   plans are bit-identical to :func:`scipy.optimize.linprog`'s, which the
-  tests keep as its oracle.  HiGHS (and with it ``scipy.optimize``) loads
-  at the first solve, not at import, so a run that solves no LP never
-  pays for it.
+  tests keep as its oracle.  HiGHS loads at the first solve, not at
+  import, and only its core extension: neither ``scipy.optimize`` nor
+  ``scipy.sparse`` is imported on this path.
 * :class:`~repro.lp.simplex.SimplexBackend` — a small from-scratch dense
   two-phase revised simplex: the independent reference that
   cross-validates HiGHS (tests, ``repro check``, ``repro bench``) and the
@@ -16,7 +16,9 @@ equivalent, self-contained LP layer with two interchangeable backends:
 
 Models are built with :class:`~repro.lp.problem.LinearProgram`, which offers a
 small modelling API (named variables, linear expressions, ``<=``/``>=``/``==``
-constraints) and assembles the sparse matrices handed to the backends.
+constraints) and assembles the sparse matrices handed to the backends, as
+:class:`~repro.lp.problem.CsrMatrix` numpy arrays.  Only the simplex's
+standard-form conversion (and tests) turn them into ``scipy.sparse``.
 """
 
 from repro.lp.expr import LinExpr, Variable

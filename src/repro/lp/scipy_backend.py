@@ -1,23 +1,31 @@
 """HiGHS backend — one direct call per solve into the HiGHS core SciPy bundles.
 
 This is the production path (the paper used GLPK's simplex; HiGHS is its
-modern equivalent).  Each solve hands HiGHS exactly the model and options
+modern equivalent).  Each solve hands HiGHS the model and options
 ``scipy.optimize.linprog(method="highs")`` would, so plans are bit-identical
 to linprog's, but skips linprog's input re-validation and per-column
-bound-marginal loop.  ``linprog`` survives only as the test oracle
-(``tests/lp/test_highs_direct.py``); the from-scratch
+bound-marginal loop.  The constraint matrix goes in as the model's own
+compressed-row numpy arrays (HiGHS transposes them to the column-wise
+matrix linprog passes), and only the ``_core`` extension module is loaded,
+not the ``scipy.optimize`` package around it, so a solve imports neither
+``scipy.optimize`` nor ``scipy.sparse``.  ``linprog`` survives only as the
+test oracle (``tests/lp/test_highs_direct.py``); the from-scratch
 :mod:`repro.lp.simplex` backend cross-checks the optima.
 """
 
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
+import os
+import sys
 import time
 from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
-from scipy import sparse
+import scipy
 
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
@@ -31,9 +39,9 @@ _OPTIONS = (("presolve", "on"), ("output_flag", False), ("log_to_console", False
 def _highs() -> SimpleNamespace:
     """The bundled HiGHS core and the constants read off it, loaded once.
 
-    Importing ``_core`` pulls in all of ``scipy.optimize``, so it waits for
-    the first solve: a run that never solves an LP (the Hadoop baselines)
-    never pays for it.
+    Loading waits for the first solve, so a run that never solves an LP (the
+    Hadoop baselines) never pays for it.  See :func:`_load_core` for how
+    the extension is found without running ``scipy.optimize``.
 
     * ``core`` — the ``scipy.optimize._highspy._core`` module;
     * ``STATUS_MAP`` — HiGHS model status → normalised status, as linprog
@@ -43,17 +51,12 @@ def _highs() -> SimpleNamespace:
       kNotset, ...) is ``NUMERICAL``;
     * ``HIGHS_VERSION`` — ``major.minor.patch``, for benchmark host facts.
     """
-    try:
-        from scipy.optimize._highspy import _core
-    except ImportError:  # pragma: no cover - depends on the installed scipy
-        raise ImportError(
-            "repro.lp needs scipy>=1.15 (scipy.optimize._highspy._core, the bundled HiGHS)"
-        ) from None
+    _core = _load_core()
     ms = _core.HighsModelStatus
     return SimpleNamespace(
         core=_core,
         MS=ms,
-        COLWISE=int(_core.MatrixFormat.kColwise),
+        ROWWISE=int(_core.MatrixFormat.kRowwise),
         MINIMIZE=int(_core.ObjSense.kMinimize),
         ERROR=_core.HighsStatus.kError,
         INF=_core.kHighsInf,
@@ -70,6 +73,35 @@ def _highs() -> SimpleNamespace:
             f"{_core.HIGHS_VERSION_PATCH}"
         ),
     )
+
+
+def _load_core():
+    """The ``scipy.optimize._highspy._core`` extension module.
+
+    Importing it by name would first run ``scipy/optimize/__init__``, which
+    loads all of ``scipy.optimize`` and ``scipy.sparse`` (~50 MB) though a
+    solve needs only this one module.  So the extension is found in its
+    directory and loaded directly, and registered in ``sys.modules`` under
+    its full name: a later ``import scipy.optimize`` (``linprog``, the
+    tests' oracle) reuses it instead of registering HiGHS's types twice.
+    """
+    name = "scipy.optimize._highspy._core"
+    if name in sys.modules:
+        return sys.modules[name]
+    path = os.path.join(os.path.dirname(scipy.__file__), "optimize", "_highspy")
+    spec = importlib.machinery.PathFinder.find_spec(name, [path])
+    if spec is None:  # pragma: no cover - depends on the installed scipy
+        raise ImportError(
+            "repro.lp needs scipy>=1.15 (scipy.optimize._highspy._core, the bundled HiGHS)"
+        )
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[name] = module
+    try:
+        spec.loader.exec_module(module)
+    except BaseException:
+        del sys.modules[name]
+        raise
+    return module
 
 
 def __getattr__(name: str):
@@ -180,14 +212,18 @@ class HighsBackend:
                 backend=self.name,
             )
 
-        # lhs <= A @ x <= rhs with A = [A_ub; A_eq], as linprog builds it
-        m_ub = asm.b_ub.shape[0]
-        if asm.b_eq.shape[0]:
-            a = sparse.csc_array(sparse.vstack((asm.a_ub, asm.a_eq)))
+        # lhs <= A @ x <= rhs with A = [A_ub; A_eq], as linprog builds it;
+        # stacking compressed rows is concatenation
+        a_ub, a_eq = asm.a_ub, asm.a_eq
+        m_ub, m_eq = asm.b_ub.shape[0], asm.b_eq.shape[0]
+        if m_eq:
+            indptr = np.concatenate((a_ub.indptr, a_eq.indptr[1:] + a_ub.indptr[-1]))
+            indices = np.concatenate((a_ub.indices, a_eq.indices))
+            data = np.concatenate((a_ub.data, a_eq.data))
             lhs = np.concatenate((np.full(m_ub, -np.inf), asm.b_eq))
             rhs = np.concatenate((asm.b_ub, asm.b_eq))
         else:
-            a = sparse.csc_array(asm.a_ub)
+            indptr, indices, data = a_ub.indptr, a_ub.indices, a_ub.data
             lhs, rhs = np.full(m_ub, -np.inf), asm.b_ub
         h = _highs()
         highs = h.core._Highs()
@@ -196,10 +232,10 @@ class HighsBackend:
         if self.time_limit_s is not None:
             highs.setOptionValue("time_limit", float(self.time_limit_s))
         loaded = highs.passModel(
-            n, a.shape[0], a.nnz, h.COLWISE, h.MINIMIZE, 0.0,
+            n, m_ub + m_eq, int(indptr[-1]), h.ROWWISE, h.MINIMIZE, 0.0,
             asm.c, _highs_inf(asm.bounds[:, 0]), _highs_inf(asm.bounds[:, 1]),
             _highs_inf(lhs), _highs_inf(rhs),
-            a.indptr, a.indices, a.data,
+            indptr, indices, data,
             np.zeros(n, dtype=np.int32),  # all columns continuous
         )
         ran = loaded != h.ERROR and highs.run() != h.ERROR

@@ -26,14 +26,17 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.standard_form import StandardFormLP, to_standard_form
 from repro.obs import lpprof
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 class SimplexError(RuntimeError):
@@ -55,7 +58,7 @@ class BasisSingularError(RuntimeError):
     """The selected basis matrix is (numerically) singular."""
 
 
-def dense_column(a: sparse.csc_matrix, j: int) -> np.ndarray:
+def dense_column(a: scipy.sparse.csc_matrix, j: int) -> np.ndarray:
     """Dense copy of column ``j`` of a CSC matrix (one indptr slice)."""
     out = np.zeros(a.shape[0])
     start, end = a.indptr[j], a.indptr[j + 1]
@@ -72,11 +75,11 @@ class BasisInverse:
     :meth:`refactor` recomputes the inverse from scratch.
     """
 
-    def __init__(self, a: sparse.csc_matrix, basis: np.ndarray) -> None:
+    def __init__(self, a: scipy.sparse.csc_matrix, basis: np.ndarray) -> None:
         self.b_inv: np.ndarray = np.zeros((0, 0))
         self.refactor(a, basis)
 
-    def refactor(self, a: sparse.csc_matrix, basis: np.ndarray) -> None:
+    def refactor(self, a: scipy.sparse.csc_matrix, basis: np.ndarray) -> None:
         """Recompute the inverse from scratch (drift control)."""
         cols = a[:, basis].toarray()
         try:
@@ -122,7 +125,7 @@ class BasisInverse:
 class _Tableau:
     """Mutable simplex state: basis indices, basis inverse, values."""
 
-    a: sparse.csc_matrix
+    a: scipy.sparse.csc_matrix
     b: np.ndarray
     basis: np.ndarray  # column index of each basic variable, len m
     inverse: BasisInverse
@@ -263,7 +266,7 @@ class SimplexBackend:
 
     # -- tableau helpers --------------------------------------------------------
     def _make_tableau(
-        self, a: sparse.csc_matrix, b: np.ndarray, basis: np.ndarray
+        self, a: scipy.sparse.csc_matrix, b: np.ndarray, basis: np.ndarray
     ) -> _Tableau:
         """Invert ``basis`` and seed the incremental basic values."""
         inverse = BasisInverse(a, basis)
@@ -273,6 +276,9 @@ class SimplexBackend:
     def _solve_standard(
         self, std: StandardFormLP
     ) -> tuple[LPStatus, np.ndarray, int, "np.ndarray | None"]:
+        # deferred: scipy.sparse is loaded only when the reference simplex runs
+        from scipy import sparse
+
         a, b, c = std.a, std.b, std.c
         m, n = a.shape
         if m == 0:

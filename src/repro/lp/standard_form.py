@@ -24,12 +24,14 @@ would dominate memory on epoch-sized models.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import TYPE_CHECKING, List, Tuple
 
 import numpy as np
-from scipy import sparse
 
 from repro.lp.problem import AssembledLP
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 @dataclass
@@ -37,7 +39,7 @@ class StandardFormLP:
     """``min c @ y  s.t.  A @ y == b, y >= 0`` plus the recovery recipe."""
 
     c: np.ndarray
-    a: sparse.csc_matrix  # (m, n) CSC — the simplex backend works on column views
+    a: scipy.sparse.csc_matrix  # (m, n) CSC — the simplex backend works on column views
     b: np.ndarray
     objective_constant: float
     #: per original variable: (kind, data)
@@ -69,6 +71,9 @@ class StandardFormLP:
 
 def to_standard_form(asm: AssembledLP) -> StandardFormLP:
     """Rewrite an :class:`AssembledLP` into equality standard form."""
+    # deferred: scipy.sparse is loaded only when the reference simplex runs
+    from scipy import sparse
+
     n = asm.num_variables
     lowers = asm.bounds[:, 0]
     uppers = asm.bounds[:, 1]
@@ -102,8 +107,9 @@ def to_standard_form(asm: AssembledLP) -> StandardFormLP:
     neg_of_bound = split_mask[bound_vars]
     bound_cols[neg_of_bound, 1] = first_col[bound_vars[neg_of_bound]] + 1
 
-    m_eq = asm.a_eq.shape[0]
-    m_ub = asm.a_ub.shape[0]
+    a_eq, a_ub = asm.a_eq.to_scipy(), asm.a_ub.to_scipy()
+    m_eq = a_eq.shape[0]
+    m_ub = a_ub.shape[0]
     nb = bound_vars.shape[0]
     slack_count = m_ub + nb
     origins_base: List[Tuple[str, int]] = (
@@ -124,8 +130,8 @@ def to_standard_form(asm: AssembledLP) -> StandardFormLP:
     # --- rows: shift rhs by lower bounds, expand columns ---------------------
     total_rows = m_eq + m_ub + nb
 
-    b_eq = asm.b_eq - (asm.a_eq @ finite_lo) if m_eq else asm.b_eq.copy()
-    b_ub = asm.b_ub - (asm.a_ub @ finite_lo) if m_ub else asm.b_ub.copy()
+    b_eq = asm.b_eq - (a_eq @ finite_lo) if m_eq else asm.b_eq.copy()
+    b_ub = asm.b_ub - (a_ub @ finite_lo) if m_ub else asm.b_ub.copy()
 
     # Assemble the standard-form matrix as COO triplets: the eq/ub blocks
     # (expanded over split columns when needed), the bound rows, and the
@@ -142,9 +148,9 @@ def to_standard_form(asm: AssembledLP) -> StandardFormLP:
         vals_parts.append(coo.data.astype(float))
 
     if m_eq:
-        _add_block(asm.a_eq if expand is None else asm.a_eq @ expand, 0)
+        _add_block(a_eq if expand is None else a_eq @ expand, 0)
     if m_ub:
-        _add_block(asm.a_ub if expand is None else asm.a_ub @ expand, m_eq)
+        _add_block(a_ub if expand is None else a_ub @ expand, m_eq)
     # upper bounds become <= rows in shifted space: y <= upper - lower
     if nb:
         rb = m_eq + m_ub + np.arange(nb)

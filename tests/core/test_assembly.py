@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from repro.cluster.builder import build_paper_testbed
 from repro.core.assembly import FAKE_PRICE_MULTIPLIER, ModelAssembler, fake_unit_costs
+from repro.core.co_offline import solve_co_offline
 from repro.core.model import SchedulingInput
-from repro.core.simple_task import identity_placement
+from repro.core.simple_task import identity_placement, solve_simple_task
 from repro.workload.job import DataObject, Job, Workload
 
 
@@ -135,3 +137,34 @@ class TestDecode:
         sol = a.decode(x, objective=0.0, model="test")
         assert np.all(sol.xt_data >= 0)
         assert np.all(sol.xd >= 0)
+
+
+class TestEmptyWorkload:
+    """A workload with no jobs assembles and solves to objective 0."""
+
+    DATA = [
+        DataObject(data_id=0, name="d", size_mb=640.0, origin_store=0),
+        DataObject(data_id=1, name="e", size_mb=64.0, origin_store=3),
+    ]
+
+    def _input(self, data):
+        workload = Workload(jobs=[], data=data)
+        return SchedulingInput.from_parts(build_paper_testbed(4, seed=0), workload)
+
+    def test_co_offline_without_data(self):
+        sol = solve_co_offline(self._input([]))
+        assert sol.objective == 0.0
+        assert sol.xt_data.shape == (0, 4, 4)
+        assert sol.xd.shape == (0, 4)
+
+    def test_co_offline_with_data(self):
+        sol = solve_co_offline(self._input(self.DATA))
+        assert sol.objective == 0.0
+        # each object still needs a full placement; its origin store is free
+        assert np.allclose(sol.xd.sum(axis=1), 1.0)
+
+    def test_simple_task(self):
+        inp = self._input(self.DATA)
+        sol = solve_simple_task(inp)
+        assert sol.objective == 0.0
+        assert np.array_equal(sol.xd, identity_placement(inp))

@@ -19,7 +19,7 @@ from repro.lint import (
     lint_repo_models,
     strict_check,
 )
-from repro.lp.problem import AssembledLP, LinearProgram, Sense
+from repro.lp.problem import AssembledLP, CsrMatrix, LinearProgram, Sense
 
 
 def _rules(findings):
@@ -53,9 +53,9 @@ def _assembled(b_ub, n_rows=1, n_vars=1):
     """An AssembledLP whose <= rows are all structurally zero."""
     return AssembledLP(
         c=np.ones(n_vars),
-        a_ub=sparse.csr_matrix((n_rows, n_vars)),
+        a_ub=CsrMatrix.from_coo([], [], [], (n_rows, n_vars)),
         b_ub=np.asarray(b_ub, dtype=float),
-        a_eq=sparse.csr_matrix((0, n_vars)),
+        a_eq=CsrMatrix.from_coo([], [], [], (0, n_vars)),
         b_eq=np.zeros(0),
         bounds=np.column_stack([np.zeros(n_vars), np.ones(n_vars)]),
         objective_constant=0.0,
@@ -201,8 +201,9 @@ def test_lint_lips_model_carries_row_family_labels(small_input):
     asm = assembler.build()
     # duplicate the first job-coverage row to provoke LM003 with a label
     start, _stop = assembler.row_ranges["job_coverage"]
-    row = asm.a_ub.tocsr()[start]
-    asm.a_ub = sparse.vstack([asm.a_ub, row]).tocsr()
+    a_ub = asm.a_ub.to_scipy()
+    stacked = sparse.vstack([a_ub, a_ub[start]]).tocoo()
+    asm.a_ub = CsrMatrix.from_coo(stacked.row, stacked.col, stacked.data, stacked.shape)
     asm.b_ub = np.append(asm.b_ub, asm.b_ub[start])
     findings = [f for f in lint_lips_model(assembler, asm, "co-online") if f.rule == "LM003"]
     assert findings and "job_coverage[0]" in findings[0].message

@@ -63,7 +63,7 @@ class TestAssembly:
         x = lp.new_var("x")
         lp.add_constraint(2 * x, Sense.GE, 4.0)
         asm = lp.assemble()
-        assert asm.a_ub.toarray().tolist() == [[-2.0]]
+        assert np.asarray(asm.a_ub).tolist() == [[-2.0]]
         assert asm.b_ub.tolist() == [-4.0]
 
     def test_eq_rows_separate(self, lp):
