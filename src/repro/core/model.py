@@ -17,6 +17,7 @@ workload.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import List, Optional
 
@@ -38,36 +39,19 @@ def split_multi_object_jobs(workload: Workload) -> Workload:
     jobs: List[Job] = []
     for job in workload.jobs:
         if len(job.data_ids) <= 1:
-            jobs.append(
-                Job(
-                    job_id=len(jobs),
-                    name=job.name,
-                    tcp=job.tcp,
-                    data_ids=list(job.data_ids),
-                    num_tasks=job.num_tasks,
-                    cpu_seconds_noinput=job.cpu_seconds_noinput,
-                    arrival_time=job.arrival_time,
-                    pool=job.pool,
-                    app=job.app,
-                    priority=job.priority,
-                )
-            )
+            jobs.append(dataclasses.replace(job, job_id=len(jobs), data_ids=list(job.data_ids)))
             continue
         total_mb = job.total_input_mb(workload.data)
         for d in job.data_ids:
             share = workload.data[d].size_mb / total_mb if total_mb else 1.0 / len(job.data_ids)
             jobs.append(
-                Job(
+                dataclasses.replace(
+                    job,
                     job_id=len(jobs),
                     name=f"{job.name}#d{d}",
-                    tcp=job.tcp,
                     data_ids=[d],
                     num_tasks=max(1, round_half_up(job.num_tasks * share)),
                     cpu_seconds_noinput=job.cpu_seconds_noinput * share,
-                    arrival_time=job.arrival_time,
-                    pool=job.pool,
-                    app=job.app,
-                    priority=job.priority,
                 )
             )
     return Workload(jobs=jobs, data=list(workload.data))

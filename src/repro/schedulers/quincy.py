@@ -7,15 +7,20 @@ solution is a schedule that minimizes global cost."
 
 This implementation maps the current queue onto a flow network
 
-    source -> task_i -> machine_l -> sink
-                   \\-> unscheduled -> sink
+    task_i -> machine_l
+          \\-> unscheduled
 
 with unit task supplies, per-machine slot capacities, and edge costs that
 encode either Quincy's own objective (bytes moved across the network —
-``objective="locality"``) or LiPS' (dollars — ``objective="dollars"``), and
-solves it with :func:`networkx.min_cost_flow`.  Tasks routed to a machine
-are queued on that machine's plan; tasks routed to the ``unscheduled`` node
-wait for the next solve, where their accumulated wait lowers the penalty of
+``objective="locality"``) or LiPS' (dollars — ``objective="dollars"``).
+The network is a transportation problem, so it is solved as an LP on the
+same path as every other model here (:data:`repro.lp.DEFAULT_BACKEND`,
+profiled by :mod:`repro.obs.lpprof`): one equality row per task over its
+placement columns and its ``unscheduled`` column, one slot-cap row per
+live machine.  Its constraint matrix is totally unimodular, so the
+simplex vertex the backend returns is integral.  Tasks routed to a machine
+are queued on that machine's plan; tasks routed to ``unscheduled`` wait
+for the next solve, where their accumulated wait lowers the penalty of
 staying unscheduled more slowly than the cost of a bad placement grows —
 Quincy's patience mechanism.
 
@@ -28,12 +33,12 @@ from __future__ import annotations
 from collections import deque
 from typing import Deque, Dict, List, Optional, Tuple
 
-from repro.hadoop.tasktracker import SimTask, TaskTracker
-from repro.schedulers.base import Assignment, TaskScheduler
-from repro.util import import_networkx
+import numpy as np
 
-#: fixed-point scale for integer edge costs (networkx wants ints)
-COST_SCALE = 10**9
+from repro.hadoop.tasktracker import SimTask, TaskTracker
+from repro.lp.problem import AssembledLP, CsrMatrix
+from repro.lp.result import LPStatus
+from repro.schedulers.base import Assignment, TaskScheduler
 
 
 class QuincyScheduler(TaskScheduler):
@@ -56,7 +61,7 @@ class QuincyScheduler(TaskScheduler):
     max_tasks_per_solve:
         Caps the network size; excess tasks wait for the next round.
     slots_lookahead:
-        Each machine's sink capacity is ``map_slots * slots_lookahead``,
+        Each machine's slot cap is ``map_slots * slots_lookahead``,
         letting one solve queue several task waves per machine (fewer,
         larger solves).
     """
@@ -70,7 +75,6 @@ class QuincyScheduler(TaskScheduler):
         slots_lookahead: int = 3,
     ) -> None:
         super().__init__()
-        import_networkx("QuincyScheduler")  # fail at construction, not mid-run
         if objective not in ("locality", "dollars"):
             raise ValueError("objective must be 'locality' or 'dollars'")
         if refresh_s <= 0:
@@ -137,7 +141,7 @@ class QuincyScheduler(TaskScheduler):
     def _unscheduled_cost(self, task: SimTask, best_edge: float) -> float:
         """Penalty for leaving the task unscheduled this round.
 
-        Must exceed the task's best placement cost, so the ``U`` node only
+        Must exceed the task's best placement cost, so ``unscheduled`` only
         absorbs capacity overflow (min-cost flow then parks the tasks whose
         placements are *worst*, which is exactly Quincy's patience).
         """
@@ -168,58 +172,65 @@ class QuincyScheduler(TaskScheduler):
         if not entries:
             return
 
-        nx = import_networkx("QuincyScheduler")
-        g = nx.DiGraph()
-        n = len(entries)
-        g.add_node("src", demand=-n)
-        g.add_node("sink", demand=n)
-        g.add_node("U")
-        g.add_edge("U", "sink", capacity=n, weight=0)
-
+        # columns: each task's placements on live machines with an online
+        # replica, then its "unscheduled" column; placement[j] is the column's
+        # (machine, source store), None for "unscheduled"
         alive = [t for t in self.sim.trackers if t.alive]
-        for tracker in alive:
-            g.add_node(("m", tracker.machine_id))
-            g.add_edge(
-                ("m", tracker.machine_id),
-                "sink",
-                capacity=tracker.map_slots * self.slots_lookahead,
-                weight=0,
-            )
-
-        stores: Dict[Tuple[int, int], Optional[int]] = {}
+        cost: List[float] = []
+        task_of: List[int] = []
+        placement: List[Optional[Tuple[int, Optional[int]]]] = []
+        cap_rows: List[int] = []
+        cap_cols: List[int] = []
         for i, (job, task) in enumerate(entries):
-            g.add_edge("src", ("t", i), capacity=1, weight=0)
             best_edge = float("inf")
-            for tracker in alive:
+            for row, tracker in enumerate(alive):
                 store = self._best_store(task, tracker.machine_id)
                 if task.input_mb > 0 and store is None:
                     continue  # no online replica
-                stores[(i, tracker.machine_id)] = store
-                cost = self._edge_cost(task, tracker.machine_id, store)
-                best_edge = min(best_edge, cost)
-                g.add_edge(
-                    ("t", i),
-                    ("m", tracker.machine_id),
-                    capacity=1,
-                    weight=int(cost * COST_SCALE),
-                )
+                edge = self._edge_cost(task, tracker.machine_id, store)
+                best_edge = min(best_edge, edge)
+                cap_rows.append(row)
+                cap_cols.append(len(cost))
+                cost.append(edge)
+                task_of.append(i)
+                placement.append((tracker.machine_id, store))
             if not (best_edge < float("inf")):
                 best_edge = 0.0  # no placement possible: wait for free
-            g.add_edge(
-                ("t", i),
-                "U",
-                capacity=1,
-                weight=int(self._unscheduled_cost(task, best_edge) * COST_SCALE),
-            )
+            cost.append(self._unscheduled_cost(task, best_edge))
+            task_of.append(i)
+            placement.append(None)
 
-        flow = nx.min_cost_flow(g)
-        for i, (job, task) in enumerate(entries):
-            for dst, units in flow.get(("t", i), {}).items():
-                if units > 0 and isinstance(dst, tuple) and dst[0] == "m":
-                    machine_id = dst[1]
-                    self._plans[machine_id].append(
-                        (job, task, stores.get((i, machine_id)))
-                    )
+        n_cols = len(cost)
+        asm = AssembledLP(
+            c=np.asarray(cost),
+            a_ub=CsrMatrix.from_coo(
+                cap_rows, cap_cols, np.ones(len(cap_cols)), (len(alive), n_cols)
+            ),
+            b_ub=np.array(
+                [t.map_slots * self.slots_lookahead for t in alive], dtype=np.float64
+            ),
+            a_eq=CsrMatrix.from_coo(
+                task_of, np.arange(n_cols), np.ones(n_cols), (len(entries), n_cols)
+            ),
+            b_eq=np.ones(len(entries)),
+            bounds=np.tile(np.array([0.0, 1.0]), (n_cols, 1)),
+            name="quincy",
+        )
+        from repro.lp import DEFAULT_BACKEND
+
+        result = DEFAULT_BACKEND.solve_assembled(asm)
+        if result.status is not LPStatus.OPTIMAL:
+            raise RuntimeError(
+                f"Quincy flow LP not solvable: {result.status.value} ({result.message})"
+            )
+        x = result.x
+        if np.abs(x - np.round(x)).max() > 1e-9:
+            raise RuntimeError("Quincy flow LP returned a fractional vertex")
+        for col in np.flatnonzero(x > 0.5):
+            if placement[col] is not None:
+                machine_id, store = placement[col]
+                job, task = entries[task_of[col]]
+                self._plans[machine_id].append((job, task, store))
 
     # -- slot offers ---------------------------------------------------------------
     def _plans_drained(self) -> bool:

@@ -8,7 +8,6 @@ Lives outside the subpackages on purpose: ``repro.cluster`` and
 from __future__ import annotations
 
 import math
-from types import ModuleType
 
 
 def round_half_up(x: float) -> int:
@@ -22,19 +21,3 @@ def round_half_up(x: float) -> int:
     """
     return math.floor(x + 0.5)
 
-
-def import_networkx(user: str) -> ModuleType:
-    """networkx, imported at first use by ``user`` (Quincy, job DAGs).
-
-    networkx is an optional dependency, the ``graph`` extra: no experiment
-    or benchmark needs it, so ``import repro`` must not load it.  Raises an
-    ImportError naming the extra when it is not installed.
-    """
-    try:
-        # deferred: networkx is the optional ``graph`` extra
-        import networkx
-    except ImportError:
-        raise ImportError(
-            f"{user} needs networkx, the 'graph' extra: pip install -e '.[graph]'"
-        ) from None
-    return networkx

@@ -6,18 +6,21 @@ which sets of mutually independent tasks of the DAG are organized into
 'levels' within which independent task set scheduling is then applied."
 
 :class:`JobDag` wraps a workload plus a dependency relation; ``levels()``
-returns the topological generations, each an independent job set the LiPS
-LPs can co-schedule directly.  :func:`schedule_dag_offline` runs the
-offline co-scheduling model level by level, carrying the data placement
-forward so successors find their inputs where their predecessors left them
-("scheduling tasks close to their predecessors since the successors' target
-data is more likely to have been stored nearby").
+returns the topological generations (:class:`graphlib.TopologicalSorter`),
+each an independent job set the LiPS LPs can co-schedule directly.
+:func:`schedule_dag_offline` runs the offline co-scheduling model level by
+level, carrying the data placement forward so successors find their inputs
+where their predecessors left them ("scheduling tasks close to their
+predecessors since the successors' target data is more likely to have been
+stored nearby").
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from graphlib import CycleError, TopologicalSorter
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -25,12 +28,7 @@ from repro.cluster.builder import Cluster
 from repro.core.co_offline import solve_co_offline
 from repro.core.model import SchedulingInput
 from repro.core.solution import CoScheduleSolution
-from repro.util import import_networkx
 from repro.workload.job import DataObject, Job, Workload
-
-
-def _nx():
-    return import_networkx("JobDag")
 
 
 class JobDag:
@@ -42,37 +40,50 @@ class JobDag:
 
     def __init__(self, workload: Workload) -> None:
         self.workload = workload
-        self._graph = _nx().DiGraph()
-        self._graph.add_nodes_from(j.job_id for j in workload.jobs)
+        self._preds: Dict[int, Set[int]] = {j.job_id: set() for j in workload.jobs}
+
+    def _sorter(self) -> TopologicalSorter:
+        """A prepared sorter over the graph; raises ``CycleError`` on a cycle."""
+        sorter = TopologicalSorter(self._preds)
+        sorter.prepare()
+        return sorter
 
     def add_dependency(self, before: int, after: int) -> None:
         """Declare that ``before`` must finish before ``after`` starts."""
         for jid in (before, after):
-            if jid not in self._graph:
+            if jid not in self._preds:
                 raise KeyError(f"unknown job id {jid}")
         if before == after:
             raise ValueError("a job cannot depend on itself")
-        self._graph.add_edge(before, after)
-        if not _nx().is_directed_acyclic_graph(self._graph):
-            self._graph.remove_edge(before, after)
-            raise ValueError(f"dependency {before} -> {after} creates a cycle")
+        self._preds[after].add(before)
+        try:
+            self._sorter()
+        except CycleError:
+            self._preds[after].discard(before)
+            raise ValueError(f"dependency {before} -> {after} creates a cycle") from None
 
     def predecessors(self, job_id: int) -> List[int]:
         """Jobs that must finish before the given one."""
-        return sorted(self._graph.predecessors(job_id))
+        return sorted(self._preds[job_id])
 
     def successors(self, job_id: int) -> List[int]:
         """Jobs gated on the given one."""
-        return sorted(self._graph.successors(job_id))
+        return sorted(j for j, preds in self._preds.items() if job_id in preds)
 
     @property
     def num_edges(self) -> int:
         """Number of dependency edges."""
-        return self._graph.number_of_edges()
+        return sum(len(p) for p in self._preds.values())
 
     def levels(self) -> List[List[int]]:
         """Topological generations: mutually independent job sets, in order."""
-        return [sorted(gen) for gen in _nx().topological_generations(self._graph)]
+        sorter = self._sorter()
+        levels: List[List[int]] = []
+        while sorter.is_active():
+            level = sorted(sorter.get_ready())
+            sorter.done(*level)
+            levels.append(level)
+        return levels
 
     def critical_path_length(self) -> int:
         """Number of levels (the DAG's depth)."""
@@ -80,8 +91,10 @@ class JobDag:
 
     def validate(self) -> None:
         """Raise if the dependency graph has a cycle."""
-        if not _nx().is_directed_acyclic_graph(self._graph):
-            raise ValueError("dependency graph has a cycle")
+        try:
+            self._sorter()
+        except CycleError:
+            raise ValueError("dependency graph has a cycle") from None
 
     def sub_workload(self, job_ids: Sequence[int]) -> Tuple[Workload, Dict[int, int]]:
         """Extract one level as a standalone workload.
@@ -89,42 +102,29 @@ class JobDag:
         Jobs and their data objects are re-indexed densely; the returned map
         translates new job ids back to original ones.
         """
-        jobs: List[Job] = []
+        sub, back, _ = self._extract(job_ids)
+        return sub, back
+
+    def _extract(
+        self, job_ids: Sequence[int]
+    ) -> Tuple[Workload, Dict[int, int], Dict[int, int]]:
+        """:meth:`sub_workload` plus its original -> new data-id map."""
         data: List[DataObject] = []
         data_map: Dict[int, int] = {}
-        back: Dict[int, int] = {}
-        for new_id, jid in enumerate(job_ids):
+        jobs: List[Job] = []
+        for jid in job_ids:
             job = self.workload.jobs[jid]
-            new_data_ids = []
             for d in job.data_ids:
                 if d not in data_map:
-                    src = self.workload.data[d]
                     data_map[d] = len(data)
-                    data.append(
-                        DataObject(
-                            data_id=data_map[d],
-                            name=src.name,
-                            size_mb=src.size_mb,
-                            origin_store=src.origin_store,
-                            block_mb=src.block_mb,
-                        )
-                    )
-                new_data_ids.append(data_map[d])
+                    data.append(dataclasses.replace(self.workload.data[d], data_id=len(data)))
             jobs.append(
-                Job(
-                    job_id=new_id,
-                    name=job.name,
-                    tcp=job.tcp,
-                    data_ids=new_data_ids,
-                    num_tasks=job.num_tasks,
-                    cpu_seconds_noinput=job.cpu_seconds_noinput,
-                    pool=job.pool,
-                    app=job.app,
-                    read_fraction=job.read_fraction,
+                dataclasses.replace(
+                    job, job_id=len(jobs), data_ids=[data_map[d] for d in job.data_ids]
                 )
             )
-            back[new_id] = jid
-        return Workload(jobs=jobs, data=data), back
+        back = {new_id: jid for new_id, jid in enumerate(job_ids)}
+        return Workload(jobs=jobs, data=data), back, data_map
 
 
 @dataclass
@@ -189,13 +189,10 @@ def schedule_dag_offline(
     origins = {d.data_id: d.origin_store for d in dag.workload.data}
     results: List[LevelResult] = []
     for idx, level in enumerate(dag.levels()):
-        sub, back = dag.sub_workload(level)
+        sub, _, data_map = dag._extract(level)
         # apply carried-forward origins
-        for d in sub.data:
-            original_id = next(
-                od for od, nd in _data_map_of(dag, level).items() if nd == d.data_id
-            )
-            d.origin_store = origins[original_id]
+        for original_id, new_id in data_map.items():
+            sub.data[new_id].origin_store = origins[original_id]
         inp = SchedulingInput.from_parts(cluster, sub)
         sol = solve_co_offline(inp, backend=backend, placement_tiebreak=placement_tiebreak)
         cost = sol.cost_breakdown(inp).real_total
@@ -209,24 +206,11 @@ def schedule_dag_offline(
             )
         )
         # carry placements forward
-        for d in sub.data:
-            original_id = next(
-                od for od, nd in _data_map_of(dag, level).items() if nd == d.data_id
-            )
-            placed = sol.xd[d.data_id]
+        for original_id, new_id in data_map.items():
+            placed = sol.xd[new_id]
             if placed.max() > 0:
                 origins[original_id] = int(np.argmax(placed))
     return DagScheduleResult(levels=results)
-
-
-def _data_map_of(dag: JobDag, level: Sequence[int]) -> Dict[int, int]:
-    """Original-data-id -> level-local-data-id map (mirrors sub_workload)."""
-    data_map: Dict[int, int] = {}
-    for jid in level:
-        for d in dag.workload.jobs[jid].data_ids:
-            if d not in data_map:
-                data_map[d] = len(data_map)
-    return data_map
 
 
 def chain(workload: Workload, order: Optional[Sequence[int]] = None) -> JobDag:

@@ -100,3 +100,14 @@ class TestSplitMultiObjectJobs:
         out = split_multi_object_jobs(self._workload())
         inp = SchedulingInput.from_parts(two_zone_cluster, out)
         assert inp.num_jobs == 3
+
+    def test_split_keeps_read_fraction(self):
+        w = self._workload()
+        w.jobs[0].read_fraction = 0.25
+        w.jobs[1].read_fraction = 0.5
+        out = split_multi_object_jobs(w)
+        fractions = {j.name: j.read_fraction for j in out.jobs}
+        assert fractions == {"multi#d0": 0.25, "multi#d1": 0.25, "single": 0.5}
+        assert sum(j.total_cpu_seconds(out.data) for j in out.jobs) == pytest.approx(
+            sum(j.total_cpu_seconds(w.data) for j in w.jobs)
+        )

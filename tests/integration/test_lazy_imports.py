@@ -2,9 +2,10 @@
 
 HiGHS (the ``scipy.optimize._highspy._core`` extension, loaded on its own,
 without the ``scipy.optimize`` package around it) loads at the first LP
-solve, and networkx (the ``graph`` extra) only for Quincy and job DAGs.
-``scipy.sparse`` loads only for sparse algebra (the reference simplex),
-never to build or solve a LiPS model.  A run that never solves an LP — the
+solve.  ``scipy.sparse`` loads only for sparse algebra (the reference
+simplex), never to build or solve a LiPS or Quincy model.  networkx is
+not a dependency at all: it is only the test suite's oracle for Quincy's
+flow LP and ``JobDag``'s levels.  A run that never solves an LP — the
 Hadoop baselines — pays for none of them, a LiPS run pays for the HiGHS
 core alone, and ``import repro`` works with only the declared
 dependencies.  Each check runs in a fresh interpreter, since this test
@@ -178,25 +179,38 @@ def test_cli_help_without_networkx():
     assert "usage" in r.stdout.lower()
 
 
-def test_graph_users_name_the_missing_extra():
+def test_quincy_and_job_dags_run_without_networkx():
     r = run_python(
         NO_NETWORKX
-        + """
+        + f"""
+import json
+from repro.cluster.builder import build_paper_testbed
+from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.schedulers import QuincyScheduler
-from repro.workload.dag import JobDag
-from repro.workload.job import Workload
-for build in (QuincyScheduler, lambda: JobDag(Workload(jobs=[], data=[]))):
-    try:
-        build()
-    except ImportError as exc:
-        print(exc)
-    else:
-        raise SystemExit("constructed without networkx")
+from repro.workload.dag import chain
+from repro.workload.swim import SwimConfig, synthesize_facebook_day
+
+workload = synthesize_facebook_day(SwimConfig(
+    num_jobs=8, duration_s=1800.0, classes=(("small", 1.0, (1, 6)),),
+    num_origin_stores=6, seed=3,
+))
+sched = QuincyScheduler("dollars")
+sim = HadoopSimulator(
+    build_paper_testbed(6, seed=3), workload, sched, SimConfig(placement_seed=3),
+)
+seen = {{"jobs": sim.run().num_jobs, "solves": sched.solves}}
+seen["levels"] = chain(workload).levels()
+seen["core"] = {CORE!r} in sys.modules
+# networkx's entry is the None that blocks it
+seen["imported"] = [m for m in {HEAVY!r} if sys.modules.get(m) is not None]
+print(json.dumps(seen))
 """
     )
     assert r.returncode == 0, r.stderr
-    lines = r.stdout.splitlines()
-    assert len(lines) == 2
-    for line, user in zip(lines, ("QuincyScheduler", "JobDag")):
-        assert line.startswith(f"{user} needs networkx")
-        assert "pip install -e '.[graph]'" in line
+    seen = json.loads(r.stdout.splitlines()[-1])
+    assert seen["jobs"] == 8
+    assert seen["solves"] >= 1
+    assert seen["levels"] == [[j] for j in range(8)]
+    # Quincy's flow is an LP on the HiGHS core, like LiPS's epochs
+    assert seen["core"] is True
+    assert seen["imported"] == []

@@ -1,7 +1,10 @@
 """Tests for the Quincy-style min-cost-flow scheduler."""
 
+import networkx as nx
+import numpy as np
 import pytest
 
+import repro.lp
 from repro.cluster.builder import ClusterBuilder, build_paper_testbed
 from repro.cluster.topology import Topology
 from repro.hadoop.failures import FailurePlan
@@ -114,3 +117,64 @@ def test_paper_testbed_run():
     jobs = [Job(job_id=0, name="scan", tcp=0.4, data_ids=[0], num_tasks=20)]
     sim, res = run(cluster, Workload(jobs=jobs, data=data), QuincyScheduler("dollars"))
     assert res.metrics.tasks_run == 20
+
+
+class RecordingBackend:
+    """The default backend, keeping every model it solves and its result."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.solves = []
+
+    def solve_assembled(self, asm):
+        result = self.inner.solve_assembled(asm)
+        self.solves.append((asm, result))
+        return result
+
+
+def min_cost_flow_objective(asm, scale=10**15):
+    """Solve Quincy's LP as the network it encodes, with networkx.
+
+    Rows of ``a_eq`` are tasks (unit supply), rows of ``a_ub`` machines
+    (slot caps); a task's column is an arc to the machine whose row holds
+    it, or to the "unscheduled" node.  networkx's network simplex wants
+    integer weights, so costs are scaled; the returned objective is the
+    optimal flow priced at the unscaled costs.
+    """
+    machine_of = {
+        int(col): row
+        for row in range(asm.a_ub.shape[0])
+        for col in asm.a_ub.indices[asm.a_ub.indptr[row]:asm.a_ub.indptr[row + 1]]
+    }
+    n_tasks = asm.a_eq.shape[0]
+    g = nx.DiGraph()
+    g.add_node("src", demand=-n_tasks)
+    g.add_node("sink", demand=n_tasks)
+    g.add_edge("U", "sink", capacity=n_tasks, weight=0)
+    for row, cap in enumerate(asm.b_ub):
+        g.add_edge(("m", row), "sink", capacity=int(cap), weight=0)
+    arc_col = {}
+    for task in range(n_tasks):
+        g.add_edge("src", ("t", task), capacity=1, weight=0)
+        for col in asm.a_eq.indices[asm.a_eq.indptr[task]:asm.a_eq.indptr[task + 1]]:
+            head = ("m", machine_of[col]) if col in machine_of else "U"
+            arc_col[(("t", task), head)] = col
+            g.add_edge(("t", task), head, capacity=1, weight=round(asm.c[col] * scale))
+    flow = nx.min_cost_flow(g)
+    return sum(asm.c[col] * flow[tail][head] for (tail, head), col in arc_col.items())
+
+
+@pytest.mark.parametrize("objective", ["locality", "dollars"])
+def test_flow_lp_matches_networkx_min_cost_flow(cluster, workload, monkeypatch, objective):
+    recorder = RecordingBackend(repro.lp.DEFAULT_BACKEND)
+    monkeypatch.setattr(repro.lp, "DEFAULT_BACKEND", recorder)
+    # one wave of slots per machine: the caps bind and tasks queue on U
+    sched = QuincyScheduler(objective, slots_lookahead=1)
+    run(cluster, workload, sched, replication=1)
+    assert len(recorder.solves) == sched.solves >= 3
+    assert recorder.solves[0][1].objective > 0
+    for asm, result in recorder.solves:
+        assert result.is_optimal
+        assert np.abs(result.x - np.round(result.x)).max() <= 1e-9
+        want = min_cost_flow_objective(asm)
+        assert result.objective == pytest.approx(want, rel=1e-9, abs=0.0)

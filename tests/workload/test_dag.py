@@ -1,6 +1,9 @@
 """Tests for job DAGs and the levelling reduction."""
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.workload.dag import JobDag, chain, schedule_dag_offline
 from repro.workload.job import DataObject, Job, Workload
@@ -72,11 +75,51 @@ class TestJobDag:
         assert sub.jobs[0].data_ids == [0]  # "mid" re-indexed to 0
         assert sub.data[0].name == "mid"
 
+    def test_sub_workload_keeps_job_fields(self, workload):
+        workload.jobs[2].priority = 3
+        workload.jobs[2].arrival_time = 120.0
+        workload.jobs[2].read_fraction = 0.5
+        sub, _ = JobDag(workload).sub_workload([2])
+        job = sub.jobs[0]
+        assert (job.priority, job.arrival_time, job.read_fraction) == (3, 120.0, 0.5)
+        assert (job.name, job.tcp, job.num_tasks) == ("join", 0.8, 5)
+
     def test_sub_workload_shares_data_once(self, workload):
         dag = JobDag(workload)
         sub, _ = dag.sub_workload([0, 1])  # both read "raw"
         assert sub.num_data == 1
         assert sub.jobs[0].data_ids == sub.jobs[1].data_ids == [0]
+
+
+@st.composite
+def jobs_and_edges(draw):
+    n = draw(st.integers(min_value=1, max_value=12))
+    ids = st.integers(min_value=0, max_value=n - 1)
+    pairs = draw(st.lists(st.tuples(ids, ids).filter(lambda p: p[0] != p[1]), max_size=40))
+    return n, pairs
+
+
+@settings(max_examples=150, deadline=None)
+@given(jobs_and_edges())
+def test_levels_and_cycle_checks_match_networkx(case):
+    n, pairs = case
+    jobs = [Job(job_id=j, name=f"j{j}", tcp=0.0, cpu_seconds_noinput=1.0) for j in range(n)]
+    dag = JobDag(Workload(jobs=jobs, data=[]))
+    oracle = nx.DiGraph()
+    oracle.add_nodes_from(range(n))
+    for before, after in pairs:
+        closes_cycle = nx.has_path(oracle, after, before)
+        if closes_cycle:
+            with pytest.raises(ValueError, match="cycle"):
+                dag.add_dependency(before, after)
+        else:
+            dag.add_dependency(before, after)
+            oracle.add_edge(before, after)
+    assert dag.num_edges == oracle.number_of_edges()
+    assert dag.levels() == [sorted(gen) for gen in nx.topological_generations(oracle)]
+    for j in range(n):
+        assert dag.predecessors(j) == sorted(oracle.predecessors(j))
+        assert dag.successors(j) == sorted(oracle.successors(j))
 
 
 class TestScheduleDagOffline:
