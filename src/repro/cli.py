@@ -530,7 +530,7 @@ def build_chaos_parser() -> argparse.ArgumentParser:
 
 def _run_chaos(argv: Sequence[str]) -> int:
     from repro.experiments.report import format_table
-    from repro.resilience import ChaosSoakConfig, run_chaos_soak, soak_summary
+    from repro.resilience import SoakConfig, run_soak, soak_summary
 
     args = build_chaos_parser().parse_args(argv)
     force = "none"
@@ -538,7 +538,7 @@ def _run_chaos(argv: Sequence[str]) -> int:
         force = "all"
     elif args.force_primary_failure:
         force = "primary"
-    config = ChaosSoakConfig(
+    config = SoakConfig(
         seeds=tuple(args.seeds),
         num_machines=args.machines,
         num_jobs=args.jobs,
@@ -565,7 +565,7 @@ def _run_chaos(argv: Sequence[str]) -> int:
 
             registry = MetricsRegistry()
             stack.enter_context(use_registry(registry))
-        outcomes = run_chaos_soak(config)
+        outcomes = run_soak(config)
         if registry is not None:
             registry.write_json(args.metrics)
             print(f"wrote {args.metrics}")
@@ -666,7 +666,7 @@ def build_serve_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="TICK",
         help="kill the victim run after these cumulative scheduler ticks "
-        "(default: one kill at tick 12; quick: tick 8)",
+        "(default: one kill at tick 12; quick: tick 10)",
     )
     parser.add_argument(
         "--no-chaos",
@@ -702,7 +702,7 @@ def _run_serve(argv: Sequence[str]) -> int:
     from pathlib import Path
 
     from repro.experiments.report import format_table
-    from repro.serve import ServeSoakConfig, run_serve_soak
+    from repro.resilience import SERVICE, SoakConfig, run_soak
 
     args = build_serve_parser().parse_args(argv)
     if not args.sim:
@@ -713,18 +713,23 @@ def _run_serve(argv: Sequence[str]) -> int:
         )
         return 2
     quick = args.quick
-    config = ServeSoakConfig(
-        seed=args.seed,
+    horizon_s = (args.hours if args.hours is not None else (2.25 if quick else 2.5)) * 3600.0
+    config = SoakConfig(
+        seeds=(args.seed,),
+        targets=(SERVICE,),
         num_machines=args.machines if args.machines is not None else (4 if quick else 6),
         num_submitters=args.submitters
         if args.submitters is not None
         else (2 if quick else 3),
-        jobs_per_submitter=args.jobs if args.jobs is not None else (10 if quick else 24),
-        sim_hours=args.hours if args.hours is not None else (2.25 if quick else 2.5),
+        num_jobs=args.jobs if args.jobs is not None else (10 if quick else 24),
+        horizon_s=horizon_s,
         epoch_length=args.epoch,
+        # one outage per machine per horizon, on average
+        mean_time_to_failure_s=horizon_s,
+        # off the 8-tick checkpoint grid, so recovery replays a WAL suffix
         kill_after_epochs=tuple(args.kill)
         if args.kill is not None
-        else ((8,) if quick else (12,)),
+        else ((10,) if quick else (12,)),
         chaos=not args.no_chaos,
         epoch_deadline_s=args.deadline,
     )
@@ -748,9 +753,7 @@ def _run_serve(argv: Sequence[str]) -> int:
             except TelemetryError as exc:
                 print(str(exc), file=sys.stderr)
                 return 2
-        outcome = run_serve_soak(
-            config, work_dir, min_sim_hours=args.min_hours, plane=plane
-        )
+        [outcome] = run_soak(config, work_dir, min_sim_hours=args.min_hours, plane=plane)
         if registry is not None:
             registry.write_json(args.metrics)
             print(f"wrote {args.metrics}")
@@ -765,7 +768,7 @@ def _run_serve(argv: Sequence[str]) -> int:
         (
             "watchdog",
             f"{outcome.deadline_misses} deadline misses, "
-            f"{outcome.degraded_epochs} degraded epochs, "
+            f"{outcome.epochs_degraded:.0f} degraded epochs, "
             f"{outcome.transitions} transitions",
         ),
         (

@@ -25,15 +25,15 @@ from repro.lint.flow.units import run_units_pass
 
 #: The simulation/solve/service roots whose transitive closure must be
 #: deterministic.  Specs are dotted suffixes resolved against the symbol
-#: table (see :meth:`SymbolTable.resolve_suffix`).  ``run_serve_soak``
-#: covers the whole service path — admission, ticks, WAL replay — so any
-#: ambient RNG or wall-clock read there breaks crash-recovery replay and
-#: must surface as FLOW001/002.
+#: table (see :meth:`SymbolTable.resolve_suffix`).  ``run_soak`` covers
+#: every soak target's scenario and fault code plus the whole service path
+#: — admission, ticks, WAL replay — so any ambient RNG or wall-clock read
+#: there breaks seeded replay and must surface as FLOW001/002.
 DEFAULT_ENTRY_POINTS: Tuple[str, ...] = (
     "HadoopSimulator.run",
     "solve_co_online",
     "EpochController.run",
-    "run_serve_soak",
+    "run_soak",
 )
 
 

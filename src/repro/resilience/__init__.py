@@ -12,8 +12,10 @@ Three pieces, layered bottom-up:
 * :mod:`repro.resilience.chaos` / :mod:`~repro.resilience.soak` /
   :mod:`~repro.resilience.invariants` — seeded fault injection (machine
   outages, stragglers, inter-AZ partitions, store read errors, solver
-  faults), the ``python -m repro chaos`` soak harness, and the post-run
-  invariant oracle that makes a soak a test rather than a demo.
+  faults), the one soak driver behind ``python -m repro chaos`` (the
+  simulator and the epoch loop) and ``python -m repro serve --sim`` (the
+  service, killed and recovered), and the post-run invariant oracle of
+  every target that makes a soak a test rather than a demo.
 
 See DESIGN.md section 8 for the failure taxonomy and semantics.
 """
@@ -30,13 +32,17 @@ from repro.resilience.degraded import DEGRADED_MODEL, greedy_epoch_solution
 from repro.resilience.invariants import (
     InvariantViolation,
     check_online_invariants,
+    check_service_invariants,
     check_sim_invariants,
 )
 from repro.resilience.soak import (
-    ChaosSoakConfig,
+    ONLINE,
+    SERVICE,
+    SIM,
+    SoakConfig,
     SoakOutcome,
-    run_chaos_soak,
-    run_chaos_soak_seed,
+    build_scenario,
+    run_soak,
     soak_summary,
 )
 from repro.resilience.solver import (
@@ -49,24 +55,28 @@ from repro.resilience.solver import (
 
 __all__ = [
     "ChaosPlan",
-    "ChaosSoakConfig",
     "DEGRADED_MODEL",
     "FailureKind",
     "FaultInjectingBackend",
     "InvariantViolation",
+    "ONLINE",
     "PartitionEvent",
     "RETRYABLE_KINDS",
     "ReadFaultEvent",
     "ResilientSolver",
+    "SERVICE",
+    "SIM",
+    "SoakConfig",
     "SoakOutcome",
     "SolveAttempt",
     "StragglerEvent",
+    "build_scenario",
     "check_online_invariants",
+    "check_service_invariants",
     "check_sim_invariants",
     "classify_result",
     "greedy_epoch_solution",
     "random_chaos_plan",
-    "run_chaos_soak",
-    "run_chaos_soak_seed",
+    "run_soak",
     "soak_summary",
 ]

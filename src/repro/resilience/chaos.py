@@ -12,7 +12,8 @@ fault classes a production MapReduce deployment sees:
 * **store read errors** — all reads from one store fail during a window
   regardless of zones (a sick DataNode);
 * **solver faults** — :class:`FaultInjectingBackend` wraps an LP backend
-  and fails chosen solves, which is how soaks force the
+  and fails the solves its schedule picks (every solve, the first N, or
+  epoch-clock windows), which is how soaks force the
   :class:`~repro.resilience.ResilientSolver` fallback chain and the
   degraded epoch path to actually run.
 
@@ -24,13 +25,22 @@ whole chaos soak is reproducible from a single seed.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.hadoop.failures import FailurePlan, random_failure_plan
 from repro.lp.result import LPResult, LPStatus
+from repro.obs import lpprof
 from repro.obs.registry import current_registry
+
+#: a ``[start, end)`` span of simulated seconds
+Window = Tuple[float, float]
+
+
+def in_windows(windows: Sequence[Window], now: float) -> bool:
+    """True when some ``[start, end)`` window covers ``now``."""
+    return any(start <= now < end for start, end in windows)
 
 
 @dataclass(frozen=True)
@@ -251,47 +261,52 @@ def random_chaos_plan(
 
 
 class FaultInjectingBackend:
-    """Wraps an LP backend and fails chosen solves (chaos for the solver).
+    """Wraps an LP backend and fails the solves its fault schedule picks.
 
-    Parameters
-    ----------
-    inner:
-        The backend being sabotaged.
-    fail_first:
-        Fail this many leading solves, then pass through.  ``None`` fails
-        every solve (the "primary backend is down" scenario CI soaks use).
-    status:
-        The structured failure status injected solves report.
-    raise_exception:
-        Raise ``RuntimeError`` instead of returning a failed result —
-        exercises the :class:`~repro.resilience.ResilientSolver`'s
-        exception-classification path.
-    delay_s:
-        Instead of failing, *stall* the scheduled solves by this many
-        wall-clock seconds before delegating — the "LP falls behind real
-        time" failure mode.  The solve still succeeds, but its profiled
-        wall time blows the epoch deadline, which is what drives the
-        :mod:`repro.serve` watchdog into degraded mode.
+    The schedule is one of:
+
+    * every solve (the default) — the "primary backend is down" scenario
+      the chaos soak forces;
+    * the first ``fail_first`` solves, then pass through;
+    * ``fail_windows`` over the epoch clock: a solve fails while a
+      ``(start, end)`` window covers its epoch's start time, read from the
+      ``lpprof.scope(epoch=i)`` the epoch controller opens around an
+      epoch's solves (start = ``i * epoch_length``); solves outside any
+      epoch scope pass through.  Because this schedule is a function of
+      the epoch, not of the solve count, a crashed service and its WAL
+      replay inject identical faults.
+
+    A failed solve returns a ``NUMERICAL`` result, or raises
+    ``RuntimeError`` with ``raise_exception`` — which exercises the
+    :class:`~repro.resilience.ResilientSolver`'s exception classification.
     """
 
     def __init__(
         self,
         inner,
         fail_first: Optional[int] = None,
-        status: LPStatus = LPStatus.NUMERICAL,
+        fail_windows: Optional[Sequence[Window]] = None,
+        epoch_length: float = 0.0,
         raise_exception: bool = False,
-        delay_s: float = 0.0,
     ) -> None:
         self.inner = inner
         self.fail_first = fail_first
-        self.status = status
+        self.fail_windows = None if fail_windows is None else list(fail_windows)
+        self.epoch_length = epoch_length
         self.raise_exception = raise_exception
-        self.delay_s = delay_s
         self.solves_seen = 0
         self.faults_injected = 0
-        self.name = f"chaos({getattr(inner, 'name', type(inner).__name__)})"
+        inner_name = getattr(inner, "name", type(inner).__name__)
+        windowed = self.fail_windows is not None
+        self._kind = "solver-window" if windowed else "solver"
+        self.name = f"windowed-chaos({inner_name})" if windowed else f"chaos({inner_name})"
 
     def _should_fail(self) -> bool:
+        if self.fail_windows is not None:
+            epoch = lpprof.current_scope().get("epoch")
+            return epoch is not None and in_windows(
+                self.fail_windows, epoch * self.epoch_length
+            )
         return self.fail_first is None or self.solves_seen <= self.fail_first
 
     def solve(self, lp) -> LPResult:
@@ -302,27 +317,22 @@ class FaultInjectingBackend:
         return result
 
     def solve_assembled(self, asm) -> LPResult:  # lint: ok=AST005
-        """Fail (or stall) if this solve index is scheduled to; else delegate."""
+        """Fail if the schedule picks this solve; else delegate."""
         self.solves_seen += 1
-        if self._should_fail():
-            self.faults_injected += 1
-            registry = current_registry()
-            if registry is not None:
-                registry.counter(
-                    "chaos_faults_injected_total", help="chaos faults injected by kind"
-                ).inc(kind="solver-lag" if self.delay_s > 0 else "solver")
-            if self.delay_s > 0:
-                import time
-
-                time.sleep(self.delay_s)
-                return self.inner.solve_assembled(asm)
-            if self.raise_exception:
-                raise RuntimeError("injected solver fault")
-            return LPResult(
-                status=self.status,
-                objective=float("nan"),
-                x=None,
-                backend=self.name,
-                message="injected solver fault",
-            )
-        return self.inner.solve_assembled(asm)
+        if not self._should_fail():
+            return self.inner.solve_assembled(asm)
+        self.faults_injected += 1
+        registry = current_registry()
+        if registry is not None:
+            registry.counter(
+                "chaos_faults_injected_total", help="chaos faults injected by kind"
+            ).inc(kind=self._kind)
+        if self.raise_exception:
+            raise RuntimeError("injected solver fault")
+        return LPResult(
+            status=LPStatus.NUMERICAL,
+            objective=float("nan"),
+            x=None,
+            backend=self.name,
+            message="injected solver fault",
+        )

@@ -17,12 +17,26 @@ must satisfy:
 * **fraction conservation** (online controller) — scheduled CPU seconds
   across epochs equal the workload's total (residual re-queueing neither
   duplicates nor drops work).
+
+The service (:mod:`repro.serve`) adds its own properties on top:
+
+* **admission partition** — every offered job is accounted exactly once:
+  ``submitted == admitted + shed`` and the per-reason shed counts sum to
+  the shed total (the only way to lose a job is an explicit, reasoned
+  shed);
+* **completion accounting** — every admitted job either completed or is
+  still pending in the final backlog (``admitted == completed + pending``);
+* **degraded accounting** — the controller's degraded-epoch counter equals
+  the number of degraded epoch reports;
+* **watchdog engagement** — when LP epochs missed their deadline at least
+  ``miss_threshold`` times, the health machine must have moved to
+  DEGRADED at least once (the watchdog may never sleep through its pager).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Optional
 
 import numpy as np
 
@@ -129,4 +143,86 @@ def _check_ledger(ledger) -> List[InvariantViolation]:
                 "billing_consistency", f"{len(negative)} negative ledger charges"
             )
         )
+    return out
+
+
+def check_service_invariants(
+    service, result=None, expected_misses: Optional[int] = None
+) -> List[InvariantViolation]:
+    """Check a finished (or recovered) :class:`~repro.serve.SchedulingService`.
+
+    ``result`` is the :class:`~repro.core.epoch.OnlineRunResult` from
+    :meth:`~repro.serve.SchedulingService.result` when the run was closed;
+    pass ``None`` to check a still-open service (completion accounting then
+    uses the live controller state).  ``expected_misses`` at or above the
+    health machine's ``miss_threshold`` additionally requires a DEGRADED
+    transition (lag-injection soaks pass their deadline-miss count).
+    """
+    from repro.serve.health import ServiceState
+
+    out: List[InvariantViolation] = []
+    admission = service.admission
+
+    shed_by_reason = sum(admission.shed.values())
+    if shed_by_reason != admission.shed_total:
+        out.append(
+            InvariantViolation(
+                "admission_partition",
+                f"per-reason shed counts sum to {shed_by_reason}, "
+                f"shed_total says {admission.shed_total}",
+            )
+        )
+    if admission.submitted != admission.admitted + admission.shed_total:
+        out.append(
+            InvariantViolation(
+                "admission_partition",
+                f"submitted {admission.submitted} != admitted {admission.admitted} "
+                f"+ shed {admission.shed_total}",
+            )
+        )
+    if admission.admitted != len(service.admitted_arrivals):
+        out.append(
+            InvariantViolation(
+                "admission_partition",
+                f"admission counted {admission.admitted} admitted jobs but the "
+                f"service tracked {len(service.admitted_arrivals)}",
+            )
+        )
+
+    if result is not None:
+        completed, pending = len(result.job_completion), 0
+        ledger, reports = result.ledger, result.reports
+    else:
+        state = service.controller._require_state()
+        completed, pending = len(state.job_completion), len(state.queue)
+        ledger, reports = state.ledger, state.reports
+    if admission.admitted != completed + pending:
+        out.append(
+            InvariantViolation(
+                "completion_accounting",
+                f"admitted {admission.admitted} != completed {completed} "
+                f"+ pending {pending}",
+            )
+        )
+
+    out.extend(_check_ledger(ledger))
+
+    degraded_seen = sum(1 for r in reports if r.degraded)
+    if degraded_seen != service.controller.degraded_epochs:
+        out.append(
+            InvariantViolation(
+                "degraded_accounting",
+                f"{degraded_seen} degraded reports vs counter "
+                f"{service.controller.degraded_epochs}",
+            )
+        )
+
+    if expected_misses is not None and expected_misses >= service.config.health.miss_threshold:
+        if not any(t.dst is ServiceState.DEGRADED for t in service.health.transitions):
+            out.append(
+                InvariantViolation(
+                    "watchdog_engagement",
+                    f"{expected_misses} deadline misses but no DEGRADED transition",
+                )
+            )
     return out

@@ -11,10 +11,14 @@ long-running service (DESIGN.md §12):
 * :mod:`~repro.serve.journal` — write-ahead log + periodic snapshots;
 * :mod:`~repro.serve.service` — :class:`SchedulingService` itself, with
   crash recovery that replays the WAL suffix deterministically;
-* :mod:`~repro.serve.invariants` — the serve oracle (admission partition,
-  completion accounting, watchdog engagement);
-* :mod:`~repro.serve.soak` — the ``python -m repro serve --sim`` soak:
-  hours of sim time, chaos windows, mid-run kill/recover cycles.
+* :mod:`~repro.serve.soak` — :func:`~repro.serve.soak.drive_service`, the
+  closed loop that feeds a service an arrival schedule.
+
+The ``python -m repro serve --sim`` soak — hours of sim time, chaos
+windows, mid-run kill/recover cycles — is the service target of the one
+soak driver, :mod:`repro.resilience.soak`, and the service's oracle
+(admission partition, completion accounting, watchdog engagement) lives
+with the others in :mod:`repro.resilience.invariants`.
 """
 
 from repro.serve.admission import (
@@ -23,7 +27,6 @@ from repro.serve.admission import (
     TokenBucket,
 )
 from repro.serve.health import HealthConfig, HealthMonitor, ServiceState
-from repro.serve.invariants import check_service_invariants
 from repro.serve.journal import WriteAheadLog, read_wal
 from repro.serve.service import (
     RecoveryError,
@@ -31,7 +34,6 @@ from repro.serve.service import (
     SchedulingService,
     ServiceConfig,
 )
-from repro.serve.soak import ServeSoakConfig, ServeSoakOutcome, run_serve_soak
 
 __all__ = [
     "AdmissionController",
@@ -40,14 +42,10 @@ __all__ = [
     "HealthConfig",
     "HealthMonitor",
     "ServiceState",
-    "check_service_invariants",
     "WriteAheadLog",
     "read_wal",
     "RecoveryError",
     "ReplayStats",
     "SchedulingService",
     "ServiceConfig",
-    "ServeSoakConfig",
-    "ServeSoakOutcome",
-    "run_serve_soak",
 ]

@@ -23,6 +23,22 @@ def test_default_entry_points_resolve_uniquely(graph):
     assert resolved["HadoopSimulator.run"] == ["repro.hadoop.sim:HadoopSimulator.run"]
     assert resolved["solve_co_online"] == ["repro.core.co_online:solve_co_online"]
     assert resolved["EpochController.run"] == ["repro.core.epoch:EpochController.run"]
+    assert resolved["run_soak"] == ["repro.resilience.soak:run_soak"]
+
+
+def test_soak_entry_reaches_every_target(graph):
+    reach = graph.reachable(["repro.resilience.soak:run_soak"])
+    # the chaos soak's scenario and fault code, not only the service path
+    for qname in (
+        "repro.resilience.soak:build_soak_cluster",
+        "repro.resilience.chaos:random_chaos_plan",
+        "repro.resilience.chaos:FaultInjectingBackend.solve_assembled",
+        "repro.hadoop.sim:HadoopSimulator.run",
+        "repro.core.epoch:EpochController.run",
+        "repro.serve.service:SchedulingService.recover",
+        "repro.resilience.invariants:check_service_invariants",
+    ):
+        assert qname in reach, qname
 
 
 def test_simulator_reaches_tracer_and_metrics(graph):

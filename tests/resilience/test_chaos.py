@@ -9,18 +9,18 @@ from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.resilience import (
     ChaosPlan,
-    ChaosSoakConfig,
     InvariantViolation,
     PartitionEvent,
     ReadFaultEvent,
+    SoakConfig,
     StragglerEvent,
+    build_scenario,
     check_sim_invariants,
     random_chaos_plan,
-    run_chaos_soak,
-    run_chaos_soak_seed,
+    run_soak,
     soak_summary,
 )
-from repro.resilience.soak import build_soak_cluster, build_soak_workload
+from repro.resilience.soak import build_soak_cluster
 from repro.schedulers import FifoScheduler
 from repro.workload.job import DataObject, Job, Workload
 
@@ -242,34 +242,38 @@ class TestInvariantOracle:
 
 class TestSoak:
     def test_builders_are_seed_deterministic(self):
-        rng = np.random.default_rng(3)
         c1 = build_soak_cluster(4, np.random.default_rng(3))
         c2 = build_soak_cluster(4, np.random.default_rng(3))
         assert [m.cpu_cost for m in c1.machines] == [m.cpu_cost for m in c2.machines]
-        w1 = build_soak_workload(3, 4, 2000.0, np.random.default_rng(3))
-        w2 = build_soak_workload(3, 4, 2000.0, np.random.default_rng(3))
+        config = SoakConfig(num_machines=4, num_jobs=3, horizon_s=2000.0)
+        w1 = build_scenario(3, config).workload
+        w2 = build_scenario(3, config).workload
         assert [j.arrival_time for j in w1.jobs] == [j.arrival_time for j in w2.jobs]
         assert [d.size_mb for d in w1.data] == [d.size_mb for d in w2.data]
 
     def test_config_validation(self):
         with pytest.raises(ValueError, match="force"):
-            ChaosSoakConfig(force="sometimes")
+            SoakConfig(force="sometimes")
         with pytest.raises(ValueError, match="seed"):
-            ChaosSoakConfig(seeds=())
+            SoakConfig(seeds=())
+        with pytest.raises(ValueError, match="targets"):
+            SoakConfig(targets=("sim", "service"))
+        with pytest.raises(ValueError, match="one seed"):
+            SoakConfig(targets=("service",), seeds=(0, 1))
 
     def test_soak_seed_clean(self):
-        cfg = ChaosSoakConfig(
+        cfg = SoakConfig(
             seeds=(0,), num_machines=4, num_jobs=3, horizon_s=2000.0
         )
-        outcome = run_chaos_soak_seed(0, cfg)
+        [outcome] = run_soak(cfg)
         assert outcome.ok, [str(v) for v in outcome.violations]
         assert outcome.faults_planned > 0
 
     def test_soak_forced_primary_failure_uses_fallback(self):
-        cfg = ChaosSoakConfig(
+        cfg = SoakConfig(
             seeds=(0,), num_machines=4, num_jobs=3, horizon_s=2000.0, force="primary"
         )
-        outcome = run_chaos_soak_seed(0, cfg)
+        [outcome] = run_soak(cfg)
         assert outcome.ok, [str(v) for v in outcome.violations]
         assert outcome.solver_failures > 0
         assert outcome.solver_fallbacks > 0
@@ -277,17 +281,17 @@ class TestSoak:
         assert outcome.epochs_degraded == 0  # the fallback always saves it
 
     def test_soak_forced_chain_failure_degrades(self):
-        cfg = ChaosSoakConfig(
+        cfg = SoakConfig(
             seeds=(1,), num_machines=4, num_jobs=3, horizon_s=2000.0, force="all"
         )
-        outcome = run_chaos_soak_seed(1, cfg)
+        [outcome] = run_soak(cfg)
         assert outcome.ok, [str(v) for v in outcome.violations]
         assert outcome.epochs_degraded > 0
 
     def test_multi_seed_summary(self):
-        cfg = ChaosSoakConfig(seeds=(0, 1), num_machines=4, num_jobs=2,
-                              horizon_s=1500.0)
-        outcomes = run_chaos_soak(cfg)
+        cfg = SoakConfig(seeds=(0, 1), num_machines=4, num_jobs=2,
+                         horizon_s=1500.0)
+        outcomes = run_soak(cfg)
         assert [o.seed for o in outcomes] == [0, 1]
         summary = soak_summary(outcomes)
         assert summary["seeds"] == 2

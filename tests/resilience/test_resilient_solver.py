@@ -1,6 +1,7 @@
 """Tests for ResilientSolver: classification, retries, fallback, timeout."""
 
 import threading
+from contextlib import nullcontext
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from repro.lp.problem import LinearProgram, Sense
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.scipy_backend import HighsBackend
 from repro.lp.simplex import SimplexBackend, SimplexError
+from repro.obs import lpprof
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.resilience import (
     RETRYABLE_KINDS,
@@ -249,15 +251,52 @@ class TestCounters:
         assert solver.solve(small_lp()).is_optimal
 
 
+class _CountingBackend:
+    """HiGHS, counting the solves that reach it."""
+
+    def __init__(self):
+        self.inner = HighsBackend()
+        self.calls = 0
+
+    def solve_assembled(self, asm):
+        self.calls += 1
+        return self.inner.solve_assembled(asm)
+
+
 class TestFaultInjectingBackend:
-    def test_fail_first_n(self):
-        inner = HighsBackend()
-        chaos = FaultInjectingBackend(inner, fail_first=2)
+    @pytest.mark.parametrize(
+        "schedule, kind, epochs, failed",
+        [
+            # count-keyed: the first two solves fail, whatever their epoch
+            ({"fail_first": 2}, "solver", [None, None, None], [True, True, False]),
+            # window-keyed: epochs starting inside [60, 180) fail, epoch 1
+            # again (a replay) fails again, and a solve outside any epoch
+            # scope passes through — the epoch clock decides, not the count
+            (
+                {"fail_windows": [(60.0, 180.0)], "epoch_length": 60.0},
+                "solver-window",
+                [0, 1, 2, 3, 1, None],
+                [False, True, True, False, True, False],
+            ),
+        ],
+        ids=["first-n", "epoch-windows"],
+    )
+    def test_fault_schedule(self, schedule, kind, epochs, failed):
+        inner = _CountingBackend()
+        registry = MetricsRegistry()
         asm = small_lp().assemble()
-        assert not chaos.solve_assembled(asm).is_optimal
-        assert not chaos.solve_assembled(asm).is_optimal
-        assert chaos.solve_assembled(asm).is_optimal
-        assert chaos.faults_injected == 2
+        results = []
+        with use_registry(registry):
+            chaos = FaultInjectingBackend(inner, **schedule)
+            for epoch in epochs:
+                scope = lpprof.scope(epoch=epoch) if epoch is not None else nullcontext()
+                with scope:
+                    results.append(chaos.solve_assembled(asm))
+        assert [not r.is_optimal for r in results] == failed
+        assert all(r.status is LPStatus.NUMERICAL for r in results if not r.is_optimal)
+        assert chaos.faults_injected == sum(failed)
+        assert inner.calls == len(failed) - sum(failed)
+        assert registry.counter("chaos_faults_injected_total").value(kind=kind) == sum(failed)
 
     def test_fail_all_and_counting(self):
         registry = MetricsRegistry()

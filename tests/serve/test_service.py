@@ -6,8 +6,8 @@ import pytest
 
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.obs.trace import Tracer, use_tracer
+from repro.resilience.invariants import check_service_invariants
 from repro.serve.health import HealthConfig, ServiceState
-from repro.serve.invariants import check_service_invariants
 from repro.serve.journal import (
     REC_ADMISSION,
     REC_EPOCH,

@@ -1,39 +1,83 @@
-"""The serve soak harness: chaos windows, lag injection, end-to-end gates."""
+"""The soak's service target: arrivals, chaos windows, lag, end-to-end gates."""
+
+import re
 
 import numpy as np
 
-from repro.obs import lpprof
+from repro.cli import main
 from repro.resilience.chaos import ChaosPlan, StragglerEvent
-from repro.serve.soak import (
-    ServeSoakConfig,
-    WindowedChaosBackend,
-    build_serve_schedule,
+from repro.resilience.soak import (
+    LAG_S,
+    SERVICE,
+    SoakConfig,
+    arrival_schedule,
+    build_soak_workload,
     derive_service_chaos,
     make_lag_injector,
-    run_serve_soak,
+    run_soak,
 )
-from repro.lp.result import LPStatus
+from repro.workload.arrivals import MergedArrivals, PoissonArrivals
+
+
+def service_config(seed, horizon_s=2.5 * 3600.0, **overrides):
+    """A service soak shaped like ``repro serve --sim``'s."""
+    return SoakConfig(
+        seeds=(seed,),
+        targets=(SERVICE,),
+        horizon_s=horizon_s,
+        epoch_length=60.0,
+        mean_time_to_failure_s=horizon_s,
+        **overrides,
+    )
+
+
+def quick_config(seed=1, **overrides):
+    return service_config(
+        seed,
+        horizon_s=2.25 * 3600.0,
+        num_machines=4,
+        num_submitters=2,
+        num_jobs=5,
+        checkpoint_every=4,
+        **overrides,
+    )
 
 
 class TestScheduleDerivation:
     def test_schedule_is_a_pure_function_of_the_seed(self):
-        config = ServeSoakConfig(seed=7, num_submitters=2, jobs_per_submitter=4)
-        a = build_serve_schedule(config, 4, np.random.default_rng(7))
-        b = build_serve_schedule(config, 4, np.random.default_rng(7))
+        config = service_config(7, num_submitters=2, num_jobs=4)
+        a = arrival_schedule(build_soak_workload(7, config, 4, np.random.default_rng(7)))
+        b = arrival_schedule(build_soak_workload(7, config, 4, np.random.default_rng(7)))
         assert [(t, job.job_id) for t, job in a[0]] == [
             (t, job.job_id) for t, job in b[0]
         ]
 
     def test_schedule_merges_sorted_with_unique_ids(self):
-        config = ServeSoakConfig(seed=3, num_submitters=3, jobs_per_submitter=5)
-        schedule, data_by_job = build_serve_schedule(
-            config, 4, np.random.default_rng(3)
+        config = service_config(3, num_submitters=3, num_jobs=5)
+        schedule, data_by_job = arrival_schedule(
+            build_soak_workload(3, config, 4, np.random.default_rng(3))
         )
         times = [t for t, _ in schedule]
         assert times == sorted(times)
         ids = [job.job_id for _, job in schedule]
         assert len(ids) == len(set(ids)) == 15
         assert set(data_by_job) == set(ids)
+
+    def test_schedule_is_the_merge_of_one_poisson_stream_per_submitter(self):
+        config = service_config(3, num_submitters=3, num_jobs=5)
+        workload = build_soak_workload(3, config, 4, np.random.default_rng(3))
+        rate = 5 / (config.horizon_s * 0.9)
+        merged = MergedArrivals(
+            [
+                PoissonArrivals(workload.jobs[s * 5 : (s + 1) * 5], rate, seed=3 * 1009 + s)
+                for s in range(3)
+            ]
+        )
+        schedule, _ = arrival_schedule(workload)
+        assert [(t, job.job_id) for t, job in schedule] == [
+            (t, job.job_id) for t, job in merged
+        ]
+        assert all(job.arrival_time == t for t, job in schedule)
 
 
 class TestChaosDerivation:
@@ -43,50 +87,32 @@ class TestChaosDerivation:
         assert lag_windows == [(120.0, 300.0)]
 
     def test_lag_injector_fires_only_inside_windows(self):
-        injector = make_lag_injector([(120.0, 300.0)], 10.0, 60.0)
+        injector = make_lag_injector([(120.0, 300.0)], 60.0)
         # epochs start at 0, 60, 120, ... — the window covers starts 120..240
-        assert [injector(e) for e in range(7)] == [0, 0, 10.0, 10.0, 10.0, 0, 0]
-
-    def test_chaos_backend_fails_by_epoch_clock_not_call_count(self):
-        class Inner:
-            calls = 0
-
-            def solve_assembled(self, asm):
-                self.calls += 1
-                return "delegated"
-
-        inner = Inner()
-        backend = WindowedChaosBackend(inner, [(60.0, 180.0)], epoch_length=60.0)
-        outcomes = []
-        for epoch in (0, 1, 2, 3, 1):  # revisiting epoch 1 (replay) fails again
-            with lpprof.scope(epoch=epoch):
-                outcomes.append(backend.solve_assembled(None))
-        blocked = [r != "delegated" for r in outcomes]
-        assert blocked == [False, True, True, False, True]
-        assert all(
-            r.status is LPStatus.NUMERICAL for r in outcomes if r != "delegated"
-        )
-        assert inner.calls == 2
-        assert backend.faults_injected == 3
-        # no epoch scope: always delegates (offline solves are untouched)
-        assert backend.solve_assembled(None) == "delegated"
+        assert [injector(e) for e in range(7)] == [0, 0, LAG_S, LAG_S, LAG_S, 0, 0]
 
 
 class TestEndToEnd:
     def test_quick_soak_passes_every_gate(self, tmp_path):
-        config = ServeSoakConfig(
-            seed=1,
-            num_machines=4,
-            num_submitters=2,
-            jobs_per_submitter=5,
-            sim_hours=2.25,
-            checkpoint_every=4,
-            kill_after_epochs=(8,),
-        )
-        outcome = run_serve_soak(config, tmp_path, min_sim_hours=1.5)
+        # 6 is off the 4-tick checkpoint grid: recovery replays a WAL suffix
+        [outcome] = run_soak(quick_config(kill_after_epochs=(6,)), tmp_path, min_sim_hours=1.5)
         assert outcome.ok, [str(v) for v in outcome.violations]
         assert outcome.kills == 1
+        assert outcome.replayed_records > 0
         assert outcome.ledger_identical
         assert outcome.sim_time_s >= 1.5 * 3600.0
         assert outcome.submitted == outcome.admitted + outcome.shed
         assert outcome.completed == outcome.admitted
+
+    def test_kill_on_a_snapshot_replays_nothing_and_fails(self, tmp_path):
+        # tick 8 is a checkpoint: recovery loads it and replays no record,
+        # so the WAL suffix replay the ledger gate protects never ran
+        [outcome] = run_soak(quick_config(kill_after_epochs=(8,)), tmp_path, min_sim_hours=1.5)
+        assert outcome.kills == 1
+        assert outcome.replayed_records == 0
+        assert [v.name for v in outcome.violations] == ["kill_recover"]
+
+    def test_quick_cli_kill_replays_the_wal(self, tmp_path, capsys):
+        assert main(["serve", "--sim", "--quick", "--workdir", str(tmp_path)]) == 0
+        replayed = re.search(r"(\d+) WAL records replayed", capsys.readouterr().out)
+        assert replayed is not None and int(replayed.group(1)) > 0
