@@ -251,7 +251,8 @@ def build_paper_testbed(
     zones = builder.topology.zone_names()
     kinds = ["c1.medium"] * n_c1 + ["m1.small"] * n_small + ["m1.medium"] * n_medium
     rng.shuffle(kinds)
-    for i, kind in enumerate(kinds):
-        point = price_point if price_point is not None else float(rng.uniform())
-        builder.add_ec2_nodes(kind, count=1, zone=zones[i % len(zones)], price_point=point)
+    # ``uniform()`` is ``0 + 1 * random()``: one batched draw is the same stream
+    points = [price_point] * total_nodes if price_point is not None else rng.random(total_nodes)
+    for i, (kind, point) in enumerate(zip(kinds, points)):
+        builder.add_ec2_nodes(kind, count=1, zone=zones[i % len(zones)], price_point=float(point))
     return builder.build()

@@ -12,6 +12,12 @@ three matrices the LP models consume:
 Following the paper's EC2 setting, intra-zone transfer is free and
 cross-zone transfer costs $0.01/GB; a small local-read discount makes
 node-local reads strictly preferable, mirroring HDFS short-circuit reads.
+
+Prices and bandwidths depend only on the two zones and on co-location, so
+each matrix is gathered from a zones x zones table: ``_pair_cost`` and
+``Topology.bandwidth_mb_per_s`` run once per zone pair and stay the only
+definition of a price or a bandwidth (overrides and
+``intra_zone_cost_per_mb`` apply through them).
 """
 
 from __future__ import annotations
@@ -55,9 +61,7 @@ class NetworkModel:
         for s in self.stores:
             if s.zone not in self.topology.zones:
                 raise ValueError(f"store {s.name!r} in unknown zone {s.zone!r}")
-        self._ss = self._build_ss()
-        self._ms = self._build_ms()
-        self._bw = self._build_bandwidth()
+        self._build()
 
     # -- matrix construction ------------------------------------------------
     def _pair_cost(self, zone_a: str, zone_b: str) -> float:
@@ -65,35 +69,26 @@ class NetworkModel:
             return transfer_cost_per_mb(cross_zone=True)
         return self.intra_zone_cost_per_mb
 
-    def _build_ss(self) -> np.ndarray:
-        n = len(self.stores)
-        ss = np.zeros((n, n))
-        for i, si in enumerate(self.stores):
-            for j, sj in enumerate(self.stores):
-                if i == j:
-                    continue
-                ss[i, j] = self._pair_cost(si.zone, sj.zone)
-        return ss
-
-    def _build_ms(self) -> np.ndarray:
-        ms = np.zeros((len(self.machines), len(self.stores)))
-        for l, mach in enumerate(self.machines):
-            for m, store in enumerate(self.stores):
-                if store.colocated_machine == mach.machine_id:
-                    ms[l, m] = 0.0  # node-local read
-                else:
-                    ms[l, m] = self._pair_cost(mach.zone, store.zone)
-        return ms
-
-    def _build_bandwidth(self) -> np.ndarray:
-        bw = np.zeros((len(self.machines), len(self.stores)))
-        for l, mach in enumerate(self.machines):
-            for m, store in enumerate(self.stores):
-                if store.colocated_machine == mach.machine_id:
-                    bw[l, m] = LOCAL_READ_MB_PER_S
-                else:
-                    bw[l, m] = self.topology.bandwidth_mb_per_s(mach.zone, store.zone)
-        return bw
+    def _build(self) -> None:
+        """Gather ``SS``/``MS``/``B`` from zones x zones tables (see module doc)."""
+        names = list(self.topology.zones)
+        index, z = {name: k for k, name in enumerate(names)}, len(names)
+        pair_cost, pair_bw = self._pair_cost, self.topology.bandwidth_mb_per_s
+        cost = np.array([[pair_cost(a, b) for b in names] for a in names], float).reshape(z, z)
+        bw = np.array([[pair_bw(a, b) for b in names] for a in names], float).reshape(z, z)
+        mz = np.array([index[m.zone] for m in self.machines], dtype=np.intp)[:, None]
+        sz = np.array([index[s.zone] for s in self.stores], dtype=np.intp)
+        # co-located cells: store.colocated_machine == machine.machine_id
+        row = {mach.machine_id: l for l, mach in enumerate(self.machines)}
+        hosts = [s.colocated_machine for s in self.stores]
+        cells = [(row[h], m) for m, h in enumerate(hosts) if h in row]
+        local = tuple(np.array(cells, dtype=np.intp).reshape(-1, 2).T)
+        self._ss = cost[sz[:, None], sz]
+        np.fill_diagonal(self._ss, 0.0)
+        self._ms = cost[mz, sz]
+        self._ms[local] = 0.0  # node-local read
+        self._bw = bw[mz, sz]
+        self._bw[local] = LOCAL_READ_MB_PER_S
 
     # -- accessors ----------------------------------------------------------
     @property

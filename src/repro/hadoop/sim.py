@@ -579,6 +579,12 @@ class HadoopSimulator:
                     f"scheduler starvation: tasks pending but nothing launched "
                     f"since t={self._last_progress:.0f}s (now {self.now:.0f}s)"
                 )
+        elif not self._running_maps and not self._arrivals_outstanding():
+            stuck = [j.job.name for j in self.jobtracker.queue]
+            raise RuntimeError(
+                f"scheduler starvation: {len(stuck)} incomplete jobs have no pending "
+                f"or running task at t={self.now:.0f}s: {stuck[:5]}"
+            )
         self._ensure_heartbeat()
 
     def _arrivals_outstanding(self) -> bool:

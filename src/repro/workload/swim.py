@@ -76,11 +76,16 @@ class SwimConfig:
             raise ValueError("class probabilities must sum to 1")
         if abs(sum(p for _, p in self.app_mix) - 1.0) > 1e-9:
             raise ValueError("app mix probabilities must sum to 1")
+        if min(p for _, p, _ in self.classes) < 0 or min(p for _, p in self.app_mix) < 0:
+            raise ValueError("probabilities must be non-negative")
+        if not all(0 < lo <= hi for _, _, (lo, hi) in self.classes):
+            raise ValueError("class map ranges need 0 < lo <= hi")
 
 
-def _log_uniform(rng: np.random.Generator, lo: int, hi: int) -> int:
-    """Integer drawn log-uniformly in [lo, hi] (heavy-tail within a class)."""
-    return round_half_up(np.exp(rng.uniform(np.log(lo), np.log(hi))))
+def _cdf(probs: List[float]) -> np.ndarray:
+    """Normalised CDF, as ``Generator.choice(p=probs)`` maps its one double."""
+    cdf = np.cumsum(np.asarray(probs, dtype=float))
+    return cdf / cdf[-1]
 
 
 def _arrival_times(rng: np.random.Generator, n: int, duration: float) -> np.ndarray:
@@ -99,60 +104,52 @@ def synthesize_facebook_day(config: SwimConfig | None = None) -> Workload:
     Every input-bearing job gets one data object sized ``maps x 64 MB`` (one
     block per map, HDFS-style), originating on a round-robin choice of
     ``num_origin_stores`` stores.
+
+    After the arrivals, job *k* takes row *k* of one ``rng.random((n, 3))``
+    draw: the three doubles its scalar draws took, in their order, so a seed
+    keeps its day. (1) class: ``choice(p)``, i.e. the normalised CDF's
+    ``searchsorted(u, side="right")``; (2) size: ``uniform(log lo, log hi)``,
+    i.e. ``lo + (hi - lo) * u``; (3) app: ``choice(p)``, as for the class.
     """
     cfg = config or SwimConfig()
     rng = np.random.default_rng(cfg.seed)
 
     class_names = [c[0] for c in cfg.classes]
-    class_probs = np.array([c[1] for c in cfg.classes])
-    class_ranges = {c[0]: c[2] for c in cfg.classes}
     app_names = [a[0] for a in cfg.app_mix]
-    app_probs = np.array([a[1] for a in cfg.app_mix])
+    log_lo = np.array([np.log(lo) for _, _, (lo, _) in cfg.classes])
+    log_hi = np.array([np.log(hi) for _, _, (_, hi) in cfg.classes])
 
     arrivals = _arrival_times(rng, cfg.num_jobs, cfg.duration_s)
+    u = rng.random((cfg.num_jobs, 3))  # per job: class, size, app (see module doc)
+    cls_idx = _cdf([c[1] for c in cfg.classes]).searchsorted(u[:, 0], side="right")
+    lo, hi = log_lo[cls_idx], log_hi[cls_idx]
+    sizes = np.exp(lo + (hi - lo) * u[:, 1])  # log-uniform: heavy tail within a class
+    app_idx = _cdf([a[1] for a in cfg.app_mix]).searchsorted(u[:, 2], side="right")
     jobs: List[Job] = []
     data: List[DataObject] = []
     for k in range(cfg.num_jobs):
-        cls = class_names[int(rng.choice(len(class_names), p=class_probs))]
-        lo, hi = class_ranges[cls]
-        maps = max(1, _log_uniform(rng, lo, hi))
-        app = app_names[int(rng.choice(len(app_names), p=app_probs))]
+        cls, app = class_names[cls_idx[k]], app_names[app_idx[k]]
+        maps = max(1, round_half_up(sizes[k]))
         prof = app_profile(app)
+        common = dict(
+            job_id=k,
+            name=f"fb-{cls}-{app}-{k}",
+            num_tasks=maps,
+            arrival_time=float(arrivals[k]),
+            pool=cls,
+            app=app,
+        )
         if prof.is_input_less:
-            jobs.append(
-                Job(
-                    job_id=k,
-                    name=f"fb-{cls}-{app}-{k}",
-                    tcp=0.0,
-                    data_ids=[],
-                    num_tasks=maps,
-                    cpu_seconds_noinput=300.0 * maps,
-                    arrival_time=float(arrivals[k]),
-                    pool=cls,
-                    app=app,
-                )
-            )
+            jobs.append(Job(tcp=0.0, data_ids=[], cpu_seconds_noinput=300.0 * maps, **common))
             continue
-        size_mb = maps * BLOCK_MB
         d = DataObject(
             data_id=len(data),
             name=f"fb-input-{k}",
-            size_mb=size_mb,
+            size_mb=maps * BLOCK_MB,
             origin_store=len(data) % cfg.num_origin_stores,
         )
         data.append(d)
-        jobs.append(
-            Job(
-                job_id=k,
-                name=f"fb-{cls}-{app}-{k}",
-                tcp=prof.tcp,
-                data_ids=[d.data_id],
-                num_tasks=maps,
-                arrival_time=float(arrivals[k]),
-                pool=cls,
-                app=app,
-            )
-        )
+        jobs.append(Job(tcp=prof.tcp, data_ids=[d.data_id], **common))
     return Workload(jobs=jobs, data=data)
 
 

@@ -117,6 +117,22 @@ def test_incomplete_detection():
         sim.run()
 
 
+def test_lost_task_raises_instead_of_spinning(cluster, workload):
+    """A task neither pending, running nor completed stops the run at the
+    first idle heartbeat instead of firing timers until ``max_events``."""
+
+    class LosingScheduler(FifoScheduler):
+        def on_job_added(self, job, now):
+            super().on_job_added(job, now)
+            if job.job.name == "pi":
+                job.take_pending(job.pending[-1])  # neither launched nor re-queued
+
+    sim = HadoopSimulator(cluster, workload, LosingScheduler(), SimConfig())
+    with pytest.raises(RuntimeError, match=r"starvation: 1 incomplete jobs .*\['pi'\]"):
+        sim.run()
+    assert sim.now < 3600.0
+
+
 def test_paper_testbed_end_to_end():
     from repro.workload.apps import table4_jobs
 

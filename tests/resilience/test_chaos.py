@@ -5,6 +5,7 @@ import pytest
 
 from repro.cluster.builder import ClusterBuilder
 from repro.cluster.topology import Topology
+from repro.hadoop.jobtracker import JobState
 from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.obs.registry import MetricsRegistry, use_registry
 from repro.resilience import (
@@ -287,6 +288,25 @@ class TestSoak:
         [outcome] = run_soak(cfg)
         assert outcome.ok, [str(v) for v in outcome.violations]
         assert outcome.epochs_degraded > 0
+
+    def test_short_epochs_requeue_and_pass(self, monkeypatch):
+        calls = []
+        requeue = JobState.requeue
+
+        def counting(state, task):
+            calls.append(task.key)
+            requeue(state, task)
+
+        monkeypatch.setattr(JobState, "requeue", counting)
+        outcomes = run_soak(SoakConfig(seeds=(0, 1, 2), epoch_length=30.0))
+        assert calls
+        assert all(o.ok for o in outcomes), [str(v) for o in outcomes for v in o.violations]
+
+    def test_lost_requeue_is_a_violation_not_a_hang(self, monkeypatch):
+        monkeypatch.setattr(JobState, "requeue", lambda state, task: None)
+        outcomes = run_soak(SoakConfig(seeds=(0, 1, 2), epoch_length=30.0))
+        crashed = [v for o in outcomes for v in o.violations if v.name == "run_crashed"]
+        assert crashed and all("no pending or running task" in str(v) for v in crashed)
 
     def test_multi_seed_summary(self):
         cfg = SoakConfig(seeds=(0, 1), num_machines=4, num_jobs=2,

@@ -1,10 +1,20 @@
 """Unit tests for the synthetic SWIM/Facebook day trace."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
 from repro.cluster.storage import BLOCK_MB
-from repro.workload.swim import SwimConfig, class_histogram, synthesize_facebook_day
+from repro.util import round_half_up
+from repro.workload.apps import app_profile
+from repro.workload.job import DataObject, Job
+from repro.workload.swim import (
+    SwimConfig,
+    _arrival_times,
+    class_histogram,
+    synthesize_facebook_day,
+)
 
 
 @pytest.fixture(scope="module")
@@ -63,6 +73,12 @@ def test_config_validation():
         SwimConfig(classes=(("only", 0.5, (1, 2)),))
     with pytest.raises(ValueError):
         SwimConfig(app_mix=(("grep", 0.4),))
+    # the batched draw keeps the checks numpy's scalar choice/uniform made
+    with pytest.raises(ValueError, match="non-negative"):
+        SwimConfig(app_mix=(("grep", 1.1), ("pi", -0.1)))
+    for bad in ((5, 2), (0, 4)):
+        with pytest.raises(ValueError, match="ranges"):
+            SwimConfig(classes=(("a", 0.5, (1, 3)), ("b", 0.5, bad)))
 
 
 def test_heavy_tail_shape(trace):
@@ -70,3 +86,53 @@ def test_heavy_tail_shape(trace):
     # median tiny, max huge — the FB-2010 signature
     assert np.median(sizes) <= 20
     assert sizes.max() >= 150
+
+
+def scalar_draw_day(cfg):
+    """The per-job ``choice``/``uniform`` loop the batched draw replaced."""
+    rng = np.random.default_rng(cfg.seed)
+    class_names = [c[0] for c in cfg.classes]
+    class_probs = np.array([c[1] for c in cfg.classes])
+    class_ranges = {c[0]: c[2] for c in cfg.classes}
+    app_names = [a[0] for a in cfg.app_mix]
+    app_probs = np.array([a[1] for a in cfg.app_mix])
+    arrivals = _arrival_times(rng, cfg.num_jobs, cfg.duration_s)
+    jobs, data = [], []
+    for k in range(cfg.num_jobs):
+        cls = class_names[int(rng.choice(len(class_names), p=class_probs))]
+        lo, hi = class_ranges[cls]
+        maps = max(1, round_half_up(np.exp(rng.uniform(np.log(lo), np.log(hi)))))
+        app = app_names[int(rng.choice(len(app_names), p=app_probs))]
+        prof = app_profile(app)
+        common = dict(job_id=k, name=f"fb-{cls}-{app}-{k}", num_tasks=maps,
+                      arrival_time=float(arrivals[k]), pool=cls, app=app)
+        if prof.is_input_less:
+            jobs.append(Job(tcp=0.0, data_ids=[], cpu_seconds_noinput=300.0 * maps, **common))
+            continue
+        d = DataObject(data_id=len(data), name=f"fb-input-{k}", size_mb=maps * BLOCK_MB,
+                       origin_store=len(data) % cfg.num_origin_stores)
+        data.append(d)
+        jobs.append(Job(tcp=prof.tcp, data_ids=[d.data_id], **common))
+    return jobs, data
+
+
+def fields(objs):
+    """Every dataclass field, with its type, so 3 and 3.0 differ."""
+    return [[(type(v), v) for v in dataclasses.astuple(o)] for o in objs]
+
+
+CUSTOM_CLASSES = (("tiny", 0.5, (1, 3)), ("flat", 0.2, (4, 4)), ("huge", 0.3, (20, 5000)))
+CUSTOM_APPS = (("pi", 0.25), ("grep", 0.5), ("stress2", 0.25))
+
+
+@pytest.mark.parametrize("num_jobs", [1, 400])
+@pytest.mark.parametrize("seed", [0, 1, 7, 2014])
+@pytest.mark.parametrize(
+    "custom", [{}, {"classes": CUSTOM_CLASSES, "app_mix": CUSTOM_APPS}, {"num_origin_stores": 3}]
+)
+def test_batched_draw_matches_scalar_draws(num_jobs, seed, custom):
+    cfg = SwimConfig(num_jobs=num_jobs, seed=seed, **custom)
+    day = synthesize_facebook_day(cfg)
+    jobs, data = scalar_draw_day(cfg)
+    assert fields(day.jobs) == fields(jobs)
+    assert fields(day.data) == fields(data)
