@@ -10,7 +10,7 @@ Usage::
     python -m repro fig8 --trace t.jsonl   # + structured JSONL trace
     python -m repro report t.jsonl    # per-epoch / per-solve tables
     python -m repro lint              # static analysis: code + LP models
-    python -m repro bench --quick     # epoch-LP backend benchmark
+    python -m repro bench             # epoch-LP benchmark, certified
     python -m repro serve --sim       # crash-tolerant service soak
     python -m repro serve --sim --live-port 8377   # + live HTTP telemetry
     python -m repro top http://127.0.0.1:8377      # live dashboard

@@ -11,8 +11,13 @@ equivalent, self-contained LP layer with two interchangeable backends:
   ``scipy.sparse`` is imported on this path.
 * :class:`~repro.lp.simplex.SimplexBackend` — a small from-scratch dense
   two-phase revised simplex: the independent reference that
-  cross-validates HiGHS (tests, ``repro check``, ``repro bench``) and the
-  last-resort fallback of :class:`~repro.resilience.ResilientSolver`.
+  cross-validates HiGHS (tests, ``repro check``) and the last-resort
+  fallback of :class:`~repro.resilience.ResilientSolver`.
+
+:func:`~repro.lp.validation.certify` proves a backend's optimum from its
+own duals (primal feasibility, dual signs, reduced costs and a closed
+primal-dual gap) in one vectorised pass, with no second solve; it is
+``repro bench``'s gate.
 
 Models are built with :class:`~repro.lp.problem.LinearProgram`, which offers a
 small modelling API (named variables, linear expressions, ``<=``/``>=``/``==``
@@ -27,7 +32,7 @@ from repro.lp.result import LPResult, LPStatus
 from repro.lp.scipy_backend import HighsBackend
 from repro.lp.simplex import SimplexBackend, SimplexError
 from repro.lp.standard_form import StandardFormLP, to_standard_form
-from repro.lp.validation import check_solution, duality_gap
+from repro.lp.validation import certify
 
 __all__ = [
     "Constraint",
@@ -41,8 +46,7 @@ __all__ = [
     "SimplexError",
     "StandardFormLP",
     "Variable",
-    "check_solution",
-    "duality_gap",
+    "certify",
     "set_default_backend",
     "to_standard_form",
 ]

@@ -1,8 +1,9 @@
 """Property-based cross-validation of the two LP backends.
 
 The from-scratch simplex and HiGHS must agree on status and, when optimal,
-on objective value — over randomly generated bounded LPs.  Feasible optima
-must also pass the independent constraint checker.
+on objective value — over randomly generated bounded LPs.  Every optimum
+either backend returns must also pass the duality certificate, so the
+reference simplex's duals are part of its contract too.
 """
 
 from hypothesis import given, settings, strategies as st
@@ -12,7 +13,7 @@ from repro.lp.problem import LinearProgram, Sense
 from repro.lp.result import LPStatus
 from repro.lp.scipy_backend import HighsBackend
 from repro.lp.simplex import SimplexBackend
-from repro.lp.validation import check_solution
+from repro.lp.validation import certify
 
 # Coefficients are either exactly zero or of sane magnitude.  Hypothesis
 # otherwise loves subnormal values (1e-270 coefficients, 1e-118 rhs), where
@@ -66,11 +67,12 @@ def test_backends_agree(lp):
 @given(bounded_lp())
 @settings(max_examples=60, deadline=None)
 def test_optimal_solutions_are_feasible(lp):
+    asm = lp.assemble()
     for backend in (HighsBackend(), SimplexBackend()):
-        res = backend.solve(lp)
+        res = backend.solve_assembled(asm)
         if res.is_optimal:
-            report = check_solution(lp, res, tol=1e-6)
-            assert report.feasible, (backend.name, report.violations)
+            cert = certify(asm, res)
+            assert cert.ok, (backend.name, cert)
 
 
 @given(bounded_lp(), st.floats(min_value=0.1, max_value=10.0))

@@ -4,52 +4,38 @@ import json
 
 import pytest
 
+import repro.perf.bench as bench
 from repro.cli import main
-from repro.lp.scipy_backend import HIGHS_VERSION
+from repro.lp.scipy_backend import HIGHS_VERSION, HighsBackend
 from repro.perf.bench import (
     HISTORY_SCHEMA,
-    REL_TOL,
     SCHEMA,
     _bench_scaling,
     append_history,
     build_bench_parser,
     build_block_scenario,
     build_scenario,
-    history_row,
-    scaling_history_rows,
+    certify_solves,
+    gate,
+    history_rows,
 )
 
-#: top-level keys every repro.bench/1 document must carry
-SCHEMA_KEYS = {
-    "schema",
-    "quick",
-    "scenario",
-    "cold",
-    "equivalence",
-    "highs",
-    "sweep",
-    "scaling",
-    "gate",
-}
+#: top-level keys every repro.bench/2 document must carry
+SCHEMA_KEYS = {"schema", "scenario", "highs", "certificate", "scaling", "gate"}
 
 
 class TestScenario:
-    def test_quick_scenario_shape(self):
-        cluster, workload, epoch_length, meta = build_scenario(quick=True)
-        assert meta["machines"] == 12
-        assert cluster.num_machines == 12
+    def test_full_scenario_meets_acceptance_floor(self):
+        cluster, workload, epoch_length, meta = build_scenario()
+        # the acceptance criterion demands >= 20 machines and >= 8 epochs
+        assert cluster.num_machines == meta["machines"] >= 20
+        assert meta["epochs_target"] >= 8
         assert len(workload.jobs) == meta["jobs"] == 2
         assert epoch_length == meta["epoch_length_s"] == 60.0
 
-    def test_full_scenario_meets_acceptance_floor(self):
-        _, _, _, meta = build_scenario(quick=False)
-        # the acceptance criterion demands >= 20 machines and >= 8 epochs
-        assert meta["machines"] >= 20
-        assert meta["epochs_target"] >= 8
-
     def test_scenarios_are_deterministic(self):
-        _, w1, _, _ = build_scenario(quick=True)
-        _, w2, _, _ = build_scenario(quick=True)
+        _, w1, _, _ = build_scenario()
+        _, w2, _, _ = build_scenario()
         assert [j.tcp for j in w1.jobs] == [j.tcp for j in w2.jobs]
 
     def test_block_scenario_shape(self):
@@ -73,47 +59,83 @@ class TestParser:
     def test_defaults(self):
         args = build_bench_parser().parse_args([])
         assert args.out == "BENCH_epoch.json"
-        assert not args.quick and args.workers is None
         assert args.history == "BENCH_history.jsonl" and not args.no_history
         assert args.trace is None and args.metrics is None
-        # the scaling section is opt-in
-        assert not args.scaling
 
     def test_flags(self):
         args = build_bench_parser().parse_args(
-            ["--quick", "--out", "x.json", "--workers", "3",
-             "--history", "h.jsonl", "--trace", "t.jsonl", "--metrics", "m.json"]
+            ["--out", "x.json", "--history", "h.jsonl", "--no-history",
+             "--trace", "t.jsonl", "--metrics", "m.json"]
         )
-        assert args.quick and args.out == "x.json" and args.workers == 3
-        assert args.history == "h.jsonl"
+        assert args.out == "x.json" and args.history == "h.jsonl"
+        assert args.no_history
         assert args.trace == "t.jsonl" and args.metrics == "m.json"
 
     def test_scaling_flag(self):
-        assert build_bench_parser().parse_args(["--scaling"]).scaling is True
+        """The scaling row always runs: --scaling is gone, like --quick and --workers."""
+        for flag in ("--scaling", "--quick", "--workers=2"):
+            with pytest.raises(SystemExit):
+                build_bench_parser().parse_args([flag])
 
 
-#: a minimal repro.bench/1 document with every field history_row reads
+class TestGate:
+    def test_no_solved_model_fails(self):
+        """A bench that solved nothing proves nothing."""
+        verdict = gate(certify_solves([]))
+        assert verdict["ok"] is False
+        assert verdict["checks"]["models_solved"] is False
+
+    def test_non_optimal_solve_fails(self):
+        # a model with an infeasible row: x >= 0 and -x >= 1
+        from repro.lp.problem import LinearProgram, Sense
+
+        lp = LinearProgram("infeasible")
+        x = lp.new_var("x")
+        lp.add_constraint(-1.0 * x, Sense.GE, 1.0)
+        lp.set_objective(x + 0.0)
+        asm = lp.assemble()
+        result = HighsBackend().solve_assembled(asm)
+        assert not result.is_optimal
+        verdict = gate(certify_solves([(asm, result)]))
+        assert verdict["ok"] is False
+        assert verdict["checks"]["all_optimal"] is False
+        assert verdict["checks"]["all_certified"] is False
+
+    def test_certified_solves_pass(self):
+        cluster, workload, epoch_length, _ = build_block_scenario(
+            machines=20, n_jobs=4, epochs_target=2
+        )
+        backend = bench.CapturingHighs()
+        bench._timed_epoch_loop(cluster, workload, epoch_length, backend)
+        cert = certify_solves(backend.solves)
+        assert cert["models"] == cert["certified"] == len(backend.solves) >= 1
+        assert cert["non_optimal"] == 0
+        assert gate(cert)["ok"] is True
+
+
+#: a minimal repro.bench/2 document with every field history_rows reads
 FAKE_DOC = {
-    "quick": True,
-    "scenario": {"machines": 12},
-    "cold": {"epochs": 8, "wall_s": 2.0},
-    "highs": {"cold_wall_s": 0.5},
-    "sweep": {"serial_points_per_s": 10.0, "parallel_points_per_s": 30.0},
+    "scenario": {"machines": 20},
+    "highs": {"epochs": 9, "wall_s": 0.5},
+    "certificate": {"certified": 13, "wall_s": 0.01},
+    "scaling": {"machines": 1000, "events": 900, "events_per_s": 45.0},
     "gate": {"ok": True},
 }
 
 
 class TestHistory:
     def test_row_schema_and_fields(self):
-        row = history_row(FAKE_DOC)
-        assert row["schema"] == HISTORY_SCHEMA == "repro.bench-history/1"
-        assert row["ts"].endswith("+00:00")  # real UTC timestamp
-        assert row["machines"] == 12 and row["epochs"] == 8
-        assert row["cold_wall_s"] == 2.0 and row["gate_ok"] is True
-        assert "highs_presolve_wall_s" not in row
+        bench_row, scaling_row = history_rows(FAKE_DOC)
+        assert bench_row["schema"] == HISTORY_SCHEMA == "repro.bench-history/2"
+        assert bench_row["ts"].endswith("+00:00")  # real UTC timestamp
+        assert bench_row["kind"] == "bench" and scaling_row["kind"] == "scaling"
+        assert bench_row["machines"] == 20 and bench_row["epochs"] == 9
+        assert bench_row["highs_wall_s"] == 0.5 and bench_row["gate_ok"] is True
+        assert bench_row["certified_models"] == 13
+        assert scaling_row["machines"] == 1000 and scaling_row["events"] == 900
 
     def test_row_records_host_facts(self):
-        host = history_row(FAKE_DOC)["host"]
+        host = history_rows(FAKE_DOC)[0]["host"]
         assert host["highs"] == HIGHS_VERSION
         assert host["highs"].count(".") == 2
         assert {"nproc", "python", "numpy", "scipy", "git_sha"} <= host.keys()
@@ -125,36 +147,19 @@ class TestHistory:
         append_history(FAKE_DOC, path)
         append_history(FAKE_DOC, path)
         rows = [json.loads(line) for line in path.read_text().splitlines()]
-        assert len(rows) == 2
+        assert [r["kind"] for r in rows] == ["bench", "scaling"] * 2
         assert all(r["schema"] == HISTORY_SCHEMA for r in rows)
 
-    def test_scaling_rows_one_per_size(self, tmp_path):
-        doc = dict(
-            FAKE_DOC,
-            scaling=[
-                {"machines": 20, "events": 100, "events_per_s": 50.0},
-                {"machines": 100, "events": 900, "events_per_s": 45.0},
-            ],
-        )
-        rows = scaling_history_rows(doc)
-        assert [r["machines"] for r in rows] == [20, 100]
-        assert all(
-            r["schema"] == HISTORY_SCHEMA and r["kind"] == "scaling"
-            for r in rows
-        )
-        # append_history interleaves them after the main row
-        path = tmp_path / "BENCH_history.jsonl"
-        append_history(doc, path)
-        kinds = [
-            json.loads(line)["kind"] for line in path.read_text().splitlines()
-        ]
-        assert kinds == ["bench", "scaling", "scaling"]
-        assert scaling_history_rows(FAKE_DOC) == []
+    def test_scaling_rows_one_per_size(self):
+        """One size, one scaling row: the scaling section, flattened."""
+        scaling = [r for r in history_rows(FAKE_DOC) if r["kind"] == "scaling"]
+        assert len(scaling) == 1
+        assert scaling[0].items() >= FAKE_DOC["scaling"].items()
 
 
 class TestScaling:
     def test_rows_split_out_the_lp_solves(self):
-        (row,) = _bench_scaling(sizes=(20,))
+        row = _bench_scaling(20, HighsBackend())
         assert row["machines"] == 20 and row["epochs"] >= 1 and row["events"] > 0
         assert {"epoch_solve_s", "solve_wall_s", "sim_wall_s", "events_per_s"} <= row.keys()
         # the simulator-only time is the wall time less the in-sim LP solves
@@ -165,24 +170,34 @@ class TestScaling:
         assert row["sim_only_events_per_s"] > row["events_per_s"]
 
 
-class TestQuickBenchEndToEnd:
-    def test_quick_bench_writes_schema_and_passes_gate(self, tmp_path, capsys):
+class TestBenchEndToEnd:
+    def test_bench_writes_schema_and_passes_gate(self, tmp_path, capsys, monkeypatch):
+        # the real scaling row runs 1000 machines; 20 keeps tier-1 quick
+        monkeypatch.setattr(bench, "SCALING_MACHINES", 20)
         out = tmp_path / "BENCH_epoch.json"
         history = tmp_path / "BENCH_history.jsonl"
-        code = main(["bench", "--quick", "--out", str(out),
-                     "--history", str(history)])
+        code = main(["bench", "--out", str(out), "--history", str(history)])
         assert code == 0, capsys.readouterr()
-        (row,) = [json.loads(line) for line in history.read_text().splitlines()]
-        assert row["schema"] == HISTORY_SCHEMA and row["quick"] is True
+        rows = [json.loads(line) for line in history.read_text().splitlines()]
+        assert [r["kind"] for r in rows] == ["bench", "scaling"]
+        assert all(r["schema"] == HISTORY_SCHEMA for r in rows)
         doc = json.loads(out.read_text())
         assert set(doc) == SCHEMA_KEYS
-        assert doc["schema"] == SCHEMA
-        assert doc["quick"] is True
+        assert doc["schema"] == SCHEMA == "repro.bench/2"
         assert doc["gate"]["ok"] is True
-        # the reference simplex re-solves every HiGHS epoch model to the
-        # same objective
-        assert doc["equivalence"]["max_rel_objective_delta"] <= REL_TOL
-        assert doc["cold"]["epochs"] == doc["highs"]["epochs"] >= 8
-        assert doc["sweep"]["results_identical"] is True
-        # the opt-in section stays null (but present) when not requested
-        assert doc["scaling"] is None
+        assert doc["highs"]["epochs"] >= 8
+        # every model HiGHS solved, the loop's and the scaling row's, is
+        # certified optimal
+        cert = doc["certificate"]
+        assert cert["models"] == cert["certified"] > doc["highs"]["epochs"]
+        assert cert["non_optimal"] == 0
+        assert doc["scaling"]["machines"] == 20
+
+    def test_bench_exits_1_when_nothing_was_certified(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        monkeypatch.setattr(bench, "certify_solves", lambda solves: certify_solves([]))
+        monkeypatch.setattr(bench, "SCALING_MACHINES", 20)
+        code = main(["bench", "--out", str(tmp_path / "b.json"), "--no-history"])
+        assert code == 1
+        assert "models_solved" in capsys.readouterr().err
