@@ -343,16 +343,18 @@ def build_lint_parser() -> argparse.ArgumentParser:
     """Parser for the ``python -m repro lint`` subcommand."""
     parser = argparse.ArgumentParser(
         prog="repro lint",
-        description="Static analysis: repo-specific AST rules over source "
-        "trees plus a structural linter over the paper's LP models "
-        "(no solver runs).  Exits 1 when any finding is reported.",
+        description="Static analysis in one run: per-module AST rules and "
+        "whole-program flow passes (determinism, pool tasks, units) over "
+        "the source trees, plus, when no PATH is given, a structural linter "
+        "over the paper's LP models (no solver runs).  Exits 1 when any "
+        "finding is reported.",
     )
     parser.add_argument(
         "paths",
         nargs="*",
         metavar="PATH",
-        help="files/directories for the AST pass (default: the installed "
-        "repro package source)",
+        help="files/directories to lint (default: the installed repro "
+        "package source and the shipped LP models)",
     )
     parser.add_argument(
         "--format",
@@ -360,92 +362,22 @@ def build_lint_parser() -> argparse.ArgumentParser:
         default="text",
         help="output format (default text)",
     )
-    parser.add_argument(
-        "--no-models",
-        action="store_true",
-        help="skip the LP model lint (AST pass only)",
-    )
-    parser.add_argument(
-        "--flow",
-        action="store_true",
-        help="run the whole-program flow analyzer (determinism / "
-        "concurrency / units passes) instead of the per-module rules",
-    )
-    parser.add_argument(
-        "--entry",
-        action="append",
-        metavar="SPEC",
-        help="entry-point spec for --flow reachability (dotted suffix, e.g. "
-        "HadoopSimulator.run); repeatable, defaults to the simulation/solve "
-        "roots",
-    )
-    parser.add_argument(
-        "--baseline",
-        metavar="FILE",
-        default="FLOW_BASELINE.json",
-        help="flow baseline file (default FLOW_BASELINE.json in the current "
-        "directory; a missing file is an empty baseline)",
-    )
-    parser.add_argument(
-        "--write-baseline",
-        action="store_true",
-        help="with --flow: write current findings to the baseline file "
-        "(reasons stubbed for human review) instead of reporting them",
-    )
     return parser
-
-
-def _run_lint_flow(args) -> int:
-    from pathlib import Path
-
-    from repro.lint import render_text
-    from repro.lint.flow import analyze_paths, write_baseline
-    from repro.lint.flow.baseline import BaselineError
-    from repro.lint.flow.engine import DEFAULT_ENTRY_POINTS
-    from repro.lint.runner import default_source_paths
-
-    paths = [Path(p) for p in args.paths] if args.paths else default_source_paths()
-    entries = tuple(args.entry) if args.entry else DEFAULT_ENTRY_POINTS
-    baseline = Path(args.baseline)
-    if args.write_baseline:
-        report = analyze_paths(paths, entry_points=entries)
-        count = write_baseline(report.findings, baseline)
-        print(f"wrote {count} entr(y/ies) to {baseline} — fill in the reasons")
-        return 0
-    try:
-        report = analyze_paths(paths, entry_points=entries, baseline=baseline)
-    except BaselineError as exc:
-        print(f"bad baseline: {exc}", file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(report.to_json())
-    else:
-        if report.findings:
-            print(render_text(report.findings))
-        for entry in report.stale:
-            print(
-                f"stale baseline entry: {entry.rule} {entry.path} "
-                f"{entry.symbol or '<any>'} — matched nothing, delete it"
-            )
-        print(f"flow: {report.summary()}")
-    return 0 if report.ok else 1
 
 
 def _run_lint(argv: Sequence[str]) -> int:
     from pathlib import Path
 
-    from repro.lint import findings_to_json, lint_paths, lint_repo_models, render_text
-    from repro.lint.runner import default_source_paths
+    from repro.lint import lint_all, render_text
 
     args = build_lint_parser().parse_args(argv)
-    if args.flow:
-        return _run_lint_flow(args)
-    paths = [Path(p) for p in args.paths] if args.paths else default_source_paths()
-    findings = lint_paths(paths)
-    if not args.no_models:
-        findings.extend(lint_repo_models())
-    print(findings_to_json(findings) if args.format == "json" else render_text(findings))
-    return 1 if findings else 0
+    report = lint_all([Path(p) for p in args.paths] if args.paths else None)
+    if args.format == "json":
+        print(report.to_json())
+    else:
+        print(render_text(report.findings))
+        print(report.summary())
+    return 0 if report.ok else 1
 
 
 def build_chaos_parser() -> argparse.ArgumentParser:

@@ -34,13 +34,11 @@ def solve_co_offline(
     horizon: Optional[float] = None,
     store_capacity: Optional[np.ndarray] = None,
     placement_tiebreak: float = 0.0,
-    strict: bool = False,
 ) -> CoScheduleSolution:
     """Solve the Figure 3 co-scheduling LP.
 
     Raises ``RuntimeError`` when infeasible (insufficient CPU or storage
-    capacity — the offline model has no fake node).  ``strict`` lints the
-    built model first (see :func:`repro.lint.strict_check`).
+    capacity — the offline model has no fake node).
     """
     if backend is None:
         from repro.lp import DEFAULT_BACKEND
@@ -55,10 +53,6 @@ def solve_co_offline(
     )
     asm = assembler.build()
     asm.name = "co-offline"
-    if strict:
-        from repro.lint import strict_check
-
-        strict_check(assembler, asm, "co-offline")
     result = backend.solve_assembled(asm)
     if result.status is not LPStatus.OPTIMAL:
         raise RuntimeError(

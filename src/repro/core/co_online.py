@@ -48,7 +48,6 @@ def solve_co_online(
     backend: Optional[object] = None,
     store_capacity: Optional[np.ndarray] = None,
     fairness: Optional[object] = None,
-    strict: bool = False,
     on_failure: str = "raise",
 ) -> CoScheduleSolution:
     """Solve one epoch of the Figure 4 model.
@@ -56,9 +55,7 @@ def solve_co_online(
     Always feasible thanks to the fake node (unless storage is exhausted or
     a :class:`~repro.core.fairness.FairShareConfig` guarantee collides with
     the bandwidth constraint); callers inspect ``solution.fake`` for the
-    residual work to re-queue.  With ``strict`` the built model is passed
-    through :func:`repro.lint.strict_check` first and a malformed model
-    (e.g. missing fake node) raises before any backend runs.
+    residual work to re-queue.
 
     ``on_failure`` controls what happens when the backend cannot produce an
     optimal solution (or raises): ``"raise"`` (default) surfaces a
@@ -88,10 +85,6 @@ def solve_co_online(
     )
     asm = assembler.build()
     asm.name = "co-online"
-    if strict:
-        from repro.lint import strict_check
-
-        strict_check(assembler, asm, "co-online")
     try:
         result = backend.solve_assembled(asm)
         failure = (

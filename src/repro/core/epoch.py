@@ -136,11 +136,6 @@ class EpochController:
         Retain per-epoch LP solutions in the reports (memory-heavy).
     max_epochs:
         Safety cap; the run aborts loudly rather than looping forever.
-    strict:
-        Statically lint every epoch's LP before solving
-        (:func:`repro.lint.strict_check`); findings are counted in the
-        installed metrics registry and a malformed model aborts the run
-        before the backend sees it.
     degraded_mode:
         When True (default) an epoch whose LP cannot be solved — every
         backend in a resilient chain failed, or the single backend
@@ -162,7 +157,6 @@ class EpochController:
         max_epochs: int = 100000,
         fairness: Optional[object] = None,
         tracer: Optional[object] = None,
-        strict: bool = False,
         degraded_mode: bool = True,
     ) -> None:
         if epoch_length <= 0:
@@ -177,8 +171,6 @@ class EpochController:
         self.fairness = fairness
         #: trace emitter; None falls back to the ambient tracer at run time
         self.tracer = tracer
-        #: lint every epoch model before solving; errors abort the run
-        self.strict = strict
         #: greedy-schedule epochs whose LP chain failed instead of raising
         self.degraded_mode = degraded_mode
         #: epochs scheduled by the degraded path in the most recent run
@@ -414,7 +406,6 @@ class EpochController:
                     backend=self.backend,
                     store_capacity=remaining_cap,
                     fairness=self.fairness,
-                    strict=self.strict,
                     on_failure="greedy" if self.degraded_mode else "raise",
                 )
         if tracer.enabled:

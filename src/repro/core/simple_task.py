@@ -38,7 +38,6 @@ def solve_simple_task(
     placement: Optional[np.ndarray] = None,
     backend: Optional[object] = None,
     horizon: Optional[float] = None,
-    strict: bool = False,
 ) -> CoScheduleSolution:
     """Solve the Figure 2 LP.
 
@@ -51,9 +50,6 @@ def solve_simple_task(
         An LP backend; defaults to HiGHS.
     horizon:
         Overrides machine uptime as the capacity window.
-    strict:
-        Lint the built model first (:func:`repro.lint.strict_check`);
-        a malformed model raises before any backend runs.
 
     Raises
     ------
@@ -75,10 +71,6 @@ def solve_simple_task(
     )
     asm = assembler.build()
     asm.name = "simple-task"
-    if strict:
-        from repro.lint import strict_check
-
-        strict_check(assembler, asm, "simple-task")
     result = backend.solve_assembled(asm)
     if result.status is not LPStatus.OPTIMAL:
         raise RuntimeError(

@@ -10,8 +10,10 @@ fully *seeded* task tuples, serially or over a ``ProcessPoolExecutor``.
 Determinism contract: a task tuple must carry every seed the worker needs
 (``placement_seed``, workload seed, ...) so the result is identical
 whether the task runs in-process or in a worker — the parallel path is a
-pure wall-clock optimisation, never a semantic one.  Lint rule ``AST006``
-enforces the corresponding API shape on pool users.
+pure wall-clock optimisation, never a semantic one.  Lint rule ``FLOW103``
+flags a task whose call closure draws from ambient RNG, and
+``tests/experiments/test_parallel.py`` pins serial == pooled for every
+task function.
 
 Worker count resolution (:func:`resolve_workers`): an explicit ``workers``
 argument wins; otherwise the ``REPRO_WORKERS`` environment variable;

@@ -1,40 +1,33 @@
 """Static analysis for the LiPS reproduction: ``repro.lint``.
 
-Two layers, one finding vocabulary (:mod:`repro.lint.findings`):
+One run, three kinds of rule, one finding vocabulary
+(:mod:`repro.lint.findings`):
 
+* :mod:`repro.lint.rules` — per-module AST rules (``AST001``–``AST004``)
+  over scheduler/simulator source;
+* :mod:`repro.lint.flow` — whole-program passes (``FLOW001``/``002``/
+  ``103``/``201``) over a symbol table and call graph built from the same
+  parsed trees;
 * :mod:`repro.lint.model` — a structural linter over LP models
-  (``LM…``/``LIPS…`` rules) that catches malformed formulations *before*
-  any solver runs.  Strict solve paths (``solve_co_online(strict=True)``
-  etc.) call :func:`strict_check` and refuse to solve a model with ERROR
-  findings.
-* :mod:`repro.lint.rules` + :mod:`repro.lint.runner` — a repo-specific
-  AST pass (``AST…`` rules) over scheduler/simulator source.
+  (``LM…``/``LIPS…`` rules) that catches malformed formulations without
+  running a solver.
 
-CLI: ``python -m repro lint [--format text|json] [paths…]``.
+:func:`lint_all` (:mod:`repro.lint.runner`) drives all three.  CLI:
+``python -m repro lint [PATH…] [--format text|json]``; the model rules run
+when no PATH is given.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional
-
-from repro.lint.findings import (
-    Finding,
-    ModelLintError,
-    Severity,
-    errors,
-    findings_to_json,
-    render_text,
-)
+from repro.lint.findings import Finding, Severity, errors, render_text
 from repro.lint.model import ModelProfile, lint_lips, lint_lips_model, lint_model
 from repro.lint.runner import lint_all, lint_paths, lint_repo_models, lint_source
 
 __all__ = [
     "Finding",
-    "ModelLintError",
     "ModelProfile",
     "Severity",
     "errors",
-    "findings_to_json",
     "lint_all",
     "lint_lips",
     "lint_lips_model",
@@ -43,35 +36,4 @@ __all__ = [
     "lint_repo_models",
     "lint_source",
     "render_text",
-    "strict_check",
 ]
-
-
-def strict_check(assembler, asm, kind: str) -> List["Finding"]:
-    """Lint a built model on the solve path; raise on ERROR findings.
-
-    Every finding (either severity) is counted in the installed
-    :mod:`repro.obs` metrics registry under ``lint_findings_total`` with
-    ``rule``/``model`` labels, so long-running strict runs expose lint
-    pressure alongside solve metrics.  Returns the findings when none are
-    errors; raises :class:`ModelLintError` otherwise — before any backend
-    sees the model.
-    """
-    findings = lint_lips_model(assembler, asm, kind)
-    _publish(findings, kind)
-    if errors(findings):
-        raise ModelLintError(findings)
-    return findings
-
-
-def _publish(findings: List["Finding"], kind: str) -> None:
-    from repro.obs.registry import current_registry
-
-    registry = current_registry()
-    if registry is None or not findings:
-        return
-    counter = registry.counter(
-        "lint_findings_total", help="model-lint findings observed on strict solve paths"
-    )
-    for finding in findings:
-        counter.inc(rule=finding.rule, model=kind, severity=finding.severity.value)

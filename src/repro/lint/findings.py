@@ -1,28 +1,32 @@
-"""Finding types shared by both lint layers.
+"""Finding types shared by every lint rule.
 
 A :class:`Finding` is one diagnostic: a stable rule id (``LM…`` for the LP
 model linter, ``LIPS…`` for the LiPS well-posedness rules, ``AST…`` for the
-source-code pass), a severity, a human-readable message and a location —
-``file:line`` for source findings, a model name for model findings.
+per-module source rules, ``FLOW…`` for the whole-program passes), a
+severity, a human-readable message and a location — ``file:line`` for
+source findings, a model name for model findings.
 
-The machine-readable form (:meth:`Finding.to_dict`, :func:`findings_to_json`)
-is what ``python -m repro lint --format json`` emits and what CI consumes.
+The machine-readable form (:meth:`Finding.to_dict`) is what ``python -m
+repro lint --format json`` emits and what CI consumes.
 """
 
 from __future__ import annotations
 
 import enum
-import json
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
 from typing import Iterable, List, Optional, Sequence
+
+#: Per-line suppression marker: ``# lint: ok=AST001`` or ``ok=AST001,FLOW201``.
+_SUPPRESS_RE = re.compile(r"#\s*lint:\s*ok=([A-Z0-9,\s]+)")
 
 
 class Severity(enum.Enum):
     """How bad a finding is.
 
-    ``ERROR`` findings make strict solve paths refuse to hand the model to a
-    backend; ``WARNING`` findings are reported (and counted in the metrics
-    registry) but never block.
+    ``ERROR`` marks a model that cannot be solved as meant, an unreadable
+    source file or a pool task with ambient RNG; ``WARNING`` marks a
+    hazard.  ``python -m repro lint`` exits 1 on either.
     """
 
     WARNING = "warning"
@@ -44,8 +48,7 @@ class Finding:
     location: Optional[str] = None
     #: 1-based line for AST findings; None for model findings
     line: Optional[int] = None
-    #: stable anchor for baseline matching (flow findings: the function
-    #: qname the finding is about); None elsewhere
+    #: the function qname a flow finding is about; None elsewhere
     symbol: Optional[str] = None
 
     def to_dict(self) -> dict:
@@ -67,19 +70,17 @@ class Finding:
         return f"{where}: {self.rule} {self.severity.value}: {self.message}"
 
 
+def suppressed_rules(line: str) -> frozenset:
+    """Rule ids suppressed by a source line's trailing lint marker."""
+    m = _SUPPRESS_RE.search(line)
+    if not m:
+        return frozenset()
+    return frozenset(part.strip() for part in m.group(1).split(",") if part.strip())
+
+
 def errors(findings: Iterable[Finding]) -> List[Finding]:
     """The subset of findings at ERROR severity."""
     return [f for f in findings if f.severity is Severity.ERROR]
-
-
-def findings_to_json(findings: Sequence[Finding]) -> str:
-    """Render findings as a JSON document (list of objects + summary)."""
-    payload = {
-        "findings": [f.to_dict() for f in findings],
-        "errors": len(errors(findings)),
-        "warnings": sum(1 for f in findings if f.severity is Severity.WARNING),
-    }
-    return json.dumps(payload, indent=2)
 
 
 def render_text(findings: Sequence[Finding]) -> str:
@@ -91,21 +92,3 @@ def render_text(findings: Sequence[Finding]) -> str:
     n_warn = len(findings) - n_err
     lines.append(f"{len(findings)} finding(s): {n_err} error(s), {n_warn} warning(s)")
     return "\n".join(lines)
-
-
-@dataclass
-class ModelLintError(RuntimeError):
-    """Raised by strict solve paths when the model linter reports errors.
-
-    Carries the full finding list so callers (and tests) can inspect which
-    well-posedness rule rejected the model before any solver ran.
-    """
-
-    findings: List[Finding] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        bad = errors(self.findings)
-        super().__init__(
-            f"model failed static lint with {len(bad)} error(s): "
-            + "; ".join(f.render() for f in bad[:5])
-        )

@@ -20,8 +20,8 @@ widens the audit surface.  Resolution strategy, in order:
 
 One special edge kind is recorded alongside plain calls: ``POOL`` —
 process/executor fan-out (``pool.submit(f)``, ``pool.map(f)``,
-:func:`repro.experiments.parallel.run_tasks`).  The concurrency pass walks
-POOL edges to find task functions whose purity matters.
+:func:`repro.experiments.parallel.run_tasks`).  The determinism pass walks
+POOL edges to find task functions that draw from ambient RNG (FLOW103).
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ class Edge:
 
 @dataclass
 class CallGraph:
-    """Edges plus the pool dispatch index the concurrency pass needs."""
+    """Edges plus the pool dispatch index FLOW103 needs."""
 
     table: SymbolTable
     edges: Dict[str, List[Edge]] = field(default_factory=dict)
@@ -325,8 +325,9 @@ def _resolve_body(graph: CallGraph, resolver: _FunctionResolver, fn: FunctionInf
         if qualpath.startswith(prefix) and "." not in qualpath[len(prefix):]:
             graph.add(Edge(fn.qname, nested.qname, EdgeKind.CALL, nested.lineno))
 
+    nodes = _own_nodes(fn)
     called_nodes: Set[int] = set()
-    for node in _own_nodes(fn):
+    for node in nodes:
         if not isinstance(node, ast.Call):
             continue
         called_nodes.add(id(node.func))
@@ -341,7 +342,7 @@ def _resolve_body(graph: CallGraph, resolver: _FunctionResolver, fn: FunctionInf
 
     # bare references (callbacks): a Name/self.attr mentioning a function
     # without calling it right there
-    for node in _own_nodes(fn):
+    for node in nodes:
         if id(node) in called_nodes:
             continue
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):

@@ -1,8 +1,9 @@
-"""Determinism pass (``FLOW001-003``): nondeterminism reachable from entry points.
+"""Determinism pass (``FLOW001``, ``FLOW002``, ``FLOW103``): nondeterminism
+reachable from entry points or run inside a pool worker.
 
 A seeded LiPS run must be byte-reproducible — golden traces, ``repro diff``
 gating and the parallel==serial sweep contract all depend on it.  This pass
-finds the three ways reproductions rot, *interprocedurally*:
+finds the ways reproductions rot that need the call graph:
 
 ``FLOW001``
     ambient or unseeded RNG — module-level ``np.random.*`` draws,
@@ -15,26 +16,26 @@ finds the three ways reproductions rot, *interprocedurally*:
     on a reachable path.  ``time.perf_counter`` is exempt: the repo-wide
     convention is that *measured wall time* rides along as an attribute
     (``wall_seconds``) and never feeds simulation state.
-``FLOW003``
-    order-unstable iteration — looping/comprehending directly over a
-    ``set``/``frozenset`` (or set algebra), or over ``os.listdir``/
-    ``glob.glob`` output — reachable from an entry point.  This is the
-    interprocedural sibling of syntactic rule ``AST001``.
+``FLOW103``
+    a process-pool task (``pool.submit``/``pool.map``/``run_tasks``) whose
+    transitive closure draws from ambient RNG, so worker results depend on
+    per-process RNG state instead of the seeds carried in the task tuple.
+    It fires at the dispatch whatever the entry points.
 
 Reachability follows CALL and POOL edges: code run by a pool task is
-still code a seeded run executes.
+still code a seeded run executes.  Order-unstable iteration (sets,
+directory listings) is per-module rule ``AST001``'s job.
 """
 
 from __future__ import annotations
 
 import ast
 from dataclasses import dataclass
-from typing import Dict, List
+from typing import Callable, Dict, List, Set
 
-from repro.lint.findings import Finding, Severity
-from repro.lint.flow.callgraph import CallGraph
+from repro.lint.findings import Finding, Severity, suppressed_rules
+from repro.lint.flow.callgraph import CallGraph, EdgeKind, _own_nodes
 from repro.lint.flow.symbols import FunctionInfo, ModuleInfo, _dotted
-from repro.lint.runner import suppressed_rules
 
 #: numpy.random module-level draw/seed functions (legacy global RNG).
 _NP_RANDOM_FNS = frozenset(
@@ -59,9 +60,6 @@ _STDLIB_RANDOM_FNS = frozenset(
 _TIME_FNS = frozenset({"time", "time_ns", "monotonic", "monotonic_ns"})
 _DATETIME_FNS = frozenset({"now", "utcnow", "today"})
 
-#: calls whose result iterates in filesystem order.
-_FS_ORDER_FNS = frozenset({"listdir", "glob", "iglob", "iterdir", "scandir"})
-
 
 @dataclass(frozen=True)
 class Hazard:
@@ -78,40 +76,10 @@ def _imports_module(module: ModuleInfo, alias: str, target: str) -> bool:
     return resolved is not None and (resolved == target or resolved.startswith(target + "."))
 
 
-def _is_set_expr(node: ast.AST) -> bool:
-    if isinstance(node, (ast.Set, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
-        return node.func.id in ("set", "frozenset")
-    if isinstance(node, ast.BinOp) and isinstance(node.op, (ast.BitAnd, ast.BitOr, ast.Sub)):
-        return _is_set_expr(node.left) or _is_set_expr(node.right)
-    return False
-
-
-def _is_fs_order_expr(module: ModuleInfo, node: ast.AST) -> bool:
-    if not isinstance(node, ast.Call):
-        return False
-    fn = node.func
-    name = fn.attr if isinstance(fn, ast.Attribute) else (fn.id if isinstance(fn, ast.Name) else None)
-    if name not in _FS_ORDER_FNS:
-        return False
-    if isinstance(fn, ast.Attribute):
-        dotted = _dotted(fn)
-        if dotted is not None:
-            head = dotted.split(".")[0]
-            if _imports_module(module, head, "os") or _imports_module(module, head, "glob"):
-                return True
-        return name in ("iterdir", "scandir")  # Path.iterdir() etc.
-    return _imports_module(module, name, f"os.{name}") or _imports_module(
-        module, name, f"glob.{name}"
-    )
-
-
-def function_hazards(module: ModuleInfo, fn: FunctionInfo, own_nodes) -> List[Hazard]:
-    """Nondeterminism sites lexically inside ``fn`` (no reachability yet)."""
+def function_hazards(module: ModuleInfo, fn: FunctionInfo) -> List[Hazard]:
+    """RNG and clock sites lexically inside ``fn`` (no reachability yet)."""
     hazards: List[Hazard] = []
-    for node in own_nodes:
-        # -- RNG + clock calls ------------------------------------------------
+    for node in _own_nodes(fn):
         if isinstance(node, ast.Call):
             dotted = _dotted(node.func) or ""
             parts = dotted.split(".")
@@ -198,42 +166,18 @@ def function_hazards(module: ModuleInfo, fn: FunctionInfo, own_nodes) -> List[Ha
                             "FLOW002", node.lineno, f"wall-clock read {prev}.{leaf}()"
                         )
                     )
-        # -- order-unstable iteration ----------------------------------------
-        iters: List[ast.AST] = []
-        if isinstance(node, (ast.For, ast.AsyncFor)):
-            iters.append(node.iter)
-        elif isinstance(node, (ast.ListComp, ast.SetComp, ast.DictComp, ast.GeneratorExp)):
-            iters.extend(gen.iter for gen in node.generators)
-        for it in iters:
-            if _is_set_expr(it):
-                hazards.append(
-                    Hazard(
-                        "FLOW003",
-                        it.lineno,
-                        "iteration over a set (order salted per process)",
-                    )
-                )
-            elif _is_fs_order_expr(module, it):
-                hazards.append(
-                    Hazard(
-                        "FLOW003",
-                        it.lineno,
-                        "iteration in filesystem order (wrap in sorted(...))",
-                    )
-                )
     return hazards
 
 
 def run_determinism_pass(
     graph: CallGraph, entry_points: Dict[str, List[str]]
 ) -> List[Finding]:
-    """Flag hazards in functions reachable from any resolved entry point.
+    """FLOW001/002 in functions reachable from any resolved entry point,
+    plus FLOW103 at every pool dispatch.
 
     ``entry_points`` maps the requested entry spec (e.g.
     ``"HadoopSimulator.run"``) to its resolved function qnames.
     """
-    from repro.lint.flow.callgraph import _own_nodes
-
     table = graph.table
     roots: List[str] = []
     root_label: Dict[str, str] = {}
@@ -241,12 +185,20 @@ def run_determinism_pass(
         for q in qnames:
             roots.append(q)
             root_label.setdefault(q, spec)
+    cache: Dict[str, List[Hazard]] = {}
+
+    def hazards_of(qname: str) -> List[Hazard]:
+        if qname not in cache:
+            fn = table.functions[qname]
+            cache[qname] = function_hazards(table.modules[fn.module], fn)
+        return cache[qname]
+
     parents = graph.reachable(roots)
     findings: List[Finding] = []
     for qname in sorted(parents):
         fn = table.functions[qname]
         module = table.modules[fn.module]
-        for hazard in function_hazards(module, fn, _own_nodes(fn)):
+        for hazard in hazards_of(qname):
             if hazard.rule in suppressed_rules(module.line(hazard.lineno)):
                 continue
             chain = CallGraph.chain(parents, qname)
@@ -266,4 +218,47 @@ def run_determinism_pass(
                     symbol=fn.qname,
                 )
             )
+    return findings + _pool_task_findings(graph, hazards_of)
+
+
+def _pool_task_findings(
+    graph: CallGraph, hazards_of: Callable[[str], List[Hazard]]
+) -> List[Finding]:
+    """FLOW103: pool tasks whose call closure draws from ambient RNG."""
+    table = graph.table
+    findings: List[Finding] = []
+    seen: Set[str] = set()
+    for edge in sorted(graph.pool_dispatches, key=lambda e: (e.src, e.dst)):
+        task = table.functions.get(edge.dst)
+        if task is None or task.qname in seen:
+            continue
+        seen.add(task.qname)
+        rng_sites: List[str] = []
+        for q in sorted(graph.reachable([task.qname], kinds={EdgeKind.CALL})):
+            for hazard in hazards_of(q):
+                if hazard.rule == "FLOW001":
+                    rng_sites.append(f"{q.split(':')[-1]}:{hazard.lineno} ({hazard.detail})")
+        module = table.modules[task.module]
+        if not rng_sites or "FLOW103" in suppressed_rules(module.line(task.lineno)):
+            continue
+        seeded = [p for p in task.params if "seed" in p.lower() or p.lower() == "rng"]
+        hint = (
+            f"thread the explicit seed parameter ({seeded[0]}) through instead"
+            if seeded
+            else "add a seed/rng parameter to the task tuple and derive all draws from it"
+        )
+        findings.append(
+            Finding(
+                rule="FLOW103",
+                severity=Severity.ERROR,
+                message=(
+                    f"pool task {task.qname.split(':')[-1]}() draws from ambient RNG "
+                    f"({'; '.join(rng_sites[:3])}); worker results "
+                    f"depend on per-process RNG state — {hint}"
+                ),
+                location=str(module.path),
+                line=task.lineno,
+                symbol=task.qname,
+            )
+        )
     return findings

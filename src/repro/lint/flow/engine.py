@@ -1,11 +1,13 @@
-"""The flow-analysis driver: paths → symbol table → call graph → passes.
+"""The flow-analysis driver: symbol table → call graph → passes.
 
-:func:`analyze_paths` is the one call sites use (CLI, CI, tests): it parses
-every ``.py`` under the given paths, builds the program view, resolves the
-entry-point specs, runs the determinism / concurrency / units passes and
-applies the repo baseline.  The result is a :class:`FlowReport` carrying
-the surviving findings plus the program-view statistics the JSON output
-exposes (so CI logs show *what* was analyzed, not just what was found).
+:func:`analyze` runs the determinism and units passes over an already
+built program view; :func:`repro.lint.runner.lint_all` hands it the trees
+it parsed for the per-module rules, so one ``python -m repro lint`` parses
+each file once.  :func:`analyze_paths` parses and analyzes in one call, for
+tests and callers that need custom entry points.  The result is a
+:class:`FlowReport` carrying the findings plus the program-view statistics
+the JSON output exposes (so CI logs show *what* was analyzed, not just
+what was found).
 """
 
 from __future__ import annotations
@@ -16,9 +18,7 @@ from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.lint.findings import Finding, errors
-from repro.lint.flow.baseline import BaselineEntry, apply_baseline, load_baseline
 from repro.lint.flow.callgraph import CallGraph, build_call_graph
-from repro.lint.flow.concurrency import run_concurrency_pass
 from repro.lint.flow.determinism import run_determinism_pass
 from repro.lint.flow.symbols import SymbolTable, build_symbol_table
 from repro.lint.flow.units import run_units_pass
@@ -39,13 +39,9 @@ DEFAULT_ENTRY_POINTS: Tuple[str, ...] = (
 
 @dataclass
 class FlowReport:
-    """Everything one flow-analysis run produced."""
+    """Everything one lint run produced."""
 
     findings: List[Finding] = field(default_factory=list)
-    #: findings swallowed by the baseline (still visible for auditing)
-    baselined: List[Finding] = field(default_factory=list)
-    #: baseline entries that matched nothing — must be deleted
-    stale: List[BaselineEntry] = field(default_factory=list)
     #: entry spec -> resolved function qnames (empty list = unresolved)
     entry_points: Dict[str, List[str]] = field(default_factory=dict)
     num_modules: int = 0
@@ -54,26 +50,18 @@ class FlowReport:
 
     @property
     def ok(self) -> bool:
-        """True when nothing should gate: no findings, no stale entries."""
-        return not self.findings and not self.stale
+        """True when nothing should gate: no findings."""
+        return not self.findings
 
     def summary(self) -> str:
-        """One-line human summary for CLI/CI logs."""
-        n_err = len(errors(self.findings))
-        n_warn = len(self.findings) - n_err
-        bits = [
-            f"{self.num_modules} module(s), {self.num_functions} function(s), "
-            f"{self.num_edges} edge(s)",
-            f"{len(self.findings)} finding(s): {n_err} error(s), {n_warn} warning(s)",
-        ]
-        if self.baselined:
-            bits.append(f"{len(self.baselined)} baselined")
-        if self.stale:
-            bits.append(f"{len(self.stale)} STALE baseline entr(y/ies)")
-        return "; ".join(bits)
+        """One-line program-view summary for CLI/CI logs."""
+        return (
+            f"analyzed {self.num_modules} module(s), {self.num_functions} "
+            f"function(s), {self.num_edges} edge(s)"
+        )
 
     def to_json(self) -> str:
-        """The ``--format json`` document (superset of the plain lint one)."""
+        """The ``--format json`` document: findings plus the program view."""
         payload = {
             "findings": [f.to_dict() for f in self.findings],
             "errors": len(errors(self.findings)),
@@ -83,11 +71,6 @@ class FlowReport:
                 "modules": self.num_modules,
                 "functions": self.num_functions,
                 "edges": self.num_edges,
-                "baselined": [f.to_dict() for f in self.baselined],
-                "stale_baseline": [
-                    {"rule": e.rule, "path": e.path, "symbol": e.symbol}
-                    for e in self.stale
-                ],
             },
         }
         return json.dumps(payload, indent=2)
@@ -105,13 +88,12 @@ def analyze(
     graph: Optional[CallGraph] = None,
     entry_points: Sequence[str] = DEFAULT_ENTRY_POINTS,
 ) -> FlowReport:
-    """Run all three passes over an already-built program view."""
+    """Run the determinism and units passes over a built program view."""
     if graph is None:
         graph = build_call_graph(table)
     resolved = resolve_entry_points(table, entry_points)
     findings: List[Finding] = []
     findings.extend(run_determinism_pass(graph, resolved))
-    findings.extend(run_concurrency_pass(graph))
     findings.extend(run_units_pass(graph))
     findings.sort(key=lambda f: (f.location or "", f.line or 0, f.rule))
     return FlowReport(
@@ -124,21 +106,7 @@ def analyze(
 
 
 def analyze_paths(
-    paths: Iterable[Path],
-    entry_points: Sequence[str] = DEFAULT_ENTRY_POINTS,
-    baseline: Optional[Path] = None,
+    paths: Iterable[Path], entry_points: Sequence[str] = DEFAULT_ENTRY_POINTS
 ) -> FlowReport:
-    """Parse ``paths``, run the passes, and apply an optional baseline.
-
-    ``baseline`` may point at a missing file (treated as empty); malformed
-    files raise :class:`repro.lint.flow.baseline.BaselineError`.
-    """
-    table = build_symbol_table(paths)
-    report = analyze(table, entry_points=entry_points)
-    if baseline is not None:
-        entries = load_baseline(baseline)
-        kept, baselined, stale = apply_baseline(report.findings, entries)
-        report.findings = kept
-        report.baselined = baselined
-        report.stale = stale
-    return report
+    """Parse ``paths`` and run the flow passes (no per-module or model rules)."""
+    return analyze(build_symbol_table(paths), entry_points=entry_points)

@@ -8,11 +8,10 @@ One :class:`SymbolTable` covers every ``.py`` file handed to
 * **functions** — every ``def``, including methods and nested functions,
   keyed by a qualified name of the form ``pkg.mod:Class.method`` (nested
   functions use ``outer.<locals>.inner``, mirroring ``__qualname__``);
-* **classes** — base-class expressions and methods;
-* **globals** — module-level assignments, with a flag for values that are
-  mutable containers (list/dict/set literals or constructor calls).
+* **classes** — base-class expressions and methods.
 
-Everything is derived from one ``ast.parse`` per file; the table keeps the
+Everything is derived from one ``ast.parse`` per file (:func:`parse_paths`),
+and the per-module AST rules run over the same trees; the table keeps the
 source lines around so passes can honour per-line suppressions.
 """
 
@@ -23,6 +22,9 @@ import tokenize
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Tuple
+
+from repro.lint.findings import Finding, Severity
+
 
 @dataclass
 class FunctionInfo:
@@ -59,18 +61,6 @@ class ClassInfo:
 
 
 @dataclass
-class GlobalInfo:
-    """One module-level binding."""
-
-    qname: str  #: ``module:NAME``
-    module: str
-    name: str
-    lineno: int
-    #: bound to a mutable container (list/dict/set literal or call)
-    mutable: bool = False
-
-
-@dataclass
 class ModuleInfo:
     """Everything recorded about one parsed module."""
 
@@ -82,7 +72,6 @@ class ModuleInfo:
     imports: Dict[str, str] = field(default_factory=dict)
     functions: Dict[str, FunctionInfo] = field(default_factory=dict)  # by qualpath
     classes: Dict[str, ClassInfo] = field(default_factory=dict)  # by class name
-    globals: Dict[str, GlobalInfo] = field(default_factory=dict)  # by name
 
     def line(self, lineno: int) -> str:
         """The 1-based source line (empty string out of range)."""
@@ -102,11 +91,9 @@ class SymbolTable:
     classes: Dict[str, ClassInfo] = field(default_factory=dict)
     #: method name -> [function qnames] (the name-based CHA index)
     methods_by_name: Dict[str, List[str]] = field(default_factory=dict)
-    #: global qname -> GlobalInfo
-    globals: Dict[str, GlobalInfo] = field(default_factory=dict)
 
     def module_of(self, qname: str) -> Optional[ModuleInfo]:
-        """The module a function/class/global qname belongs to."""
+        """The module a function/class qname belongs to."""
         return self.modules.get(qname.split(":", 1)[0])
 
     def resolve_suffix(self, dotted: str) -> List[str]:
@@ -147,19 +134,8 @@ def _param_names(node) -> Tuple[str, ...]:
     return tuple(a.arg for a in params)
 
 
-def _is_mutable_value(node: ast.AST) -> bool:
-    """True for list/dict/set literals, comprehensions and constructors."""
-    if isinstance(node, (ast.List, ast.Dict, ast.Set, ast.ListComp, ast.DictComp, ast.SetComp)):
-        return True
-    if isinstance(node, ast.Call):
-        fn = node.func
-        if isinstance(fn, ast.Name) and fn.id in ("list", "dict", "set", "bytearray", "defaultdict", "deque"):
-            return True
-    return False
-
-
 class _ModuleVisitor(ast.NodeVisitor):
-    """Collects imports, functions, classes and globals for one module."""
+    """Collects imports, functions and classes for one module."""
 
     def __init__(self, info: ModuleInfo) -> None:
         self.info = info
@@ -236,34 +212,6 @@ class _ModuleVisitor(ast.NodeVisitor):
         self._class.pop()
         self._qual.pop()
 
-    # -- globals -----------------------------------------------------------
-    def _add_global(self, name: str, value: Optional[ast.AST], lineno: int) -> None:
-        if self._qual:  # only module level
-            return
-        existing = self.info.globals.get(name)
-        mutable = _is_mutable_value(value) if value is not None else False
-        if existing is None:
-            self.info.globals[name] = GlobalInfo(
-                qname=f"{self.info.name}:{name}",
-                module=self.info.name,
-                name=name,
-                lineno=lineno,
-                mutable=mutable,
-            )
-        elif mutable:
-            existing.mutable = True
-
-    def visit_Assign(self, node: ast.Assign) -> None:
-        for target in node.targets:
-            if isinstance(target, ast.Name):
-                self._add_global(target.id, node.value, node.lineno)
-        self.generic_visit(node)
-
-    def visit_AnnAssign(self, node: ast.AnnAssign) -> None:
-        if isinstance(node.target, ast.Name):
-            self._add_global(node.target.id, node.value, node.lineno)
-        self.generic_visit(node)
-
 
 def _dotted(node: ast.AST) -> Optional[str]:
     """``a.b.c`` for a Name/Attribute chain, else None."""
@@ -277,9 +225,21 @@ def _dotted(node: ast.AST) -> Optional[str]:
     return None
 
 
+def iter_python_files(paths: Iterable[Path]) -> List[Path]:
+    """Expand files/directories into a sorted list of ``.py`` files."""
+    out: List[Path] = []
+    for path in paths:
+        path = Path(path)
+        if path.is_dir():
+            out.extend(path.rglob("*.py"))
+        elif path.suffix == ".py":
+            out.append(path)
+    return sorted(set(out))
+
+
 def parse_module(path: Path, module_name: Optional[str] = None) -> ModuleInfo:
-    """Parse one file into a :class:`ModuleInfo` (raises on syntax errors)."""
-    with tokenize.open(path) as fh:
+    """Read and parse one file (raises on unreadable files and syntax errors)."""
+    with tokenize.open(path) as fh:  # honours PEP 263 encodings
         source = fh.read()
     tree = ast.parse(source, filename=str(path))
     info = ModuleInfo(
@@ -292,21 +252,39 @@ def parse_module(path: Path, module_name: Optional[str] = None) -> ModuleInfo:
     return info
 
 
-def build_symbol_table(paths: Iterable[Path]) -> SymbolTable:
-    """Parse every ``.py`` under ``paths`` into one :class:`SymbolTable`.
+def parse_paths(paths: Iterable[Path]) -> Tuple[List[ModuleInfo], List[Finding]]:
+    """Parse every ``.py`` under ``paths`` once.
 
-    Unparseable files are skipped here — the plain AST pass already reports
-    them as ``AST999`` — so one syntax error does not take down the whole
-    program view.
+    Returns the parsed modules and one ERROR finding per file that could
+    not be parsed (``AST999``) or read (``AST998``), so one bad file does
+    not take down the whole program view.
     """
-    from repro.lint.runner import iter_python_files
-
-    table = SymbolTable()
+    modules: List[ModuleInfo] = []
+    failures: List[Finding] = []
     for path in iter_python_files(paths):
         try:
-            info = parse_module(path)
-        except (OSError, SyntaxError, UnicodeDecodeError):
-            continue
+            modules.append(parse_module(path))
+        except SyntaxError as exc:
+            failures.append(
+                Finding(
+                    "AST999",
+                    Severity.ERROR,
+                    f"cannot parse: {exc.msg}",
+                    location=str(path),
+                    line=exc.lineno,
+                )
+            )
+        except (OSError, UnicodeDecodeError) as exc:
+            failures.append(
+                Finding("AST998", Severity.ERROR, f"cannot read: {exc}", location=str(path))
+            )
+    return modules, failures
+
+
+def symbol_table(modules: Iterable[ModuleInfo]) -> SymbolTable:
+    """Merge parsed modules into one :class:`SymbolTable`."""
+    table = SymbolTable()
+    for info in modules:
         # last parse wins on duplicate module names (shadowed fixtures)
         table.modules[info.name] = info
     for info in table.modules.values():
@@ -316,8 +294,12 @@ def build_symbol_table(paths: Iterable[Path]) -> SymbolTable:
                 table.methods_by_name.setdefault(fn.name, []).append(fn.qname)
         for cls in info.classes.values():
             table.classes[cls.qname] = cls
-        for glob in info.globals.values():
-            table.globals[glob.qname] = glob
     for names in table.methods_by_name.values():
         names.sort()
     return table
+
+
+def build_symbol_table(paths: Iterable[Path]) -> SymbolTable:
+    """Parse every ``.py`` under ``paths`` into one :class:`SymbolTable`
+    (unreadable and unparsable files are left out)."""
+    return symbol_table(parse_paths(paths)[0])

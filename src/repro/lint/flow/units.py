@@ -26,10 +26,9 @@ from __future__ import annotations
 import ast
 from typing import Dict, List, Optional
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding, Severity, suppressed_rules
 from repro.lint.flow.callgraph import CallGraph, _FunctionResolver
 from repro.lint.flow.symbols import FunctionInfo, ModuleInfo, SymbolTable, _dotted
-from repro.lint.runner import suppressed_rules
 
 #: comparison ops that are unit sinks (``is``/``in`` are not arithmetic)
 _CMP_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)

@@ -1,12 +1,14 @@
 """Repo-specific AST lint rules for the scheduler/simulator code.
 
-Six rules, each encoding a bug class this codebase has actually hit or is
+Four rules, each encoding a bug class this codebase has actually hit or is
 structurally exposed to:
 
 ==========  ==============================================================
-``AST001``  iterating directly over a ``set``/``frozenset`` — iteration
-            order is salted per process, so seeded runs diverge; wrap in
-            ``sorted(...)``
+``AST001``  iterating directly over a ``set``/``frozenset`` (or set
+            algebra), or over a filesystem listing (``os.listdir``,
+            ``glob.glob``, ``Path.iterdir``/``glob``, ...) — set order is
+            salted per process and listing order is up to the
+            filesystem, so seeded runs diverge; wrap in ``sorted(...)``
 ``AST002``  ``==``/``!=`` against a non-integral float literal — LP
             outputs carry solver noise; compare with a tolerance
             (``math.isclose`` / ``pytest.approx``).  Comparisons against
@@ -18,14 +20,10 @@ structurally exposed to:
             ``repro.core.rounding.round_half_up`` (or
             ``largest_remainder_round`` for apportionment)
 ``AST004``  mutable default argument (``def f(x=[])``)
-``AST005``  a ``solve_assembled`` backend entry point that never touches
-            :mod:`repro.obs.lpprof` — solves through it would be invisible
-            to the shared profiling path
-``AST006``  a function fanning work out over ``ProcessPoolExecutor`` /
-            ``multiprocessing`` without a seed-carrying parameter — worker
-            results must be determined by explicit seeds, never by
-            inherited global RNG state (which differs per worker)
 ==========  ==============================================================
+
+Hazards that need the call graph (ambient RNG, wall-clock reads, pool
+tasks, unit mixing) are the flow passes' job (:mod:`repro.lint.flow`).
 
 Suppression: append ``# lint: ok=AST003`` (comma-separate several ids) to
 the flagged line; the runner drops matching findings.  Every rule is a
@@ -64,15 +62,40 @@ def _is_set_expr(node: ast.AST) -> bool:
     return False
 
 
+#: calls whose result iterates in filesystem order
+_FS_ORDER_FNS = frozenset({"listdir", "scandir", "iterdir", "glob", "iglob", "rglob"})
+
+
+def _fs_order_names(tree: ast.Module) -> frozenset:
+    """Local names bound by module-level ``from os import listdir``-style imports."""
+    return frozenset(
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module in ("os", "glob")
+        for alias in node.names
+        if alias.name in _FS_ORDER_FNS
+    )
+
+
+def _is_fs_order_expr(node: ast.AST, fs_names: frozenset) -> bool:
+    """True for a filesystem listing call (``os.listdir(d)``, ``p.glob(g)``)."""
+    if not isinstance(node, ast.Call):
+        return False
+    fn = node.func
+    if isinstance(fn, ast.Attribute):
+        return fn.attr in _FS_ORDER_FNS
+    return isinstance(fn, ast.Name) and fn.id in fs_names
+
+
 class SetIterationRule(Rule):
-    """AST001 — iteration over an unordered set in deterministic code."""
+    """AST001 — iteration in an unstable order in deterministic code."""
 
     id = "AST001"
-    summary = "iterating a set: order is nondeterministic; wrap in sorted()"
+    summary = "iterating a set or a directory listing: wrap in sorted()"
 
     def check(self, tree: ast.Module) -> Iterator[RawFinding]:
-        """Flag for-loops and comprehensions that draw from a set."""
-        """Flag for-loops and comprehensions that draw from a set."""
+        """Flag for-loops and comprehensions that draw from a set or listing."""
+        fs_names = _fs_order_names(tree)
         for node in ast.walk(tree):
             iters: List[ast.AST] = []
             if isinstance(node, (ast.For, ast.AsyncFor)):
@@ -86,6 +109,12 @@ class SetIterationRule(Rule):
                         "iteration over a set is order-nondeterministic; "
                         "use sorted(...) to fix the order",
                     )
+                elif _is_fs_order_expr(it, fs_names):
+                    yield (
+                        it.lineno,
+                        "iteration in filesystem order is host-dependent; "
+                        "use sorted(...) to fix the order",
+                    )
 
 
 class FloatEqualityRule(Rule):
@@ -95,7 +124,6 @@ class FloatEqualityRule(Rule):
     summary = "float ==/!= needs a tolerance"
 
     def check(self, tree: ast.Module) -> Iterator[RawFinding]:
-        """Flag ``==``/``!=`` with a non-integral float literal operand."""
         """Flag ``==``/``!=`` with a non-integral float literal operand."""
         for node in ast.walk(tree):
             if not isinstance(node, ast.Compare):
@@ -130,7 +158,6 @@ class IntRoundRule(Rule):
 
     def check(self, tree: ast.Module) -> Iterator[RawFinding]:
         """Flag single-argument ``round`` calls wrapped in ``int``."""
-        """Flag single-argument ``round`` calls wrapped in ``int``."""
         for node in ast.walk(tree):
             if not (
                 isinstance(node, ast.Call)
@@ -161,7 +188,6 @@ class MutableDefaultRule(Rule):
 
     def check(self, tree: ast.Module) -> Iterator[RawFinding]:
         """Flag list/dict/set (literal or call) default values."""
-        """Flag list/dict/set (literal or call) default values."""
         for node in ast.walk(tree):
             if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 continue
@@ -182,89 +208,10 @@ class MutableDefaultRule(Rule):
                     )
 
 
-class SolverObsRule(Rule):
-    """AST005 — backend solve entry points must report to the obs layer."""
-
-    id = "AST005"
-    summary = "solve_assembled without an obs/lpprof reference"
-
-    #: function names that constitute the shared solver path
-    SOLVER_NAMES = frozenset({"solve_assembled"})
-
-    def check(self, tree: ast.Module) -> Iterator[RawFinding]:
-        """Flag ``solve_assembled`` bodies with no lpprof reference."""
-        """Flag ``solve_assembled`` bodies with no lpprof reference."""
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if node.name not in self.SOLVER_NAMES:
-                continue
-            mentions_obs = any(
-                isinstance(sub, ast.Name) and sub.id == "lpprof"
-                or isinstance(sub, ast.Attribute) and sub.attr in ("lp_solve", "observe")
-                for sub in ast.walk(node)
-            )
-            if not mentions_obs:
-                yield (
-                    node.lineno,
-                    f"{node.name}() is on the solver path but never references "
-                    "repro.obs.lpprof; its solves are invisible to profiling — "
-                    "guard on lpprof.active() and observe() a record",
-                )
-
-
-class UnseededPoolRule(Rule):
-    """AST006 — process fan-out must flow from explicit seeds."""
-
-    id = "AST006"
-    summary = "process-pool use without a seed-carrying parameter"
-
-    #: names whose reference marks a function as a process fan-out point
-    POOL_NAMES = frozenset({"ProcessPoolExecutor", "multiprocessing"})
-
-    @staticmethod
-    def _param_names(node) -> List[str]:
-        args = node.args
-        params = [*args.posonlyargs, *args.args, *args.kwonlyargs]
-        if args.vararg is not None:
-            params.append(args.vararg)
-        if args.kwarg is not None:
-            params.append(args.kwarg)
-        return [a.arg for a in params]
-
-    @classmethod
-    def _is_seeded(cls, name: str) -> bool:
-        lowered = name.lower()
-        return "seed" in lowered or lowered == "rng"
-
-    def check(self, tree: ast.Module) -> Iterator[RawFinding]:
-        """Flag pool-spawning functions lacking a seed/rng parameter."""
-        for node in ast.walk(tree):
-            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            uses_pool = any(
-                (isinstance(sub, ast.Name) and sub.id in self.POOL_NAMES)
-                or (isinstance(sub, ast.Attribute) and sub.attr in self.POOL_NAMES)
-                for sub in ast.walk(node)
-            )
-            if not uses_pool:
-                continue
-            if any(self._is_seeded(p) for p in self._param_names(node)):
-                continue
-            yield (
-                node.lineno,
-                f"{node.name}() spawns worker processes but takes no seed/rng "
-                "parameter; workers must derive results from explicit seeds "
-                "so parallel runs reproduce serial ones",
-            )
-
-
 #: The default rule set, in id order.
 ALL_RULES: Tuple[Rule, ...] = (
     SetIterationRule(),
     FloatEqualityRule(),
     IntRoundRule(),
     MutableDefaultRule(),
-    SolverObsRule(),
-    UnseededPoolRule(),
 )

@@ -1,9 +1,11 @@
-"""Drives both lint layers: AST rules over source trees, model rules over
-the repo's own LP builders.
+"""The one lint run: per-module rules, flow passes and model rules.
 
-The AST half walks ``.py`` files, parses each once, runs every rule from
-:data:`repro.lint.rules.ALL_RULES` and honours per-line suppressions
-(``# lint: ok=AST003``).  The model half instantiates the three paper LP
+:func:`lint_all` parses every ``.py`` file once
+(:func:`repro.lint.flow.symbols.parse_paths`), runs each rule of
+:data:`repro.lint.rules.ALL_RULES` over every tree, honouring per-line
+suppressions (``# lint: ok=AST003``), and hands the same trees to the flow
+passes (:func:`repro.lint.flow.engine.analyze`).  When no paths are given
+it lints the installed package and also instantiates the three paper LP
 builders (Figures 2-4) on a small deterministic cluster/workload and runs
 :func:`repro.lint.model.lint_lips_model` on each — so ``python -m repro
 lint`` checks that the *shipped* formulations are well-posed, without ever
@@ -13,43 +15,22 @@ calling a solver.
 from __future__ import annotations
 
 import ast
-import re
-import tokenize
 from pathlib import Path
 from typing import Iterable, List, Optional, Sequence
 
-from repro.lint.findings import Finding, Severity
+from repro.lint.findings import Finding, Severity, suppressed_rules
+from repro.lint.flow.engine import FlowReport, analyze
+from repro.lint.flow.symbols import ModuleInfo, parse_paths, symbol_table
 from repro.lint.rules import ALL_RULES, Rule
 
-#: Per-line suppression marker: ``# lint: ok=AST001`` or ``ok=AST001,AST003``.
-_SUPPRESS_RE = re.compile(r"#\s*lint:\s*ok=([A-Z0-9,\s]+)")
 
-
-def suppressed_rules(line: str) -> frozenset:
-    """Rule ids suppressed by a source line's trailing lint marker."""
-    m = _SUPPRESS_RE.search(line)
-    if not m:
-        return frozenset()
-    return frozenset(part.strip() for part in m.group(1).split(",") if part.strip())
-
-
-def lint_source(
-    source: str, filename: str = "<string>", rules: Optional[Sequence[Rule]] = None
+def _check_tree(
+    tree: ast.Module,
+    lines: Sequence[str],
+    filename: str,
+    rules: Optional[Sequence[Rule]] = None,
 ) -> List[Finding]:
-    """Run the AST rules over one module's source text."""
-    try:
-        tree = ast.parse(source, filename=filename)
-    except SyntaxError as exc:
-        return [
-            Finding(
-                rule="AST999",
-                severity=Severity.ERROR,
-                message=f"cannot parse: {exc.msg}",
-                location=filename,
-                line=exc.lineno,
-            )
-        ]
-    lines = source.splitlines()
+    """Run the per-module rules over one parsed module."""
     findings: List[Finding] = []
     for rule in rules if rules is not None else ALL_RULES:
         for lineno, message in rule.check(tree):
@@ -68,39 +49,41 @@ def lint_source(
     return findings
 
 
-def iter_python_files(paths: Iterable[Path]) -> List[Path]:
-    """Expand files/directories into a sorted list of ``.py`` files."""
-    out: List[Path] = []
-    for path in paths:
-        path = Path(path)
-        if path.is_dir():
-            out.extend(p for p in path.rglob("*.py"))
-        elif path.suffix == ".py":
-            out.append(path)
-    return sorted(set(out))
+def _check_modules(
+    modules: Iterable[ModuleInfo], rules: Optional[Sequence[Rule]] = None
+) -> List[Finding]:
+    return [
+        finding
+        for info in modules
+        for finding in _check_tree(info.tree, info.source_lines, str(info.path), rules)
+    ]
+
+
+def lint_source(
+    source: str, filename: str = "<string>", rules: Optional[Sequence[Rule]] = None
+) -> List[Finding]:
+    """Run the per-module rules over one module's source text."""
+    try:
+        tree = ast.parse(source, filename=filename)
+    except SyntaxError as exc:
+        return [
+            Finding(
+                rule="AST999",
+                severity=Severity.ERROR,
+                message=f"cannot parse: {exc.msg}",
+                location=filename,
+                line=exc.lineno,
+            )
+        ]
+    return _check_tree(tree, source.splitlines(), filename, rules)
 
 
 def lint_paths(
     paths: Iterable[Path], rules: Optional[Sequence[Rule]] = None
 ) -> List[Finding]:
-    """Run the AST rules over every ``.py`` file under ``paths``."""
-    findings: List[Finding] = []
-    for path in iter_python_files(paths):
-        try:
-            with tokenize.open(path) as fh:  # honours PEP 263 encodings
-                source = fh.read()
-        except (OSError, SyntaxError, UnicodeDecodeError) as exc:
-            findings.append(
-                Finding(
-                    rule="AST998",
-                    severity=Severity.ERROR,
-                    message=f"cannot read: {exc}",
-                    location=str(path),
-                )
-            )
-            continue
-        findings.extend(lint_source(source, filename=str(path), rules=rules))
-    return findings
+    """Run the per-module rules over every ``.py`` file under ``paths``."""
+    modules, findings = parse_paths(paths)
+    return findings + _check_modules(modules, rules)
 
 
 def default_source_paths() -> List[Path]:
@@ -172,8 +155,18 @@ def lint_repo_models() -> List[Finding]:
     return findings
 
 
-def lint_all(paths: Optional[Iterable[Path]] = None) -> List[Finding]:
-    """Everything ``python -m repro lint`` runs: AST pass + model pass."""
-    return lint_paths(paths if paths is not None else default_source_paths()) + (
-        lint_repo_models()
-    )
+def lint_all(paths: Optional[Iterable[Path]] = None) -> FlowReport:
+    """Everything ``python -m repro lint`` runs, each file parsed once.
+
+    With ``paths`` the per-module rules and the flow passes cover those
+    files; without, they cover the installed package and the model rules
+    lint the three shipped formulations too.
+    """
+    modules, findings = parse_paths(paths if paths is not None else default_source_paths())
+    findings += _check_modules(modules)
+    report = analyze(symbol_table(modules))
+    findings += report.findings
+    if paths is None:
+        findings += lint_repo_models()
+    report.findings = sorted(findings, key=lambda f: (f.location or "", f.line or 0, f.rule))
+    return report

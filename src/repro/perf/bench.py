@@ -243,7 +243,7 @@ class CapturingHighs(HighsBackend):
         super().__init__()
         self.solves: list = []
 
-    def solve_assembled(self, asm):  # lint: ok=AST005 (delegates)
+    def solve_assembled(self, asm):
         result = super().solve_assembled(asm)
         self.solves.append((asm, result))
         return result

@@ -316,7 +316,7 @@ class FaultInjectingBackend:
             result.by_name = lp.value_map(result.x)
         return result
 
-    def solve_assembled(self, asm) -> LPResult:  # lint: ok=AST005
+    def solve_assembled(self, asm) -> LPResult:
         """Fail if the schedule picks this solve; else delegate."""
         self.solves_seen += 1
         if not self._should_fail():

@@ -160,7 +160,7 @@ class ResilientSolver:
             result.by_name = lp.value_map(result.x)
         return result
 
-    def solve_assembled(self, asm: AssembledLP) -> LPResult:  # lint: ok=AST005
+    def solve_assembled(self, asm: AssembledLP) -> LPResult:
         """Solve through the fallback chain; never raises on solver failure.
 
         Returns the first optimal result.  When every backend's retry

@@ -105,10 +105,6 @@ class LipsScheduler(TaskScheduler):
         LP backend (defaults to HiGHS).
     enforce_bandwidth:
         Toggle the Figure 4 transfer-time constraint (21).
-    strict:
-        Statically lint every epoch's LP before solving
-        (:func:`repro.lint.strict_check`); a malformed model raises
-        before any backend runs.
     degraded_mode:
         When True (default) an epoch whose LP cannot be solved is planned
         by the greedy cost heuristic instead of crashing the simulation;
@@ -122,7 +118,6 @@ class LipsScheduler(TaskScheduler):
         epoch_length: float = 600.0,
         backend: Optional[object] = None,
         enforce_bandwidth: bool = True,
-        strict: bool = False,
         degraded_mode: bool = True,
     ) -> None:
         super().__init__()
@@ -131,7 +126,6 @@ class LipsScheduler(TaskScheduler):
         self.epoch_length = epoch_length
         self.backend = backend
         self.enforce_bandwidth = enforce_bandwidth
-        self.strict = strict
         self.degraded_mode = degraded_mode
         #: epochs planned by the greedy degraded path over this sim's lifetime
         self.degraded_epochs = 0
@@ -186,7 +180,6 @@ class LipsScheduler(TaskScheduler):
                 enforce_bandwidth=self.enforce_bandwidth,
             ),
             backend=self.backend,
-            strict=self.strict,
             on_failure="greedy" if self.degraded_mode else "raise",
         )
         if sol.model == DEGRADED_MODEL:

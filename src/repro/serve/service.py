@@ -87,7 +87,6 @@ class ServiceConfig:
     health: HealthConfig = field(default_factory=HealthConfig)
     wal_fsync: bool = True
     enforce_bandwidth: bool = True
-    strict: bool = False
     max_epochs: int = 1000000
 
     def to_dict(self) -> Dict[str, Any]:
@@ -192,7 +191,6 @@ class SchedulingService:
             enforce_bandwidth=config.enforce_bandwidth,
             max_epochs=config.max_epochs,
             tracer=tracer,
-            strict=config.strict,
             degraded_mode=True,
         )
         self.health = HealthMonitor(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.experiments import fig5_simulated_savings as fig5
+from repro.experiments import fig8_epoch_tradeoff as fig8
 from repro.experiments.common import LipsFactory, compare_schedulers, scheduler_lineup
 from repro.experiments.parallel import resolve_workers, run_tasks
 
@@ -74,6 +75,13 @@ class TestParallelEqualsSerial:
         np.testing.assert_array_equal(serial.lp_costs, parallel.lp_costs)
         np.testing.assert_array_equal(serial.default_costs, parallel.default_costs)
         np.testing.assert_array_equal(serial.reductions, parallel.reductions)
+
+    def test_fig8_epochs(self):
+        epochs = (300.0, 600.0)
+        serial = fig8.run(epochs=epochs, workers=0)
+        parallel = fig8.run(epochs=epochs, workers=2)
+        assert serial.costs == parallel.costs
+        assert serial.exec_times == parallel.exec_times
 
     def test_compare_schedulers(self, two_zone_cluster, small_workload):
         kwargs = dict(epoch_length=400.0, placement_seed=7)

@@ -1,4 +1,8 @@
-"""AST001 negative fixture: set iteration with a fixed order."""
+"""AST001 negative fixture: set and listing iteration with a fixed order."""
+
+import glob
+import os
+from pathlib import Path
 
 
 def drain(items):
@@ -8,4 +12,14 @@ def drain(items):
     out.extend(x for x in sorted(set(items)))
     for pair in [("a", 1), ("b", 2)]:
         out.append(pair)
+    return out
+
+
+def listing(root):
+    out = []
+    for name in sorted(os.listdir(root)):
+        out.append(name)
+    out.extend(str(p) for p in sorted(Path(root).iterdir()))
+    out.extend(g for g in sorted(glob.glob(f"{root}/*.py")))
+    out.append(len(list(Path(root).glob("*.json"))))  # counted, not iterated
     return out

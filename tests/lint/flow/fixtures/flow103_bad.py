@@ -1,7 +1,7 @@
 """FLOW103 fixture: an unseeded ``default_rng()`` inside a pool task.
 
-Worker results depend on per-process RNG state — the dataflow-backed
-upgrade of syntactic rule AST006 must flag the task at its dispatch.
+Worker results depend on per-process RNG state, so the pass must flag
+the task at its dispatch.
 """
 
 from concurrent.futures import ProcessPoolExecutor
@@ -10,7 +10,7 @@ import numpy as np
 
 
 def _sample(n):
-    rng = np.random.default_rng()  # lint: ok=AST002  (flow must flag this)
+    rng = np.random.default_rng()
     return float(rng.random(n).sum())
 
 

@@ -19,8 +19,6 @@ FIXTURES = Path(__file__).parent / "fixtures"
 RULE_FIXTURES = [
     ("FLOW001", "flow001", ["run"]),
     ("FLOW002", "flow002", ["run"]),
-    ("FLOW003", "flow003", ["run"]),
-    ("FLOW102", "flow102", []),
     ("FLOW103", "flow103", []),
     ("FLOW201", "flow201", []),
 ]

@@ -1,16 +1,15 @@
 """The analyzer against the real repo: entry resolution, reachability,
-and the gating contract CI relies on (clean modulo the reviewed baseline)."""
+and the gating contract CI relies on (no flow findings)."""
 
 from pathlib import Path
 
 import pytest
 
-from repro.lint.flow import analyze_paths, build_call_graph, build_symbol_table
+from repro.lint.flow import analyze, build_call_graph, build_symbol_table
 from repro.lint.flow.engine import DEFAULT_ENTRY_POINTS, resolve_entry_points
 
 REPO_ROOT = Path(__file__).resolve().parents[3]
 SRC = REPO_ROOT / "src" / "repro"
-BASELINE = REPO_ROOT / "FLOW_BASELINE.json"
 
 
 @pytest.fixture(scope="module")
@@ -56,17 +55,17 @@ def test_entry_points_reach_a_substantial_program_slice(graph):
     assert len(reach) > 200
 
 
-def test_repo_is_flow_clean_modulo_baseline():
-    report = analyze_paths([SRC], baseline=BASELINE)
+def test_repo_is_flow_clean(graph):
+    report = analyze(graph.table, graph)
     assert report.findings == [], [f.render() for f in report.findings]
-    assert report.stale == [], [e.path for e in report.stale]
     assert report.ok
 
 
-def test_baseline_entries_all_carry_reasons():
-    from repro.lint.flow import load_baseline
-
-    entries = load_baseline(BASELINE)
-    assert entries, "repo baseline should document the deliberate exceptions"
-    for entry in entries:
-        assert len(entry.reason) > 20, entry
+def test_every_pool_task_is_analyzed(graph):
+    # the three run_tasks workers; FLOW103 checks each one's call closure
+    tasks = {edge.dst for edge in graph.pool_dispatches}
+    assert {
+        "repro.experiments.common:_scheduler_task",
+        "repro.experiments.fig5_simulated_savings:_fig5_point",
+        "repro.experiments.fig8_epoch_tradeoff:_fig8_point",
+    } <= tasks

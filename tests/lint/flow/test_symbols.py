@@ -1,4 +1,4 @@
-"""Symbol-table construction: imports, qnames, markers, globals."""
+"""Symbol-table construction: imports, qnames, suffix resolution."""
 
 import textwrap
 
@@ -47,26 +47,6 @@ def test_function_qnames_mirror_qualname(tmp_path):
     assert info.functions["Box.get"].is_method
     assert info.functions["Box.get"].class_name == "Box"
     assert not info.functions["top.<locals>.inner"].is_method
-
-
-def test_globals_record_mutability(tmp_path):
-    path = _module(
-        tmp_path,
-        """
-        CACHE = {}
-        LIMIT = 10
-        names = ["a"]
-
-        def f():
-            local = []
-            return local
-        """,
-    )
-    info = parse_module(path, module_name="m")
-    assert info.globals["CACHE"].mutable
-    assert not info.globals["LIMIT"].mutable
-    assert info.globals["names"].mutable
-    assert "local" not in info.globals  # function locals are not globals
 
 
 def test_resolve_suffix_matches_loose_and_full_specs(tmp_path):

@@ -10,7 +10,8 @@ from pathlib import Path
 import pytest
 
 from repro.lint import Severity, lint_paths, lint_source
-from repro.lint.runner import iter_python_files, suppressed_rules
+from repro.lint.findings import suppressed_rules
+from repro.lint.flow.symbols import iter_python_files
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -19,8 +20,6 @@ RULE_FIXTURES = [
     ("AST002", "ast002"),
     ("AST003", "ast003"),
     ("AST004", "ast004"),
-    ("AST005", "ast005"),
-    ("AST006", "ast006"),
 ]
 
 
@@ -41,8 +40,10 @@ def test_ok_fixture_is_clean(rule_id, stem):
 
 def test_ast001_counts_every_set_iteration():
     findings = lint_paths([FIXTURES / "ast001_bad.py"])
-    # for-loop, generator over set(...), generator over set algebra
-    assert len(findings) == 3
+    # sets: for-loop, generator over set(...), generator over set algebra;
+    # listings: os.listdir loop, from-imported listdir, Path.iterdir, glob.glob
+    assert len(findings) == 7
+    assert sum("filesystem order" in f.message for f in findings) == 4
 
 
 def test_ast004_flags_both_positional_and_keyword_defaults():
@@ -50,13 +51,6 @@ def test_ast004_flags_both_positional_and_keyword_defaults():
     assert len(findings) == 2
     assert any("push" in f.message for f in findings)
     assert any("tally" in f.message for f in findings)
-
-
-def test_ast006_flags_both_pool_styles():
-    findings = lint_paths([FIXTURES / "ast006_bad.py"])
-    assert len(findings) == 2
-    assert any("sweep_unseeded" in f.message for f in findings)
-    assert any("spawn_unseeded" in f.message for f in findings)
 
 
 def test_suppression_comment_silences_one_rule():

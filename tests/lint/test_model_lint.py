@@ -1,23 +1,18 @@
-"""Model-linter tests: each LM/LIPS rule with a triggering and a clean case,
-plus the strict solve-path contract (reject before any backend runs, count
-findings in the metrics registry)."""
+"""Model-linter tests: each LM/LIPS rule with a triggering and a clean case."""
 
 import numpy as np
 import pytest
 from scipy import sparse
 
 from repro.core.assembly import ModelAssembler
-from repro.core.co_online import OnlineModelConfig, solve_co_online
 from repro.core.simple_task import identity_placement
 from repro.lint import (
-    ModelLintError,
     ModelProfile,
     Severity,
     lint_lips,
     lint_lips_model,
     lint_model,
     lint_repo_models,
-    strict_check,
 )
 from repro.lp.problem import AssembledLP, CsrMatrix, LinearProgram, Sense
 
@@ -209,69 +204,9 @@ def test_lint_lips_model_carries_row_family_labels(small_input):
     assert findings and "job_coverage[0]" in findings[0].message
 
 
-# -- strict solve-path contract ---------------------------------------------
-
-
-class _ExplodingBackend:
-    """Fails the test if any solve reaches it."""
-
-    def solve_assembled(self, asm):  # lint: ok=AST005
-        raise AssertionError("solver ran on a model that failed static lint")
-
-
-def test_bad_online_model_rejected_before_solver(small_input, monkeypatch):
-    from repro.core import co_online
-
-    class NoFakeAssembler(ModelAssembler):
-        def __init__(self, inp, **kwargs):
-            kwargs["include_fake"] = False
-            super().__init__(inp, **kwargs)
-
-    monkeypatch.setattr(co_online, "ModelAssembler", NoFakeAssembler)
-    with pytest.raises(ModelLintError) as exc:
-        solve_co_online(
-            small_input,
-            OnlineModelConfig(epoch_length=10.0),
-            backend=_ExplodingBackend(),
-            strict=True,
-        )
-    assert "LIPS001" in {f.rule for f in exc.value.findings}
-    assert "LIPS001" in str(exc.value)
-
-
-def test_strict_solve_passes_on_well_formed_model(small_input):
-    sol = solve_co_online(
-        small_input, OnlineModelConfig(epoch_length=1e6, enforce_bandwidth=False), strict=True
-    )
-    assert sol.objective >= 0.0
-
-
-def test_strict_simple_and_offline_paths(small_input):
-    from repro.core.co_offline import solve_co_offline
-    from repro.core.simple_task import solve_simple_task
-
-    assert solve_simple_task(small_input, strict=True).objective >= 0.0
-    assert solve_co_offline(small_input, strict=True).objective >= 0.0
-
-
-def test_strict_check_counts_findings_in_registry(small_input):
-    from repro.obs.registry import MetricsRegistry, use_registry
-
-    assembler = _online_assembler(small_input)
-    asm = assembler.build()
-    asm.name = "co-online"
-    asm.c[assembler.off_f] = 0.0  # seed one LIPS002 error
-    registry = MetricsRegistry()
-    with use_registry(registry):
-        with pytest.raises(ModelLintError):
-            strict_check(assembler, asm, "co-online")
-    counter = registry.counter("lint_findings_total")
-    assert counter.value(rule="LIPS002", model="co-online", severity="error") == 1.0
-
-
 def test_identity_placement_lints_clean(small_input):
     assembler = ModelAssembler(
         small_input, include_xd=False, fixed_placement=identity_placement(small_input)
     )
     asm = assembler.build()
-    assert strict_check(assembler, asm, "simple-task") == []
+    assert lint_lips_model(assembler, asm, "simple-task") == []

@@ -1,9 +1,9 @@
 """Property test: every LP the three paper builders emit is statically clean.
 
-This is the load-bearing guarantee behind running ``strict`` solve paths in
-production: on arbitrary clusters/workloads the shipped formulations must
-never trip the model linter, so an ERROR finding always indicates a real
-modelling bug rather than noise.
+On arbitrary clusters/workloads the shipped formulations must never trip
+the model linter, so an ERROR finding from ``repro lint`` (which lints the
+builders on one reference input) always indicates a real modelling bug
+rather than noise.
 """
 
 from hypothesis import given, settings, strategies as st
