@@ -2,8 +2,8 @@
 
 Two rule families:
 
-**Generic rules (LM…)** over any :class:`~repro.lp.problem.AssembledLP` (or
-:class:`~repro.lp.problem.LinearProgram`, assembled on the fly):
+**Generic rules (LM…)** over any :class:`~repro.lp.problem.AssembledLP`
+(a column ``j`` is labelled ``x[j]``):
 
 ==========  ==============================================================
 ``LM001``   dangling variable: in no constraint and absent from the
@@ -44,12 +44,12 @@ calls a backend.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import List, Optional
 
 import numpy as np
 
 from repro.lint.findings import Finding, Severity
-from repro.lp.problem import AssembledLP, CsrMatrix, LinearProgram
+from repro.lp.problem import AssembledLP, CsrMatrix
 
 #: max/min constraint-coefficient magnitude ratio before LM007 fires
 CONDITIONING_SPREAD: float = 1e8
@@ -66,12 +66,6 @@ class ModelProfile:
 
     kind: Optional[str] = None
     dollar_objective: bool = True
-
-
-def _var_label(names: Optional[Sequence[str]], j: int) -> str:
-    if names is not None and j < len(names):
-        return names[j]
-    return f"x[{j}]"
 
 
 def _row_label(ranges: Optional[dict], kind: str, i: int) -> str:
@@ -93,23 +87,16 @@ def _row_keys(mat: CsrMatrix) -> List[tuple]:
 
 
 def lint_model(
-    model: "AssembledLP | LinearProgram",
+    asm: AssembledLP,
     profile: Optional[ModelProfile] = None,
     row_ranges: Optional[dict] = None,
 ) -> List[Finding]:
     """Run the generic LM rules; returns findings (empty when clean).
 
-    Accepts either an assembled model or a :class:`LinearProgram` (assembled
-    here so findings can use variable names).  ``row_ranges`` — as produced
-    by :class:`~repro.core.assembly.ModelAssembler` — upgrades row indices
-    in messages to constraint-family labels.
+    Findings name a column ``j`` as ``x[j]``.  ``row_ranges`` — as
+    produced by :class:`~repro.core.assembly.ModelAssembler` — upgrades row
+    indices in messages to constraint-family labels.
     """
-    names: Optional[Sequence[str]] = None
-    if isinstance(model, LinearProgram):
-        names = [v.name for v in model.variables]
-        asm = model.assemble()
-    else:
-        asm = model
     profile = profile or ModelProfile()
     findings: List[Finding] = []
     loc = asm.name
@@ -124,7 +111,7 @@ def lint_model(
             Finding(
                 rule="LM001",
                 severity=Severity.WARNING,
-                message=f"variable {_var_label(names, int(j))} appears in no "
+                message=f"variable x[{j}] appears in no "
                 "constraint and has zero objective cost; its value is arbitrary",
                 location=loc,
             )
@@ -192,7 +179,7 @@ def lint_model(
                 Finding(
                     rule="LM005",
                     severity=Severity.ERROR,
-                    message=f"variable {_var_label(names, int(j))} has negative cost "
+                    message=f"variable x[{j}] has negative cost "
                     f"{asm.c[j]:g}, no upper bound, and no constraint limits it "
                     "from above — the model is unbounded",
                     location=loc,
@@ -206,7 +193,7 @@ def lint_model(
                 Finding(
                     rule="LM006",
                     severity=Severity.WARNING,
-                    message=f"objective coefficient of {_var_label(names, int(j))} is "
+                    message=f"objective coefficient of x[{j}] is "
                     f"{asm.c[j]:g}; dollar costs must be non-negative",
                     location=loc,
                 )

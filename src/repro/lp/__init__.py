@@ -19,15 +19,15 @@ own duals (primal feasibility, dual signs, reduced costs and a closed
 primal-dual gap) in one vectorised pass, with no second solve; it is
 ``repro bench``'s gate.
 
-Models are built with :class:`~repro.lp.problem.LinearProgram`, which offers a
-small modelling API (named variables, linear expressions, ``<=``/``>=``/``==``
-constraints) and assembles the sparse matrices handed to the backends, as
-:class:`~repro.lp.problem.CsrMatrix` numpy arrays.  Only the simplex's
-standard-form conversion (and tests) turn them into ``scipy.sparse``.
+A model is an :class:`~repro.lp.problem.AssembledLP`: the objective, the
+``<=`` and ``==`` rows as :class:`~repro.lp.problem.CsrMatrix` numpy arrays
+and the column bounds, built by :class:`~repro.core.assembly.ModelAssembler`
+or straight from :meth:`~repro.lp.problem.CsrMatrix.from_coo`, and solved
+through each backend's one method, ``solve_assembled``.  Only
+the simplex's standard-form conversion (and tests) turn the matrices into
+``scipy.sparse``.
 """
 
-from repro.lp.expr import LinExpr, Variable
-from repro.lp.problem import Constraint, LinearProgram, Sense
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.scipy_backend import HighsBackend
 from repro.lp.simplex import SimplexBackend, SimplexError
@@ -35,23 +35,19 @@ from repro.lp.standard_form import StandardFormLP, to_standard_form
 from repro.lp.validation import certify
 
 __all__ = [
-    "Constraint",
     "HighsBackend",
     "LPResult",
     "LPStatus",
-    "LinExpr",
-    "LinearProgram",
-    "Sense",
     "SimplexBackend",
     "SimplexError",
     "StandardFormLP",
-    "Variable",
     "certify",
     "set_default_backend",
     "to_standard_form",
 ]
 
-#: Default backend used when ``LinearProgram.solve`` is called without one.
+#: Backend the scheduling models (``simple_task``, ``co_offline``,
+#: ``co_online``) solve with when no backend is passed to them.
 DEFAULT_BACKEND = HighsBackend()
 
 

@@ -3,8 +3,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
-from typing import Dict, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
 
@@ -28,24 +28,18 @@ class LPStatus(enum.Enum):
     NUMERICAL = "numerical"
     ERROR = "error"
 
-    @property
-    def is_failure(self) -> bool:
-        """True for any non-optimal terminal status."""
-        return self is not LPStatus.OPTIMAL
-
 
 @dataclass
 class LPResult:
-    """Result of solving a :class:`~repro.lp.problem.LinearProgram`.
+    """Result of solving an :class:`~repro.lp.problem.AssembledLP`.
 
-    ``x`` is indexed by variable index; ``by_name`` offers name-based access.
-    ``objective`` includes the model's constant objective term.
+    ``x`` is indexed by column.  ``objective`` includes the model's
+    constant objective term.
     """
 
     status: LPStatus
     objective: float
     x: Optional[np.ndarray]
-    by_name: Dict[str, float] = field(default_factory=dict)
     iterations: int = 0
     backend: str = ""
     message: str = ""
@@ -60,15 +54,3 @@ class LPResult:
     def is_optimal(self) -> bool:
         """True when the solve reached optimality."""
         return self.status is LPStatus.OPTIMAL
-
-    def __getitem__(self, name: str) -> float:
-        return self.by_name[name]
-
-    def require_optimal(self) -> "LPResult":
-        """Raise if the solve did not reach optimality; returns self."""
-        if not self.is_optimal:
-            raise RuntimeError(
-                f"LP solve failed: status={self.status.value} "
-                f"backend={self.backend!r} message={self.message!r}"
-            )
-        return self

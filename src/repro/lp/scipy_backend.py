@@ -20,14 +20,12 @@ import importlib.machinery
 import importlib.util
 import os
 import sys
-import time
 from types import SimpleNamespace
 from typing import Optional
 
 import numpy as np
 import scipy
 
-from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
 from repro.obs import lpprof
 
@@ -166,15 +164,8 @@ class HighsBackend:
             raise ValueError("time_limit_s must be positive (or None)")
         self.time_limit_s = time_limit_s
 
-    def solve(self, lp: LinearProgram) -> LPResult:
-        """Assemble and solve a LinearProgram, mapping names."""
-        result = self.solve_assembled(lp.assemble())
-        if result.x is not None:
-            result.by_name = lp.value_map(result.x)
-        return result
-
     def solve_assembled(self, asm) -> LPResult:
-        """Solve a pre-assembled sparse LP (fast path for big models).
+        """Solve an :class:`~repro.lp.problem.AssembledLP`.
 
         When an :mod:`repro.obs.lpprof` collector is installed (simulator or
         epoch-controller runs), the solve's shape, wall time, iterations and
@@ -182,20 +173,7 @@ class HighsBackend:
         """
         if not lpprof.active():
             return self._solve_raw(asm)
-        t0 = time.perf_counter()
-        result = self._solve_raw(asm)
-        lpprof.observe(
-            lpprof.LPSolveRecord(
-                name=getattr(asm, "name", "lp"),
-                backend=self.name,
-                wall_seconds=time.perf_counter() - t0,
-                iterations=result.iterations,
-                status=result.status.value,
-                meta=lpprof.current_scope(),
-                **lpprof.describe_assembled(asm),
-            )
-        )
-        return result
+        return lpprof.observed_solve(self.name, asm, self._solve_raw)
 
     def _solve_raw(self, asm) -> LPResult:
         n = asm.num_variables
@@ -208,7 +186,6 @@ class HighsBackend:
                 status=status,
                 objective=asm.objective_constant if feasible else float("nan"),
                 x=np.zeros(0),
-                by_name={},
                 backend=self.name,
             )
 

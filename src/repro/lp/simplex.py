@@ -24,13 +24,11 @@ Implementation notes
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.lp.problem import LinearProgram
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.standard_form import StandardFormLP, to_standard_form
 from repro.obs import lpprof
@@ -169,35 +167,15 @@ class SimplexBackend:
         self.refactor_every = refactor_every
 
     # -- public API -----------------------------------------------------------
-    def solve(self, lp: LinearProgram) -> LPResult:
-        """Assemble and solve a LinearProgram, mapping names."""
-        result = self.solve_assembled(lp.assemble())
-        if result.x is not None:
-            result.by_name = lp.value_map(result.x)
-        return result
-
     def solve_assembled(self, asm) -> LPResult:
-        """Solve a pre-assembled LP.
+        """Solve an :class:`~repro.lp.problem.AssembledLP`.
 
         When an :mod:`repro.obs.lpprof` collector is installed the solve is
         profiled (shape, wall time, iterations, status).
         """
         if not lpprof.active():
             return self._solve_assembled(asm)
-        t0 = time.perf_counter()
-        result = self._solve_assembled(asm)
-        lpprof.observe(
-            lpprof.LPSolveRecord(
-                name=getattr(asm, "name", "lp"),
-                backend=self.name,
-                wall_seconds=time.perf_counter() - t0,
-                iterations=result.iterations,
-                status=result.status.value,
-                meta=lpprof.current_scope(),
-                **lpprof.describe_assembled(asm),
-            )
-        )
-        return result
+        return lpprof.observed_solve(self.name, asm, self._solve_assembled)
 
     def _solve_assembled(self, asm) -> LPResult:
         if asm.num_variables == 0:
@@ -206,7 +184,6 @@ class SimplexBackend:
                 status=LPStatus.OPTIMAL if feasible else LPStatus.INFEASIBLE,
                 objective=asm.objective_constant if feasible else float("nan"),
                 x=np.zeros(0),
-                by_name={},
                 backend=self.name,
             )
         std = to_standard_form(asm)
@@ -235,7 +212,6 @@ class SimplexBackend:
             status=LPStatus.OPTIMAL,
             objective=objective,
             x=x,
-            by_name={},
             iterations=iters,
             backend=self.name,
             dual_ub=dual_ub,

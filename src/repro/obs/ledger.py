@@ -64,29 +64,9 @@ class DollarLedger:
     @classmethod
     def from_cost_ledger(cls, ledger: CostLedger) -> "DollarLedger":
         """Fold a cost ledger's atomic charges into attribution cells."""
-        amounts: Dict[CellKey, List[float]] = {}
-        linked: Dict[CellKey, List[float]] = {}
-        counts: Dict[CellKey, int] = {}
-        for r in ledger.records:
-            node = r.machine_id if r.machine_id is not None else r.store_id
-            key = (r.job_id, node, r.category)
-            amounts.setdefault(key, []).append(r.amount)
-            counts[key] = counts.get(key, 0) + 1
-            if r.span_id is not None:
-                linked.setdefault(key, []).append(r.amount)
-        cells = {
-            key: LedgerCell(
-                job=key[0],
-                node=key[1],
-                category=key[2],
-                dollars=math.fsum(vals),
-                charges=counts[key],
-                linked=len(linked.get(key, ())),
-                linked_dollars=math.fsum(linked.get(key, ())),
-            )
-            for key, vals in amounts.items()
-        }
-        return cls(cells=cells)
+        rolling = RollingLedger()
+        rolling.fold(ledger)
+        return rolling.to_dollar_ledger()
 
     @classmethod
     def from_trace(cls, records: Iterable[dict]) -> "DollarLedger":
@@ -201,9 +181,9 @@ class RollingLedger:
     authoritative :class:`~repro.cost.accounting.CostLedger` and folds the
     records appended since the last fold into the same
     ``job x node x category`` cells — per-cell amounts are retained so each
-    cell's total is an exact ``fsum``, making the rolling cells *equal* (not
-    merely close to) what :meth:`DollarLedger.from_cost_ledger` would build
-    from scratch.
+    cell's total is an exact ``fsum``.  :meth:`DollarLedger.from_cost_ledger`
+    is one fold over the whole ledger, so the rolling cells are *equal* (not
+    merely close) to the end-of-run ones.
 
     :meth:`reconcile` checks the rolling total against the running
     authoritative total within ``tol`` — but unlike the end-of-run check it

@@ -2,10 +2,11 @@
 
 Both LP backends (:class:`~repro.lp.scipy_backend.HighsBackend` and
 :class:`~repro.lp.simplex.SimplexBackend`) report every ``solve_assembled``
-call here — model shape (rows/cols/nonzeros), wall seconds, simplex
-iterations and terminal status.  Collection is pull-based:
-nothing is recorded unless a collector is installed with :func:`collect`,
-so standalone solves cost two ``perf_counter`` calls and one branch.
+call here through :func:`observed_solve` — model shape
+(rows/cols/nonzeros), wall seconds, simplex iterations and terminal status.
+Collection is pull-based: nothing is recorded unless a collector is
+installed with :func:`collect`, so an untraced solve costs one
+:func:`active` test.
 
 The simulator and the epoch controller install collectors for the duration
 of a run; that is what makes ``SimMetrics.lp_solves`` count *every* solve on
@@ -16,6 +17,7 @@ instead of only the ones a particular scheduler remembered to time.
 from __future__ import annotations
 
 import contextlib
+import time
 from dataclasses import dataclass, field
 from typing import Callable, Iterator, List, Mapping
 
@@ -61,16 +63,6 @@ class LPSolveRecord:
         for key, value in self.meta.items():
             out.setdefault(key, value)
         return out
-
-
-def describe_assembled(asm) -> dict:
-    """Shape fields of an :class:`~repro.lp.problem.AssembledLP`."""
-    return {
-        "rows_ub": int(asm.a_ub.shape[0]),
-        "rows_eq": int(asm.a_eq.shape[0]),
-        "cols": int(asm.num_variables),
-        "nnz": int(asm.a_ub.nnz + asm.a_eq.nnz),
-    }
 
 
 Collector = Callable[[LPSolveRecord], None]
@@ -119,6 +111,31 @@ def observe(record: LPSolveRecord) -> None:
     """Deliver one solve record to every installed collector."""
     for cb in list(_collectors):
         cb(record)
+
+
+def observed_solve(backend: str, asm, solve: Callable):
+    """Run ``solve(asm)`` and deliver its :class:`LPSolveRecord`.
+
+    The backends call this only when :func:`active`, so the untraced path
+    never times a solve.  ``backend`` names the backend on the record.
+    """
+    t0 = time.perf_counter()
+    result = solve(asm)
+    observe(
+        LPSolveRecord(
+            name=asm.name,
+            backend=backend,
+            wall_seconds=time.perf_counter() - t0,
+            iterations=result.iterations,
+            status=result.status.value,
+            meta=current_scope(),
+            rows_ub=int(asm.a_ub.shape[0]),
+            rows_eq=int(asm.a_eq.shape[0]),
+            cols=int(asm.num_variables),
+            nnz=int(asm.a_ub.nnz + asm.a_eq.nnz),
+        )
+    )
+    return result
 
 
 @contextlib.contextmanager

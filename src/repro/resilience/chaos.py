@@ -309,13 +309,6 @@ class FaultInjectingBackend:
             )
         return self.fail_first is None or self.solves_seen <= self.fail_first
 
-    def solve(self, lp) -> LPResult:
-        """Assemble-and-solve path, same fault schedule as solve_assembled."""
-        result = self.solve_assembled(lp.assemble())
-        if result.x is not None:
-            result.by_name = lp.value_map(result.x)
-        return result
-
     def solve_assembled(self, asm) -> LPResult:
         """Fail if the schedule picks this solve; else delegate."""
         self.solves_seen += 1

@@ -3,8 +3,8 @@
 The paper's online model is built for an unreliable world (the fake node F
 keeps every epoch feasible), but a reproduction that dies on one solver
 hiccup is not.  :class:`ResilientSolver` wraps an *ordered chain* of LP
-backends behind the same ``solve``/``solve_assembled`` interface the plain
-backends expose, adding three production behaviours:
+backends behind the same ``solve_assembled`` method the plain backends
+expose, adding three production behaviours:
 
 * **timeout classification** — a backend that stops on its own wall-clock
   budget (:class:`~repro.lp.scipy_backend.HighsBackend` with
@@ -15,7 +15,7 @@ backends expose, adding three production behaviours:
   once: a retry would spend the same budget on the same model), each retry
   applying a small *deterministic* objective perturbation (a classic
   degeneracy-breaking trick — the perturbation pattern depends only on the
-  attempt number, so reruns are reproducible) plus exponential backoff;
+  attempt number, so reruns are reproducible);
 * **fallback** — when one backend's retry budget is exhausted the next
   backend in the chain gets the model; only when the whole chain fails does
   the caller see a non-optimal :class:`~repro.lp.result.LPResult` (never an
@@ -34,11 +34,11 @@ from __future__ import annotations
 import enum
 import time
 from dataclasses import dataclass, replace
-from typing import Callable, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
-from repro.lp.problem import AssembledLP, LinearProgram
+from repro.lp.problem import AssembledLP
 from repro.lp.result import LPResult, LPStatus
 from repro.obs.registry import current_registry
 from repro.obs.trace import current_tracer
@@ -60,6 +60,11 @@ class FailureKind(enum.Enum):
 #: A timeout goes straight to the next backend too: a perturbed retry
 #: would spend the same time budget on the same model again.
 RETRYABLE_KINDS = frozenset({FailureKind.NUMERICAL})
+
+#: Relative magnitude of the deterministic objective perturbation applied on
+#: retries: small enough that a perturbed optimum is indistinguishable at
+#: model tolerances.
+PERTURB_SCALE = 1e-7
 
 _STATUS_TO_KIND = {
     LPStatus.INFEASIBLE: FailureKind.INFEASIBLE,
@@ -106,17 +111,8 @@ class ResilientSolver:
         it: ``HighsBackend(time_limit_s=...)``.
     max_retries:
         Extra attempts per backend after the first, each with a perturbed
-        objective.  Only :data:`RETRYABLE_KINDS` failures consume retries.
-    backoff_base_s:
-        First retry sleeps this long, doubling per retry.  ``0`` disables
-        sleeping (the default for simulated runs, where wall-clock waits buy
-        nothing).
-    perturb_scale:
-        Relative magnitude of the deterministic objective perturbation
-        applied on retries; small enough (default ``1e-7``) that a
-        perturbed optimum is indistinguishable at model tolerances.
-    sleep:
-        Injection point for the backoff sleeper (tests pass a recorder).
+        objective (scaled by :data:`PERTURB_SCALE`).  Only
+        :data:`RETRYABLE_KINDS` failures consume retries.
     """
 
     name = "resilient"
@@ -125,9 +121,6 @@ class ResilientSolver:
         self,
         backends: Optional[Sequence[object]] = None,
         max_retries: int = 2,
-        backoff_base_s: float = 0.0,
-        perturb_scale: float = 1e-7,
-        sleep: Callable[[float], None] = time.sleep,
     ) -> None:
         if backends is None:
             from repro.lp.scipy_backend import HighsBackend
@@ -140,9 +133,6 @@ class ResilientSolver:
             raise ValueError("max_retries must be >= 0")
         self.backends = list(backends)
         self.max_retries = max_retries
-        self.backoff_base_s = backoff_base_s
-        self.perturb_scale = perturb_scale
-        self._sleep = sleep
         #: failed attempts of the most recent solve_assembled call
         self.last_attempts: List[SolveAttempt] = []
         #: per-column perturbation base of the current solve (lazy, reused
@@ -153,13 +143,6 @@ class ResilientSolver:
         self.fallbacks_total = 0
 
     # -- public API --------------------------------------------------------
-    def solve(self, lp: LinearProgram) -> LPResult:
-        """Assemble and solve a LinearProgram, mapping names."""
-        result = self.solve_assembled(lp.assemble())
-        if result.x is not None:
-            result.by_name = lp.value_map(result.x)
-        return result
-
     def solve_assembled(self, asm: AssembledLP) -> LPResult:
         """Solve through the fallback chain; never raises on solver failure.
 
@@ -182,8 +165,6 @@ class ResilientSolver:
                 if kind not in RETRYABLE_KINDS or attempt >= self.max_retries:
                     break
                 self._record_retry(backend, attempt, kind)
-                if self.backoff_base_s > 0:
-                    self._sleep(self.backoff_base_s * (2.0 ** attempt))
                 attempt += 1
             if chain_pos + 1 < len(self.backends):
                 self._record_fallback(backend, self.backends[chain_pos + 1])
@@ -229,7 +210,7 @@ class ResilientSolver:
         per retry.
         """
         if self._perturb_base is None:
-            self._perturb_base = self.perturb_scale * np.maximum(np.abs(asm.c), 1.0)
+            self._perturb_base = PERTURB_SCALE * np.maximum(np.abs(asm.c), 1.0)
         rng = np.random.default_rng(attempt)
         c = asm.c + self._perturb_base * attempt * rng.random(asm.c.shape[0])
         return replace(asm, c=c)

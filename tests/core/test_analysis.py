@@ -6,28 +6,23 @@ import pytest
 from repro.core.analysis import capacity_shadow_prices
 from repro.core.co_offline import solve_co_offline
 from repro.core.model import SchedulingInput
-from repro.lp import HighsBackend, LinearProgram, Sense
+from repro.lp import HighsBackend
 from repro.workload.job import DataObject, Job, Workload
+from tests.lp.dense import dense_lp
 
 
 class TestBackendDuals:
     def test_duals_exported(self):
-        lp = LinearProgram()
-        x = lp.new_var("x")
-        lp.add_constraint(x, Sense.LE, 2.0)
-        lp.add_constraint(x, Sense.GE, 1.0)
-        lp.set_objective(-1.0 * x)  # push x to its cap
-        res = HighsBackend().solve(lp)
+        # x <= 2, x >= 1 (written -x <= -1); -x pushes x to its cap
+        lp = dense_lp([-1.0], [[1.0], [-1.0]], [2.0, -1.0])
+        res = HighsBackend().solve_assembled(lp)
         assert res.dual_ub is not None
         # the cap binds: relaxing it by 1 improves (lowers) the objective by 1
         assert res.dual_ub[0] == pytest.approx(-1.0)
 
     def test_slack_row_zero_dual(self):
-        lp = LinearProgram()
-        x = lp.new_var("x", upper=1.0)
-        lp.add_constraint(x, Sense.LE, 100.0)  # never binding
-        lp.set_objective(x)
-        res = HighsBackend().solve(lp)
+        lp = dense_lp([1.0], [[1.0]], [100.0], bounds=[(0.0, 1.0)])  # never binding
+        res = HighsBackend().solve_assembled(lp)
         assert res.dual_ub[0] == pytest.approx(0.0)
 
 

@@ -62,12 +62,18 @@ sim = HadoopSimulator(
 seen["jobs"] = sim.run().num_jobs
 seen["after_run"] = [m for m in heavy if m in sys.modules]
 
-from repro.lp import HighsBackend, LinearProgram, Sense
-lp = LinearProgram()
-x = lp.new_var("x")
-lp.add_constraint(x, Sense.GE, 1.0)
-lp.set_objective(x)
-seen["status"] = HighsBackend().solve(lp).status.value
+import numpy as np
+from repro.lp import HighsBackend
+from repro.lp.problem import AssembledLP, CsrMatrix
+asm = AssembledLP(  # min x  s.t.  x >= 1, written -x <= -1
+    c=np.ones(1),
+    a_ub=CsrMatrix.from_coo([0], [0], [-1.0], (1, 1)),
+    b_ub=np.array([-1.0]),
+    a_eq=CsrMatrix.from_coo([], [], [], (0, 1)),
+    b_eq=np.zeros(0),
+    bounds=np.array([[0.0, np.inf]]),
+)
+seen["status"] = HighsBackend().solve_assembled(asm).status.value
 seen["core_after_solve"] = {CORE!r} in sys.modules
 print(json.dumps(seen))
 """

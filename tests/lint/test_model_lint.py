@@ -14,7 +14,8 @@ from repro.lint import (
     lint_model,
     lint_repo_models,
 )
-from repro.lp.problem import AssembledLP, CsrMatrix, LinearProgram, Sense
+from repro.lp.problem import CsrMatrix
+from tests.lp.dense import dense_lp
 
 
 def _rules(findings):
@@ -25,85 +26,54 @@ def _rules(findings):
 
 
 def test_clean_model_has_no_findings():
-    lp = LinearProgram("clean")
-    x = lp.new_var("x", upper=2.0)
-    y = lp.new_var("y", upper=2.0)
-    lp.add_constraint(x + y, Sense.GE, 1.0, name="cover")
-    lp.set_objective(x + 2.0 * y)
+    # x + y >= 1 (cover, written negated), x, y in [0, 2]
+    lp = dense_lp([1.0, 2.0], [[-1.0, -1.0]], [-1.0], bounds=[(0.0, 2.0)] * 2, name="clean")
     assert lint_model(lp) == []
 
 
 def test_lm001_dangling_variable():
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=1.0)
-    lp.new_var("orphan", upper=1.0)
-    lp.add_constraint(x + 0.0, Sense.LE, 1.0)
-    lp.set_objective(x + 0.0)
+    # x <= 1; column 1 is in no row and costs nothing
+    lp = dense_lp([1.0, 0.0], [[1.0, 0.0]], [1.0], bounds=[(0.0, 1.0)] * 2)
     findings = lint_model(lp)
     assert _rules(findings) == {"LM001"}
-    assert "orphan" in findings[0].message
-
-
-def _assembled(b_ub, n_rows=1, n_vars=1):
-    """An AssembledLP whose <= rows are all structurally zero."""
-    return AssembledLP(
-        c=np.ones(n_vars),
-        a_ub=CsrMatrix.from_coo([], [], [], (n_rows, n_vars)),
-        b_ub=np.asarray(b_ub, dtype=float),
-        a_eq=CsrMatrix.from_coo([], [], [], (0, n_vars)),
-        b_eq=np.zeros(0),
-        bounds=np.column_stack([np.zeros(n_vars), np.ones(n_vars)]),
-        objective_constant=0.0,
-        name="synthetic",
-    )
+    assert "x[1]" in findings[0].message
 
 
 def test_lm002_zero_row_warning_and_error():
-    satisfiable = lint_model(_assembled([1.0]))
+    # one <= row with no coefficients, so only its rhs decides
+    satisfiable = lint_model(dense_lp([1.0], [[0.0]], [1.0], bounds=[(0.0, 1.0)]))
     assert _rules(satisfiable) == {"LM002"}
     assert satisfiable[0].severity is Severity.WARNING
 
-    impossible = lint_model(_assembled([-1.0]))
+    impossible = lint_model(dense_lp([1.0], [[0.0]], [-1.0], bounds=[(0.0, 1.0)]))
     assert _rules(impossible) == {"LM002"}
     assert impossible[0].severity is Severity.ERROR
     assert "infeasible" in impossible[0].message
 
 
 def test_lm003_duplicate_and_lm004_dominated_rows():
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=5.0)
-    lp.add_constraint(x + 0.0, Sense.LE, 2.0, name="tight")
-    lp.add_constraint(x + 0.0, Sense.LE, 2.0, name="copy")
-    lp.add_constraint(x + 0.0, Sense.LE, 4.0, name="loose")
-    lp.set_objective(x + 0.0)
+    # x <= 2 (tight), x <= 2 (copy), x <= 4 (loose)
+    lp = dense_lp([1.0], [[1.0], [1.0], [1.0]], [2.0, 2.0, 4.0], bounds=[(0.0, 5.0)])
     findings = lint_model(lp)
     assert _rules(findings) == {"LM003", "LM004"}
     assert len(findings) == 2
 
 
 def test_lm005_unbounded_improving_direction():
-    lp = LinearProgram()
-    lp.new_var("free")  # upper defaults to +inf
-    lp.set_objective(-1.0 * lp.variable_by_name("free"))
+    lp = dense_lp([-1.0])  # upper defaults to +inf
     findings = lint_model(lp, ModelProfile(dollar_objective=False))
     assert _rules(findings) == {"LM005"}
     assert findings[0].severity is Severity.ERROR
 
 
 def test_lm005_silenced_by_limiting_constraint():
-    lp = LinearProgram()
-    free = lp.new_var("free")
-    lp.add_constraint(free + 0.0, Sense.LE, 10.0)
-    lp.set_objective(-1.0 * free)
+    lp = dense_lp([-1.0], [[1.0]], [10.0])
     findings = lint_model(lp, ModelProfile(dollar_objective=False))
     assert findings == []
 
 
 def test_lm006_negative_dollar_cost():
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=1.0)
-    lp.add_constraint(x + 0.0, Sense.LE, 1.0)
-    lp.set_objective(-3.0 * x)
+    lp = dense_lp([-3.0], [[1.0]], [1.0], bounds=[(0.0, 1.0)])
     findings = lint_model(lp)  # dollar objective is the default profile
     assert _rules(findings) == {"LM006"}
     # non-dollar objectives are allowed to pay for work
@@ -111,11 +81,7 @@ def test_lm006_negative_dollar_cost():
 
 
 def test_lm007_conditioning_spread():
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=1.0)
-    y = lp.new_var("y", upper=1.0)
-    lp.add_constraint(1e-5 * x + 1e5 * y, Sense.LE, 1.0)
-    lp.set_objective(x + y)
+    lp = dense_lp([1.0, 1.0], [[1e-5, 1e5]], [1.0], bounds=[(0.0, 1.0)] * 2)
     findings = lint_model(lp)
     assert _rules(findings) == {"LM007"}
     assert "rescale" in findings[0].message

@@ -4,25 +4,19 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.lp.problem import LinearProgram, Sense
 from repro.lp.scipy_backend import HighsBackend
 from repro.lp.simplex import SimplexBackend
+from tests.lp.dense import dense_lp
 
 
 def _capacity_model():
     """min -x - 2y  s.t.  x + y <= 4,  y <= 3  (both rows bind at optimum)."""
-    lp = LinearProgram()
-    x = lp.new_var("x")
-    y = lp.new_var("y")
-    lp.add_constraint(x + y, Sense.LE, 4.0, name="total")
-    lp.add_constraint(y + 0.0, Sense.LE, 3.0, name="ycap")
-    lp.set_objective(-1.0 * x - 2.0 * y)
-    return lp
+    return dense_lp([-1.0, -2.0], [[1.0, 1.0], [0.0, 1.0]], [4.0, 3.0])
 
 
 @pytest.mark.parametrize("backend_cls", [HighsBackend, SimplexBackend])
 def test_binding_row_duals(backend_cls):
-    res = backend_cls().solve(_capacity_model())
+    res = backend_cls().solve_assembled(_capacity_model())
     assert res.is_optimal
     assert res.objective == pytest.approx(-7.0)  # x=1, y=3
     # d(obj)/d(total cap) = -1 (one more unit lets x grow, obj drops by 1)
@@ -33,22 +27,17 @@ def test_binding_row_duals(backend_cls):
 
 @pytest.mark.parametrize("backend_cls", [HighsBackend, SimplexBackend])
 def test_slack_row_dual_zero(backend_cls):
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=1.0)
-    lp.add_constraint(x + 0.0, Sense.LE, 50.0, name="loose")
-    lp.set_objective(-1.0 * x)
-    res = backend_cls().solve(lp)
+    # x <= 50 (loose), x in [0, 1]
+    lp = dense_lp([-1.0], [[1.0]], [50.0], bounds=[(0.0, 1.0)])
+    res = backend_cls().solve_assembled(lp)
     assert res.dual_ub[0] == pytest.approx(0.0)
 
 
 @pytest.mark.parametrize("backend_cls", [HighsBackend, SimplexBackend])
 def test_eq_row_dual(backend_cls):
-    lp = LinearProgram()
-    x = lp.new_var("x")
-    y = lp.new_var("y")
-    lp.add_constraint(x + y, Sense.EQ, 5.0, name="pin")
-    lp.set_objective(2.0 * x + 3.0 * y)
-    res = backend_cls().solve(lp)
+    # x + y == 5 (pin)
+    lp = dense_lp([2.0, 3.0], a_eq=[[1.0, 1.0]], b_eq=[5.0])
+    res = backend_cls().solve_assembled(lp)
     assert res.objective == pytest.approx(10.0)  # all mass on x
     # one more unit of rhs costs 2 (the cheaper variable absorbs it)
     assert res.dual_eq[0] == pytest.approx(2.0)
@@ -57,11 +46,9 @@ def test_eq_row_dual(backend_cls):
 @pytest.mark.parametrize("backend_cls", [HighsBackend, SimplexBackend])
 def test_ge_row_dual_sign(backend_cls):
     """GE rows are stored negated; marginals follow the assembled row."""
-    lp = LinearProgram()
-    x = lp.new_var("x")
-    lp.add_constraint(x + 0.0, Sense.GE, 2.0, name="floor")
-    lp.set_objective(3.0 * x)
-    res = backend_cls().solve(lp)
+    # x >= 2 (floor), written -x <= -2
+    lp = dense_lp([3.0], [[-1.0]], [-2.0])
+    res = backend_cls().solve_assembled(lp)
     assert res.objective == pytest.approx(6.0)
     # assembled as -x <= -2: d(obj)/d(-2) = -3
     assert res.dual_ub[0] == pytest.approx(-3.0)
@@ -74,13 +61,11 @@ finite = st.floats(min_value=0.2, max_value=3.0)
 @settings(max_examples=40, deadline=None)
 def test_strong_duality_on_knapsack_like(costs, cap):
     """pi . b == optimum for a family with a unique non-degenerate optimum."""
-    lp = LinearProgram()
-    vs = [lp.new_var(f"v{i}") for i in range(len(costs))]
-    lp.add_constraint(sum(vs[1:], vs[0] * 1.0), Sense.LE, cap, name="cap")
-    lp.add_constraint(sum(vs[1:], vs[0] * 1.0), Sense.GE, cap / 2.0, name="floor")
-    lp.set_objective(sum(float(c) * v for c, v in zip(costs, vs)) + 0.0)
+    n = len(costs)
+    # sum(v) <= cap, sum(v) >= cap / 2 (written -sum(v) <= -cap / 2)
+    lp = dense_lp(costs, [[1.0] * n, [-1.0] * n], [cap, -cap / 2.0])
     for backend in (HighsBackend(), SimplexBackend()):
-        res = backend.solve(lp)
+        res = backend.solve_assembled(lp)
         assert res.is_optimal
         # strong duality: obj == dual_ub . b_ub (vars have no finite uppers,
         # so no bound duals contribute)

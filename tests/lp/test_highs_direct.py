@@ -16,7 +16,6 @@ import threading
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy import sparse
 from scipy.optimize import linprog
 from scipy.optimize._highspy._core import HighsModelStatus
 from scipy.optimize._linprog_highs import _highs_to_scipy_status_message
@@ -38,6 +37,7 @@ from tests.core.test_online_backend_contract import (
     _cluster,
     _input_for,
 )
+from tests.lp.dense import dense_lp
 
 #: linprog's integer status codes → normalised statuses
 LINPROG_STATUS = {
@@ -86,19 +86,6 @@ def _assert_bit_identical(asm) -> LPResult:
     return got
 
 
-def _assembled(c, a_ub, b_ub, a_eq, b_eq, bounds) -> AssembledLP:
-    n = len(c)
-    return AssembledLP(
-        c=np.asarray(c, dtype=float),
-        a_ub=sparse.csr_matrix(np.asarray(a_ub, dtype=float).reshape(-1, n)),
-        b_ub=np.asarray(b_ub, dtype=float),
-        a_eq=sparse.csr_matrix(np.asarray(a_eq, dtype=float).reshape(-1, n)),
-        b_eq=np.asarray(b_eq, dtype=float),
-        bounds=np.asarray(bounds, dtype=float).reshape(n, 2),
-        objective_constant=1.5,
-    )
-
-
 # -- random LPs ------------------------------------------------------------
 
 _coef = st.integers(-3, 3).map(float)
@@ -124,13 +111,14 @@ def random_lps(draw):
     for _ in range(n):
         lo, hi = draw(_lower), draw(_upper)
         bounds.append((lo, hi) if lo <= hi else (hi, lo))
-    return _assembled(
+    return dense_lp(
         vec(n),
         vec(m_ub * n),
         vec(m_ub, st.integers(-4, 6).map(float)),
         vec(m_eq * n),
         vec(m_eq, st.integers(-3, 3).map(float)),
         bounds,
+        objective_constant=1.5,
     )
 
 
@@ -144,14 +132,20 @@ def test_random_lps_bit_identical_to_linprog(asm):
     "asm, status",
     [
         # x + y = 4 with x, y in [0, 1]
-        (_assembled([1, 1], [], [], [1, 1], [4], [(0, 1), (0, 1)]), LPStatus.INFEASIBLE),
+        (
+            dense_lp([1, 1], [], [], [1, 1], [4], [(0, 1), (0, 1)], objective_constant=1.5),
+            LPStatus.INFEASIBLE,
+        ),
         # min -x, x >= 0 free above, with an empty <= row
-        (_assembled([-1, 0], [0, 0], [3], [], [], [(0, np.inf), (0, 1)]), LPStatus.UNBOUNDED),
+        (
+            dense_lp([-1, 0], [0, 0], [3], [], [], [(0, np.inf), (0, 1)], objective_constant=1.5),
+            LPStatus.UNBOUNDED,
+        ),
         # a column in no row, a free variable pinned by an equality
         (
-            _assembled(
+            dense_lp(
                 [1, 2, 0], [1, 0, 0, 0, -1, 0], [3, -1], [1, 1, 0], [2],
-                [(-np.inf, np.inf), (0, 5), (0, 0)],
+                [(-np.inf, np.inf), (0, 5), (0, 0)], objective_constant=1.5,
             ),
             LPStatus.OPTIMAL,
         ),
@@ -266,7 +260,7 @@ def test_feasibility_guard_matches_linprog(x, objective, slack, con):
 
 
 def test_failed_guard_downgrades_optimal(monkeypatch):
-    asm = _assembled([1, 1], [-1, -1], [-1], [], [], [(0, 1), (0, 1)])
+    asm = dense_lp([1, 1], [-1, -1], [-1], [], [], [(0, 1), (0, 1)], objective_constant=1.5)
     assert HighsBackend().solve_assembled(asm).is_optimal
     monkeypatch.setattr(scipy_backend, "feasible_point", lambda *args: False)
     res = HighsBackend().solve_assembled(asm)
@@ -299,7 +293,7 @@ def test_backend_is_stateless_across_threads():
 
 
 def test_time_limit_is_enforced_by_highs():
-    asm = _assembled([1, 2, 3], [[-1, -1, -1]], [-3], [], [], [(0, 10)] * 3)
+    asm = dense_lp([1, 2, 3], [[-1, -1, -1]], [-3], [], [], [(0, 10)] * 3, objective_constant=1.5)
     res = HighsBackend(time_limit_s=1e-9).solve_assembled(asm)
     assert res.status is LPStatus.TIME_LIMIT
     assert res.message == "Time limit reached" and res.x is None

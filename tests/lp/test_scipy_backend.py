@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.lp.problem import LinearProgram, Sense
 from repro.lp.result import LPStatus
 from repro.lp.scipy_backend import HighsBackend
+from tests.lp.dense import dense_lp
 
 
 @pytest.fixture
@@ -12,76 +12,52 @@ def backend():
     return HighsBackend()
 
 
-def test_optimal_with_names(backend):
-    lp = LinearProgram()
-    x = lp.new_var("x")
-    y = lp.new_var("y", upper=1.0)
-    lp.add_constraint(x + 2 * y, Sense.GE, 2.0)
-    lp.set_objective(x + y)
-    res = backend.solve(lp)
+def test_optimal_solution_per_column(backend):
+    # x + 2y >= 2, y <= 1
+    lp = dense_lp([1.0, 1.0], [[-1.0, -2.0]], [-2.0], bounds=[(0.0, float("inf")), (0.0, 1.0)])
+    res = backend.solve_assembled(lp)
     assert res.is_optimal
-    assert res.by_name.keys() == {"x", "y"}
+    assert res.x.shape == (2,)  # one value per column
     assert res.objective == pytest.approx(1.0)  # y=1, x=0
 
 
 def test_infeasible(backend):
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=1.0)
-    lp.add_constraint(x, Sense.GE, 5.0)
-    lp.set_objective(x)
-    assert backend.solve(lp).status is LPStatus.INFEASIBLE
+    # x >= 5, x <= 1
+    lp = dense_lp([1.0], [[-1.0]], [-5.0], bounds=[(0.0, 1.0)])
+    assert backend.solve_assembled(lp).status is LPStatus.INFEASIBLE
 
 
 def test_unbounded(backend):
-    lp = LinearProgram()
-    x = lp.new_var("x")
-    lp.set_objective(-x)
-    assert backend.solve(lp).status is LPStatus.UNBOUNDED
-
-
-def test_require_optimal_raises(backend):
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=1.0)
-    lp.add_constraint(x, Sense.GE, 5.0)
-    lp.set_objective(x)
-    with pytest.raises(RuntimeError, match="infeasible"):
-        backend.solve(lp).require_optimal()
+    lp = dense_lp([-1.0])
+    assert backend.solve_assembled(lp).status is LPStatus.UNBOUNDED
 
 
 def test_empty_model_feasible(backend):
-    lp = LinearProgram()
-    res = backend.solve(lp)
+    res = backend.solve_assembled(dense_lp([]))
     assert res.is_optimal
     assert res.objective == 0.0
 
 
 def test_solve_assembled_directly(backend):
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=3.0)
-    lp.add_constraint(x, Sense.GE, 1.0)
-    lp.set_objective(2 * x)
-    res = backend.solve_assembled(lp.assemble())
+    # x >= 1, x <= 3
+    lp = dense_lp([2.0], [[-1.0]], [-1.0], bounds=[(0.0, 3.0)])
+    res = backend.solve_assembled(lp)
     assert res.is_optimal
     assert res.objective == pytest.approx(2.0)
-    assert res.by_name == {}  # fast path skips the name map
 
 
 def test_objective_constant_propagates(backend):
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=1.0)
-    lp.set_objective(x - 4.0)
-    res = backend.solve(lp)
+    lp = dense_lp([1.0], bounds=[(0.0, 1.0)], objective_constant=-4.0)
+    res = backend.solve_assembled(lp)
     assert res.objective == pytest.approx(-4.0)
 
 
 def test_equality_and_inequality_mix(backend):
-    lp = LinearProgram()
-    x, y, z = (lp.new_var(n) for n in "xyz")
-    lp.add_constraint(x + y + z, Sense.EQ, 6.0)
-    lp.add_constraint(x - y, Sense.LE, 0.0)
-    lp.set_objective(x + 2 * y + 3 * z)
-    res = backend.solve(lp)
+    # x + y + z == 6, x - y <= 0
+    lp = dense_lp([1.0, 2.0, 3.0], [[1.0, -1.0, 0.0]], [0.0], [[1.0, 1.0, 1.0]], [6.0])
+    res = backend.solve_assembled(lp)
     assert res.is_optimal
     # x and y split the mass; z = 0 at optimum
-    assert res["z"] == pytest.approx(0.0, abs=1e-9)
-    assert res["x"] + res["y"] == pytest.approx(6.0)
+    x, y, z = res.x
+    assert z == pytest.approx(0.0, abs=1e-9)
+    assert x + y == pytest.approx(6.0)

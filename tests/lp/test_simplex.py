@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
-from repro.lp.problem import LinearProgram, Sense
 from repro.lp.result import LPStatus
 from repro.lp.simplex import SimplexBackend
+from tests.lp.dense import dense_lp
 
 
 @pytest.fixture
@@ -14,109 +14,82 @@ def backend():
 
 
 def test_simple_minimum(backend):
-    lp = LinearProgram()
-    x, y = lp.new_var("x"), lp.new_var("y")
-    lp.add_constraint(x + y, Sense.GE, 2.0)
-    lp.set_objective(x + 2 * y)
-    res = backend.solve(lp)
+    # x + y >= 2
+    lp = dense_lp([1.0, 2.0], [[-1.0, -1.0]], [-2.0])
+    res = backend.solve_assembled(lp)
     assert res.is_optimal
     assert res.objective == pytest.approx(2.0)
-    assert res["x"] == pytest.approx(2.0)
+    assert res.x[0] == pytest.approx(2.0)
 
 
 def test_equality_constraint(backend):
-    lp = LinearProgram()
-    x, y = lp.new_var("x"), lp.new_var("y")
-    lp.add_constraint(x + y, Sense.EQ, 3.0)
-    lp.set_objective(2 * x + y)
-    res = backend.solve(lp)
+    lp = dense_lp([2.0, 1.0], a_eq=[[1.0, 1.0]], b_eq=[3.0])
+    res = backend.solve_assembled(lp)
     assert res.objective == pytest.approx(3.0)
-    assert res["y"] == pytest.approx(3.0)
+    assert res.x[1] == pytest.approx(3.0)
 
 
 def test_upper_bounds_respected(backend):
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=1.5)
-    y = lp.new_var("y")
-    lp.add_constraint(x + y, Sense.GE, 3.0)
-    lp.set_objective(x + 5 * y)
-    res = backend.solve(lp)
+    # x + y >= 3, x <= 1.5
+    lp = dense_lp([1.0, 5.0], [[-1.0, -1.0]], [-3.0], bounds=[(0.0, 1.5), (0.0, np.inf)])
+    res = backend.solve_assembled(lp)
     assert res.is_optimal
-    assert res["x"] == pytest.approx(1.5)
-    assert res["y"] == pytest.approx(1.5)
+    assert res.x[0] == pytest.approx(1.5)
+    assert res.x[1] == pytest.approx(1.5)
 
 
 def test_negative_lower_bound(backend):
-    lp = LinearProgram()
-    x = lp.new_var("x", lower=-2.0, upper=2.0)
-    lp.set_objective(x)
-    res = backend.solve(lp)
+    res = backend.solve_assembled(dense_lp([1.0], bounds=[(-2.0, 2.0)]))
     assert res.objective == pytest.approx(-2.0)
 
 
 def test_free_variable_split(backend):
-    lp = LinearProgram()
-    x = lp.new_var("x", lower=-float("inf"))
-    lp.add_constraint(x, Sense.GE, -5.0)
-    lp.set_objective(x)
-    res = backend.solve(lp)
+    # x >= -5, x free
+    lp = dense_lp([1.0], [[-1.0]], [5.0], bounds=[(-np.inf, np.inf)])
+    res = backend.solve_assembled(lp)
     assert res.objective == pytest.approx(-5.0)
 
 
 def test_infeasible_detected(backend):
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=1.0)
-    lp.add_constraint(x, Sense.GE, 2.0)
-    lp.set_objective(x)
-    res = backend.solve(lp)
+    # x >= 2, x <= 1
+    lp = dense_lp([1.0], [[-1.0]], [-2.0], bounds=[(0.0, 1.0)])
+    res = backend.solve_assembled(lp)
     assert res.status is LPStatus.INFEASIBLE
 
 
 def test_unbounded_detected(backend):
-    lp = LinearProgram()
-    x = lp.new_var("x")
-    lp.set_objective(-1.0 * x)
-    res = backend.solve(lp)
+    res = backend.solve_assembled(dense_lp([-1.0]))
     assert res.status is LPStatus.UNBOUNDED
 
 
 def test_redundant_constraints_handled(backend):
-    lp = LinearProgram()
-    x, y = lp.new_var("x"), lp.new_var("y")
-    lp.add_constraint(x + y, Sense.EQ, 2.0)
-    lp.add_constraint(2 * x + 2 * y, Sense.EQ, 4.0)  # redundant duplicate
-    lp.set_objective(x + 3 * y)
-    res = backend.solve(lp)
+    # x + y == 2 and its redundant double 2x + 2y == 4
+    lp = dense_lp([1.0, 3.0], a_eq=[[1.0, 1.0], [2.0, 2.0]], b_eq=[2.0, 4.0])
+    res = backend.solve_assembled(lp)
     assert res.is_optimal
     assert res.objective == pytest.approx(2.0)
 
 
 def test_degenerate_problem_terminates(backend):
     # many tied vertices: Bland fallback must terminate
-    lp = LinearProgram()
-    xs = [lp.new_var(f"x{i}", upper=1.0) for i in range(6)]
-    for i in range(5):
-        lp.add_constraint(xs[i] + xs[i + 1], Sense.GE, 1.0)
-    lp.set_objective(sum(xs[1:], xs[0] * 1.0))
-    res = backend.solve(lp)
+    # x[i] + x[i + 1] >= 1 for i < 5, every x in [0, 1]
+    a_ub = [[-1.0 if j in (i, i + 1) else 0.0 for j in range(6)] for i in range(5)]
+    lp = dense_lp([1.0] * 6, a_ub, [-1.0] * 5, bounds=[(0.0, 1.0)] * 6)
+    res = backend.solve_assembled(lp)
     assert res.is_optimal
     assert res.objective == pytest.approx(3.0, abs=1e-6)
 
 
 def test_iteration_cap_reported():
-    lp = LinearProgram()
-    x, y = lp.new_var("x"), lp.new_var("y")
-    lp.add_constraint(x + y, Sense.GE, 1.0)
-    lp.set_objective(x + y)
-    res = SimplexBackend(max_iterations=0).solve(lp)
+    # x + y >= 1
+    lp = dense_lp([1.0, 1.0], [[-1.0, -1.0]], [-1.0])
+    res = SimplexBackend(max_iterations=0).solve_assembled(lp)
     assert res.status is LPStatus.ITERATION_LIMIT
     assert "iteration cap" in res.message
 
 
 def test_no_constraints_nonnegative_objective(backend):
-    lp = LinearProgram()
-    lp.new_var("x")
-    res = backend.solve(lp)
+    res = backend.solve_assembled(dense_lp([0.0]))
     assert res.is_optimal
     assert res.objective == pytest.approx(0.0)
 
@@ -126,16 +99,16 @@ def test_matches_highs_on_fixed_models(backend):
 
     rng = np.random.default_rng(7)
     for trial in range(20):
-        lp = LinearProgram(f"m{trial}")
         n = int(rng.integers(2, 6))
-        vs = [lp.new_var(f"v{i}", upper=float(rng.uniform(0.5, 4.0))) for i in range(n)]
+        upper = [float(rng.uniform(0.5, 4.0)) for _ in range(n)]
+        a_ub, b_ub = [], []
         for _ in range(int(rng.integers(1, 5))):
-            coeffs = rng.uniform(-1.0, 2.0, n)
-            expr = sum(float(c) * v for c, v in zip(coeffs, vs))
-            lp.add_constraint(expr, Sense.LE, float(rng.uniform(0.5, 5.0)))
-        lp.set_objective(sum(float(c) * v for c, v in zip(rng.uniform(-1, 1, n), vs)))
-        a = HighsBackend().solve(lp)
-        b = backend.solve(lp)
+            a_ub.append(rng.uniform(-1.0, 2.0, n))
+            b_ub.append(float(rng.uniform(0.5, 5.0)))
+        c = rng.uniform(-1, 1, n)
+        lp = dense_lp(c, a_ub, b_ub, bounds=[(0.0, u) for u in upper], name=f"m{trial}")
+        a = HighsBackend().solve_assembled(lp)
+        b = backend.solve_assembled(lp)
         assert a.status == b.status
         if a.is_optimal:
             assert b.objective == pytest.approx(a.objective, abs=1e-7, rel=1e-7)

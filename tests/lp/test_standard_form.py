@@ -3,15 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.lp.problem import LinearProgram, Sense
 from repro.lp.standard_form import to_standard_form
+from tests.lp.dense import dense_lp
 
 
 def test_lower_bound_shift_recovered():
-    lp = LinearProgram()
-    lp.new_var("x", lower=2.0, upper=5.0)
-    lp.set_objective(lp.variable_by_name("x") * 1.0)
-    std = to_standard_form(lp.assemble())
+    std = to_standard_form(dense_lp([1.0], bounds=[(2.0, 5.0)]))
     # shifted objective constant accounts for c*l
     assert std.objective_constant == pytest.approx(2.0)
     x = std.recover(np.zeros(std.c.shape[0]))
@@ -19,9 +16,7 @@ def test_lower_bound_shift_recovered():
 
 
 def test_free_variable_split_columns():
-    lp = LinearProgram()
-    lp.new_var("x", lower=-float("inf"))
-    std = to_standard_form(lp.assemble())
+    std = to_standard_form(dense_lp([0.0], bounds=[(-np.inf, np.inf)]))
     kind, cols = std.recovery[0]
     assert kind == "split"
     y = np.zeros(std.c.shape[0])
@@ -30,19 +25,15 @@ def test_free_variable_split_columns():
 
 
 def test_upper_bound_becomes_row_with_slack():
-    lp = LinearProgram()
-    lp.new_var("x", upper=4.0)
-    std = to_standard_form(lp.assemble())
+    std = to_standard_form(dense_lp([0.0], bounds=[(0.0, 4.0)]))
     # one row (the bound), one structural + one slack column
     assert std.a.shape == (1, 2)
     assert std.b[0] == pytest.approx(4.0)
 
 
 def test_le_rows_get_slacks():
-    lp = LinearProgram()
-    x = lp.new_var("x")  # no finite upper: only the constraint row
-    lp.add_constraint(2 * x, Sense.LE, 6.0)
-    std = to_standard_form(lp.assemble())
+    # 2x <= 6; x has no finite upper: only the constraint row
+    std = to_standard_form(dense_lp([0.0], [[2.0]], [6.0]))
     assert std.a.shape == (1, 2)
     # row equilibration divides by max |structural coeff| (= 2)
     assert std.row_scale[0] == pytest.approx(2.0)
@@ -51,10 +42,7 @@ def test_le_rows_get_slacks():
 
 
 def test_negative_rhs_rows_normalised():
-    lp = LinearProgram()
-    x = lp.new_var("x")
-    lp.add_constraint(-1.0 * x, Sense.EQ, -3.0)
-    std = to_standard_form(lp.assemble())
+    std = to_standard_form(dense_lp([0.0], a_eq=[[-1.0]], b_eq=[-3.0]))
     assert np.all(std.b >= 0)
     # row was negated: coefficient flips sign
     assert std.a[0, 0] == pytest.approx(1.0)
@@ -62,10 +50,7 @@ def test_negative_rhs_rows_normalised():
 
 
 def test_rhs_shifted_by_lower_bounds():
-    lp = LinearProgram()
-    x = lp.new_var("x", lower=1.0)
-    lp.add_constraint(2 * x, Sense.LE, 8.0)
-    std = to_standard_form(lp.assemble())
+    std = to_standard_form(dense_lp([0.0], [[2.0]], [8.0], bounds=[(1.0, np.inf)]))
     # 2(y+1) <= 8  =>  2y <= 6, equilibrated by 2 => y <= 3
     assert std.b[0] * std.row_scale[0] == pytest.approx(6.0)
 
@@ -76,21 +61,14 @@ def test_row_equilibration_catches_tiny_rows():
     from repro.lp.simplex import SimplexBackend
 
     eps = 5.960464477539063e-08
-    lp = LinearProgram()
-    v0 = lp.new_var("v0", upper=1.0)
-    v1 = lp.new_var("v1", upper=1.0)
-    lp.add_constraint(v1 + 0.0, Sense.LE, 0.0)
-    lp.add_constraint(-eps * v1, Sense.LE, -eps)  # i.e. v1 >= 1: infeasible
-    lp.set_objective(0.0 * v0)
-    res = SimplexBackend().solve(lp)
+    # v1 <= 0 and -eps * v1 <= -eps, i.e. v1 >= 1: infeasible
+    lp = dense_lp([0.0, 0.0], [[0.0, 1.0], [0.0, -eps]], [0.0, -eps], bounds=[(0.0, 1.0)] * 2)
+    res = SimplexBackend().solve_assembled(lp)
     assert res.status is LPStatus.INFEASIBLE
 
 
 def test_objective_expansion_on_split_var():
-    lp = LinearProgram()
-    x = lp.new_var("x", lower=-float("inf"))
-    lp.set_objective(3.0 * x)
-    std = to_standard_form(lp.assemble())
+    std = to_standard_form(dense_lp([3.0], bounds=[(-np.inf, np.inf)]))
     kind, (cp, cn) = std.recovery[0]
     assert std.c[cp] == pytest.approx(3.0)
     assert std.c[cn] == pytest.approx(-3.0)

@@ -7,7 +7,7 @@ import pytest
 
 from repro.cluster.builder import build_paper_testbed
 from repro.hadoop.sim import HadoopSimulator, SimConfig
-from repro.lp.problem import CsrMatrix, LinearProgram, Sense
+from repro.lp.problem import CsrMatrix
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.scipy_backend import HighsBackend
 from repro.lp.simplex import SimplexBackend
@@ -15,18 +15,19 @@ from repro.lp.validation import GAP_TOL, PRIMAL_TOL, certify
 from repro.perf.bench import CapturingHighs
 from repro.schedulers.lips import LipsScheduler
 from repro.workload.apps import table4_jobs
+from tests.lp.dense import dense_lp
 
 
 def _model():
     """min x + y  s.t.  x + y >= 1 (cover), x - y <= 0.5, x - y == 0, x <= 2."""
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=2.0)
-    y = lp.new_var("y")
-    lp.add_constraint(x + y, Sense.GE, 1.0, name="cover")
-    lp.add_constraint(x - y, Sense.LE, 0.5, name="spread")
-    lp.add_constraint(x - y, Sense.EQ, 0.0, name="balance")
-    lp.set_objective(x + y)
-    return lp.assemble()
+    return dense_lp(
+        [1.0, 1.0],
+        [[-1.0, -1.0], [1.0, -1.0]],  # cover (written negated), spread
+        [-1.0, 0.5],
+        [[1.0, -1.0]],  # balance
+        [0.0],
+        bounds=[(0.0, 2.0), (0.0, np.inf)],
+    )
 
 
 def _result(x, dual_ub=None, dual_eq=None):
@@ -86,11 +87,8 @@ def test_bound_violation_reported():
 
 def _big_bound(x_value):
     """max x  s.t.  x <= 1e9 (a bound), at the point ``x_value``."""
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=1e9)
-    lp.set_objective(-1.0 * x)
     return certify(
-        lp.assemble(),
+        dense_lp([-1.0], bounds=[(0.0, 1e9)]),
         LPResult(status=LPStatus.OPTIMAL, objective=-x_value, x=np.array([x_value])),
     )
 
@@ -107,11 +105,9 @@ def test_bound_violation_beyond_scaled_tol_still_reported():
 
 
 def test_small_scale_bounds_keep_absolute_tolerance():
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=1.0)
-    lp.set_objective(-1.0 * x)
+    asm = dense_lp([-1.0], bounds=[(0.0, 1.0)])
     res = LPResult(status=LPStatus.OPTIMAL, objective=-1.0 - 1e-5, x=np.array([1.0 + 1e-5]))
-    assert "primal" in certify(lp.assemble(), res).failures
+    assert "primal" in certify(asm, res).failures
 
 
 def test_missing_vector_fails():
@@ -139,11 +135,8 @@ def test_wrong_signed_dual_fails():
 
 def test_reduced_cost_sign_on_an_unbounded_column():
     """A free column's reduced cost must vanish."""
-    lp = LinearProgram()
-    x = lp.new_var("x", lower=-float("inf"))
-    lp.add_constraint(x + 0.0, Sense.GE, 1.0)
-    lp.set_objective(2.0 * x)
-    asm = lp.assemble()
+    # x >= 1, written -x <= -1; x free
+    asm = dense_lp([2.0], [[-1.0]], [-1.0], bounds=[(-np.inf, np.inf)])
     good = LPResult(
         status=LPStatus.OPTIMAL, objective=2.0, x=np.array([1.0]), dual_ub=np.array([-2.0])
     )
@@ -162,10 +155,7 @@ def test_objective_value_matches_model():
 
 
 def test_objective_constant_is_part_of_the_reported_objective():
-    lp = LinearProgram()
-    x = lp.new_var("x", upper=1.0)
-    lp.set_objective(x + 10.0)
-    asm = lp.assemble()
+    asm = dense_lp([1.0], bounds=[(0.0, 1.0)], objective_constant=10.0)
     cert = certify(asm, HighsBackend().solve_assembled(asm))
     assert cert.ok, cert
 

@@ -2,19 +2,15 @@
 
 import pytest
 
-from repro.lp.problem import LinearProgram, Sense
 from repro.lp.scipy_backend import HighsBackend
 from repro.lp.simplex import SimplexBackend
 from repro.obs import lpprof
+from tests.lp.dense import dense_lp
 
 
 def _tiny_lp(name="tiny"):
-    lp = LinearProgram(name)
-    x = lp.new_var("x")
-    y = lp.new_var("y")
-    lp.add_constraint(x + y, Sense.GE, 1.0)
-    lp.set_objective(2.0 * x + 3.0 * y)
-    return lp
+    """min 2x + 3y  s.t.  x + y >= 1 (written -x - y <= -1)."""
+    return dense_lp([2.0, 3.0], [[-1.0, -1.0]], [-1.0], name=name)
 
 
 class TestCollectors:
@@ -24,14 +20,14 @@ class TestCollectors:
     def test_no_records_without_collector(self):
         with lpprof.profile() as outer:
             pass
-        HighsBackend().solve(_tiny_lp())
+        HighsBackend().solve_assembled(_tiny_lp())
         assert outer.solves == 0
 
     def test_collect_stack_observes_all(self):
         seen = []
         with lpprof.collect(seen.append):
             with lpprof.profile() as prof:
-                HighsBackend().solve(_tiny_lp())
+                HighsBackend().solve_assembled(_tiny_lp())
         assert len(seen) == 1
         assert prof.solves == 1  # nested collectors both observe
 
@@ -40,7 +36,7 @@ class TestCollectors:
 class TestBackendProfiles:
     def test_record_fields(self, backend):
         with lpprof.profile() as prof:
-            result = backend.solve(_tiny_lp("my-model"))
+            result = backend.solve_assembled(_tiny_lp("my-model"))
         (rec,) = prof.records
         assert rec.name == "my-model"
         assert rec.backend == backend.name
@@ -53,12 +49,12 @@ class TestBackendProfiles:
 
     def test_rows_property(self, backend):
         with lpprof.profile() as prof:
-            backend.solve(_tiny_lp())
+            backend.solve_assembled(_tiny_lp())
         assert prof.records[0].rows == 1
 
     def test_to_dict_round_trip(self, backend):
         with lpprof.profile() as prof:
-            backend.solve(_tiny_lp())
+            backend.solve_assembled(_tiny_lp())
         d = prof.records[0].to_dict()
         for key in ("backend", "rows_ub", "rows_eq", "cols", "nnz", "wall_s",
                     "iterations", "status"):
@@ -68,8 +64,8 @@ class TestBackendProfiles:
 class TestLPProfileSummary:
     def test_aggregates(self):
         with lpprof.profile() as prof:
-            HighsBackend().solve(_tiny_lp())
-            SimplexBackend().solve(_tiny_lp())
+            HighsBackend().solve_assembled(_tiny_lp())
+            SimplexBackend().solve_assembled(_tiny_lp())
         assert prof.solves == 2
         assert prof.wall_seconds > 0
         assert prof.by_status() == {"optimal": 2}

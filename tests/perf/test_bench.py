@@ -19,6 +19,7 @@ from repro.perf.bench import (
     gate,
     history_rows,
 )
+from tests.lp.dense import dense_lp
 
 #: top-level keys every repro.bench/2 document must carry
 SCHEMA_KEYS = {"schema", "scenario", "highs", "certificate", "scaling", "gate"}
@@ -86,14 +87,8 @@ class TestGate:
         assert verdict["checks"]["models_solved"] is False
 
     def test_non_optimal_solve_fails(self):
-        # a model with an infeasible row: x >= 0 and -x >= 1
-        from repro.lp.problem import LinearProgram, Sense
-
-        lp = LinearProgram("infeasible")
-        x = lp.new_var("x")
-        lp.add_constraint(-1.0 * x, Sense.GE, 1.0)
-        lp.set_objective(x + 0.0)
-        asm = lp.assemble()
+        # a model with an infeasible row: x >= 0 and -x >= 1 (written x <= -1)
+        asm = dense_lp([1.0], [[1.0]], [-1.0], name="infeasible")
         result = HighsBackend().solve_assembled(asm)
         assert not result.is_optimal
         verdict = gate(certify_solves([(asm, result)]))

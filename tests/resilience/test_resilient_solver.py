@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from repro.core.assembly import ModelAssembler
-from repro.lp.problem import LinearProgram, Sense
+from repro.lp.problem import AssembledLP
 from repro.lp.result import LPResult, LPStatus
 from repro.lp.scipy_backend import HighsBackend
 from repro.lp.simplex import SimplexBackend, SimplexError
@@ -20,16 +20,14 @@ from repro.resilience import (
     ResilientSolver,
     classify_result,
 )
+from repro.resilience import solver as solver_module
 from tests.core.test_online_backend_contract import AMPLE_EPOCH_S, POOL, _cluster, _input_for
+from tests.lp.dense import dense_lp
 
 
-def small_lp() -> LinearProgram:
-    lp = LinearProgram()
-    x = lp.new_var("x")
-    y = lp.new_var("y", upper=1.0)
-    lp.add_constraint(x + 2 * y, Sense.GE, 2.0)
-    lp.set_objective(x + y)
-    return lp
+def small_lp() -> AssembledLP:
+    """min x + y  s.t.  x + 2y >= 2 (written negated), y <= 1."""
+    return dense_lp([1.0, 1.0], [[-1.0, -2.0]], [-2.0], bounds=[(0.0, np.inf), (0.0, 1.0)])
 
 
 class _FailingBackend:
@@ -88,7 +86,7 @@ class TestClassification:
 class TestChain:
     def test_healthy_primary_solves(self):
         solver = ResilientSolver([HighsBackend(), SimplexBackend()])
-        res = solver.solve(small_lp())
+        res = solver.solve_assembled(small_lp())
         assert res.is_optimal
         assert res.objective == pytest.approx(1.0)
         assert solver.last_attempts == []
@@ -97,7 +95,7 @@ class TestChain:
     def test_fallback_order(self):
         failing = _FailingBackend()
         solver = ResilientSolver([failing, HighsBackend()], max_retries=1)
-        res = solver.solve(small_lp())
+        res = solver.solve_assembled(small_lp())
         assert res.is_optimal
         assert failing.calls == 2  # first attempt + one retry
         assert solver.fallbacks_total == 1
@@ -106,7 +104,7 @@ class TestChain:
     def test_numerical_retries_bounded(self):
         failing = _FailingBackend()
         solver = ResilientSolver([failing], max_retries=3)
-        res = solver.solve(small_lp())
+        res = solver.solve_assembled(small_lp())
         assert not res.is_optimal
         assert failing.calls == 4
         assert solver.retries_total == 3
@@ -114,7 +112,7 @@ class TestChain:
     def test_infeasible_skips_retries_but_falls_back(self):
         failing = _FailingBackend(status=LPStatus.INFEASIBLE)
         solver = ResilientSolver([failing, HighsBackend()], max_retries=3)
-        res = solver.solve(small_lp())
+        res = solver.solve_assembled(small_lp())
         assert res.is_optimal
         assert failing.calls == 1  # no retry for a model property
         assert solver.retries_total == 0
@@ -123,7 +121,7 @@ class TestChain:
     def test_exception_classified_backend_error(self):
         failing = _FailingBackend(exc=RuntimeError("boom"))
         solver = ResilientSolver([failing], max_retries=2)
-        res = solver.solve_assembled(small_lp().assemble())
+        res = solver.solve_assembled(small_lp())
         assert res.status is LPStatus.ERROR
         assert "boom" in res.message
         assert solver.last_attempts[0].kind is FailureKind.BACKEND_ERROR
@@ -133,7 +131,7 @@ class TestChain:
         solver = ResilientSolver(
             [_FailingBackend(), _FailingBackend(status=LPStatus.ERROR)], max_retries=0
         )
-        res = solver.solve_assembled(small_lp().assemble())
+        res = solver.solve_assembled(small_lp())
         assert res.status is LPStatus.ERROR  # the *last* backend's verdict
         assert solver.fallbacks_total == 1
 
@@ -145,19 +143,19 @@ class TestChain:
 class TestPerturbation:
     def test_retry_objective_is_perturbed_deterministically(self):
         a = _FailingBackend()
-        ResilientSolver([a], max_retries=2).solve_assembled(small_lp().assemble())
+        ResilientSolver([a], max_retries=2).solve_assembled(small_lp())
         b = _FailingBackend()
-        ResilientSolver([b], max_retries=2).solve_assembled(small_lp().assemble())
+        ResilientSolver([b], max_retries=2).solve_assembled(small_lp())
         assert len(a.seen_c) == 3
         # attempt 0 solves the unperturbed objective
-        np.testing.assert_array_equal(a.seen_c[0], small_lp().assemble().c)
+        np.testing.assert_array_equal(a.seen_c[0], small_lp().c)
         assert not np.array_equal(a.seen_c[0], a.seen_c[1])
         assert not np.array_equal(a.seen_c[1], a.seen_c[2])
         # rerun retries through the identical perturbation sequence
         for ca, cb in zip(a.seen_c, b.seen_c):
             np.testing.assert_array_equal(ca, cb)
 
-    def test_perturbed_solve_reports_true_objective(self):
+    def test_perturbed_solve_reports_true_objective(self, monkeypatch):
         class FlakyOnce:
             name = "flaky"
             calls = 0
@@ -170,23 +168,13 @@ class TestPerturbation:
                     )
                 return HighsBackend().solve_assembled(asm)
 
-        solver = ResilientSolver([FlakyOnce()], max_retries=1, perturb_scale=1e-3)
-        res = solver.solve_assembled(small_lp().assemble())
+        monkeypatch.setattr(solver_module, "PERTURB_SCALE", 1e-3)
+        solver = ResilientSolver([FlakyOnce()], max_retries=1)
+        res = solver.solve_assembled(small_lp())
         assert res.is_optimal
         # even with a coarse perturbation the reported objective is
         # re-evaluated against the ORIGINAL coefficients
         assert res.objective == pytest.approx(1.0, abs=1e-6)
-
-    def test_backoff_schedule(self):
-        sleeps = []
-        solver = ResilientSolver(
-            [_FailingBackend()],
-            max_retries=3,
-            backoff_base_s=0.5,
-            sleep=sleeps.append,
-        )
-        solver.solve_assembled(small_lp().assemble())
-        assert sleeps == [0.5, 1.0, 2.0]
 
 
 class TestTimeout:
@@ -222,7 +210,7 @@ class TestTimeout:
 
     def test_fast_solve_unaffected_by_timeout(self):
         solver = ResilientSolver([HighsBackend(time_limit_s=30.0)])
-        assert solver.solve(small_lp()).is_optimal
+        assert solver.solve_assembled(small_lp()).is_optimal
         assert solver.last_attempts == []
 
     def test_timeout_validation(self):
@@ -237,7 +225,7 @@ class TestCounters:
         registry = MetricsRegistry()
         with use_registry(registry):
             solver = ResilientSolver([_FailingBackend(), HighsBackend()], max_retries=1)
-            solver.solve(small_lp())
+            solver.solve_assembled(small_lp())
         assert registry.counter("solver_retries_total").total() == 1
         assert registry.counter("solver_fallbacks_total").value(
             from_backend="failing", to_backend="highs"
@@ -248,7 +236,7 @@ class TestCounters:
 
     def test_no_registry_is_fine(self):
         solver = ResilientSolver([_FailingBackend(), HighsBackend()], max_retries=1)
-        assert solver.solve(small_lp()).is_optimal
+        assert solver.solve_assembled(small_lp()).is_optimal
 
 
 class _CountingBackend:
@@ -284,7 +272,7 @@ class TestFaultInjectingBackend:
     def test_fault_schedule(self, schedule, kind, epochs, failed):
         inner = _CountingBackend()
         registry = MetricsRegistry()
-        asm = small_lp().assemble()
+        asm = small_lp()
         results = []
         with use_registry(registry):
             chaos = FaultInjectingBackend(inner, **schedule)
@@ -303,11 +291,11 @@ class TestFaultInjectingBackend:
         with use_registry(registry):
             chaos = FaultInjectingBackend(HighsBackend())
             for _ in range(3):
-                assert not chaos.solve_assembled(small_lp().assemble()).is_optimal
+                assert not chaos.solve_assembled(small_lp()).is_optimal
         assert chaos.faults_injected == 3
         assert registry.counter("chaos_faults_injected_total").value(kind="solver") == 3
 
     def test_raise_mode(self):
         chaos = FaultInjectingBackend(HighsBackend(), raise_exception=True)
         with pytest.raises(RuntimeError, match="injected"):
-            chaos.solve_assembled(small_lp().assemble())
+            chaos.solve_assembled(small_lp())

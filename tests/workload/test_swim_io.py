@@ -59,10 +59,10 @@ class TestConvert:
 
     def test_maps_from_input_bytes(self):
         w = workload_from_swim(self._rows())
-        by_name = {j.name: j for j in w.jobs}
-        assert by_name["swim-a"].num_tasks == 2  # 128 MB / 64 MB
-        assert by_name["swim-b"].num_tasks == 1
-        assert by_name["swim-c"].num_tasks == 100
+        jobs_by_name = {j.name: j for j in w.jobs}
+        assert jobs_by_name["swim-a"].num_tasks == 2  # 128 MB / 64 MB
+        assert jobs_by_name["swim-b"].num_tasks == 1
+        assert jobs_by_name["swim-c"].num_tasks == 100
 
     def test_jobs_sorted_by_submit(self):
         w = workload_from_swim(self._rows())
