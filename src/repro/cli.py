@@ -223,8 +223,8 @@ def add_live_port_flag(parser: argparse.ArgumentParser) -> None:
         type=int,
         default=None,
         metavar="PORT",
-        help="serve live telemetry (/metrics, /healthz, /slo, /trace, "
-        "/statusz) on 127.0.0.1:PORT while running; 0 picks a free port "
+        help="serve live telemetry (/metrics, /healthz, /statusz, /trace) "
+        "on 127.0.0.1:PORT while running; 0 picks a free port "
         "(printed).  Watch with 'python -m repro top'",
     )
 
@@ -718,8 +718,7 @@ def _run_serve(argv: Sequence[str]) -> int:
             [(
                 "live plane",
                 f"{outcome.rolling_reconciliations} rolling reconciliations, "
-                f"max residual {outcome.max_rolling_residual:.1e}, "
-                f"tap dropped {outcome.tap_dropped}",
+                f"max residual {outcome.max_rolling_residual:.1e}",
             )]
             if args.live_port is not None
             else []
@@ -751,12 +750,8 @@ def build_diff_parser() -> argparse.ArgumentParser:
         "cost, makespan, critical-path and LP-iteration regressions.  "
         "Exits 1 when a gated stat grew past its threshold.",
     )
-    parser.add_argument(
-        "base", nargs="?", metavar="BASE", help="baseline trace (JSONL)"
-    )
-    parser.add_argument(
-        "candidate", nargs="?", metavar="CANDIDATE", help="candidate trace (JSONL)"
-    )
+    parser.add_argument("base", metavar="BASE", help="baseline trace (JSONL)")
+    parser.add_argument("candidate", metavar="CANDIDATE", help="candidate trace (JSONL)")
     parser.add_argument(
         "--threshold-cost",
         type=float,
@@ -784,31 +779,16 @@ def build_diff_parser() -> argparse.ArgumentParser:
         default=None,
         help="also write the comparison as JSON to PATH",
     )
-    parser.add_argument(
-        "--emit-smoke-traces",
-        metavar="DIR",
-        default=None,
-        help="instead of diffing, write the CI smoke trio (base/same/slow "
-        "traces of a tiny deterministic scenario) into DIR",
-    )
     return parser
 
 
 def _run_diff(argv: Sequence[str]) -> int:
     import json
 
-    from repro.obs.diff import diff_traces, emit_smoke_traces
+    from repro.obs.diff import diff_traces
     from repro.obs.export import load_jsonl
 
     args = build_diff_parser().parse_args(argv)
-    if args.emit_smoke_traces:
-        for path in emit_smoke_traces(args.emit_smoke_traces).values():
-            print(f"wrote {path}")
-        return 0
-    if not args.base or not args.candidate:
-        print("diff needs BASE and CANDIDATE traces (or --emit-smoke-traces)",
-              file=sys.stderr)
-        return 2
     thresholds = {}
     if args.threshold_cost is not None:
         thresholds["total_cost"] = args.threshold_cost

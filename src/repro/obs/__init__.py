@@ -16,8 +16,11 @@ Three complementary views of a run, all zero-cost when disabled:
   exactly against the simulator's cost totals.
 * :mod:`repro.obs.diff` — trace-vs-trace regression gating
   (``python -m repro diff A B``).
-* :mod:`repro.obs.export` / :mod:`repro.obs.report` — JSONL ⇄ Chrome
-  trace-event projection and text report rendering.
+* :mod:`repro.obs.export` / :mod:`repro.obs.report` — JSONL loading, the
+  Chrome trace-event projection and text report rendering.
+* :mod:`repro.obs.live` / :mod:`repro.obs.top` — the live HTTP plane
+  (``/metrics``, ``/healthz``, ``/statusz``, ``/trace``) a running
+  ``--live-port`` process serves, and the ``repro top`` dashboard over it.
 
 CLI: ``python -m repro <experiment> --trace t.jsonl --metrics m.json`` then
 ``python -m repro report t.jsonl`` / ``python -m repro diff a.jsonl b.jsonl``.

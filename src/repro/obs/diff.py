@@ -4,8 +4,7 @@ Backs ``python -m repro diff BASE CANDIDATE``: load two JSONL traces (each
 written with ``--trace`` and carrying the end-of-run ``cost``/``summary``
 records, see :mod:`repro.obs.ledger`), reduce each to a flat stat vector,
 and compare stat by stat.  A *gated* stat whose relative increase exceeds
-its threshold is a regression: the CLI prints the table and exits non-zero,
-which is what CI hangs its trace-analysis smoke job on.
+its threshold is a regression: the CLI prints the table and exits non-zero.
 
 Gated stats and default thresholds:
 
@@ -190,53 +189,3 @@ def diff_traces(
             )
         )
     return TraceDiff(entries=entries)
-
-
-def emit_smoke_traces(outdir) -> Dict[str, str]:
-    """Write the CI smoke-trace trio into ``outdir``.
-
-    Runs one tiny deterministic LiPS scenario three times: ``base.jsonl``
-    and ``same.jsonl`` are identical runs (their diff must pass);
-    ``slow.jsonl`` doubles every machine's dollar rate and halves its
-    throughput — an unambiguous >10 % cost *and* makespan regression the
-    gate must catch.  Returns ``{name: path}``.
-    """
-    import os
-
-    from repro.cluster.builder import ClusterBuilder
-    from repro.cluster.topology import Topology
-    from repro.hadoop.sim import HadoopSimulator, SimConfig
-    from repro.obs.trace import Tracer
-    from repro.schedulers import LipsScheduler
-    from repro.workload.job import DataObject, Job, Workload
-
-    def scenario(cost_scale: float, speed_scale: float):
-        b = ClusterBuilder(topology=Topology.of(["za", "zb"]), store_capacity_mb=1e6)
-        b.add_machine("a0", ecu=2.0 * speed_scale, cpu_cost=5e-5 * cost_scale, zone="za")
-        b.add_machine("b0", ecu=5.0 * speed_scale, cpu_cost=1e-5 * cost_scale, zone="zb")
-        data = [DataObject(data_id=0, name="d", size_mb=128.0, origin_store=0)]
-        jobs = [
-            Job(job_id=0, name="scan", tcp=0.5, data_ids=[0], num_tasks=2),
-            Job(job_id=1, name="pi", tcp=0.0, num_tasks=1,
-                cpu_seconds_noinput=50.0, arrival_time=10.0),
-        ]
-        return b.build(), Workload(jobs=jobs, data=data)
-
-    os.makedirs(outdir, exist_ok=True)
-    out: Dict[str, str] = {}
-    for name, cost_scale, speed_scale in (
-        ("base", 1.0, 1.0),
-        ("same", 1.0, 1.0),
-        ("slow", 2.0, 0.5),
-    ):
-        path = os.path.join(outdir, f"{name}.jsonl")
-        cluster, workload = scenario(cost_scale, speed_scale)
-        with Tracer.to_path(path) as tracer:
-            HadoopSimulator(
-                cluster,
-                workload,
-                LipsScheduler(epoch_length=60.0),
-                SimConfig(placement_seed=2, speculative=False, tracer=tracer),
-            ).run()
-        out[name] = path
-    return out

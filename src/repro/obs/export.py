@@ -6,8 +6,6 @@ ground-truth format.  This module loads it back and re-projects it:
 * :func:`to_chrome_trace` — the Chrome trace-event JSON loadable in
   ``chrome://tracing`` / Perfetto: one timeline lane per machine (task
   attempts), plus lanes for epochs and LP solves;
-* :func:`from_chrome_trace` — the inverse projection (used to round-trip
-  test the exporter);
 * :func:`summary` — a compact text report of a trace.
 """
 
@@ -176,35 +174,6 @@ def _flow_events(records: List[dict], pid: int) -> List[dict]:
                 }
             )
     return flows
-
-
-def from_chrome_trace(chrome: dict) -> List[dict]:
-    """Inverse of :func:`to_chrome_trace` (envelope + args only).
-
-    Reconstructs ``(type, cat, name, ts[, dur])`` plus the preserved args —
-    including ``span_id``/``parent``/``links``, which round-trip verbatim.
-    Metadata and flow-arrow events (``ph`` M/s/f) are projection artefacts
-    and are skipped.
-    """
-    out: List[dict] = []
-    for ev in chrome.get("traceEvents", []):
-        if ev.get("ph") in ("M", "s", "f", "t"):
-            continue
-        cat = ev.get("cat", "?")
-        name = ev["name"].split(":", 1)[1] if ":" in ev["name"] else ev["name"]
-        args = dict(ev.get("args", {}))
-        record: dict = {"cat": cat, "name": name, "ts": ev.get("ts", 0.0) / _US}
-        if ev.get("ph") == "X":
-            if cat == "lp" or "status" in args:
-                record["type"] = "lp_solve"
-            else:
-                record["type"] = "span"
-                record["dur"] = ev.get("dur", 0.0) / _US
-        else:
-            record["type"] = "event"
-        record.update(args)
-        out.append(record)
-    return out
 
 
 def write_chrome_trace(records: Iterable[dict], path: PathLike) -> Path:

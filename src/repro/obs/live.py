@@ -10,23 +10,24 @@ observable *while the run is still going* without perturbing it:
     MetricsRegistry` — each series copied under its own metric lock
     (:meth:`MetricsRegistry.snapshot`), so the scrape never tears a series
     and never blocks the hot path for longer than one dict copy.
-``/trace`` and ``/trace/sse``
+``/trace``
     The most recent trace records, fed by a bounded non-blocking
-    :class:`~repro.obs.trace.TraceTap` on the run's tracer: NDJSON with a
-    ``since`` cursor for polling, Server-Sent Events for streaming.
-``/healthz`` and ``/slo``
-    JSON health (watchdog state, admission shed, backlog, rolling-ledger
-    reconciliation) and SLO objectives (miss budget, solve-latency
-    quantiles) from whatever status provider the host wires in.
+    :class:`~repro.obs.trace.TraceTap` on the run's tracer: NDJSON, with
+    a ``since`` cursor to page forward and an ``X-Trace-Lost`` count of
+    records evicted past it.
+``/healthz``
+    JSON health (rolling-ledger reconciliation) plus whatever the host's
+    status provider reports — for the service: watchdog state, admission
+    shed, backlog and the SLO view (miss budget, solve-latency quantiles).
 ``/statusz``
-    Everything at once, plus the delta since the previous ``/statusz``
-    scrape — the feed ``repro top`` renders rates from.
+    Scalar metrics grouped by name plus the ``/healthz`` body in one
+    request — the payload ``repro top`` polls.
 
 Determinism contract
 --------------------
 The plane only ever *reads* run state: registry snapshots, tap buffers,
-status callables.  Its own bookkeeping (scrape counts, tap sequence
-numbers) is rendered at scrape time and never written into the run's
+status callables.  Its own bookkeeping (scrape counts, the tap's sequence
+number) is rendered at scrape time and never written into the run's
 registry, so metric dumps, golden traces and ledgers are byte-identical
 with the plane on or off.  The HTTP server binds to 127.0.0.1 and serves
 from daemon threads; the simulation thread never waits on it.
@@ -36,7 +37,6 @@ from __future__ import annotations
 
 import json
 import threading
-import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from typing import Callable, Dict, List, Optional, Tuple
 from urllib.parse import parse_qs, urlparse
@@ -47,7 +47,7 @@ from repro.obs.registry import (
     MetricSnapshot,
     RegistrySnapshot,
 )
-from repro.obs.trace import TraceTap
+from repro.obs.trace import TraceTap, json_default
 
 #: Content type Prometheus scrapers expect for the text exposition format.
 PROMETHEUS_CONTENT_TYPE = "text/plain; version=0.0.4; charset=utf-8"
@@ -129,35 +129,26 @@ def render_prometheus(snapshot: RegistrySnapshot) -> str:
 class LiveTelemetryPlane:
     """Read-only aggregation point the HTTP endpoints serve from.
 
-    Holds the run's :class:`MetricsRegistry`, a :class:`TraceTap` to attach
-    to the run's tracer, an optional rolling ledger and an optional status
+    Holds a :class:`MetricsRegistry` (a host scraping its run's own
+    registry assigns :attr:`registry`), a :class:`TraceTap` to attach to
+    the run's tracer, an optional rolling ledger and an optional status
     provider callable (the service wires in its watchdog/admission/SLO
     view).  Everything it serves is computed at request time from locked
     snapshots; nothing is pushed from the hot path except tap offers.
     """
 
-    def __init__(
-        self,
-        registry: Optional[MetricsRegistry] = None,
-        tap: Optional[TraceTap] = None,
-        tap_maxlen: int = 4096,
-    ) -> None:
-        self.registry = registry if registry is not None else MetricsRegistry()
-        self.tap = tap if tap is not None else TraceTap(maxlen=tap_maxlen)
+    def __init__(self) -> None:
+        self.registry = MetricsRegistry()
+        self.tap = TraceTap()
         self.rolling = None  # RollingLedger, when the host enables one
         self._status_provider: Optional[Callable[[], dict]] = None
         self._lock = threading.Lock()
         self.scrapes = 0
-        self._last_statusz: Optional[RegistrySnapshot] = None
 
     # -- wiring -------------------------------------------------------------
     def attach_tracer(self, tracer) -> None:
         """Feed the plane's trace tail from ``tracer`` (idempotent)."""
         tracer.add_tap(self.tap)
-
-    def detach_tracer(self, tracer) -> None:
-        """Stop feeding from ``tracer`` (idempotent)."""
-        tracer.remove_tap(self.tap)
 
     def set_status_provider(self, provider: Optional[Callable[[], dict]]) -> None:
         """Install the host's status callable (service state, SLO, ...)."""
@@ -180,7 +171,7 @@ class LiveTelemetryPlane:
     def metrics_text(self) -> str:
         """The /metrics body: registry scrape + plane-internal series.
 
-        Plane bookkeeping (scrape count, tap sequence/drops) is appended at
+        Plane bookkeeping (scrape count, tap sequence) is appended at
         render time, never written into the run registry — so the registry
         the run dumps at exit is byte-identical with the plane on or off.
         """
@@ -195,9 +186,6 @@ class LiveTelemetryPlane:
             "# HELP trace_tap_records_total records offered to the live trace tap",
             "# TYPE trace_tap_records_total counter",
             f"trace_tap_records_total {self.tap.seq}",
-            "# HELP trace_tap_dropped records evicted past a lagging tap subscriber",
-            "# TYPE trace_tap_dropped counter",
-            f"trace_tap_dropped {self.tap.dropped}",
         ]
         return body + "\n".join(extra) + "\n"
 
@@ -223,52 +211,34 @@ class LiveTelemetryPlane:
     def health(self) -> dict:
         """The /healthz body: plane, tap, ledger and host status.
 
-        ``ok`` is false only for hard telemetry failures — ledger drift or
-        tap drops past a subscriber.  A DEGRADED/SHEDDING service is *not*
-        unhealthy telemetry; its state rides along under ``service``.
+        ``ok`` is false only for a hard telemetry failure — rolling-ledger
+        drift.  A DEGRADED/SHEDDING service is *not* unhealthy telemetry;
+        its state (SLO view included) rides along under ``service``.
         """
         out: dict = {
             "ok": True,
             "scrapes": self.scrapes,
-            "tap": {"seq": self.tap.seq, "dropped": self.tap.dropped},
+            "tap": {"seq": self.tap.seq},
         }
         ledger = self.ledger_view()
         if ledger is not None:
             out["ledger"] = ledger
-            out["ok"] = out["ok"] and ledger["ok"]
-        if self.tap.dropped:
-            out["ok"] = False
+            out["ok"] = ledger["ok"]
         status = self._status()
         if status:
             out["service"] = status
         return out
 
-    def slo(self) -> dict:
-        """The /slo body: the host status's ``slo`` section (or empty)."""
-        status = self._status()
-        return status.get("slo", {}) if isinstance(status, dict) else {}
-
     def statusz(self) -> dict:
-        """The /statusz body ``repro top`` polls: scalars + delta + health.
+        """The /statusz body ``repro top`` polls: scalars + health.
 
-        The delta is computed against the *previous /statusz scrape* (not
-        /metrics), so one poller's rates are unaffected by other scrapers.
+        Stateless: ``repro top`` computes its rates by differencing its
+        own consecutive polls.
         """
-        snapshot = self.registry.snapshot()
-        with self._lock:
-            previous, self._last_statusz = self._last_statusz, snapshot
-        delta = snapshot.delta(previous)
         metrics: Dict[str, Dict[str, float]] = {}
-        for (name, key), value in sorted(snapshot.scalars().items()):
+        for (name, key), value in sorted(self.registry.snapshot().scalars().items()):
             metrics.setdefault(name, {})[",".join(f"{k}={v}" for k, v in key)] = value
-        return {
-            "metrics": metrics,
-            "delta": [
-                {"name": name, "labels": dict(key), "change": change}
-                for (name, key), change in sorted(delta.items())
-            ],
-            "health": self.health(),
-        }
+        return {"metrics": metrics, "health": self.health()}
 
 
 # -- the HTTP server --------------------------------------------------------
@@ -280,7 +250,6 @@ class _TelemetryHTTPServer(ThreadingHTTPServer):
     def __init__(self, address, handler, plane: LiveTelemetryPlane) -> None:
         super().__init__(address, handler)
         self.plane = plane
-        self.stopping = threading.Event()
 
 
 class _Handler(BaseHTTPRequestHandler):
@@ -320,14 +289,10 @@ class _Handler(BaseHTTPRequestHandler):
             elif parsed.path == "/healthz":
                 health = plane.health()
                 self._respond_json(health, code=200 if health["ok"] else 503)
-            elif parsed.path == "/slo":
-                self._respond_json(plane.slo())
             elif parsed.path == "/statusz":
                 self._respond_json(plane.statusz())
             elif parsed.path == "/trace":
                 self._serve_trace(plane, params)
-            elif parsed.path == "/trace/sse":
-                self._serve_sse(plane, params)
             else:
                 self._respond_json({"error": f"no such endpoint: {parsed.path}"}, code=404)
         except ValueError as exc:
@@ -342,7 +307,7 @@ class _Handler(BaseHTTPRequestHandler):
         if limit is None:
             limit = 256
         records, next_cursor, lost = plane.tap.tail(since=since, limit=limit)
-        lines = [json.dumps(r, separators=(",", ":"), default=_json_default) for r in records]
+        lines = [json.dumps(r, separators=(",", ":"), default=json_default) for r in records]
         body = "\n".join(lines) + ("\n" if lines else "")
         payload = body.encode("utf-8")
         self.send_response(200)
@@ -353,47 +318,6 @@ class _Handler(BaseHTTPRequestHandler):
         self.end_headers()
         self.wfile.write(payload)
 
-    def _serve_sse(self, plane: LiveTelemetryPlane, params: Dict[str, List[str]]) -> None:
-        """Server-Sent Events stream of trace records as they arrive.
-
-        ``max_events`` bounds the stream (tests/CI); without it the stream
-        runs until the client disconnects or the server stops.
-        """
-        max_events = self._int_param(params, "max_events")
-        sub = plane.tap.subscribe()
-        sent = 0
-        try:
-            self.send_response(200)
-            self.send_header("Content-Type", "text/event-stream")
-            self.send_header("Cache-Control", "no-cache")
-            self.end_headers()
-            while not self.server.stopping.is_set():
-                records, lost = plane.tap.read(sub, limit=256)
-                if lost:
-                    self.wfile.write(f"event: lost\ndata: {lost}\n\n".encode("utf-8"))
-                for record in records:
-                    data = json.dumps(record, separators=(",", ":"), default=_json_default)
-                    self.wfile.write(f"data: {data}\n\n".encode("utf-8"))
-                    sent += 1
-                    if max_events is not None and sent >= max_events:
-                        return
-                self.wfile.flush()
-                if not records:
-                    # wall-clock pacing is fine here: this thread belongs to
-                    # the telemetry server, never to the simulation
-                    time.sleep(0.05)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-        finally:
-            plane.tap.unsubscribe(sub)
-
-
-def _json_default(obj):
-    item = getattr(obj, "item", None)
-    if callable(item):
-        return item()
-    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
-
 
 class LiveTelemetryServer:
     """Serves a :class:`LiveTelemetryPlane` over HTTP on 127.0.0.1.
@@ -401,7 +325,7 @@ class LiveTelemetryServer:
     ``port=0`` binds an ephemeral port (tests); :attr:`port` reports the
     bound one.  The server runs in a single daemon thread (plus per-request
     daemon threads) and is stopped with :meth:`stop` or as a context
-    manager — stopping wakes SSE streams and joins the accept loop.
+    manager — stopping shuts the accept loop and joins it.
     """
 
     def __init__(
@@ -439,8 +363,7 @@ class LiveTelemetryServer:
         return self
 
     def stop(self) -> None:
-        """Stop serving: wake streams, shut the accept loop, join, close."""
-        self._httpd.stopping.set()
+        """Stop serving: shut the accept loop, join, close."""
         if self._thread is not None:
             self._httpd.shutdown()
             self._thread.join(timeout=5.0)

@@ -320,8 +320,8 @@ class RegistrySnapshot:
     Each metric's series are copied under that metric's own lock (the same
     locks the hot-path observers take), so no individual series is ever
     seen half-updated; cross-metric skew is possible and acceptable for a
-    live scrape.  Snapshots are plain data — safe to diff, serialise and
-    ship across threads.
+    live scrape.  Snapshots are plain data — safe to serialise and ship
+    across threads.
     """
 
     def __init__(self, metrics: List[MetricSnapshot]) -> None:
@@ -335,26 +335,6 @@ class RegistrySnapshot:
                 for key, value in m.series.items():
                     out[(m.name, key)] = float(value)  # type: ignore[arg-type]
         return out
-
-    def delta(self, previous: Optional["RegistrySnapshot"]) -> Dict[Tuple[str, LabelKey], float]:
-        """Per-series change since ``previous`` (everything, when None).
-
-        The delta-since-last-scrape view ``repro top`` rates are computed
-        from; gauge deltas are signed, counter deltas non-negative.
-        """
-        current = self.scalars()
-        if previous is None:
-            return current
-        base = previous.scalars()
-        return {
-            key: value - base.get(key, 0.0)
-            for key, value in current.items()
-            if value != base.get(key, 0.0)
-        }
-
-    def value(self, name: str, **labels: object) -> float:
-        """One scalar series' value (0.0 when absent) — convenience for tests."""
-        return self.scalars().get((name, _label_key(labels)), 0.0)
 
 
 class MetricsRegistry:

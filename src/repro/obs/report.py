@@ -113,8 +113,8 @@ def solve_table(records: List[dict], limit: Optional[int] = 40) -> str:
     quantile_line = ""
     latencies = [s.get("wall_s") for s in solves if s.get("wall_s") is not None]
     if latencies:
-        # the same bucket-interpolated estimator the live /slo endpoint
-        # uses, so a post-hoc report and a mid-run scrape agree
+        # the same bucket-interpolated estimator the live SLO view (in
+        # /healthz) uses, so a post-hoc report and a mid-run scrape agree
         from repro.obs.registry import Histogram
 
         hist = Histogram("report_solve_wall_seconds")

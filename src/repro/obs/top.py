@@ -1,14 +1,15 @@
 """``repro top``: a refreshing terminal dashboard over the live endpoint.
 
 Polls a :mod:`repro.obs.live` endpoint's ``/statusz`` (everything ``top``
-needs in one request: scalar metrics, the delta since the previous poll,
-health, SLO) and redraws a compact dashboard — service state, epochs and
+needs in one request: scalar metrics and the ``/healthz`` body, SLO view
+included) and redraws a compact dashboard — service state, epochs and
 cost per second, backlog, admission shed, rolling-ledger reconciliation,
 SLO budget meters and solve-latency quantiles.
 
 Rendering is separated from polling: :func:`render_status` is a pure
 function of two ``/statusz`` payloads (current + previous) and the poll
-interval, so tests drive it with dicts and never open a socket.
+interval — rates difference the two payloads — so tests drive it with
+dicts and never open a socket.
 """
 
 from __future__ import annotations
@@ -88,10 +89,7 @@ def render_status(
              "drift 0" if ledger.get("ok", False)
              else f"DRIFT x{ledger.get('drift_events', 0)}")
         )
-    rows.append(
-        ("trace tap", f"seq {tap.get('seq', 0)}",
-         "dropped 0" if not tap.get("dropped", 0) else f"DROPPED {tap['dropped']}")
-    )
+    rows.append(("trace tap", f"seq {tap.get('seq', 0)}", ""))
     lines = [format_table(["stat", "value", "rate / detail"], rows, title="repro top")]
 
     if slo:

@@ -49,7 +49,7 @@ import contextlib
 import json
 import threading
 from collections import deque
-from typing import IO, Deque, Dict, Iterator, List, Optional, Sequence, Tuple, Union
+from typing import IO, Deque, Iterator, List, Optional, Sequence, Tuple, Union
 
 #: Dispatch-level records (one per event-queue callback) and per-flow NIC
 #: records are high-volume and excluded by default; pass ``categories``
@@ -73,13 +73,8 @@ class TraceTap:
     is *also* offered to the tap — a ring buffer of the most recent
     ``maxlen`` records with absolute sequence numbers, so HTTP readers can
     page forward with a cursor.  Offering never blocks and never raises:
-    when the buffer is full the oldest record is evicted.
-
-    Drop accounting: an evicted record counts in :attr:`dropped` only when
-    a *registered subscriber* (an attached streaming reader) had not
-    consumed it yet — eviction past nobody is the ring buffer working as
-    designed, eviction past a lagging subscriber is telemetry loss and
-    must be visible.  The serve soak gates on ``dropped == 0``.
+    when the buffer is full the oldest record is evicted, and a reader
+    whose cursor fell behind learns how many it missed from :meth:`tail`.
 
     The tap is passive: it copies record references, never mutates them,
     and never touches the tracer's sink — attaching one cannot perturb the
@@ -89,24 +84,15 @@ class TraceTap:
     def __init__(self, maxlen: int = 4096) -> None:
         if maxlen < 1:
             raise ValueError("tap maxlen must be >= 1")
-        self.maxlen = maxlen
         self._lock = threading.Lock()
-        self._buf: Deque[Tuple[int, dict]] = deque()
+        self._buf: Deque[Tuple[int, dict]] = deque(maxlen=maxlen)
         self._next_seq = 0
-        #: records evicted before a registered subscriber consumed them
-        self.dropped = 0
-        self._subscribers: Dict[int, int] = {}
-        self._next_subscriber = 0
 
     def offer(self, record: dict) -> None:
         """Buffer one record (non-blocking; evicts the oldest when full)."""
         with self._lock:
             self._buf.append((self._next_seq, record))
             self._next_seq += 1
-            while len(self._buf) > self.maxlen:
-                evicted_seq, _ = self._buf.popleft()
-                if any(cur <= evicted_seq for cur in self._subscribers.values()):
-                    self.dropped += 1
 
     @property
     def seq(self) -> int:
@@ -143,47 +129,6 @@ class TraceTap:
                     break
             return out, cursor, lost
 
-    # -- streaming subscribers (SSE readers) --------------------------------
-    def subscribe(self) -> int:
-        """Register a streaming reader; returns its subscriber id.
-
-        The reader's cursor starts at the oldest buffered record; records
-        evicted while the cursor lags count in :attr:`dropped`.
-        """
-        with self._lock:
-            sub = self._next_subscriber
-            self._next_subscriber += 1
-            self._subscribers[sub] = self._buf[0][0] if self._buf else self._next_seq
-            return sub
-
-    def unsubscribe(self, sub: int) -> None:
-        """Deregister a streaming reader (idempotent)."""
-        with self._lock:
-            self._subscribers.pop(sub, None)
-
-    def read(self, sub: int, limit: int = 256) -> Tuple[List[dict], int]:
-        """Consume up to ``limit`` records for subscriber ``sub``.
-
-        Returns ``(records, lost)`` and advances the subscriber's cursor;
-        ``lost`` counts records evicted past the cursor since the last read
-        (those are already in :attr:`dropped`).
-        """
-        with self._lock:
-            cursor = self._subscribers[sub]
-            oldest = self._buf[0][0] if self._buf else self._next_seq
-            lost = max(0, oldest - cursor)
-            cursor = max(cursor, oldest)
-            out: List[dict] = []
-            for s, r in self._buf:
-                if s < cursor:
-                    continue
-                out.append(r)
-                cursor = s + 1
-                if len(out) >= limit:
-                    break
-            self._subscribers[sub] = cursor
-            return out, lost
-
 
 class NullTracer:
     """The disabled tracer: every operation is a no-op.
@@ -196,9 +141,6 @@ class NullTracer:
 
     def add_tap(self, tap: "TraceTap") -> None:
         """No-op: a disabled tracer emits nothing for a tap to see."""
-
-    def remove_tap(self, tap: "TraceTap") -> None:
-        """No-op."""
 
     def wants(self, cat: str) -> bool:
         """Never wants anything."""
@@ -282,11 +224,6 @@ class Tracer:
         """Attach a live tap; every subsequent emitted record is offered."""
         if tap not in self._taps:
             self._taps.append(tap)
-
-    def remove_tap(self, tap: TraceTap) -> None:
-        """Detach a tap (idempotent)."""
-        if tap in self._taps:
-            self._taps.remove(tap)
 
     # -- filtering ---------------------------------------------------------
     def wants(self, cat: str) -> bool:
@@ -410,10 +347,6 @@ class BufferedTracer:
     def add_tap(self, tap: TraceTap) -> None:
         """Attach to the inner tracer (taps see records at flush time)."""
         self.inner.add_tap(tap)
-
-    def remove_tap(self, tap: TraceTap) -> None:
-        """Detach from the inner tracer."""
-        self.inner.remove_tap(tap)
 
     def event(self, cat: str, name: str, ts: float, **attrs) -> None:
         """Queue an instant event for the next :meth:`flush`."""

@@ -24,9 +24,10 @@ the configured targets over that scenario and checks the invariant oracle
     abandoned where it fell) and recovered in place —
     ``python -m repro serve --sim``.  On top of the oracle it gates on a
     byte-identical ledger and completion map vs the reference, a
-    pure-suffix trace (the ``repro diff`` gate), the sim-time floor and at
-    least one kill that replayed a WAL record (a kill on a snapshot
-    replays nothing and so tests nothing).
+    pure-suffix trace (:func:`trace_suffix_mismatch`: the victim's trace
+    parts, stitched, are the reference record for record), the sim-time
+    floor and at least one kill that replayed a WAL record (a kill on a
+    snapshot replays nothing and so tests nothing).
 
 A run that crashes is itself a violation (``run_crashed``): the resilience
 layer exists so fault storms degrade service rather than kill the process.
@@ -53,7 +54,6 @@ from repro.core.epoch import EpochController
 from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.lp.scipy_backend import HighsBackend
 from repro.lp.simplex import SimplexBackend
-from repro.obs.diff import diff_traces
 from repro.obs.registry import MetricsRegistry, current_registry, use_registry
 from repro.obs.trace import Tracer, use_tracer
 from repro.resilience.chaos import (
@@ -83,6 +83,9 @@ SERVICE_MEAN_REPAIR_S = 600.0
 
 #: synthetic LP lag added inside the service's straggler-derived windows
 LAG_S = 10.0
+
+#: wall-clock attributes: the only fields a rerun of a seeded trace may change
+_WALL_FIELDS = ("wall_s", "lp_wall_s")
 
 #: the sim/online targets' resilience counters, each ``<name>_total``
 _COUNTED = (
@@ -166,10 +169,9 @@ class SoakOutcome:
     replayed_records: int = 0
     max_replay_drift: float = 0.0
     ledger_identical: bool = False
-    #: live-plane accounting (all zero when no plane was attached)
+    #: live-plane accounting (both zero when no plane was attached)
     rolling_reconciliations: int = 0
     max_rolling_residual: float = 0.0
-    tap_dropped: int = 0
 
     @property
     def ok(self) -> bool:
@@ -328,7 +330,7 @@ def run_soak(
     must cover ``min_sim_hours`` of simulated time, and attaches ``plane`` (a
     :class:`~repro.obs.live.LiveTelemetryPlane`) to every service
     instance, recovered ones included — gating then also on every-epoch
-    rolling-ledger reconciliation and ``trace_tap_dropped == 0``.
+    rolling-ledger reconciliation with zero drift.
     """
     outcomes = []
     for seed in config.seeds:
@@ -514,14 +516,11 @@ def _soak_service(
                 "recovered per-job completion times differ from reference",
             )
         )
-    diff = diff_traces(
-        load_jsonl(ref_trace), [rec for part in victim_parts for rec in load_jsonl(part)]
+    mismatch = trace_suffix_mismatch(
+        load_jsonl(ref_trace), [load_jsonl(part) for part in victim_parts]
     )
-    if not diff.ok:
-        stats_txt = ", ".join(e.stat for e in diff.regressions)
-        outcome.violations.append(
-            InvariantViolation("trace_recovery", f"repro-diff gate regressed: {stats_txt}")
-        )
+    if mismatch is not None:
+        outcome.violations.append(InvariantViolation("trace_recovery", mismatch))
     if outcome.sim_time_s < min_sim_hours * 3600.0:
         outcome.violations.append(
             InvariantViolation(
@@ -559,15 +558,56 @@ def _soak_service(
                     "rolling_ledger", "plane attached but no reconciliation ever ran"
                 )
             )
-        outcome.tap_dropped = plane.tap.dropped
-        if plane.tap.dropped:
-            outcome.violations.append(
-                InvariantViolation(
-                    "trace_tap",
-                    f"{plane.tap.dropped} trace records evicted past a live "
-                    f"subscriber (tap too small or reader too slow)",
-                )
-            )
+
+
+def trace_suffix_mismatch(
+    reference: List[dict], parts: Sequence[List[dict]]
+) -> Optional[str]:
+    """Why a killed-and-recovered run's trace is not the reference, or None.
+
+    ``parts`` are the victim's per-life traces in order.  Recovery must
+    emit a pure suffix: replay re-emits nothing, so once each life's
+    ``service.recovered`` event is dropped, the wall-clock fields are
+    dropped everywhere and each life's span ids (every life's tracer
+    numbers from 1) are shifted past the ids of the lives before it, the
+    stitched parts equal the reference record for record.
+    """
+
+    def strip(record: dict) -> dict:
+        return {k: v for k, v in record.items() if k not in _WALL_FIELDS}
+
+    stitched: List[dict] = []
+    offset = 0
+    for part in parts:
+        top = offset
+        for record in part:
+            if record.get("cat") == "service" and record.get("name") == "recovered":
+                continue
+            record = strip(record)
+            for key in ("span_id", "parent"):
+                if record.get(key) is not None:
+                    record[key] += offset
+            if record.get("links"):
+                record["links"] = [link + offset for link in record["links"]]
+            top = max(top, record.get("span_id") or 0)
+            stitched.append(record)
+        offset = top
+    expected = [strip(record) for record in reference]
+    if stitched == expected:
+        return None
+    index = next(
+        (i for i, (got, want) in enumerate(zip(stitched, expected)) if got != want),
+        min(len(stitched), len(expected)),
+    )
+    where = f"first differs at record {index}"
+    if index < min(len(stitched), len(expected)):
+        got, want = stitched[index], expected[index]
+        keys = [k for k in sorted({*got, *want}) if got.get(k) != want.get(k)]
+        where += f" ({want.get('cat')}.{want.get('name')}: {', '.join(keys)})"
+    return (
+        f"recovered trace ({len(stitched)} records) is not the reference "
+        f"({len(expected)}): {where}"
+    )
 
 
 def soak_summary(outcomes: Sequence[SoakOutcome]) -> Dict[str, float]:

@@ -95,7 +95,7 @@ class SLOConfig:
     #: tolerated deadline-miss fraction of LP epochs inside the window;
     #: burn rate is measured against this budget
     miss_budget: float = 0.05
-    #: solve-latency quantiles the /slo endpoint and ``repro top`` render
+    #: solve-latency quantiles ``/healthz``, ``/statusz`` and ``repro top`` show
     latency_quantiles: Tuple[float, ...] = (0.5, 0.95, 0.99)
 
     def __post_init__(self) -> None:
@@ -174,7 +174,7 @@ class SLOTracker:
         return self._lag.quantile(q)
 
     def to_dict(self) -> dict:
-        """JSON view for the ``/slo`` endpoint and ``repro top``."""
+        """JSON view under ``slo`` in the service status (``/healthz``, ``repro top``)."""
         return {
             "window_epochs": self.config.window_epochs,
             "window_size": self.window_size,

@@ -266,7 +266,7 @@ class SchedulingService:
         """Wire a :class:`~repro.obs.live.LiveTelemetryPlane` to this service.
 
         Enables every-epoch ledger reconciliation, installs :meth:`status`
-        as the plane's /healthz + /slo provider, and (once the tracer is
+        as the plane's /healthz status provider, and (once the tracer is
         resolved — here or at :meth:`start`) feeds the plane's trace tail.
         """
         self._plane = plane

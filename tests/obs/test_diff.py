@@ -1,7 +1,8 @@
 """Trace-diff tests: stat extraction, gating semantics, the CLI gate.
 
-Uses the same smoke-trace trio CI gates on: base/same are identical
-seeded runs, slow doubles dollar rates and halves throughput.
+Runs on a trio of traces of one tiny deterministic LiPS scenario:
+base/same are identical seeded runs, slow doubles dollar rates and halves
+throughput.
 """
 
 import json
@@ -9,19 +10,58 @@ import json
 import pytest
 
 from repro.cli import main
+from repro.cluster.builder import ClusterBuilder
+from repro.cluster.topology import Topology
+from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.obs.diff import (
     DEFAULT_THRESHOLDS,
     DiffEntry,
     diff_traces,
-    emit_smoke_traces,
     stats_from_trace,
 )
 from repro.obs.export import load_jsonl
+from repro.obs.trace import Tracer
+from repro.schedulers import LipsScheduler
+from repro.workload.job import DataObject, Job, Workload
+
+
+def _write_trio(outdir):
+    """Trace the scenario three times into ``outdir``; ``{name: path}``.
+
+    ``base`` and ``same`` are identical runs (their diff must pass);
+    ``slow`` doubles every machine's dollar rate and halves its throughput
+    — an unambiguous >10 % cost *and* makespan regression the gate must
+    catch.
+    """
+    paths = {}
+    for name, cost_scale, speed_scale in (
+        ("base", 1.0, 1.0),
+        ("same", 1.0, 1.0),
+        ("slow", 2.0, 0.5),
+    ):
+        b = ClusterBuilder(topology=Topology.of(["za", "zb"]), store_capacity_mb=1e6)
+        b.add_machine("a0", ecu=2.0 * speed_scale, cpu_cost=5e-5 * cost_scale, zone="za")
+        b.add_machine("b0", ecu=5.0 * speed_scale, cpu_cost=1e-5 * cost_scale, zone="zb")
+        data = [DataObject(data_id=0, name="d", size_mb=128.0, origin_store=0)]
+        jobs = [
+            Job(job_id=0, name="scan", tcp=0.5, data_ids=[0], num_tasks=2),
+            Job(job_id=1, name="pi", tcp=0.0, num_tasks=1,
+                cpu_seconds_noinput=50.0, arrival_time=10.0),
+        ]
+        paths[name] = str(outdir / f"{name}.jsonl")
+        with Tracer.to_path(paths[name]) as tracer:
+            HadoopSimulator(
+                b.build(),
+                Workload(jobs=jobs, data=data),
+                LipsScheduler(epoch_length=60.0),
+                SimConfig(placement_seed=2, speculative=False, tracer=tracer),
+            ).run()
+    return paths
 
 
 @pytest.fixture(scope="module")
 def trio(tmp_path_factory):
-    paths = emit_smoke_traces(tmp_path_factory.mktemp("smoke"))
+    paths = _write_trio(tmp_path_factory.mktemp("trio"))
     return {name: load_jsonl(path) for name, path in paths.items()}
 
 
@@ -94,7 +134,7 @@ class TestGating:
 class TestCliGate:
     @pytest.fixture(scope="class")
     def paths(self, tmp_path_factory):
-        return emit_smoke_traces(tmp_path_factory.mktemp("cli-smoke"))
+        return _write_trio(tmp_path_factory.mktemp("cli-trio"))
 
     def test_identical_pair_exits_zero(self, paths, capsys):
         rc = main(["diff", paths["base"], paths["same"]])

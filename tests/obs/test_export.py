@@ -1,4 +1,4 @@
-"""Tests for trace exporters: JSONL round-trip, Chrome format, summary."""
+"""Tests for trace exporters: JSONL round-trip, Chrome projection, summary."""
 
 import json
 
@@ -6,7 +6,6 @@ from repro.obs.export import (
     EPOCH_LANE,
     LP_LANE,
     MISC_LANE,
-    from_chrome_trace,
     load_jsonl,
     summary,
     to_chrome_trace,
@@ -61,8 +60,20 @@ class TestChromeTrace:
         assert lp["dur"] == 0.01e6
 
     def test_round_trip_preserves_envelope_and_args(self):
-        back = from_chrome_trace(to_chrome_trace(RECORDS))
-        assert back == RECORDS
+        chrome = to_chrome_trace(RECORDS)
+        assert chrome["displayTimeUnit"] == "ms"
+        events = [e for e in chrome["traceEvents"] if e["ph"] != "M"]
+        assert len(events) == len(RECORDS)
+        for record, event in zip(RECORDS, events):
+            assert event["name"] == f"{record['cat']}:{record['name']}"
+            assert event["cat"] == record["cat"]
+            assert event["ts"] == record["ts"] * 1e6
+            assert event["args"] == {
+                k: v for k, v in record.items()
+                if k not in ("type", "cat", "name", "ts", "dur")
+            }
+        assert [e["ph"] for e in events] == ["i", "X", "X", "X"]
+        assert [e.get("dur") for e in events] == [None, 2.0e6, 600.0e6, 0.01e6]
 
     def test_write_chrome_trace_is_valid_json(self, tmp_path):
         path = write_chrome_trace(RECORDS, tmp_path / "t.json")
@@ -85,8 +96,14 @@ CAUSAL_RECORDS = [
 
 class TestCausalFlows:
     def test_round_trip_preserves_causal_identity(self):
-        back = from_chrome_trace(to_chrome_trace(CAUSAL_RECORDS))
-        assert back == CAUSAL_RECORDS
+        chrome = to_chrome_trace(CAUSAL_RECORDS)
+        events = [e for e in chrome["traceEvents"] if e["ph"] == "X"]
+        identity = ("span_id", "parent", "links")
+        assert [
+            {k: e["args"][k] for k in identity if k in e["args"]} for e in events
+        ] == [
+            {k: r[k] for k in identity if k in r} for r in CAUSAL_RECORDS
+        ]
 
     def test_flow_arrows_per_causal_edge(self):
         chrome = to_chrome_trace(CAUSAL_RECORDS)

@@ -222,29 +222,11 @@ class TestSnapshots:
         reg.gauge("b").set(1.5)
         reg.histogram("h").observe(0.01)
         snap = reg.snapshot()
-        assert snap.value("a", k="v") == 3
-        assert snap.value("b") == 1.5
-        assert snap.value("missing") == 0.0
+        assert snap.scalars() == {("a", (("k", "v"),)): 3, ("b", ()): 1.5}
         (hist,) = [m for m in snap.metrics if m.kind == "histogram"]
         assert hist.buckets is not None
         (series,) = hist.series.values()
         assert series["count"] == 1
-
-    def test_delta_since_previous(self):
-        reg = MetricsRegistry()
-        reg.counter("a").inc(3)
-        before = reg.snapshot()
-        reg.counter("a").inc(2)
-        reg.gauge("g").set(-1.0)
-        after = reg.snapshot()
-        delta = after.delta(before)
-        assert delta[("a", ())] == 2
-        assert delta[("g", ())] == -1.0
-
-    def test_delta_against_none_is_everything(self):
-        reg = MetricsRegistry()
-        reg.counter("a").inc(3)
-        assert reg.snapshot().delta(None) == {("a", ()): 3}
 
 
 class TestAtomicDump:

@@ -250,7 +250,7 @@ class TestSLOTracker:
         assert set(payload["lag_quantiles_s"]) == {"p50", "p95", "p99"}
         import json
 
-        json.dumps(payload)  # must be JSON-ready for /slo
+        json.dumps(payload)  # must be JSON-ready for /healthz
 
     def test_deterministic_replay(self):
         # the tracker is a pure function of the observed sequence

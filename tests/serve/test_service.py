@@ -424,7 +424,7 @@ class TestLivePlane:
         health = plane.health()
         assert health["ok"] is True
         assert health["service"]["epoch"] == status["epoch"]
-        assert plane.slo() == slo
+        assert health["service"]["slo"] == slo
 
     def test_plane_tap_sees_service_trace(self, two_zone_cluster, tmp_path):
         from repro.obs.live import LiveTelemetryPlane
@@ -440,7 +440,6 @@ class TestLivePlane:
         # journal-before-trace flush means the tap saw every record the
         # file did (the tap hangs off the inner tracer, post-buffer)
         assert plane.tap.seq == len(trace_path.read_text().splitlines())
-        assert plane.tap.dropped == 0
         records, _, _ = plane.tap.tail()
         assert any(r.get("cat") == "epoch" for r in records)
 

@@ -15,6 +15,7 @@ from repro.resilience.soak import (
     derive_service_chaos,
     make_lag_injector,
     run_soak,
+    trace_suffix_mismatch,
 )
 from repro.workload.arrivals import MergedArrivals, PoissonArrivals
 
@@ -90,6 +91,41 @@ class TestChaosDerivation:
         injector = make_lag_injector([(120.0, 300.0)], 60.0)
         # epochs start at 0, 60, 120, ... — the window covers starts 120..240
         assert [injector(e) for e in range(7)] == [0, 0, LAG_S, LAG_S, LAG_S, 0, 0]
+
+
+def _span(span_id, parent=None, links=None, wall_s=0.0):
+    record = {"type": "span", "cat": "epoch", "name": "e", "ts": float(span_id),
+              "span_id": span_id, "lp_wall_s": wall_s}
+    if parent is not None:
+        record["parent"] = parent
+    if links is not None:
+        record["links"] = links
+    return record
+
+
+class TestTraceSuffix:
+    REFERENCE = [_span(1), _span(2, parent=1), _span(3), _span(4, parent=3, links=[2])]
+    RECOVERED = {"type": "event", "cat": "service", "name": "recovered", "ts": 2.0}
+
+    def _lives(self):
+        # the second life numbers its spans from 1 again and reports its
+        # recovery; wall-clock fields differ between the runs
+        return [
+            [_span(1, wall_s=0.5), _span(2, parent=1)],
+            [self.RECOVERED, dict(_span(1), ts=3.0), dict(_span(2, 1, [0]), ts=4.0)],
+        ]
+
+    def test_stitched_lives_equal_the_reference(self):
+        assert trace_suffix_mismatch(self.REFERENCE, self._lives()) is None
+
+    def test_replayed_record_is_named(self):
+        lives = self._lives()
+        lives[1].insert(1, _span(1, wall_s=0.5))  # replay re-emitted life 0's epoch
+        mismatch = trace_suffix_mismatch(self.REFERENCE, lives)
+        assert mismatch == (
+            "recovered trace (5 records) is not the reference (4): "
+            "first differs at record 2 (epoch.e: ts)"
+        )
 
 
 class TestEndToEnd:
