@@ -34,7 +34,7 @@ def test_ablation_lp_backend(benchmark, backend_cls):
 
 def test_ablation_epoch_vs_offline(benchmark, capsys):
     """Online epoching is never cheaper than the offline optimum."""
-    from repro.core.co_online import OnlineModelConfig, solve_co_online
+    from repro.core.co_online import solve_co_online
     from repro.workload.apps import table4_jobs
 
     cluster = build_paper_testbed(12, c1_medium_fraction=0.5, uptime=50000.0)
@@ -43,7 +43,8 @@ def test_ablation_epoch_vs_offline(benchmark, capsys):
     offline = solve_co_offline(inp)
     online = benchmark.pedantic(
         solve_co_online,
-        args=(inp, OnlineModelConfig(epoch_length=900.0)),
+        args=(inp,),
+        kwargs={"epoch_length": 900.0},
         rounds=1,
         iterations=1,
     )

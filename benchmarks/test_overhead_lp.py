@@ -10,7 +10,7 @@ regime (generous factor for slow CI machines).
 import time
 
 from repro.cluster.builder import build_paper_testbed
-from repro.core.co_online import OnlineModelConfig, solve_co_online
+from repro.core.co_online import solve_co_online
 from repro.core.model import SchedulingInput
 from repro.schedulers.lips import build_zone_aggregate
 from repro.workload.apps import table4_jobs
@@ -23,7 +23,7 @@ def test_epoch_lp_overhead(run_once, capsys):
     inp = SchedulingInput.from_parts(cluster, w)
 
     def solve():
-        return solve_co_online(inp, OnlineModelConfig(epoch_length=600.0))
+        return solve_co_online(inp, epoch_length=600.0)
 
     t0 = time.perf_counter()
     sol = run_once(solve)

@@ -22,7 +22,6 @@ from repro.core import (
     CoScheduleSolution,
     EpochController,
     FairShareConfig,
-    OnlineModelConfig,
     SchedulingInput,
     round_schedule,
     solve_co_offline,
@@ -64,7 +63,6 @@ __all__ = [
     "HadoopSimulator",
     "Job",
     "LipsScheduler",
-    "OnlineModelConfig",
     "SchedulingInput",
     "SimConfig",
     "SwimConfig",

@@ -11,13 +11,14 @@ Three models, exactly mirroring the paper's figures:
   the always-feasible fake node F.
 
 :class:`~repro.core.epoch.EpochController` drives the online model across
-epochs, re-queuing fake-node residuals and accounting dollar costs, and
+epochs, re-queuing fake-node residuals and accounting dollar costs; it and
+the simulator's LiPS plan each epoch with :func:`~repro.core.epoch.plan_epoch`.
 :mod:`repro.core.rounding` converts fractional schedules into integral task
 counts with the minimum-viable-task-size rule.
 """
 
 from repro.core.co_offline import solve_co_offline
-from repro.core.co_online import OnlineModelConfig, solve_co_online
+from repro.core.co_online import solve_co_online
 from repro.core.epoch import EpochController, EpochReport, OnlineRunResult
 from repro.core.fairness import FairShareConfig, fulfillment_ratios, jains_index
 from repro.core.model import SchedulingInput, split_multi_object_jobs
@@ -32,7 +33,6 @@ __all__ = [
     "EpochReport",
     "FairShareConfig",
     "IntegralSchedule",
-    "OnlineModelConfig",
     "OnlineRunResult",
     "SchedulingInput",
     "fulfillment_ratios",

@@ -6,6 +6,10 @@ and re-queue whatever landed on the fake node F.  Dollar costs accumulate in
 a :class:`~repro.cost.accounting.CostLedger`; per-node CPU time is recorded
 per epoch (the paper's Figure 11 breakdown).
 
+:func:`plan_epoch` is the one epoch step of both LiPS drivers, this
+controller and the simulator's :class:`~repro.schedulers.lips.LipsScheduler`;
+what the plan becomes (fluid execution here, rounding there) stays with each.
+
 Residual jobs
 -------------
 When a fraction of a job is parked on F, the remainder re-enters the queue
@@ -34,7 +38,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.cluster.builder import Cluster
-from repro.core.co_online import OnlineModelConfig, solve_co_online
+from repro.core.co_online import OnlineModelUnsolved, solve_co_online
 from repro.core.model import SchedulingInput
 from repro.util import round_half_up
 from repro.core.solution import CoScheduleSolution, CostBreakdown
@@ -47,6 +51,46 @@ from repro.workload.job import DataObject, Job, Workload
 
 #: Fractions below this are considered fully scheduled (numerical noise).
 MIN_RESIDUAL: float = 1e-6
+
+
+def plan_epoch(
+    inp: SchedulingInput,
+    epoch_length: float,
+    backend: Optional[object],
+    *,
+    scheduler: str,
+    tracer,
+    ts: float,
+    fields: Dict[str, object],
+    store_capacity: Optional[np.ndarray] = None,
+    force_degraded: bool = False,
+) -> CoScheduleSolution:
+    """Plan one epoch with the Figure 4 LP against ``Cap^e`` (``store_capacity``).
+
+    If the LP cannot be solved, or ``force_degraded`` is set, plan it with
+    the greedy heuristic instead, count ``epochs_degraded_total{scheduler}``
+    and trace an ``epoch.degraded`` event with ``fields`` at ``ts``.
+    """
+    # deferred: repro.resilience imports back into repro.core
+    from repro.resilience.degraded import greedy_epoch_solution
+
+    if not force_degraded:
+        try:
+            return solve_co_online(
+                inp, epoch_length=epoch_length, backend=backend, store_capacity=store_capacity
+            )
+        except OnlineModelUnsolved:
+            pass
+    sol = greedy_epoch_solution(inp, epoch_length, store_capacity=store_capacity)
+    registry = current_registry()
+    if registry is not None:
+        registry.counter(
+            "epochs_degraded_total",
+            help="epochs scheduled by the greedy degraded path",
+        ).inc(scheduler=scheduler)
+    if tracer.enabled:
+        tracer.event("epoch", "degraded", ts, **fields)
+    return sol
 
 
 @dataclass
@@ -69,7 +113,6 @@ class EpochReport:
     num_requeued: int
     cost: CostBreakdown
     machine_cpu_seconds: np.ndarray
-    solution: Optional[CoScheduleSolution] = None
     #: LP backend solves this epoch and their wall time (repro.obs.lpprof)
     lp_solves: int = 0
     lp_wall_seconds: float = 0.0
@@ -130,21 +173,10 @@ class EpochController:
         Seconds per epoch (``e``) — the cost/performance dial.
     backend:
         LP backend (defaults to HiGHS).
-    enforce_bandwidth:
-        Toggle constraint (21).
-    keep_solutions:
-        Retain per-epoch LP solutions in the reports (memory-heavy).
     max_epochs:
         Safety cap; the run aborts loudly rather than looping forever.
-    degraded_mode:
-        When True (default) an epoch whose LP cannot be solved — every
-        backend in a resilient chain failed, or the single backend
-        raised — is scheduled by the greedy cost heuristic
-        (:func:`repro.resilience.degraded.greedy_epoch_solution`) instead of
-        aborting the run; the unplaced remainder re-queues via the usual
-        fake-node semantics, an ``epoch.degraded`` trace event is emitted
-        and ``epochs_degraded_total`` is counted.  Set False to get the old
-        fail-fast behaviour.
+    tracer:
+        Trace emitter; ``None`` falls back to the ambient tracer.
     """
 
     def __init__(
@@ -152,27 +184,17 @@ class EpochController:
         cluster: Cluster,
         epoch_length: float,
         backend: Optional[object] = None,
-        enforce_bandwidth: bool = True,
-        keep_solutions: bool = False,
         max_epochs: int = 100000,
-        fairness: Optional[object] = None,
         tracer: Optional[object] = None,
-        degraded_mode: bool = True,
     ) -> None:
         if epoch_length <= 0:
             raise ValueError("epoch_length must be positive")
         self.cluster = cluster
         self.epoch_length = epoch_length
         self.backend = backend
-        self.enforce_bandwidth = enforce_bandwidth
-        self.keep_solutions = keep_solutions
         self.max_epochs = max_epochs
-        #: optional FairShareConfig applied to every epoch's LP
-        self.fairness = fairness
         #: trace emitter; None falls back to the ambient tracer at run time
         self.tracer = tracer
-        #: greedy-schedule epochs whose LP chain failed instead of raising
-        self.degraded_mode = degraded_mode
         #: epochs scheduled by the degraded path in the most recent run
         self.degraded_epochs = 0
         #: optional live reconciliation: a :class:`repro.obs.ledger.
@@ -186,7 +208,7 @@ class EpochController:
 
     # -- helpers -------------------------------------------------------------
     def _build_epoch_input(
-        self, entries: List[_QueueEntry], store_used_mb: np.ndarray, data: List[DataObject]
+        self, entries: List[_QueueEntry], data: List[DataObject]
     ) -> Tuple[SchedulingInput, List[int]]:
         """Scale queued entries into a one-epoch workload.
 
@@ -198,6 +220,7 @@ class EpochController:
         objs: List[DataObject] = []
         for pos, entry in enumerate(entries):
             job = entry.job
+            data_ids: List[int] = []
             if job.data_ids:
                 orig = data[job.data_ids[0]]
                 obj = DataObject(
@@ -210,33 +233,21 @@ class EpochController:
                     block_mb=orig.block_mb,
                 )
                 objs.append(obj)
-                jobs.append(
-                    Job(
-                        job_id=pos,
-                        name=job.name,
-                        tcp=job.tcp,
-                        data_ids=[obj.data_id],
-                        num_tasks=max(1, round_half_up(job.num_tasks * entry.fraction)),
-                        cpu_seconds_noinput=job.cpu_seconds_noinput * entry.fraction,
-                        arrival_time=job.arrival_time,
-                        pool=job.pool,
-                        app=job.app,
-                    )
+                data_ids = [obj.data_id]
+            jobs.append(
+                Job(
+                    job_id=pos,
+                    name=job.name,
+                    tcp=job.tcp if data_ids else 0.0,
+                    data_ids=data_ids,
+                    num_tasks=max(1, round_half_up(job.num_tasks * entry.fraction)),
+                    cpu_seconds_noinput=job.cpu_seconds_noinput * entry.fraction,
+                    arrival_time=job.arrival_time,
+                    pool=job.pool,
+                    app=job.app,
+                    read_fraction=job.read_fraction,
                 )
-            else:
-                jobs.append(
-                    Job(
-                        job_id=pos,
-                        name=job.name,
-                        tcp=0.0,
-                        data_ids=[],
-                        num_tasks=max(1, round_half_up(job.num_tasks * entry.fraction)),
-                        cpu_seconds_noinput=job.cpu_seconds_noinput * entry.fraction,
-                        arrival_time=job.arrival_time,
-                        pool=job.pool,
-                        app=job.app,
-                    )
-                )
+            )
         sub = Workload(jobs=jobs, data=objs)
         inp = SchedulingInput.from_parts(self.cluster, sub)
         return inp, [e.job.job_id for e in entries]
@@ -370,7 +381,7 @@ class EpochController:
         ahead of real time when LP solves lag.
         """
         # deferred: repro.resilience imports back into repro.core
-        from repro.resilience.degraded import DEGRADED_MODEL, greedy_epoch_solution
+        from repro.resilience.degraded import DEGRADED_MODEL
 
         state = self._require_state()
         if state.epoch >= self.max_epochs:
@@ -384,48 +395,28 @@ class EpochController:
         tracer = state.tracer
         queue = state.queue
 
-        inp, original_ids = self._build_epoch_input(queue, state.store_used_mb, state.data)
+        inp, original_ids = self._build_epoch_input(queue, state.data)
         remaining_cap = np.maximum(
             self.cluster.store_capacity_vector() - state.store_used_mb, 0.0
         )
         epoch_span = tracer.new_span_id()
-        with lpprof.profile() as prof, lpprof.scope(
-            epoch=epoch, scheduler="epoch-controller"
-        ):
-            if force_degraded:
-                sol = greedy_epoch_solution(
-                    inp,
-                    e,
-                    store_capacity=remaining_cap,
-                    enforce_bandwidth=self.enforce_bandwidth,
-                )
-            else:
-                sol = solve_co_online(
-                    inp,
-                    OnlineModelConfig(epoch_length=e, enforce_bandwidth=self.enforce_bandwidth),
-                    backend=self.backend,
-                    store_capacity=remaining_cap,
-                    fairness=self.fairness,
-                    on_failure="greedy" if self.degraded_mode else "raise",
-                )
-        if tracer.enabled:
-            for rec in prof.records:
-                tracer.lp_solve(
-                    rec, ts=start, span_id=tracer.new_span_id(), parent=epoch_span
-                )
+        prof = lpprof.LPProfile()
+
+        def on_solve(rec: lpprof.LPSolveRecord) -> None:
+            # traced as it happens, so it precedes the epoch.degraded event
+            prof(rec)
+            if tracer.enabled:
+                tracer.lp_solve(rec, ts=start, span_id=tracer.new_span_id(), parent=epoch_span)
+
+        with lpprof.collect(on_solve), lpprof.scope(epoch=epoch, scheduler="epoch-controller"):
+            sol = plan_epoch(
+                inp, e, self.backend, scheduler="epoch-controller", tracer=tracer, ts=start,
+                fields={"index": epoch, "queued": len(original_ids)},
+                store_capacity=remaining_cap, force_degraded=force_degraded,
+            )
         degraded = sol.model == DEGRADED_MODEL
         if degraded:
             self.degraded_epochs += 1
-            registry = current_registry()
-            if registry is not None:
-                registry.counter(
-                    "epochs_degraded_total",
-                    help="epochs scheduled by the greedy degraded path",
-                ).inc(scheduler="epoch-controller")
-            if tracer.enabled:
-                tracer.event(
-                    "epoch", "degraded", start, index=epoch, queued=len(original_ids)
-                )
         bd = self._charge(state.ledger, inp, sol, original_ids)
 
         # machine CPU time this epoch (wall seconds of busy CPU)
@@ -498,7 +489,6 @@ class EpochController:
             num_requeued=requeued,
             cost=bd,
             machine_cpu_seconds=cpu_l,
-            solution=sol if self.keep_solutions else None,
             lp_solves=prof.solves,
             lp_wall_seconds=prof.wall_seconds,
             degraded=degraded,

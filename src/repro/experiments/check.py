@@ -95,7 +95,7 @@ def _check_lp_overhead() -> CheckResult:
     import time
 
     from repro.cluster.builder import build_paper_testbed
-    from repro.core.co_online import OnlineModelConfig, solve_co_online
+    from repro.core.co_online import solve_co_online
     from repro.core.model import SchedulingInput
     from repro.schedulers.lips import build_zone_aggregate
     from repro.workload.apps import table4_jobs
@@ -103,7 +103,7 @@ def _check_lp_overhead() -> CheckResult:
     cluster = build_zone_aggregate(build_paper_testbed(20, c1_medium_fraction=0.5))
     inp = SchedulingInput.from_parts(cluster, table4_jobs(origin_stores=[0, 1, 2]))
     t0 = time.perf_counter()
-    solve_co_online(inp, OnlineModelConfig(epoch_length=600.0))
+    solve_co_online(inp, epoch_length=600.0)
     ms = (time.perf_counter() - t0) * 1000.0
     return CheckResult(
         "§VI-A: epoch LP solves in 10s of ms at 1608-task scale",

@@ -20,7 +20,7 @@ from typing import Dict, Optional
 
 
 from repro.cluster.builder import build_paper_testbed
-from repro.core.co_online import OnlineModelConfig, solve_co_online
+from repro.core.co_online import solve_co_online
 from repro.core.fairness import FairShareConfig, fulfillment_ratios, jains_index
 from repro.core.model import SchedulingInput
 from repro.experiments.common import DEFAULT, DELAY, LIPS, compare_schedulers
@@ -78,11 +78,9 @@ def run_fairness(
     """One contended epoch, with and without the fair-share guarantee."""
     cluster = build_paper_testbed(total_nodes, c1_medium_fraction=0.5, seed=seed)
     inp = SchedulingInput.from_parts(cluster, _contended_workload(cluster.num_stores))
-    cfg = OnlineModelConfig(epoch_length=epoch_length, enforce_bandwidth=False)
-    plain = solve_co_online(inp, cfg, backend=backend)
-    fair = solve_co_online(
-        inp, cfg, backend=backend, fairness=FairShareConfig(fulfillment=fulfillment)
-    )
+    cfg = dict(epoch_length=epoch_length, backend=backend, enforce_bandwidth=False)
+    plain = solve_co_online(inp, **cfg)
+    fair = solve_co_online(inp, **cfg, fairness=FairShareConfig(fulfillment=fulfillment))
     rp = fulfillment_ratios(inp, plain)
     rf = fulfillment_ratios(inp, fair)
     return FairnessResult(

@@ -8,7 +8,7 @@ builds a *program-level* view of ``src/repro`` — a module symbol table
 * **determinism** (:mod:`repro.lint.flow.determinism`, ``FLOW001``,
   ``FLOW002``, ``FLOW103``) — ambient/unseeded RNG and wall-clock reads in
   any function reachable from the simulation/solve entry points
-  (``HadoopSimulator.run``, ``solve_co_online``, ``EpochController.run``,
+  (``HadoopSimulator.run``, ``epoch.plan_epoch``, ``EpochController.run``,
   ``run_soak``), and process-pool tasks that draw from ambient RNG;
 * **units** (:mod:`repro.lint.flow.units`, ``FLOW201``) — a lightweight
   abstract interpretation propagating dollars/seconds/megabytes/CPU-second

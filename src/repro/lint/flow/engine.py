@@ -29,9 +29,11 @@ from repro.lint.flow.units import run_units_pass
 #: every soak target's scenario and fault code plus the whole service path
 #: — admission, ticks, WAL replay — so any ambient RNG or wall-clock read
 #: there breaks seeded replay and must surface as FLOW001/002.
+#: ``epoch.plan_epoch`` is the epoch step both LiPS drivers share: its
+#: closure holds the online LP and the greedy degraded plan.
 DEFAULT_ENTRY_POINTS: Tuple[str, ...] = (
     "HadoopSimulator.run",
-    "solve_co_online",
+    "epoch.plan_epoch",
     "EpochController.run",
     "run_soak",
 )

@@ -1,10 +1,11 @@
 """Degraded-mode epoch scheduling: a greedy stand-in for the online LP.
 
 When the whole LP fallback chain fails (every backend timed out, broke
-numerically or errored), an epoch must still be scheduled — the paper's
-design already tolerates *partial* epochs through the fake node F, so the
-degraded path just produces a feasible-by-construction
-:class:`~repro.core.solution.CoScheduleSolution` the controller can execute
+numerically or errored), an epoch must still be scheduled.  The paper's
+design already tolerates *partial* epochs through the fake node F, so
+:func:`repro.core.epoch.plan_epoch` (the epoch step of both LiPS drivers)
+falls back to :func:`greedy_epoch_solution`: a feasible-by-construction
+:class:`~repro.core.solution.CoScheduleSolution` the driver can execute
 and re-queue from, instead of crashing the run.
 
 The heuristic is the paper's Section IV greedy, adapted to one epoch:
@@ -37,8 +38,8 @@ from repro.core.solution import CoScheduleSolution
 _TOL = 1e-12
 
 #: Model tag marking a solution produced by the degraded path; the epoch
-#: controller and LiPS scheduler key their ``epoch.degraded`` trace events
-#: and ``epochs_degraded_total`` counter off this.
+#: controller and LiPS scheduler key their own degraded-epoch counts off
+#: this.
 DEGRADED_MODEL = "co-online-degraded"
 
 
@@ -46,7 +47,6 @@ def greedy_epoch_solution(
     inp: SchedulingInput,
     epoch_length: float,
     store_capacity: Optional[np.ndarray] = None,
-    enforce_bandwidth: bool = True,
 ) -> CoScheduleSolution:
     """Greedy cost-ranked assignment for one epoch (no LP solve).
 
@@ -103,7 +103,7 @@ def greedy_epoch_solution(
             if remaining <= _TOL:
                 break
             frac = remaining if cpu_k <= 0 else min(remaining, cap_cpu[l] / cpu_k)
-            if enforce_bandwidth and size_k > 0:
+            if size_k > 0:
                 frac = min(frac, epoch_length * inp.bandwidth[l, m] / size_k)
             if frac <= _TOL:
                 continue

@@ -51,7 +51,6 @@ class AdaptiveLipsScheduler(LipsScheduler):
         adjust_factor: float = 2.0,
         slack: float = 0.2,
         backend: Optional[object] = None,
-        enforce_bandwidth: bool = True,
     ) -> None:
         if target_makespan <= 0:
             raise ValueError("target_makespan must be positive")
@@ -60,9 +59,7 @@ class AdaptiveLipsScheduler(LipsScheduler):
         if adjust_factor <= 1.0:
             raise ValueError("adjust_factor must exceed 1")
         start = initial_epoch if initial_epoch is not None else (min_epoch * max_epoch) ** 0.5
-        super().__init__(
-            epoch_length=start, backend=backend, enforce_bandwidth=enforce_bandwidth
-        )
+        super().__init__(epoch_length=start, backend=backend)
         self.target_makespan = target_makespan
         self.min_epoch = min_epoch
         self.max_epoch = max_epoch

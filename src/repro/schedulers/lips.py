@@ -4,7 +4,8 @@ Every epoch (paper Figure 4) LiPS:
 
 1. snapshots all queued jobs' still-unplanned map tasks;
 2. groups each job's tasks by the *zone* currently holding their blocks and
-   solves the online co-scheduling LP over a zone-aggregated store model;
+   solves the online co-scheduling LP over a zone-aggregated store model
+   (:func:`repro.core.epoch.plan_epoch`, shared with the epoch controller);
 3. rounds the fractional solution to integral task counts;
 4. realises the plan: blocks are moved to their LP-chosen stores (placement
    dollars charged; tasks become runnable when the move lands) and each task
@@ -36,11 +37,10 @@ import numpy as np
 
 from repro.cluster.builder import Cluster, ClusterBuilder
 from repro.cluster.topology import Topology
-from repro.core.co_online import OnlineModelConfig, solve_co_online
+from repro.core.epoch import plan_epoch
 from repro.core.model import SchedulingInput
 from repro.core.rounding import round_schedule
 from repro.hadoop.jobtracker import JobState
-from repro.obs.registry import current_registry
 from repro.obs.spans import PlanLinks
 from repro.hadoop.tasktracker import SimTask, TaskTracker
 from repro.schedulers.base import Assignment, TaskScheduler
@@ -102,33 +102,20 @@ class LipsScheduler(TaskScheduler):
     epoch_length:
         Seconds per epoch — the paper's cost/performance dial.
     backend:
-        LP backend (defaults to HiGHS).
-    enforce_bandwidth:
-        Toggle the Figure 4 transfer-time constraint (21).
-    degraded_mode:
-        When True (default) an epoch whose LP cannot be solved is planned
-        by the greedy cost heuristic instead of crashing the simulation;
-        unplaced tasks stay unplanned (the usual fake-node parking) and
-        replan next epoch.  An ``epoch.degraded`` trace event is emitted
-        and ``epochs_degraded_total`` counted.
+        LP backend (defaults to HiGHS); if it fails, the epoch is planned
+        greedily and counted in ``SimMetrics.epochs_degraded``.
     """
 
     def __init__(
         self,
         epoch_length: float = 600.0,
         backend: Optional[object] = None,
-        enforce_bandwidth: bool = True,
-        degraded_mode: bool = True,
     ) -> None:
         super().__init__()
         if epoch_length <= 0:
             raise ValueError("epoch_length must be positive")
         self.epoch_length = epoch_length
         self.backend = backend
-        self.enforce_bandwidth = enforce_bandwidth
-        self.degraded_mode = degraded_mode
-        #: epochs planned by the greedy degraded path over this sim's lifetime
-        self.degraded_epochs = 0
         self.plans: Dict[int, Deque[_PlanEntry]] = {}
         #: machines whose plan is non-empty: the only offers that can place
         #: a task (see :meth:`offer_trackers`)
@@ -173,29 +160,12 @@ class LipsScheduler(TaskScheduler):
         if not subjobs:
             return
         inp, groups = self._build_lp_input(subjobs)
-        sol = solve_co_online(
-            inp,
-            OnlineModelConfig(
-                epoch_length=self.epoch_length,
-                enforce_bandwidth=self.enforce_bandwidth,
-            ),
-            backend=self.backend,
-            on_failure="greedy" if self.degraded_mode else "raise",
+        sol = plan_epoch(
+            inp, self.epoch_length, self.backend, scheduler="lips", tracer=self.sim.tracer,
+            ts=now, fields={"scheduler": self.name, "queued": len(subjobs)},
         )
         if sol.model == DEGRADED_MODEL:
-            self.degraded_epochs += 1
             self.sim.metrics.epochs_degraded += 1
-            registry = current_registry()
-            if registry is not None:
-                registry.counter(
-                    "epochs_degraded_total",
-                    help="epochs scheduled by the greedy degraded path",
-                ).inc(scheduler="lips")
-            tracer = self.sim.tracer
-            if tracer.enabled:
-                tracer.event(
-                    "epoch", "degraded", now, scheduler=self.name, queued=len(subjobs)
-                )
         integral = round_schedule(inp, sol)
         self._realise(integral.task_counts, groups)
 

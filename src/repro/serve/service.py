@@ -86,7 +86,6 @@ class ServiceConfig:
     checkpoint_every: int = 16
     health: HealthConfig = field(default_factory=HealthConfig)
     wal_fsync: bool = True
-    enforce_bandwidth: bool = True
     max_epochs: int = 1000000
 
     def to_dict(self) -> Dict[str, Any]:
@@ -114,7 +113,7 @@ class ReplayStats:
 
 
 def _report_to_dict(report: EpochReport) -> Dict[str, Any]:
-    """Snapshot form of one epoch report (LP solution never retained)."""
+    """Snapshot form of one epoch report."""
     return {
         "index": report.index,
         "start_time": report.start_time,
@@ -144,7 +143,6 @@ def _report_from_dict(payload: Dict[str, Any]) -> EpochReport:
         num_requeued=int(payload["num_requeued"]),
         cost=CostBreakdown(**payload["cost"]),
         machine_cpu_seconds=np.array(payload["machine_cpu_seconds"], dtype=float),
-        solution=None,
         lp_solves=int(payload["lp_solves"]),
         lp_wall_seconds=float(payload["lp_wall_seconds"]),
         degraded=bool(payload["degraded"]),
@@ -188,10 +186,8 @@ class SchedulingService:
             cluster,
             config.epoch_length,
             backend=backend,
-            enforce_bandwidth=config.enforce_bandwidth,
             max_epochs=config.max_epochs,
             tracer=tracer,
-            degraded_mode=True,
         )
         self.health = HealthMonitor(
             config=config.health,

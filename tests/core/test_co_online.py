@@ -5,17 +5,17 @@ import pytest
 
 from repro.core.assembly import fake_unit_costs
 from repro.core.co_offline import solve_co_offline
-from repro.core.co_online import OnlineModelConfig, solve_co_online
+from repro.core.co_online import solve_co_online
 from repro.core.solution import validate_solution
 
 
-def test_config_validation():
-    with pytest.raises(ValueError):
-        OnlineModelConfig(epoch_length=0.0)
+def test_config_validation(small_input):
+    with pytest.raises(ValueError, match="epoch_length"):
+        solve_co_online(small_input, epoch_length=0.0)
 
 
 def test_always_feasible_even_with_tiny_epoch(small_input):
-    sol = solve_co_online(small_input, OnlineModelConfig(epoch_length=1.0))
+    sol = solve_co_online(small_input, epoch_length=1.0)
     # almost nothing fits in one second: the bulk parks on the fake node,
     # yet every job is still fully covered (scheduled + fake == 1)
     assert sol.fake.sum() >= small_input.num_jobs - 0.5
@@ -23,7 +23,7 @@ def test_always_feasible_even_with_tiny_epoch(small_input):
 
 
 def test_no_fake_when_capacity_ample(small_input):
-    sol = solve_co_online(small_input, OnlineModelConfig(epoch_length=10_000.0))
+    sol = solve_co_online(small_input, epoch_length=10_000.0)
     assert sol.fake.sum() == pytest.approx(0.0, abs=1e-6)
 
 
@@ -31,14 +31,14 @@ def test_fake_used_iff_capacity_short(small_input):
     """Scan epochs: fake usage must be monotone non-increasing in epoch."""
     usages = []
     for e in (10.0, 100.0, 400.0, 2000.0, 10_000.0):
-        sol = solve_co_online(small_input, OnlineModelConfig(epoch_length=e))
+        sol = solve_co_online(small_input, epoch_length=e)
         usages.append(sol.fake.sum())
     assert all(a >= b - 1e-6 for a, b in zip(usages, usages[1:]))
 
 
 def test_epoch_capacity_respected(small_input):
     e = 500.0
-    sol = solve_co_online(small_input, OnlineModelConfig(epoch_length=e))
+    sol = solve_co_online(small_input, epoch_length=e)
     rep = validate_solution(small_input, sol, horizon=e, check_epoch_bandwidth=True)
     assert rep.ok, rep.violations
 
@@ -62,7 +62,7 @@ def test_bandwidth_constraint_21_binds():
     data = [DataObject(data_id=0, name="big", size_mb=20 * 1024.0, origin_store=0)]
     jobs = [Job(job_id=0, name="scan", tcp=0.01, data_ids=[0], num_tasks=320)]
     inp = SchedulingInput.from_parts(cluster, Workload(jobs=jobs, data=data))
-    sol = solve_co_online(inp, OnlineModelConfig(epoch_length=200.0))
+    sol = solve_co_online(inp, epoch_length=200.0)
     scheduled = sol.xt_data[0].sum()
     assert scheduled > 0.5  # CPU is ample; only bandwidth limits
     machines_used = (sol.xt_data[0].sum(axis=1) > 1e-6).sum()
@@ -74,7 +74,7 @@ def test_bandwidth_constraint_21_binds():
 def test_bandwidth_constraint_can_be_disabled(small_input):
     sol = solve_co_online(
         small_input,
-        OnlineModelConfig(epoch_length=500.0, enforce_bandwidth=False),
+        epoch_length=500.0, enforce_bandwidth=False,
     )
     assert validate_solution(small_input, sol, horizon=500.0).ok
 
@@ -89,7 +89,7 @@ def test_fake_cost_dominates_real_cost(small_input):
 
 
 def test_objective_includes_fake_penalty(small_input):
-    sol = solve_co_online(small_input, OnlineModelConfig(epoch_length=50.0))
+    sol = solve_co_online(small_input, epoch_length=50.0)
     bd = sol.cost_breakdown(small_input)
     assert bd.total == pytest.approx(sol.objective, rel=1e-6)
     assert bd.fake > 0
@@ -98,7 +98,7 @@ def test_objective_includes_fake_penalty(small_input):
 
 def test_online_with_ample_epoch_matches_offline(small_input):
     online = solve_co_online(
-        small_input, OnlineModelConfig(epoch_length=10_000.0, enforce_bandwidth=False)
+        small_input, epoch_length=10_000.0, enforce_bandwidth=False
     )
     offline = solve_co_offline(small_input)
     assert online.objective == pytest.approx(offline.objective, rel=1e-6)
@@ -108,7 +108,7 @@ def test_remaining_store_capacity_honoured(small_input):
     remaining = np.array([700.0, 0.0, 0.0, 400.0])
     sol = solve_co_online(
         small_input,
-        OnlineModelConfig(epoch_length=10_000.0),
+        epoch_length=10_000.0,
         store_capacity=remaining,
     )
     load = sol.store_data_load(small_input)

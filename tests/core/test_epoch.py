@@ -71,15 +71,6 @@ def test_max_epochs_guard(two_zone_cluster, workload):
         EpochController(two_zone_cluster, epoch_length=1e-3, max_epochs=5).run(workload)
 
 
-def test_keep_solutions_flag(two_zone_cluster, workload):
-    res = EpochController(two_zone_cluster, epoch_length=600.0, keep_solutions=True).run(
-        workload
-    )
-    assert any(r.solution is not None for r in res.reports)
-    res2 = EpochController(two_zone_cluster, epoch_length=600.0).run(workload)
-    assert all(r.solution is None for r in res2.reports)
-
-
 def test_epoch_length_validation(two_zone_cluster):
     with pytest.raises(ValueError):
         EpochController(two_zone_cluster, epoch_length=0.0)
@@ -90,30 +81,13 @@ def test_total_execution_time_metric(two_zone_cluster, workload):
     assert res.total_execution_time() == pytest.approx(sum(res.job_completion.values()))
 
 
-def test_fairness_config_threads_through(two_zone_cluster):
-    """EpochController passes the fair-share config into every epoch LP."""
-    from repro.core.fairness import FairShareConfig
-    from repro.workload.job import DataObject, Job, Workload
-
-    data = [
-        DataObject(data_id=0, name="d0", size_mb=640.0, origin_store=0),
-        DataObject(data_id=1, name="d1", size_mb=640.0, origin_store=1),
-    ]
-    jobs = [
-        Job(job_id=0, name="a", tcp=1.0, data_ids=[0], num_tasks=10, pool="alpha"),
-        Job(job_id=1, name="b", tcp=1.0, data_ids=[1], num_tasks=10, pool="beta"),
-    ]
-    w = Workload(jobs=jobs, data=data)
-    plain = EpochController(two_zone_cluster, epoch_length=30.0).run(w)
-    fair = EpochController(
-        two_zone_cluster, epoch_length=30.0, fairness=FairShareConfig(fulfillment=0.9)
-    ).run(w)
-    # both complete everything; under contention the fair run never lets a
-    # pool monopolise an epoch, so per-pool completions are closer together
-    assert set(plain.job_completion) == set(fair.job_completion) == {0, 1}
-    gap_plain = abs(plain.job_completion[0] - plain.job_completion[1])
-    gap_fair = abs(fair.job_completion[0] - fair.job_completion[1])
-    assert gap_fair <= gap_plain + 1e-6
+@pytest.mark.parametrize("read_fraction", [1.0, 0.5, 0.1])
+def test_partial_access_plans_only_the_read_fraction(two_zone_cluster, read_fraction):
+    """A job reading part of its object is planned for that part's CPU."""
+    data = [DataObject(data_id=0, name="d0", size_mb=640.0, origin_store=0)]
+    job = Job(job_id=0, name="j0", tcp=1.0, data_ids=[0], read_fraction=read_fraction)
+    res = EpochController(two_zone_cluster, epoch_length=600.0).run(Workload([job], data))
+    assert res.machine_cpu_seconds.sum() == pytest.approx(640.0 * read_fraction, rel=1e-6)
 
 
 # -- idle-skip (sparse arrivals) ---------------------------------------------

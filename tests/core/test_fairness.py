@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.core.co_online import OnlineModelConfig, solve_co_online
+from repro.core.co_online import solve_co_online
 from repro.core.fairness import (
     FairShareConfig,
     fairness_rows,
@@ -79,7 +79,7 @@ class TestSolveWithFairness:
         cfg = FairShareConfig(fulfillment=0.9)
         sol = solve_co_online(
             contended_input,
-            OnlineModelConfig(epoch_length=e, enforce_bandwidth=False),
+            epoch_length=e, enforce_bandwidth=False,
             fairness=cfg,
         )
         rows = fairness_rows(contended_input, e, cfg)
@@ -94,11 +94,11 @@ class TestSolveWithFairness:
         """Under contention fairness raises the fulfilment balance."""
         e = 50.0
         base = solve_co_online(
-            contended_input, OnlineModelConfig(epoch_length=e, enforce_bandwidth=False)
+            contended_input, epoch_length=e, enforce_bandwidth=False
         )
         fair = solve_co_online(
             contended_input,
-            OnlineModelConfig(epoch_length=e, enforce_bandwidth=False),
+            epoch_length=e, enforce_bandwidth=False,
             fairness=FairShareConfig(fulfillment=0.95),
         )
         j_base = jains_index(list(fulfillment_ratios(contended_input, base).values()))
@@ -109,11 +109,11 @@ class TestSolveWithFairness:
         """Adding constraints can only raise the optimal objective."""
         e = 50.0
         base = solve_co_online(
-            contended_input, OnlineModelConfig(epoch_length=e, enforce_bandwidth=False)
+            contended_input, epoch_length=e, enforce_bandwidth=False
         )
         fair = solve_co_online(
             contended_input,
-            OnlineModelConfig(epoch_length=e, enforce_bandwidth=False),
+            epoch_length=e, enforce_bandwidth=False,
             fairness=FairShareConfig(fulfillment=0.95),
         )
         assert fair.objective >= base.objective - 1e-9
@@ -121,11 +121,11 @@ class TestSolveWithFairness:
     def test_no_contention_no_effect(self, contended_input):
         e = 1e5  # ample: everything schedules either way
         base = solve_co_online(
-            contended_input, OnlineModelConfig(epoch_length=e, enforce_bandwidth=False)
+            contended_input, epoch_length=e, enforce_bandwidth=False
         )
         fair = solve_co_online(
             contended_input,
-            OnlineModelConfig(epoch_length=e, enforce_bandwidth=False),
+            epoch_length=e, enforce_bandwidth=False,
             fairness=FairShareConfig(fulfillment=1.0),
         )
         assert fair.objective == pytest.approx(base.objective, rel=1e-6)

@@ -13,7 +13,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.builder import ClusterBuilder
 from repro.cluster.topology import Topology
 from repro.core.assembly import ModelAssembler
-from repro.core.co_online import OnlineModelConfig, solve_co_online
+from repro.core.co_online import solve_co_online
 from repro.core.model import SchedulingInput
 from repro.lp.scipy_backend import HighsBackend
 from repro.lp.simplex import SimplexBackend
@@ -66,10 +66,10 @@ def _input_for(cluster, job_ids):
 def _solve_both(job_ids, epoch_length):
     """Solve one epoch with each backend; returns (highs, simplex) solutions."""
     inp = _input_for(_cluster(), job_ids)
-    config = OnlineModelConfig(epoch_length=epoch_length)
+    config = dict(epoch_length=epoch_length)
     return (
-        solve_co_online(inp, config, backend=HighsBackend()),
-        solve_co_online(inp, config, backend=SimplexBackend()),
+        solve_co_online(inp, **config, backend=HighsBackend()),
+        solve_co_online(inp, **config, backend=SimplexBackend()),
     )
 
 

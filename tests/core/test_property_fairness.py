@@ -4,7 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from repro.cluster.builder import ClusterBuilder
 from repro.cluster.topology import Topology
-from repro.core.co_online import OnlineModelConfig, solve_co_online
+from repro.core.co_online import solve_co_online
 from repro.core.fairness import (
     FairShareConfig,
     fairness_rows,
@@ -62,7 +62,7 @@ def test_guarantees_always_satisfiable_and_met(case):
     cfg = FairShareConfig(fulfillment=fulfillment)
     sol = solve_co_online(
         inp,
-        OnlineModelConfig(epoch_length=epoch, enforce_bandwidth=False),
+        epoch_length=epoch, enforce_bandwidth=False,
         fairness=cfg,
     )
     rows = fairness_rows(inp, epoch, cfg)
@@ -79,9 +79,9 @@ def test_guarantees_always_satisfiable_and_met(case):
 @settings(max_examples=25, deadline=None)
 def test_fairness_never_lowers_lp_objective(case):
     inp, epoch, fulfillment = case
-    cfg = OnlineModelConfig(epoch_length=epoch, enforce_bandwidth=False)
-    plain = solve_co_online(inp, cfg)
-    fair = solve_co_online(inp, cfg, fairness=FairShareConfig(fulfillment=fulfillment))
+    cfg = dict(epoch_length=epoch, enforce_bandwidth=False)
+    plain = solve_co_online(inp, **cfg)
+    fair = solve_co_online(inp, **cfg, fairness=FairShareConfig(fulfillment=fulfillment))
     scale = max(1.0, abs(plain.objective))
     assert fair.objective >= plain.objective - 1e-6 * scale
 

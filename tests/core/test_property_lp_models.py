@@ -15,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.cluster.builder import ClusterBuilder
 from repro.cluster.topology import Topology
 from repro.core.co_offline import solve_co_offline
-from repro.core.co_online import OnlineModelConfig, solve_co_online
+from repro.core.co_online import solve_co_online
 from repro.core.model import SchedulingInput
 from repro.core.simple_task import solve_simple_task
 from repro.core.solution import validate_solution
@@ -100,7 +100,7 @@ def test_co_scheduling_dominates_fixed_placement(inp):
 def test_online_ample_epoch_matches_offline(inp):
     offline = solve_co_offline(inp)
     online = solve_co_online(
-        inp, OnlineModelConfig(epoch_length=1e6, enforce_bandwidth=False)
+        inp, epoch_length=1e6, enforce_bandwidth=False
     )
     assert online.fake.sum() == pytest.approx(0.0, abs=1e-6)
     assert online.objective == pytest.approx(offline.objective, rel=1e-6, abs=1e-9)
@@ -127,7 +127,7 @@ def test_price_scaling_scales_optimum(inp, scale):
 def test_online_fake_monotone_in_epoch(inp):
     prev = None
     for e in (10.0, 1000.0, 100_000.0):
-        sol = solve_co_online(inp, OnlineModelConfig(epoch_length=e, enforce_bandwidth=False))
+        sol = solve_co_online(inp, epoch_length=e, enforce_bandwidth=False)
         used = sol.fake.sum()
         if prev is not None:
             assert used <= prev + 1e-6

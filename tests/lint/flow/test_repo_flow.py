@@ -20,7 +20,7 @@ def graph():
 def test_default_entry_points_resolve_uniquely(graph):
     resolved = resolve_entry_points(graph.table, DEFAULT_ENTRY_POINTS)
     assert resolved["HadoopSimulator.run"] == ["repro.hadoop.sim:HadoopSimulator.run"]
-    assert resolved["solve_co_online"] == ["repro.core.co_online:solve_co_online"]
+    assert resolved["epoch.plan_epoch"] == ["repro.core.epoch:plan_epoch"]
     assert resolved["EpochController.run"] == ["repro.core.epoch:EpochController.run"]
     assert resolved["run_soak"] == ["repro.resilience.soak:run_soak"]
 
@@ -38,6 +38,12 @@ def test_soak_entry_reaches_every_target(graph):
         "repro.resilience.invariants:check_service_invariants",
     ):
         assert qname in reach, qname
+
+
+def test_epoch_step_reaches_the_lp_and_the_greedy_plan(graph):
+    reach = graph.reachable(["repro.core.epoch:plan_epoch"])
+    assert "repro.core.co_online:solve_co_online" in reach
+    assert "repro.resilience.degraded:greedy_epoch_solution" in reach
 
 
 def test_simulator_reaches_tracer_and_metrics(graph):

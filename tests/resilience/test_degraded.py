@@ -3,12 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core.co_online import OnlineModelConfig, solve_co_online
-from repro.core.epoch import EpochController
+from repro.core.assembly import ModelAssembler
+from repro.core.co_online import OnlineModelUnsolved, solve_co_online
+from repro.core.epoch import EpochController, plan_epoch
 from repro.core.solution import validate_solution
 from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.lp.result import LPResult, LPStatus
 from repro.obs.registry import MetricsRegistry, use_registry
+from repro.obs.trace import NULL_TRACER, Tracer, use_tracer
 from repro.resilience import DEGRADED_MODEL, greedy_epoch_solution
 from repro.schedulers import LipsScheduler
 from repro.workload.job import DataObject, Job, Workload
@@ -75,20 +77,11 @@ class TestGreedySolution:
 
 class TestSolveCoOnlineOnFailure:
     def test_default_still_raises(self, small_input):
-        with pytest.raises(RuntimeError, match="not solvable"):
-            solve_co_online(
-                small_input,
-                OnlineModelConfig(epoch_length=600.0),
-                backend=_DeadBackend(),
-            )
+        with pytest.raises(OnlineModelUnsolved, match="not solvable"):
+            solve_co_online(small_input, epoch_length=600.0, backend=_DeadBackend())
 
     def test_greedy_fallback_returns_degraded_solution(self, small_input):
-        sol = solve_co_online(
-            small_input,
-            OnlineModelConfig(epoch_length=600.0),
-            backend=_DeadBackend(),
-            on_failure="greedy",
-        )
+        sol = _plan(small_input, _DeadBackend())
         assert sol.model == DEGRADED_MODEL
         validate_solution(small_input, sol, horizon=600.0)
 
@@ -99,19 +92,85 @@ class TestSolveCoOnlineOnFailure:
             def solve_assembled(self, asm):
                 raise RuntimeError("chain exploded")
 
-        sol = solve_co_online(
-            small_input,
-            OnlineModelConfig(epoch_length=600.0),
-            backend=Raising(),
-            on_failure="greedy",
-        )
+        with pytest.raises(OnlineModelUnsolved, match="chain exploded"):
+            solve_co_online(small_input, epoch_length=600.0, backend=Raising())
+        assert _plan(small_input, Raising()).model == DEGRADED_MODEL
+
+    def test_assembly_error_propagates_and_is_not_degraded(self, small_input, monkeypatch):
+        def broken_build(self):
+            raise ValueError("malformed model")
+
+        monkeypatch.setattr(ModelAssembler, "build", broken_build)
+        registry = MetricsRegistry()
+        with use_registry(registry), pytest.raises(ValueError, match="malformed model"):
+            _plan(small_input, _DeadBackend())
+        assert registry.counter("epochs_degraded_total").total() == 0
+
+    def test_force_degraded_skips_the_lp(self, small_input):
+        class Unreachable:
+            name = "unreachable"
+
+            def solve_assembled(self, asm):
+                raise AssertionError("a forced-degraded epoch must not solve")
+
+        sol = _plan(small_input, Unreachable(), force_degraded=True)
         assert sol.model == DEGRADED_MODEL
 
-    def test_bad_on_failure_rejected(self, small_input):
-        with pytest.raises(ValueError, match="on_failure"):
-            solve_co_online(
-                small_input, OnlineModelConfig(epoch_length=600.0), on_failure="panic"
-            )
+
+def _plan(inp, backend, force_degraded=False):
+    return plan_epoch(
+        inp,
+        600.0,
+        backend,
+        scheduler="test",
+        tracer=NULL_TRACER,
+        ts=0.0,
+        fields={},
+        force_degraded=force_degraded,
+    )
+
+
+def _lips_workload():
+    data = [DataObject(data_id=0, name="d", size_mb=256.0, origin_store=0)]
+    jobs = [Job(job_id=0, name="scan", tcp=1.0, data_ids=[0], num_tasks=4)]
+    return Workload(jobs=jobs, data=data)
+
+
+def _lips_degraded_epochs(request):
+    sim = HadoopSimulator(
+        request.getfixturevalue("tiny_cluster"),
+        _lips_workload(),
+        LipsScheduler(epoch_length=60.0, backend=_DeadBackend()),
+        config=SimConfig(replication=1),
+    )
+    sim.run()
+    return sim.metrics.epochs_degraded
+
+
+def _controller_degraded_epochs(request):
+    controller = EpochController(
+        request.getfixturevalue("two_zone_cluster"), epoch_length=600.0, backend=_DeadBackend()
+    )
+    controller.run(request.getfixturevalue("small_workload"))
+    return controller.degraded_epochs
+
+
+@pytest.mark.parametrize(
+    "label, run",
+    [("lips", _lips_degraded_epochs), ("epoch-controller", _controller_degraded_epochs)],
+)
+def test_drivers_count_degraded_epochs_once(label, run, request):
+    """The counter, the driver's own count and the traced events agree."""
+    registry = MetricsRegistry()
+    tracer = Tracer()
+    with use_registry(registry), use_tracer(tracer):
+        degraded = run(request)
+    events = [
+        r for r in tracer.records if r.get("cat") == "epoch" and r.get("name") == "degraded"
+    ]
+    counter = registry.counter("epochs_degraded_total")
+    assert degraded > 0
+    assert counter.value(scheduler=label) == counter.total() == degraded == len(events)
 
 
 class TestDegradedEpochController:
@@ -136,16 +195,6 @@ class TestDegradedEpochController:
         ).run(small_workload)
         assert degraded.total_cost >= lp.total_cost - 1e-9
 
-    def test_degraded_mode_off_raises(self, two_zone_cluster, small_workload):
-        controller = EpochController(
-            two_zone_cluster,
-            epoch_length=600.0,
-            backend=_DeadBackend(),
-            degraded_mode=False,
-        )
-        with pytest.raises(RuntimeError, match="not solvable"):
-            controller.run(small_workload)
-
     def test_healthy_run_reports_not_degraded(self, two_zone_cluster, small_workload):
         controller = EpochController(two_zone_cluster, epoch_length=600.0)
         result = controller.run(small_workload)
@@ -154,27 +203,13 @@ class TestDegradedEpochController:
 
 
 class TestDegradedLips:
-    def _workload(self):
-        data = [DataObject(data_id=0, name="d", size_mb=256.0, origin_store=0)]
-        jobs = [Job(job_id=0, name="scan", tcp=1.0, data_ids=[0], num_tasks=4)]
-        return Workload(jobs=jobs, data=data)
-
     def test_sim_completes_on_dead_backend(self, tiny_cluster):
-        sched = LipsScheduler(epoch_length=60.0, backend=_DeadBackend())
         sim = HadoopSimulator(
-            tiny_cluster, self._workload(), sched, config=SimConfig(replication=1)
+            tiny_cluster,
+            _lips_workload(),
+            LipsScheduler(epoch_length=60.0, backend=_DeadBackend()),
+            config=SimConfig(replication=1),
         )
         result = sim.run()
-        assert sched.degraded_epochs > 0
-        assert sim.metrics.epochs_degraded == sched.degraded_epochs
+        assert sim.metrics.epochs_degraded > 0
         assert result.metrics.tasks_run == 4
-
-    def test_degraded_mode_off_raises(self, tiny_cluster):
-        sched = LipsScheduler(
-            epoch_length=60.0, backend=_DeadBackend(), degraded_mode=False
-        )
-        sim = HadoopSimulator(
-            tiny_cluster, self._workload(), sched, config=SimConfig(replication=1)
-        )
-        with pytest.raises(RuntimeError, match="not solvable"):
-            sim.run()

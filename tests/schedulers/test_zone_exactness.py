@@ -12,7 +12,7 @@ enabled the zone model is conservative, never optimistic).
 import pytest
 
 from repro.cluster.builder import build_paper_testbed
-from repro.core.co_online import OnlineModelConfig, solve_co_online
+from repro.core.co_online import solve_co_online
 from repro.core.model import SchedulingInput
 from repro.schedulers.lips import build_zone_aggregate
 from repro.workload.job import DataObject, Job, Workload
@@ -59,17 +59,17 @@ def setting():
 
 def test_cost_exact_without_bandwidth_constraint(setting):
     cluster, zone_cluster, w, zw = setting
-    cfg = OnlineModelConfig(epoch_length=50_000.0, enforce_bandwidth=False)
-    full = solve_co_online(SchedulingInput.from_parts(cluster, w), cfg)
-    zone = solve_co_online(SchedulingInput.from_parts(zone_cluster, zw), cfg)
+    cfg = dict(epoch_length=50_000.0, enforce_bandwidth=False)
+    full = solve_co_online(SchedulingInput.from_parts(cluster, w), **cfg)
+    zone = solve_co_online(SchedulingInput.from_parts(zone_cluster, zw), **cfg)
     assert zone.objective == pytest.approx(full.objective, rel=1e-6)
 
 
 def test_zone_model_conservative_with_bandwidth(setting):
     cluster, zone_cluster, w, zw = setting
-    cfg = OnlineModelConfig(epoch_length=300.0, enforce_bandwidth=True)
-    full = solve_co_online(SchedulingInput.from_parts(cluster, w), cfg)
-    zone = solve_co_online(SchedulingInput.from_parts(zone_cluster, zw), cfg)
+    cfg = dict(epoch_length=300.0, enforce_bandwidth=True)
+    full = solve_co_online(SchedulingInput.from_parts(cluster, w), **cfg)
+    zone = solve_co_online(SchedulingInput.from_parts(zone_cluster, zw), **cfg)
     # the zone fabric (62.5 MB/s) is slower than local disk (400 MB/s), so
     # the aggregated model can only be more constrained — never cheaper
     assert zone.objective >= full.objective * (1 - 1e-9)
@@ -92,9 +92,9 @@ def test_exactness_breaks_with_intra_zone_pricing():
     zone_cluster = build_zone_aggregate(cluster)
     w = _workload(cluster.num_stores, None)
     zw = _zone_workload(cluster, zone_cluster, w)
-    cfg = OnlineModelConfig(epoch_length=50_000.0, enforce_bandwidth=False)
-    full = solve_co_online(SchedulingInput.from_parts(cluster, w), cfg)
-    zone = solve_co_online(SchedulingInput.from_parts(zone_cluster, zw), cfg)
+    cfg = dict(epoch_length=50_000.0, enforce_bandwidth=False)
+    full = solve_co_online(SchedulingInput.from_parts(cluster, w), **cfg)
+    zone = solve_co_online(SchedulingInput.from_parts(zone_cluster, zw), **cfg)
     # store-granular model pays intra-zone remote reads; the zone model
     # can't see them: objectives differ
     assert abs(zone.objective - full.objective) > 1e-6
