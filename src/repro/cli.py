@@ -5,8 +5,10 @@ Usage::
     python -m repro tables            # Tables I, III, IV
     python -m repro fig1              # break-even curves
     python -m repro fig5 --full       # paper-scale simulated savings
-    python -m repro fig6 fig7         # 20-node cost / exec-time sweep
+    python -m repro fig6              # 20-node cost / exec-time sweep (Figs 6 and 7)
     python -m repro all               # everything (reduced sizes)
+    python -m repro check             # every paper claim; exits 1 if one fails
+    python -m repro check --full      # the same claims at paper scale
     python -m repro fig8 --trace t.jsonl   # + structured JSONL trace
     python -m repro report t.jsonl    # per-epoch / per-solve tables
     python -m repro lint              # static analysis: code + LP models
@@ -14,156 +16,41 @@ Usage::
     python -m repro serve --sim       # crash-tolerant service soak
     python -m repro serve --sim --live-port 8377   # + live HTTP telemetry
     python -m repro top http://127.0.0.1:8377      # live dashboard
-    python -m repro fig5 --workers 4  # fan sweeps over worker processes
 
-``--full`` switches to the paper's full experiment sizes (equivalent to
-``REPRO_FULL=1`` for the benchmark suite).  ``--trace``/``--metrics``
-stream observability data from every simulation the experiments run (see
-:mod:`repro.obs`).
+Each experiment has one reduced size, shared by ``repro <name>`` and its
+``repro check`` claim; ``--full`` switches to the paper's sizes and fans
+the sweeps over a process pool.  One invocation runs each experiment
+once, however many of its tables and claims it prints.
+``--trace``/``--metrics`` stream observability data from every
+simulation the experiments run (see :mod:`repro.obs`).
 """
 
 from __future__ import annotations
 
 import argparse
 import contextlib
+import importlib
 import sys
 from typing import Callable, Dict, List, Optional, Sequence
 
 
-def _run_tables(full: bool, csv_dir=None) -> None:
-    from repro.experiments import tables
-
-    tables.main([], full=full, csv_dir=csv_dir)
-
-
-def _run_fig1(full: bool, csv_dir=None) -> None:
-    from repro.experiments import fig1_breakeven
-
-    fig1_breakeven.main()
-
-
-def _run_fig5(full: bool, csv_dir=None) -> None:
-    from repro.experiments.export import export_all
-    from repro.experiments.fig5_simulated_savings import PAPER_SIZES, SMALL_SIZES, run
-    from repro.experiments.report import format_table
-
-    res = run(sizes=PAPER_SIZES if full else SMALL_SIZES)
-    rows = [
-        (f"J:{j} S:{s} M:{m}", f"{lp:.4f}", f"{d:.4f}", f"{100*r:.1f}%")
-        for (j, s, m), lp, d, r in zip(res.sizes, res.lp_costs, res.default_costs, res.reductions)
-    ]
-    print(
-        format_table(
-            ["problem size", "LiPS $", "default $", "cost reduction"],
-            rows,
-            title="Figure 5 — cost reduction vs problem size",
-        )
-    )
-    if csv_dir:
-        for p in export_all(csv_dir, fig5=res):
-            print(f"wrote {p}")
-
-
-def _run_fig6(full: bool, csv_dir=None) -> None:
-    from repro.experiments import fig6_cost_reduction
-
-    fig6_cost_reduction.main()
-
-
-def _run_fig7(full: bool, csv_dir=None) -> None:
-    from repro.experiments import fig7_exec_time
-
-    fig7_exec_time.main()
-
-
-def _run_fig8(full: bool, csv_dir=None) -> None:
-    from repro.experiments import fig8_epoch_tradeoff
-
-    fig8_epoch_tradeoff.main()
-
-
-def _run_fig9(full: bool, csv_dir=None) -> None:
-    from repro.experiments.fig9_100node_cost import fig9_rows, fig10_rows, run
-    from repro.experiments.report import format_table
-
-    params = {} if full else dict(num_nodes=40, num_jobs=120, duration_s=6 * 3600.0)
-    res = run(**params)
-    print(
-        format_table(
-            ["setting", "default $", "delay $", "LiPS $", "vs default", "vs delay"],
-            fig9_rows(res),
-            title="Figure 9 — total dollar cost",
-        )
-    )
-    print()
-    print(
-        format_table(
-            ["setting", "default s", "delay s", "LiPS s", "LiPS vs delay"],
-            fig10_rows(res),
-            title="Figure 10 — total job execution time",
-        )
-    )
-    if csv_dir:
-        from repro.experiments.export import export_all
-
-        for p in export_all(csv_dir, fig9=res):
-            print(f"wrote {p}")
-
-
-def _run_fig10(full: bool, csv_dir=None) -> None:
-    _run_fig9(full, csv_dir)
-
-
-def _run_fig11(full: bool, csv_dir=None) -> None:
-    from repro.experiments import fig11_cpu_breakdown
-
-    fig11_cpu_breakdown.main()
-
-
-def _run_fairness(full: bool, csv_dir=None) -> None:
-    from repro.experiments import exp_fairness
-
-    exp_fairness.main()
-
-
-def _run_check(full: bool, csv_dir=None) -> None:
-    from repro.experiments import check
-
-    check.main()
-
-
-def _run_interference(full: bool, csv_dir=None) -> None:
-    from repro.experiments import exp_interference
-
-    exp_interference.main()
-
-
-def _run_frontier(full: bool, csv_dir=None) -> None:
-    from repro.experiments import exp_deadline
-
-    if csv_dir:
-        from repro.experiments.export import export_all
-
-        frontier = exp_deadline.run()
-        for p in export_all(csv_dir, frontier=frontier):
-            print(f"wrote {p}")
-    exp_deadline.main()
-
-
-COMMANDS: Dict[str, Callable[[bool], None]] = {
-    "tables": _run_tables,
-    "fig1": _run_fig1,
-    "fig5": _run_fig5,
-    "fig6": _run_fig6,
-    "fig7": _run_fig7,
-    "fig8": _run_fig8,
-    "fig9": _run_fig9,
-    "fig10": _run_fig10,
-    "fig11": _run_fig11,
-    "fairness": _run_fairness,
-    "frontier": _run_frontier,
-    "interference": _run_interference,
-    "check": _run_check,
+#: experiment name -> the ``repro.experiments`` module whose
+#: ``main(full, csv_dir)`` prints it and returns an exit code.  Figures 6/7
+#: and 9/10 are one module each: either name prints both tables, once.
+COMMANDS: Dict[str, str] = {
+    "tables": "tables",
+    "fig1": "fig1_breakeven",
+    "fig5": "fig5_simulated_savings",
+    "fig6": "fig6_cost_reduction",
+    "fig7": "fig6_cost_reduction",
+    "fig8": "fig8_epoch_tradeoff",
+    "fig9": "fig9_100node_cost",
+    "fig10": "fig9_100node_cost",
+    "fig11": "fig11_cpu_breakdown",
+    "fairness": "exp_fairness",
+    "frontier": "exp_deadline",
+    "interference": "exp_interference",
+    "check": "check",
 }
 
 
@@ -182,7 +69,8 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--full",
         action="store_true",
-        help="run at the paper's full experiment sizes (slower)",
+        help="run at the paper's full experiment sizes, sweeps over a process "
+        "pool (slower)",
     )
     parser.add_argument(
         "--csv",
@@ -202,14 +90,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="PATH",
         default=None,
         help="write a JSON metrics-registry dump of every simulation to PATH",
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=None,
-        metavar="N",
-        help="fan experiment sweeps out over N worker processes "
-        "(equivalent to REPRO_WORKERS=N; 0/1 = serial, the default)",
     )
     add_live_port_flag(parser)
     add_solver_flags(parser)
@@ -906,16 +786,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             )
             return 2
     with contextlib.ExitStack() as stack:
-        if args.workers is not None:
-            import os
-
-            previous = os.environ.get("REPRO_WORKERS")
-            os.environ["REPRO_WORKERS"] = str(args.workers)
-            stack.callback(
-                lambda: os.environ.pop("REPRO_WORKERS", None)
-                if previous is None
-                else os.environ.__setitem__("REPRO_WORKERS", previous)
-            )
         previous_backend = install_resilient_solver(args)
         if previous_backend is not None:
             from repro.lp import set_default_backend
@@ -964,17 +834,19 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
                 tap_tracer = stack.enter_context(Tracer.tap_only())
                 stack.enter_context(use_tracer(tap_tracer))
                 plane.attach_tracer(tap_tracer)
-        seen = set()
-        for name in wanted:
-            if name in seen:
-                continue
-            seen.add(name)
-            COMMANDS[name](args.full, args.csv)
+        from repro.experiments.common import share_runs
+
+        stack.enter_context(share_runs())
+        code = 0
+        for module in dict.fromkeys(COMMANDS[name] for name in wanted):
+            experiment = importlib.import_module(f"repro.experiments.{module}")
+            if experiment.main(full=args.full, csv_dir=args.csv):
+                code = 1
             print()
         if registry is not None:
             registry.write_json(args.metrics)
             print(f"wrote {args.metrics}")
-    return 0
+    return code
 
 
 if __name__ == "__main__":  # pragma: no cover - module execution path

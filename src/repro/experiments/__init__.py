@@ -1,13 +1,16 @@
 """Experiment harness: one module per table/figure of the paper.
 
 Every module exposes a ``run(...)`` function returning a result dataclass
-plus a ``main()`` that prints the same rows/series the paper reports.  The
-``benchmarks/`` tree wraps these in pytest-benchmark cases; EXPERIMENTS.md
-records paper-vs-measured for each.
+plus a ``main(full=False, csv_dir=None)`` that prints the same rows/series
+the paper reports; ``python -m repro <name>`` calls it.  Each paper and
+ablation claim is stated once, in :mod:`repro.experiments.check`
+(``python -m repro check``, asserted in tier-1); EXPERIMENTS.md records
+paper-vs-measured for each.
 
-Scale knob: most experiments accept a ``scale`` parameter — ``1.0`` is the
-paper's full size; benchmarks default to reduced sizes so the suite stays
-fast (set ``REPRO_FULL=1`` to run everything full-size).
+Scale: each experiment has one reduced size, shared by its table and its
+claim.  ``full=True`` (``--full``) runs the paper's sizes where they
+differ (Figs 5 and 9/10) and fans the Fig 5/6/8/9 sweeps over a process
+pool.
 """
 
 from repro.experiments.report import format_series, format_table

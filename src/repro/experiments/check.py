@@ -1,16 +1,20 @@
-"""Reproduction self-check: every paper claim as a fast PASS/FAIL row.
+"""The paper's claims, each stated once: ``python -m repro check``.
 
-``python -m repro check`` runs reduced-size versions of the paper's
-headline claims and prints a scorecard — the one-command answer to "does
-this reproduction still reproduce?".  Each check returns (claim, holds,
-evidence); failures don't stop the sweep.
+Every check runs one experiment — at the reduced size ``repro <fig>``
+prints, or at the paper's with ``full`` — and returns ``(claim, holds,
+evidence)``; failures don't stop the sweep.  ``repro check`` prints the
+scorecard and exits 1 if any claim fails, and tier-1
+(``tests/experiments/test_claims.py``) asserts every claim at the reduced
+size.  A claim that stops holding is recorded in EXPERIMENTS.md; its
+thresholds are never loosened to make it pass.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, List
+from typing import Callable, List, Optional
 
+from repro.experiments.common import DEFAULT, DELAY, LIPS, share_runs, shared
 from repro.experiments.report import format_table
 
 
@@ -21,150 +25,507 @@ class CheckResult:
     evidence: str
 
 
-def _check_table_constants() -> CheckResult:
-    from repro.cluster.ec2 import ec2_instance
-    from repro.workload.apps import table4_jobs
+def _simulate(cluster, workload, scheduler, **config):
+    """One simulator run from the ablations' shared block layout (seed 7)."""
+    from repro.hadoop.sim import HadoopSimulator, SimConfig
 
-    w = table4_jobs()
-    ratio = ec2_instance("m1.medium").cpu_cost_millicent() / ec2_instance(
-        "c1.medium"
-    ).cpu_cost_millicent()
-    ok = w.total_tasks() == 1608 and 4.0 <= ratio <= 5.5
+    sim = HadoopSimulator(cluster, workload, scheduler, SimConfig(placement_seed=7, **config))
+    return sim.run().metrics
+
+
+def _check_table1(full: bool) -> CheckResult:
+    from repro.workload.apps import APP_PROFILES as apps
+
+    per_block = [apps[a].cpu_per_block for a in ("grep", "stress1", "stress2", "wordcount", "pi")]
+    # paper values verbatim (pi's None is the table's infinity), and the
+    # I/O -> CPU ordering Figure 1 relies on
+    ok = per_block == [20.0, 37.0, 75.0, 90.0, None] and (
+        apps["grep"].tcp < apps["stress1"].tcp < apps["stress2"].tcp < apps["wordcount"].tcp
+    )
     return CheckResult(
-        "Tables I/III/IV constants (1608 maps; c1/m1 price gap 4-5x)",
+        "Table I: CPU-s per 64 MB block verbatim, grep < stress1 < stress2 < wordcount",
         ok,
-        f"maps={w.total_tasks()}, gap={ratio:.2f}x",
+        "grep/stress1/stress2/wordcount/pi = " + "/".join(str(c) for c in per_block),
     )
 
 
-def _check_break_even() -> CheckResult:
+def _check_table3(full: bool) -> CheckResult:
+    from repro.cluster.ec2 import ec2_instance
+
+    m1, c1 = ec2_instance("m1.medium"), ec2_instance("c1.medium")
+    footnote = [
+        m1.cpu_cost_millicent(0.0),
+        m1.cpu_cost_millicent(1.0),
+        c1.cpu_cost_millicent(0.0),
+        c1.cpu_cost_millicent(1.0),
+    ]
+    # the price-per-cycle gap the whole evaluation leans on
+    ratio = m1.cpu_cost_millicent() / c1.cpu_cost_millicent()
+    ok = all(abs(a - b) < 1e-9 for a, b in zip(footnote, (4.44, 6.39, 0.92, 1.28)))
+    ok = ok and 4.0 <= ratio <= 5.5
+    return CheckResult(
+        "Table III: footnote millicent/ECU-s verbatim; c1/m1 price gap 4-5.5x",
+        ok,
+        f"m1 {footnote[0]:.2f}-{footnote[1]:.2f}, c1 {footnote[2]:.2f}-{footnote[3]:.2f}, "
+        f"gap={ratio:.2f}x",
+    )
+
+
+def _check_table4(full: bool) -> CheckResult:
+    from repro.workload.apps import table4_jobs
+
+    w = table4_jobs()
+    by_app: dict = {}
+    for job in w.jobs:
+        by_app[job.app] = by_app.get(job.app, 0) + 1
+    ok = (
+        w.num_jobs == 9
+        and w.total_tasks() == 1608
+        and abs(w.total_input_mb() - 100 * 1024) < 1e-6
+        and by_app == {"pi": 2, "wordcount": 2, "grep": 3, "stress2": 2}
+    )
+    return CheckResult(
+        "Table IV: 9 jobs (2 pi, 2 wordcount, 3 grep, 2 stress2), 1608 maps, 100 GB",
+        ok,
+        f"jobs={w.num_jobs}, maps={w.total_tasks()}, input={w.total_input_mb() / 1024:g} GB",
+    )
+
+
+def _check_fig1(full: bool) -> CheckResult:
     from repro.experiments.fig1_breakeven import run
 
-    res = run()
+    res = shared(run)
     be = res.break_even_ratio
     ok = be["pi"] < be["wordcount"] < be["stress2"] < be["stress1"] < be["grep"]
+    # at ratio 1 moving never helps an input-bearing job (transfer is pure loss)
+    input_bearing = ("grep", "stress1", "stress2", "wordcount")
+    ok = ok and all(res.savings[app][0] <= 0.0 for app in input_bearing)
+    # savings are monotone in the price ratio for every app
+    ok = ok and all(
+        a <= b + 1e-12 for curve in res.savings.values() for a, b in zip(curve, curve[1:])
+    )
     return CheckResult(
-        "Fig 1: CPU-heavy apps break even at lower price ratios",
+        "Fig 1: CPU-heavy apps break even at lower price ratios; savings rise with the ratio",
         ok,
         f"pi={be['pi']:.2f} < wc={be['wordcount']:.2f} < ... < grep={be['grep']:.2f}",
     )
 
 
-def _check_savings_grow_with_size() -> CheckResult:
-    from repro.experiments.fig5_simulated_savings import run
+def _check_fig5(full: bool) -> CheckResult:
+    from repro.experiments.fig5_simulated_savings import run_at
 
-    res = run(sizes=((200, 10, 10), (600, 50, 50)), seeds=(0,))
-    ok = res.reductions[1] > res.reductions[0] > 0
+    r = shared(run_at, full).reductions
+    # LiPS (the LP optimum) always beats the ideal-locality default, the
+    # saving grows with problem size, in the paper's ballpark (~30% -> ~70%)
+    ok = all(x > 0 for x in r) and r[1] > r[0] > 0 and r[-1] > r[0]
+    ok = ok and 0.15 <= r[0] <= 0.55 and r[-1] >= 0.40
     return CheckResult(
-        "Fig 5: cost reduction grows with problem size",
+        "Fig 5: cost reduction grows with problem size (15-55% smallest, >=40% largest)",
         ok,
-        f"{100*res.reductions[0]:.0f}% -> {100*res.reductions[1]:.0f}%",
+        " -> ".join(f"{100 * x:.1f}%" for x in r),
     )
 
 
-def _check_lips_cheapest_and_slowest() -> CheckResult:
-    from repro.cluster.builder import build_paper_testbed
-    from repro.experiments.common import DELAY, LIPS, compare_schedulers
-    from repro.workload.apps import table4_jobs
+def _check_fig6(full: bool) -> CheckResult:
+    from repro.experiments.fig6_cost_reduction import run_at
 
-    # 12 nodes need a longer epoch than the 20-node testbed for the LP to
-    # pack the cheap nodes (cheap capacity per epoch must cover the queue)
-    cluster = build_paper_testbed(12, c1_medium_fraction=0.5, seed=1)
-    comp = compare_schedulers(cluster, table4_jobs(), epoch_length=3600.0)
-    ok = comp.cost(LIPS) < comp.cost(DELAY) and comp.makespan(LIPS) > comp.makespan(DELAY)
+    res = shared(run_at, full)
+    cheapest = all(c.cost(LIPS) < min(c.cost(DEFAULT), c.cost(DELAY)) for c in res.comparisons)
+    s = res.savings(baseline=DELAY)
+    # savings grow with the cheap fast nodes' share (paper: 79-81%; the
+    # simulator's baselines are locality-optimal, so the gap is smaller)
+    # and stay positive on the homogeneous cluster (price-point spread)
+    ok = cheapest and s[-1] > s[0] and s[-1] >= 0.35 and s[0] > 0.0
     return CheckResult(
-        "Figs 6/7: LiPS is cheapest and slowest vs delay",
+        "Fig 6: LiPS is cheapest in every node mix; saving vs delay grows to >=35%",
         ok,
-        f"saves {100*comp.saving_vs(DELAY):.0f}%, +{100*comp.slowdown_vs(DELAY):.0f}% makespan",
+        "saving vs delay " + " -> ".join(f"{100 * x:.1f}%" for x in s),
     )
 
 
-def _check_epoch_tradeoff() -> CheckResult:
-    from repro.experiments.fig8_epoch_tradeoff import run
+def _check_fig7(full: bool) -> CheckResult:
+    from repro.experiments.fig6_cost_reduction import run_at
 
-    res = run(epochs=(300.0, 1800.0), total_nodes=12)
-    ok = res.costs[1] < res.costs[0] and res.exec_times[1] > res.exec_times[0]
+    res = shared(run_at, full)
+    slower = all(c.makespan(LIPS) > c.makespan(DELAY) for c in res.comparisons)
+    slowdowns = res.slowdowns(baseline=DELAY)
+    # the penalty reaches the paper's lower band in the diverse setting
+    ok = slower and slowdowns[-1] >= 0.40
+    return CheckResult(
+        "Fig 7: LiPS is slower than delay in every node mix, >=40% at 50% c1.medium",
+        ok,
+        "makespan vs delay " + " -> ".join(f"+{100 * x:.0f}%" for x in slowdowns),
+    )
+
+
+def _check_fig8(full: bool) -> CheckResult:
+    from repro.experiments.fig8_epoch_tradeoff import run_at
+
+    res = shared(run_at, full)
+    # single DES points wobble; the claim is the sweep's endpoints
+    ok = res.costs[-1] < res.costs[0] and res.exec_times[-1] > res.exec_times[0]
     return CheckResult(
         "Fig 8: longer epochs are cheaper but slower",
         ok,
-        f"${res.costs[0]:.2f}/{res.exec_times[0]:.0f}s -> ${res.costs[1]:.2f}/{res.exec_times[1]:.0f}s",
+        f"${res.costs[0]:.2f}/{res.exec_times[0]:.0f}s -> "
+        f"${res.costs[-1]:.2f}/{res.exec_times[-1]:.0f}s",
     )
 
 
-def _check_lp_overhead() -> CheckResult:
+def _check_fig9(full: bool) -> CheckResult:
+    from repro.experiments.fig9_100node_cost import run_at
+
+    comp = shared(run_at, full).comparison
+    ok = comp.cost(LIPS) < comp.cost(DEFAULT) and comp.cost(LIPS) < comp.cost(DELAY)
+    ok = ok and comp.saving_vs(DELAY) >= 0.35 and comp.saving_vs(DEFAULT) >= 0.35
+    # both baselines cost about the same ("68% to 69% ... compared with
+    # both schedulers")
+    rel = abs(comp.cost(DEFAULT) - comp.cost(DELAY)) / comp.cost(DEFAULT)
+    ok = ok and rel < 0.25
+    return CheckResult(
+        "Fig 9: LiPS saves >=35% vs default and delay, whose bills are within 25%",
+        ok,
+        f"saves {100 * comp.saving_vs(DEFAULT):.1f}% / {100 * comp.saving_vs(DELAY):.1f}%, "
+        f"baselines {100 * rel:.1f}% apart",
+    )
+
+
+def _check_fig10(full: bool) -> CheckResult:
+    from repro.experiments.fig9_100node_cost import run_at
+
+    comp = shared(run_at, full).comparison
+    lips, delay = comp.metrics[LIPS], comp.metrics[DELAY]
+    # LiPS does not optimise execution time: its response-time sum is at
+    # least delay's, and its makespan no shorter
+    ok = lips.total_job_execution_time >= delay.total_job_execution_time
+    ok = ok and comp.makespan(LIPS) >= comp.makespan(DELAY) * 0.99
+    return CheckResult(
+        "Fig 10: LiPS's job response times and makespan are no shorter than delay's",
+        ok,
+        f"response-time sum {lips.total_job_execution_time:.0f}s vs "
+        f"{delay.total_job_execution_time:.0f}s",
+    )
+
+
+def _check_fig11(full: bool) -> CheckResult:
+    import numpy as np
+
+    from repro.experiments.fig11_cpu_breakdown import run
+
+    res = shared(run)
+    short, long_ = res.epochs[0], res.epochs[-1]
+    # the caption: a shorter epoch is faster but more expensive
+    ok = res.makespans[short] <= res.makespans[long_] and res.costs[short] >= res.costs[long_]
+    # the same workload's CPU time is conserved across epochs
+    t_short, t_long = res.cpu_per_node[short].sum(), res.cpu_per_node[long_].sum()
+    ok = ok and abs(t_short - t_long) / t_short < 0.05
+    # cheap nodes carry the bulk of the work
+    prices = np.array([m.cpu_cost for m in res.cluster.machines])
+    cheap_share = res.cpu_per_node[long_][prices <= np.median(prices)].sum() / t_long
+    ok = ok and cheap_share > 0.5
+    return CheckResult(
+        "Fig 11: the shorter epoch is faster and pricier; cheap nodes carry >50% of CPU",
+        ok,
+        f"e={short:.0f}s ${res.costs[short]:.3f}/{res.makespans[short]:.0f}s, "
+        f"e={long_:.0f}s ${res.costs[long_]:.3f}/{res.makespans[long_]:.0f}s, "
+        f"cheap share {100 * cheap_share:.0f}%",
+    )
+
+
+def _check_overhead(full: bool) -> CheckResult:
     import time
 
     from repro.cluster.builder import build_paper_testbed
     from repro.core.co_online import solve_co_online
     from repro.core.model import SchedulingInput
+    from repro.schedulers import LipsScheduler
     from repro.schedulers.lips import build_zone_aggregate
     from repro.workload.apps import table4_jobs
 
     cluster = build_zone_aggregate(build_paper_testbed(20, c1_medium_fraction=0.5))
+    # data starts round-robin per zone
     inp = SchedulingInput.from_parts(cluster, table4_jobs(origin_stores=[0, 1, 2]))
     t0 = time.perf_counter()
-    solve_co_online(inp, epoch_length=600.0)
-    ms = (time.perf_counter() - t0) * 1000.0
+    sol = solve_co_online(inp, epoch_length=600.0)
+    elapsed = time.perf_counter() - t0
+    # across a whole simulated run, LP wall time is orders of magnitude
+    # below the simulated job durations
+    m = _simulate(
+        build_paper_testbed(20, c1_medium_fraction=0.5),
+        table4_jobs(),
+        LipsScheduler(epoch_length=900.0),
+        speculative=False,
+    )
+    per_solve_ms = 1000.0 * m.lp_solve_seconds / max(1, m.lp_solves)
+    ok = sol is not None and elapsed < 1.0
+    ok = ok and per_solve_ms < 500.0 and m.lp_solve_seconds < m.makespan / 100.0
     return CheckResult(
-        "§VI-A: epoch LP solves in 10s of ms at 1608-task scale",
-        ms < 1000.0,
-        f"{ms:.1f} ms",
+        "§VI-A: epoch LP solves in 10s of ms at 1608-task scale, <1% of a run's makespan",
+        ok,
+        f"{1000 * elapsed:.1f} ms; in a run {m.lp_solves} solves of {per_solve_ms:.1f} ms "
+        f"vs {m.makespan:.0f} s makespan",
     )
 
 
-def _check_backends_agree() -> CheckResult:
+def _check_lp_backends(full: bool) -> CheckResult:
     from repro.core.co_offline import solve_co_offline
     from repro.core.model import SchedulingInput
     from repro.lp import HighsBackend, SimplexBackend
     from repro.workload.generator import random_workload
 
     rw = random_workload(60, 4, 4, seed=3, uptime=3600.0)
-    inp = SchedulingInput.from_parts(rw.cluster, rw.workload, ms_cost=rw.ms_cost, ss_cost=rw.ss_cost)
-    a = solve_co_offline(inp, backend=HighsBackend())
-    b = solve_co_offline(inp, backend=SimplexBackend())
-    gap = abs(a.objective - b.objective) / max(1.0, abs(a.objective))
+    inp = SchedulingInput.from_parts(
+        rw.cluster, rw.workload, ms_cost=rw.ms_cost, ss_cost=rw.ss_cost
+    )
+    ref = solve_co_offline(inp, backend=HighsBackend()).objective
+    gaps = [
+        abs(solve_co_offline(inp, backend=b).objective - ref) / max(1.0, abs(ref))
+        for b in (HighsBackend(), SimplexBackend())
+    ]
     return CheckResult(
-        "LP substrate: HiGHS and from-scratch simplex agree",
-        gap < 1e-6,
-        f"relative gap {gap:.2e}",
+        "LP substrate: HiGHS and the from-scratch simplex reach the same optimum",
+        all(g < 1e-6 for g in gaps),
+        f"relative gap HiGHS {gaps[0]:.2e}, simplex {gaps[1]:.2e}",
     )
 
 
-CHECKS: List[Callable[[], CheckResult]] = [
-    _check_table_constants,
-    _check_break_even,
-    _check_savings_grow_with_size,
-    _check_lips_cheapest_and_slowest,
-    _check_epoch_tradeoff,
-    _check_lp_overhead,
-    _check_backends_agree,
+def _check_epoch_vs_offline(full: bool) -> CheckResult:
+    from repro.cluster.builder import build_paper_testbed
+    from repro.core.co_offline import solve_co_offline
+    from repro.core.co_online import solve_co_online
+    from repro.core.model import SchedulingInput
+    from repro.workload.apps import table4_jobs
+
+    cluster = build_paper_testbed(12, c1_medium_fraction=0.5, uptime=50000.0)
+    inp = SchedulingInput.from_parts(cluster, table4_jobs(origin_stores=list(range(12))))
+    offline = solve_co_offline(inp).cost_breakdown(inp).real_total
+    online = solve_co_online(inp, epoch_length=900.0)
+    real_online = online.cost_breakdown(inp).real_total
+    # the offline LP lower-bounds any schedule of the scheduled portion
+    ok = offline <= real_online + offline * 1e-6 + 1e-9 or online.fake.sum() > 0
+    return CheckResult(
+        "Ablation: one online epoch never beats the offline optimum",
+        ok,
+        f"offline ${offline:.4f} vs online ${real_online:.4f} "
+        f"(fake residual {online.fake.sum():.2f} jobs)",
+    )
+
+
+def _check_speculation(full: bool) -> CheckResult:
+    from repro.cluster.builder import build_paper_testbed
+    from repro.schedulers import FifoScheduler
+    from repro.workload.apps import table4_jobs
+
+    cluster, w = build_paper_testbed(20, c1_medium_fraction=0.5), table4_jobs()
+    off, on = (_simulate(cluster, w, FifoScheduler(), speculative=s) for s in (False, True))
+    # duplicates launch, cost real dollars, and do not hurt the makespan
+    ok = on.speculative_attempts > 0 and on.total_cost >= off.total_cost
+    ok = ok and on.makespan <= off.makespan * 1.05
+    return CheckResult(
+        "§VI-A: speculation raises the baselines' dollars without slowing them",
+        ok,
+        f"{on.speculative_attempts} duplicates, ${off.total_cost:.4f} -> ${on.total_cost:.4f}, "
+        f"{off.makespan:.0f}s -> {on.makespan:.0f}s",
+    )
+
+
+def _check_quincy(full: bool) -> CheckResult:
+    from repro.cluster.builder import build_paper_testbed
+    from repro.schedulers import FifoScheduler, LipsScheduler, QuincyScheduler
+    from repro.workload.apps import table4_jobs
+
+    cluster, w = build_paper_testbed(12, c1_medium_fraction=0.5, seed=1), table4_jobs()
+    lineup = {
+        "fifo": FifoScheduler(),
+        "quincy-locality": QuincyScheduler("locality"),
+        "quincy-dollars": QuincyScheduler("dollars"),
+        "lips": LipsScheduler(epoch_length=1800.0),
+    }
+    m = {name: _simulate(cluster, w, s, speculative=False) for name, s in lineup.items()}
+    cheap = ("quincy-dollars", "lips")
+    # the locality flow reaches (near-)full locality, the dollar flow beats
+    # it on cost, and both cost-aware schedulers beat FIFO on cost and pay
+    # for it in makespan
+    ok = m["quincy-locality"].data_locality >= 0.99
+    ok = ok and m["quincy-dollars"].total_cost < m["quincy-locality"].total_cost
+    ok = ok and all(m[c].total_cost < m["fifo"].total_cost for c in cheap)
+    ok = ok and all(m[c].makespan > m["fifo"].makespan for c in cheap)
+    return CheckResult(
+        "Ablation: min-cost flow (Quincy) vs the LP: cost-aware runs are cheaper and slower",
+        ok,
+        ", ".join(f"{n} ${x.total_cost:.3f}/{x.makespan:.0f}s" for n, x in m.items()),
+    )
+
+
+def _check_replication(full: bool) -> CheckResult:
+    from repro.cluster.builder import build_paper_testbed
+    from repro.schedulers import DelayScheduler, LipsScheduler
+    from repro.workload.apps import table4_jobs
+
+    cluster, w = build_paper_testbed(12, c1_medium_fraction=0.5, seed=1), table4_jobs()
+    delay, lips = [], []
+    for repl in (1, 2, 3):
+        delay.append(_simulate(cluster, w, DelayScheduler(), replication=repl, speculative=True))
+        lips.append(
+            _simulate(
+                cluster, w, LipsScheduler(epoch_length=1800.0), replication=repl, speculative=False
+            )
+        )
+    loc = [m.data_locality for m in delay]
+    # more replicas raise delay's locality; LiPS stays local and cheaper
+    ok = loc[0] <= loc[1] + 0.02 and loc[1] <= loc[2] + 0.02 and loc[2] > loc[0]
+    ok = ok and all(m.data_locality >= 0.95 for m in lips)
+    ok = ok and all(l.total_cost < d.total_cost for l, d in zip(lips, delay))
+    return CheckResult(
+        "Ablation: replicas raise delay's locality; LiPS stays local and cheaper",
+        ok,
+        "delay locality " + " -> ".join(f"{100 * x:.1f}%" for x in loc)
+        + ", LiPS " + "/".join(f"{100 * m.data_locality:.0f}%" for m in lips),
+    )
+
+
+def _check_placement(full: bool) -> CheckResult:
+    from repro.cluster.builder import build_paper_testbed
+    from repro.schedulers import FifoScheduler, LipsScheduler
+    from repro.workload.apps import table4_jobs
+
+    cluster, w = build_paper_testbed(12, c1_medium_fraction=0.5, seed=1), table4_jobs()
+    fifo, lips = {}, {}
+    for mode in ("random", "capacity"):
+        cfg = dict(populate=mode, replication=1, speculative=False)
+        fifo[mode] = _simulate(cluster, w, FifoScheduler(), **cfg)
+        lips[mode] = _simulate(cluster, w, LipsScheduler(epoch_length=3600.0), **cfg)
+    # capacity-aware ingest speeds up the locality scheduler; LiPS's bill
+    # is insensitive to the ingest layout (it re-places data itself)
+    a, b = lips["random"].total_cost, lips["capacity"].total_cost
+    ok = fifo["capacity"].makespan <= fifo["random"].makespan * 1.02
+    ok = ok and abs(a - b) <= 0.10 * max(a, b)
+    return CheckResult(
+        "Ablation: capacity-aware ingest speeds FIFO; LiPS's bill ignores the layout",
+        ok,
+        f"FIFO {fifo['random'].makespan:.0f}s -> {fifo['capacity'].makespan:.0f}s, "
+        f"LiPS ${a:.4f} / ${b:.4f}",
+    )
+
+
+def _check_interference(full: bool) -> CheckResult:
+    from repro.experiments.exp_interference import run
+
+    res = shared(run)
+    # makespans degrade monotonically with interference for both schedulers
+    ok = all(
+        all(a <= b + 1e-6 for a, b in zip(s, s[1:])) and res.slowdown(name) > 1.0
+        for name, s in res.makespans.items()
+    )
+    # LiPS dollars stay flat (per-CPU-second pricing, no speculation); the
+    # speculating delay baseline pays for the extra straggler copies
+    lips, delay = res.costs["lips"], res.costs["delay"]
+    ok = ok and max(lips) - min(lips) <= 1e-9 + 0.02 * max(lips) and delay[-1] >= delay[0]
+    return CheckResult(
+        "§I: interference stretches makespans, not LiPS's dollars",
+        ok,
+        f"slowdown delay x{res.slowdown('delay'):.2f}, LiPS x{res.slowdown('lips'):.2f}; "
+        f"LiPS ${min(lips):.4f}-${max(lips):.4f}",
+    )
+
+
+def _check_frontier(full: bool) -> CheckResult:
+    from repro.experiments.exp_deadline import run
+
+    costs = [p.cost for p in shared(run).feasible_points()]
+    # flexibility is worth money: a monotone frontier, and a lot end to end
+    ok = len(costs) >= 4 and all(a >= b - 1e-9 for a, b in zip(costs, costs[1:]))
+    ok = ok and costs[-1] < costs[0] * 0.8
+    return CheckResult(
+        "Deadline frontier: cost falls monotonically, by >20%, as the deadline relaxes",
+        ok,
+        f"{len(costs)} feasible points, ${costs[0]:.4f} -> ${costs[-1]:.4f}" if costs else "none",
+    )
+
+
+def _check_fairness(full: bool) -> CheckResult:
+    from repro.experiments.exp_fairness import run_fairness
+
+    fr = shared(run_fairness)
+    plain, fair = min(fr.ratios_plain.values()), min(fr.ratios_fair.values())
+    # the starved pool gets its guaranteed share; as a constraint, fairness
+    # cannot improve the LP optimum (fake penalty included)
+    ok = fair > plain and fair > 0.0 and fr.objective_fair >= fr.objective_plain * (1 - 1e-9)
+    return CheckResult(
+        "Conclusion: fair-share lifts the starved pool without lowering the LP optimum",
+        ok,
+        f"min fulfilment {plain:.3f} -> {fair:.3f}",
+    )
+
+
+def _check_utilization(full: bool) -> CheckResult:
+    from repro.experiments.exp_fairness import run_utilization
+
+    active = shared(run_utilization).active_machines
+    # LiPS serves the workload from at most half the machines the baselines keep busy
+    ok = active[LIPS] < active[DEFAULT] and active[LIPS] < active[DELAY]
+    ok = ok and active[LIPS] <= active[DEFAULT] // 2
+    return CheckResult(
+        "Conclusion: LiPS consolidates onto at most half the baselines' active nodes",
+        ok,
+        f"active nodes default {active[DEFAULT]}, delay {active[DELAY]}, LiPS {active[LIPS]}",
+    )
+
+
+CHECKS: List[Callable[[bool], CheckResult]] = [
+    _check_table1,
+    _check_table3,
+    _check_table4,
+    _check_fig1,
+    _check_fig5,
+    _check_fig6,
+    _check_fig7,
+    _check_fig8,
+    _check_fig9,
+    _check_fig10,
+    _check_fig11,
+    _check_overhead,
+    _check_lp_backends,
+    _check_epoch_vs_offline,
+    _check_speculation,
+    _check_quincy,
+    _check_replication,
+    _check_placement,
+    _check_interference,
+    _check_frontier,
+    _check_fairness,
+    _check_utilization,
 ]
 
 
-def run_checks() -> List[CheckResult]:
+def claim_name(check: Callable[[bool], CheckResult]) -> str:
+    """A check's short name (``fig6``), as the scorecard and tier-1 list it."""
+    return check.__name__.replace("_check_", "", 1)
+
+
+def run_checks(full: bool = False) -> List[CheckResult]:
     """Execute every claim check; crashes count as failures."""
     results: List[CheckResult] = []
-    for check in CHECKS:
-        try:
-            results.append(check())
-        except Exception as exc:  # a crashed check is a failed claim
-            results.append(
-                CheckResult(
-                    claim=check.__name__.replace("_check_", "").replace("_", " "),
-                    passed=False,
-                    evidence=f"crashed: {exc!r}",
+    with share_runs():
+        for check in CHECKS:
+            try:
+                results.append(check(full))
+            except Exception as exc:  # a crashed check is a failed claim
+                results.append(
+                    CheckResult(claim=claim_name(check), passed=False, evidence=f"crashed: {exc!r}")
                 )
-            )
     return results
 
 
-def main() -> int:
+def main(full: bool = False, csv_dir: Optional[str] = None) -> int:
     """Print the scorecard; exit 1 if any claim fails."""
-    results = run_checks()
+    results = run_checks(full)
     rows = [
-        ("PASS" if r.passed else "FAIL", r.claim, r.evidence) for r in results
+        ("PASS" if r.passed else "FAIL", claim_name(c), r.claim, r.evidence)
+        for c, r in zip(CHECKS, results)
     ]
-    print(format_table(["", "claim", "evidence"], rows, title="Reproduction self-check"))
+    title = "Reproduction self-check" + (" (paper scale)" if full else "")
+    print(format_table(["", "name", "claim", "evidence"], rows, title=title))
     failed = sum(1 for r in results if not r.passed)
     print(f"\n{len(results) - failed}/{len(results)} claims hold")
     return 1 if failed else 0

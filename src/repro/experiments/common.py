@@ -8,9 +8,9 @@ LiPS runs with it disabled (Section VI-A).
 
 from __future__ import annotations
 
-import os
+import contextlib
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Tuple
+from typing import Callable, Dict, Iterator, Optional, Tuple, TypeVar
 
 from repro.cluster.builder import Cluster
 from repro.hadoop.metrics import SimMetrics
@@ -21,10 +21,39 @@ from repro.workload.job import Workload
 #: canonical scheduler labels used across figures
 DEFAULT, DELAY, LIPS = "default", "delay", "lips"
 
+T = TypeVar("T")
 
-def full_scale() -> bool:
-    """True when the env asks for paper-scale experiment sizes."""
-    return os.environ.get("REPRO_FULL", "") not in ("", "0", "false")
+#: the memo of the open :func:`share_runs` block (None outside one)
+_runs: Optional[Dict[tuple, object]] = None
+
+
+@contextlib.contextmanager
+def share_runs() -> Iterator[None]:
+    """Compute each :func:`shared` result once inside the block.
+
+    ``repro fig6 fig7 check`` then runs the Figure 6 sweep once: both
+    tables and both claims read the same result.  A nested block joins the
+    outer one; outside any block :func:`shared` simply calls.
+    """
+    global _runs
+    if _runs is not None:
+        yield
+        return
+    _runs = {}
+    try:
+        yield
+    finally:
+        _runs = None
+
+
+def shared(fn: Callable[..., T], *args) -> T:
+    """``fn(*args)``, computed at most once per :func:`share_runs` block."""
+    if _runs is None:
+        return fn(*args)
+    key = (fn, args)
+    if key not in _runs:
+        _runs[key] = fn(*args)
+    return _runs[key]
 
 
 @dataclass
@@ -101,7 +130,7 @@ def compare_schedulers(
     placement_seed: int = 7,
     backend: Optional[object] = None,
     schedulers: Optional[Dict[str, Tuple[Callable[[], object], bool]]] = None,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> ComparisonResult:
     """Run the full scheduler line-up on identical initial conditions.
 
@@ -109,9 +138,9 @@ def compare_schedulers(
     scheduler starts from the same random block layout (the paper's
     shuffled-blocks baseline).
 
-    ``workers`` fans the line-up out over a process pool (``None`` defers to
-    the ``REPRO_WORKERS`` environment variable; 0/1 = serial).  Every task
-    carries its explicit seed, so parallel results are identical to serial.
+    ``workers`` fans the line-up out over a process pool (0/1 = serial).
+    Every task carries its explicit seed, so parallel results are identical
+    to serial.
     """
     from repro.experiments.parallel import run_tasks
 

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-
 from repro.cluster.builder import build_paper_testbed
 from repro.core.deadline import CostDeadlineFrontier, cost_deadline_frontier
 from repro.core.model import SchedulingInput
+from repro.experiments.common import shared
+from repro.experiments.export import export_all
 from repro.experiments.report import format_table
 from repro.workload.apps import table4_jobs
 
@@ -37,9 +38,12 @@ def run(
     )
 
 
-def main() -> None:
-    """Print the cost/deadline frontier table."""
-    frontier = run()
+def main(full: bool = False, csv_dir: Optional[str] = None) -> int:
+    """Print the cost/deadline frontier table (and its CSV into ``csv_dir``)."""
+    frontier = shared(run)
+    if csv_dir:
+        for path in export_all(csv_dir, frontier=frontier):
+            print(f"wrote {path}")
     rows = []
     for p in frontier.points:
         rows.append(
@@ -61,7 +65,8 @@ def main() -> None:
             f"\nfully flexible makespan: ${cheapest.cost:.4f} "
             f"at deadline {cheapest.deadline_s:.0f}s"
         )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

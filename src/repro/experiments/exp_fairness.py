@@ -23,7 +23,7 @@ from repro.cluster.builder import build_paper_testbed
 from repro.core.co_online import solve_co_online
 from repro.core.fairness import FairShareConfig, fulfillment_ratios, jains_index
 from repro.core.model import SchedulingInput
-from repro.experiments.common import DEFAULT, DELAY, LIPS, compare_schedulers
+from repro.experiments.common import DEFAULT, DELAY, LIPS, compare_schedulers, shared
 from repro.experiments.report import format_table
 from repro.workload.apps import make_job, table4_jobs
 from repro.workload.job import DataObject, Workload
@@ -138,9 +138,9 @@ def run_utilization(
     )
 
 
-def main() -> None:
+def main(full: bool = False, csv_dir: Optional[str] = None) -> int:
     """Print the fairness and utilization tables."""
-    fr = run_fairness()
+    fr = shared(run_fairness)
     pools = sorted(fr.ratios_plain)
     rows = [
         (p, f"{fr.ratios_plain[p]:.2f}", f"{fr.ratios_fair[p]:.2f}") for p in pools
@@ -156,7 +156,7 @@ def main() -> None:
         )
     )
     print()
-    ur = run_utilization()
+    ur = shared(run_utilization)
     rows = [
         (
             name,
@@ -173,7 +173,8 @@ def main() -> None:
             title="Utilization — Table IV testbed (rental = instance-hour view)",
         )
     )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.builder import build_paper_testbed
+from repro.experiments.common import shared
 from repro.experiments.report import format_table
 from repro.hadoop.interference import InterferenceModel
 from repro.hadoop.sim import HadoopSimulator, SimConfig
@@ -75,9 +76,9 @@ def run(
     return InterferenceResult(penalties=list(penalties), makespans=makespans, costs=costs)
 
 
-def main() -> None:
+def main(full: bool = False, csv_dir: Optional[str] = None) -> int:
     """Print the interference ablation table."""
-    res = run()
+    res = shared(run)
     rows = []
     for i, p in enumerate(res.penalties):
         rows.append(
@@ -97,7 +98,8 @@ def main() -> None:
     )
     for name in ("delay", "lips"):
         print(f"{name}: worst-case slowdown x{res.slowdown(name):.2f}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

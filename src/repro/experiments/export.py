@@ -40,33 +40,6 @@ def fig5_table(res) -> Table:
     return header, rows
 
 
-def fig6_table(res) -> Table:
-    """Flatten a Fig6Result to (header, rows)."""
-    from repro.experiments.common import DEFAULT, DELAY, LIPS
-
-    header = [
-        "c1_fraction", "default_cost", "delay_cost", "lips_cost",
-        "default_makespan", "delay_makespan", "lips_makespan",
-    ]
-    rows = []
-    for mix, comp in zip(res.mixes, res.comparisons):
-        rows.append(
-            [
-                mix,
-                comp.cost(DEFAULT), comp.cost(DELAY), comp.cost(LIPS),
-                comp.makespan(DEFAULT), comp.makespan(DELAY), comp.makespan(LIPS),
-            ]
-        )
-    return header, rows
-
-
-def fig8_table(res) -> Table:
-    """Flatten a Fig8Result to (header, rows)."""
-    header = ["epoch_s", "cost", "exec_time_s"]
-    rows = [[e, c, t] for e, c, t in zip(res.epochs, res.costs, res.exec_times)]
-    return header, rows
-
-
 def fig9_table(res) -> Table:
     """Flatten a Fig9Result to (header, rows)."""
     from repro.experiments.common import DEFAULT, DELAY, LIPS
@@ -86,20 +59,6 @@ def fig9_table(res) -> Table:
     return header, rows
 
 
-def fig11_table(res) -> Table:
-    """Flatten a Fig11Result to (header, rows)."""
-    header = ["machine", "instance_type", "cpu_cost"] + [
-        f"cpu_seconds_e{int(e)}" for e in res.epochs
-    ]
-    rows = []
-    for m in res.cluster.machines:
-        rows.append(
-            [m.name, m.instance_type, m.cpu_cost]
-            + [float(res.cpu_per_node[e][m.machine_id]) for e in res.epochs]
-        )
-    return header, rows
-
-
 def frontier_table(frontier) -> Table:
     """Flatten a CostDeadlineFrontier to (header, rows)."""
     header = ["deadline_s", "cost", "feasible"]
@@ -108,15 +67,8 @@ def frontier_table(frontier) -> Table:
 
 
 def export_all(out_dir: PathLike, **results) -> List[Path]:
-    """Write every provided result (keyed fig5/fig6/fig8/fig9/fig11/frontier)."""
-    builders = {
-        "fig5": fig5_table,
-        "fig6": fig6_table,
-        "fig8": fig8_table,
-        "fig9": fig9_table,
-        "fig11": fig11_table,
-        "frontier": frontier_table,
-    }
+    """Write every provided result (keyed fig5/fig9/frontier)."""
+    builders = {"fig5": fig5_table, "fig9": fig9_table, "frontier": frontier_table}
     written: List[Path] = []
     for key, res in results.items():
         if key not in builders:

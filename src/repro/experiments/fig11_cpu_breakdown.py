@@ -15,6 +15,7 @@ from typing import Dict, List, Optional, Sequence
 import numpy as np
 
 from repro.cluster.builder import Cluster, build_paper_testbed
+from repro.experiments.common import shared
 from repro.experiments.report import format_table
 from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.schedulers import LipsScheduler
@@ -80,9 +81,9 @@ def run(
     )
 
 
-def main() -> None:
+def main(full: bool = False, csv_dir: Optional[str] = None) -> int:
     """Print the Figure 11 per-node breakdown."""
-    res = run()
+    res = shared(run)
     headers = ["node", "type", "$/cpu-s"] + [f"CPU-s @e={e:.0f}" for e in res.epochs]
     rows: List[List[str]] = []
     for m in res.cluster.machines:
@@ -108,7 +109,8 @@ def main() -> None:
             f"top-quartile share={100*res.concentration(e):.1f}%, "
             f"cost=${res.costs[e]:.4f}, makespan={res.makespans[e]:.0f}s"
         )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

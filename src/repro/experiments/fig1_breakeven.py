@@ -13,11 +13,11 @@ bound apps (Grep) need huge ratios before the transfer price amortises.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence
-
+from typing import Dict, List, Optional, Sequence
 
 from repro.cluster.ec2 import MILLICENT, transfer_cost_per_mb
 from repro.cost.pricing import move_data_break_even
+from repro.experiments.common import shared
 from repro.experiments.report import format_table
 from repro.workload.apps import APP_PROFILES
 
@@ -63,9 +63,9 @@ def run(ratios: Sequence[float] = DEFAULT_RATIOS) -> BreakEvenCurves:
     return BreakEvenCurves(ratios=list(ratios), savings=savings, break_even_ratio=break_even)
 
 
-def main() -> None:
+def main(full: bool = False, csv_dir: Optional[str] = None) -> int:
     """Print the Figure 1 table."""
-    res = run()
+    res = shared(run)
     rows = []
     for app, curve in res.savings.items():
         rows.append(
@@ -79,7 +79,8 @@ def main() -> None:
             title="Figure 1 — relative saving from moving data vs CPU price ratio",
         )
     )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -6,8 +6,8 @@ share grows 0% → 25% → 50%.  Figure 6 reports LiPS' cost saving (paper:
 62% homogeneous → 79–81% at 50% c1.medium); Figure 7 the total execution
 time (paper: LiPS 40–100% longer than delay, growing with fast-node share).
 
-Both figures come from the same runs; :func:`run` computes them together and
-the Figure 7 module re-exports.
+Both figures come from the same runs: :func:`run` computes them together,
+and ``repro fig6`` and ``repro fig7`` both print both tables.
 """
 
 from __future__ import annotations
@@ -22,7 +22,9 @@ from repro.experiments.common import (
     LIPS,
     ComparisonResult,
     compare_schedulers,
+    shared,
 )
+from repro.experiments.parallel import pool_size
 from repro.experiments.report import format_table
 from repro.workload.apps import table4_jobs
 
@@ -64,6 +66,7 @@ def run(
     placement_seed: int = 7,
     backend: Optional[object] = None,
     workload=None,
+    workers: int = 0,
 ) -> Fig6Result:
     """Run the scheduler line-up across the node-mix sweep."""
     comparisons: List[ComparisonResult] = []
@@ -79,6 +82,7 @@ def run(
                 epoch_length=epoch_length,
                 placement_seed=placement_seed,
                 backend=backend,
+                workers=workers,
             )
         )
     return Fig6Result(mixes=list(mixes), comparisons=comparisons)
@@ -117,9 +121,14 @@ def fig7_rows(res: Fig6Result) -> List[List[str]]:
     return rows
 
 
-def main() -> None:
+def run_at(full: bool = False) -> Fig6Result:
+    """The 20-node sweep (already the paper's size); ``full`` adds the pool."""
+    return run(workers=pool_size(full))
+
+
+def main(full: bool = False, csv_dir: Optional[str] = None) -> int:
     """Print the Figures 6 and 7 tables."""
-    res = run()
+    res = shared(run_at, full)
     print(
         format_table(
             ["node mix", "default $", "delay $", "LiPS $", "saving vs default", "saving vs delay"],
@@ -137,7 +146,8 @@ def main() -> None:
             "(paper: LiPS 40-100% longer than delay)",
         )
     )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -14,7 +14,8 @@ from typing import List, Optional, Sequence
 
 from repro.cluster.builder import build_paper_testbed
 from repro.hadoop.sim import HadoopSimulator, SimConfig
-from repro.experiments.common import LipsFactory
+from repro.experiments.common import LipsFactory, shared
+from repro.experiments.parallel import pool_size, run_tasks
 from repro.experiments.report import format_table
 from repro.workload.apps import table4_jobs
 
@@ -49,15 +50,13 @@ def run(
     placement_seed: int = 7,
     backend: Optional[object] = None,
     workload=None,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> Fig8Result:
     """Run LiPS per epoch length on the Fig 6(iii) testbed.
 
     ``workers`` fans the epoch lengths out over a process pool; every point
     carries its explicit seeds, so results match the serial sweep.
     """
-    from repro.experiments.parallel import run_tasks
-
     cluster = build_paper_testbed(total_nodes, c1_medium_fraction=c1_fraction, seed=seed)
     w = workload if workload is not None else table4_jobs()
     seeded_tasks = [(cluster, w, e, placement_seed, backend) for e in epochs]
@@ -69,9 +68,14 @@ def run(
     )
 
 
-def main() -> None:
+def run_at(full: bool = False) -> Fig8Result:
+    """The six-epoch sweep (already the paper's size); ``full`` adds the pool."""
+    return run(workers=pool_size(full))
+
+
+def main(full: bool = False, csv_dir: Optional[str] = None) -> int:
     """Print the Figure 8 sweep."""
-    res = run()
+    res = shared(run_at, full)
     rows = [
         (f"{e:.0f}s", f"{t:.0f}", f"{c:.4f}")
         for e, t, c in zip(res.epochs, res.exec_times, res.costs)
@@ -83,7 +87,8 @@ def main() -> None:
             title="Figure 8 — epoch length: cost falls, execution time rises",
         )
     )
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

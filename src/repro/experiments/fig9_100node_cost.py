@@ -8,7 +8,7 @@ time is 40–100% longer than the delay scheduler's, similar to the default's.
 
 Our workload is the synthetic FB-like day of :mod:`repro.workload.swim`
 (see DESIGN.md for the substitution rationale).  Both figures come from the
-same three runs.
+same three runs: ``repro fig9`` and ``repro fig10`` both print both tables.
 """
 
 from __future__ import annotations
@@ -23,7 +23,10 @@ from repro.experiments.common import (
     LIPS,
     ComparisonResult,
     compare_schedulers,
+    shared,
 )
+from repro.experiments.export import export_all
+from repro.experiments.parallel import pool_size
 from repro.experiments.report import format_table
 from repro.workload.swim import SwimConfig, synthesize_facebook_day
 
@@ -32,6 +35,10 @@ PAPER_NODES: int = 100
 PAPER_JOBS: int = 400
 PAPER_DURATION_S: float = 24 * 3600.0
 DEFAULT_EPOCH_S: float = 600.0
+
+#: the one reduced size, shared by ``repro fig9``/``fig10`` and their
+#: claims: a quarter-day slice of 120 jobs on 40 nodes
+REDUCED = dict(num_nodes=40, num_jobs=120, duration_s=6 * 3600.0)
 
 
 @dataclass
@@ -57,7 +64,7 @@ def run(
     seed: int = 0,
     placement_seed: int = 11,
     backend: Optional[object] = None,
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> Fig9Result:
     # three instance types, one third each, across three zones (paper setup)
     """Run the scheduler line-up on the SWIM-day setting."""
@@ -125,15 +132,20 @@ def fig10_rows(res: Fig9Result) -> List[List[str]]:
     ]
 
 
-def main() -> None:
-    """Print the Figures 9 and 10 tables."""
-    res = run()
+def run_at(full: bool = False) -> Fig9Result:
+    """The SWIM day at its reduced size, or at the paper's with ``full``."""
+    return run(**({} if full else REDUCED), workers=pool_size(full))
+
+
+def main(full: bool = False, csv_dir: Optional[str] = None) -> int:
+    """Print the Figures 9 and 10 tables (and their CSV into ``csv_dir``)."""
+    res = shared(run_at, full)
     print(
         format_table(
             ["setting", "default $", "delay $", "LiPS $", "saving vs default", "saving vs delay"],
             fig9_rows(res),
-            title="Figure 9 — total dollar cost, 100-node SWIM day "
-            "(paper: 68-69% saving vs both)",
+            title="Figure 9 — total dollar cost, SWIM day "
+            "(paper, 100 nodes: 68-69% saving vs both)",
         )
     )
     print()
@@ -145,7 +157,11 @@ def main() -> None:
             "(paper: 40-100% longer than delay)",
         )
     )
+    if csv_dir:
+        for path in export_all(csv_dir, fig9=res):
+            print(f"wrote {path}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())

@@ -15,40 +15,38 @@ flags a task whose call closure draws from ambient RNG, and
 ``tests/experiments/test_parallel.py`` pins serial == pooled for every
 task function.
 
-Worker count resolution (:func:`resolve_workers`): an explicit ``workers``
-argument wins; otherwise the ``REPRO_WORKERS`` environment variable;
-otherwise serial.  ``0`` and ``1`` both mean "in process, no pool".
+:func:`pool_size` grants a pool only to ``--full`` runs, where it pays
+clearly (Fig 5's five sizes: ~7.8 s serial, ~5.1 s on two workers of a
+2-vCPU host); reduced runs stay in process.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Callable, List, Optional, Sequence, TypeVar
+from typing import Callable, List, Sequence, TypeVar
 
 T = TypeVar("T")
 R = TypeVar("R")
 
-#: environment variable consulted when ``workers`` is not given explicitly
-WORKERS_ENV = "REPRO_WORKERS"
 
+def pool_size(full: bool) -> int:
+    """Workers for a sweep: one per CPU at paper scale, else in process.
 
-def resolve_workers(workers: Optional[int] = None) -> int:
-    """The effective worker count: argument, else ``REPRO_WORKERS``, else 0."""
-    if workers is not None:
-        return max(0, int(workers))
-    raw = os.environ.get(WORKERS_ENV, "").strip()
-    if not raw:
+    A traced or metered run stays in process: worker processes would
+    report to neither the ambient tracer nor the ambient registry.
+    """
+    from repro.obs.registry import current_registry
+    from repro.obs.trace import current_tracer
+
+    if not full or current_tracer().enabled or current_registry() is not None:
         return 0
-    try:
-        return max(0, int(raw))
-    except ValueError:
-        return 0
+    return os.cpu_count() or 1
 
 
 def run_tasks(
     fn: Callable[[T], R],
     seeded_tasks: Sequence[T],
-    workers: Optional[int] = None,
+    workers: int = 0,
 ) -> List[R]:
     """Map ``fn`` over ``seeded_tasks``, optionally across processes.
 
@@ -56,13 +54,13 @@ def run_tasks(
     ``seeded_tasks`` must carry its own rng seeds — see the module
     docstring's determinism contract.  Results preserve task order.  With
     fewer than two workers (or fewer than two tasks) the map runs in
-    process, so the serial path stays the no-surprises default.
+    process; otherwise the pool has ``min(workers, len(seeded_tasks))``
+    processes.
     """
-    n = resolve_workers(workers)
     tasks = list(seeded_tasks)
-    if n <= 1 or len(tasks) <= 1:
+    if workers <= 1 or len(tasks) <= 1:
         return [fn(t) for t in tasks]
     from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=min(n, len(tasks))) as pool:
+    with ProcessPoolExecutor(max_workers=min(workers, len(tasks))) as pool:
         return list(pool.map(fn, tasks))

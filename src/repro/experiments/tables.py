@@ -78,19 +78,16 @@ def _csv_data(name: str) -> Tuple[List[str], List[Sequence[object]]]:
 
 
 def main(
-    argv: Sequence[str] | None = None,
     full: bool = False,
     csv_dir: object = None,
-) -> None:
+    which: Sequence[str] = ("table1", "table3", "table4"),
+) -> int:
     """Print the requested tables (default: all three).
 
     ``full`` is accepted for CLI uniformity but changes nothing — these are
     the paper's constant parameter tables.  ``csv_dir`` additionally writes
     one CSV per printed table into that directory.
     """
-    if argv is None:
-        argv = sys.argv[1:]
-    which = list(argv) or ["table1", "table3", "table4"]
     emitters = {"table1": table1, "table3": table3, "table4": table4}
     for name in which:
         print(emitters[name]())
@@ -101,7 +98,8 @@ def main(
         for name in which:
             header, rows = _csv_data(name)
             print(f"wrote {write_csv(Path(csv_dir) / f'{name}.csv', header, rows)}")
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main(which=sys.argv[1:] or ("table1", "table3", "table4")))

@@ -48,6 +48,87 @@ def test_all_expands_to_every_command():
     }
 
 
+def test_aliases_name_one_experiment():
+    # Figures 6/7 and 9/10 each come from one set of runs
+    assert COMMANDS["fig7"] == COMMANDS["fig6"]
+    assert COMMANDS["fig10"] == COMMANDS["fig9"]
+
+
+class TestEachExperimentRunsOnce:
+    @pytest.fixture()
+    def calls(self, monkeypatch):
+        from repro.experiments import exp_deadline, fig6_cost_reduction, fig9_100node_cost
+
+        counts = {}
+        for module in (fig6_cost_reduction, fig9_100node_cost, exp_deadline):
+            real = module.run
+
+            def counted(*args, _real=real, _name=module.__name__, **kwargs):
+                counts[_name] = counts.get(_name, 0) + 1
+                return _real(*args, **kwargs)
+
+            monkeypatch.setattr(module, "run", counted)
+        return counts
+
+    def test_fig9_fig10_share_one_day(self, calls, capsys, monkeypatch):
+        from repro.experiments import fig9_100node_cost
+
+        monkeypatch.setattr(
+            fig9_100node_cost, "REDUCED", dict(num_nodes=9, num_jobs=12, duration_s=1200.0)
+        )
+        assert main(["fig9", "fig10"]) == 0
+        out = capsys.readouterr().out
+        assert calls == {"repro.experiments.fig9_100node_cost": 1}
+        assert out.count("Figure 9 —") == 1 and out.count("Figure 10 —") == 1
+
+    def test_frontier_csv_computes_once(self, calls, tmp_path, capsys):
+        assert main(["frontier", "--csv", str(tmp_path)]) == 0
+        assert calls == {"repro.experiments.exp_deadline": 1}
+        assert (tmp_path / "frontier.csv").exists()
+
+    def test_fig6_fig7_and_their_claims_share_one_sweep(self, calls, capsys, monkeypatch):
+        from repro.experiments import check
+
+        monkeypatch.setattr(check, "CHECKS", [check._check_fig6, check._check_fig7])
+        assert main(["fig6", "fig7", "check"]) == 0
+        out = capsys.readouterr().out
+        assert calls == {"repro.experiments.fig6_cost_reduction": 1}
+        assert out.count("Figure 6 —") == 1 and out.count("Figure 7 —") == 1
+        assert "2/2 claims hold" in out
+
+
+class TestCheckExitCode:
+    def test_failed_claim_exits_nonzero(self, capsys, monkeypatch):
+        from repro.experiments import check
+
+        def holds(full):
+            return check.CheckResult("holds", True, "ok")
+
+        def fails(full):
+            return check.CheckResult("fails", False, "seeded failure")
+
+        monkeypatch.setattr(check, "CHECKS", [holds, fails])
+        assert main(["check"]) == 1
+        assert "1/2 claims hold" in capsys.readouterr().out
+
+    def test_crashed_claim_exits_nonzero(self, capsys, monkeypatch):
+        from repro.experiments import check
+
+        def crashes(full):
+            raise RuntimeError("boom")
+
+        monkeypatch.setattr(check, "CHECKS", [crashes])
+        assert main(["tables", "check"]) == 1
+        out = capsys.readouterr().out
+        assert "crashed" in out and "Table I" in out
+
+    def test_passing_claims_exit_zero(self, capsys, monkeypatch):
+        from repro.experiments import check
+
+        monkeypatch.setattr(check, "CHECKS", [check._check_table1, check._check_fig1])
+        assert main(["check"]) == 0
+
+
 def test_frontier_command(capsys):
     assert main(["frontier"]) == 0
     out = capsys.readouterr().out

@@ -7,7 +7,6 @@ import pytest
 from repro.experiments.export import (
     export_all,
     fig5_table,
-    fig8_table,
     frontier_table,
     write_csv,
 )
@@ -30,22 +29,14 @@ def test_write_csv_creates_directories(tmp_path):
 
 
 def test_fig5_table(tmp_path):
-    from repro.experiments.fig5_simulated_savings import run, SMALL_SIZES
+    from repro.experiments.fig5_simulated_savings import run
 
-    res = run(sizes=SMALL_SIZES[:2], seeds=(0,))
+    res = run(sizes=((100, 5, 5), (200, 10, 10)), seeds=(0,))
     header, rows = fig5_table(res)
     assert header[0] == "tasks"
     assert len(rows) == 2
     p = write_csv(tmp_path / "fig5.csv", header, rows)
     assert len(read(p)) == 3
-
-
-def test_fig8_table():
-    from repro.experiments.fig8_epoch_tradeoff import Fig8Result
-
-    res = Fig8Result(epochs=[100.0, 200.0], costs=[2.0, 1.0], exec_times=[10.0, 20.0])
-    header, rows = fig8_table(res)
-    assert rows == [[100.0, 2.0, 10.0], [200.0, 1.0, 20.0]]
 
 
 def test_frontier_table(small_input, tmp_path):
@@ -59,9 +50,9 @@ def test_frontier_table(small_input, tmp_path):
 
 
 def test_export_all(tmp_path):
-    from repro.experiments.fig5_simulated_savings import run, SMALL_SIZES
+    from repro.experiments.fig5_simulated_savings import run
 
-    res = run(sizes=SMALL_SIZES[:1], seeds=(0,))
+    res = run(sizes=((100, 5, 5),), seeds=(0,))
     written = export_all(tmp_path, fig5=res)
     assert [p.name for p in written] == ["fig5.csv"]
 

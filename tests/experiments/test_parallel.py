@@ -6,28 +6,7 @@ import pytest
 from repro.experiments import fig5_simulated_savings as fig5
 from repro.experiments import fig8_epoch_tradeoff as fig8
 from repro.experiments.common import LipsFactory, compare_schedulers, scheduler_lineup
-from repro.experiments.parallel import resolve_workers, run_tasks
-
-
-class TestResolveWorkers:
-    def test_argument_wins(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "7")
-        assert resolve_workers(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "4")
-        assert resolve_workers(None) == 4
-
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_WORKERS", raising=False)
-        assert resolve_workers(None) == 0
-
-    def test_garbage_env_is_serial(self, monkeypatch):
-        monkeypatch.setenv("REPRO_WORKERS", "lots")
-        assert resolve_workers(None) == 0
-
-    def test_negative_clamped(self):
-        assert resolve_workers(-2) == 0
+from repro.experiments.parallel import pool_size, run_tasks
 
 
 def _square(seeded_task):
@@ -48,6 +27,28 @@ class TestRunTasks:
 
     def test_single_task_stays_in_process(self):
         assert run_tasks(_square, [(3, 1)], workers=8) == [10]
+
+
+class TestPoolSize:
+    def test_reduced_runs_in_process(self):
+        assert pool_size(False) == 0
+
+    def test_full_gets_a_worker_per_cpu(self):
+        import os
+
+        assert pool_size(True) == (os.cpu_count() or 1)
+
+    def test_traced_full_run_stays_in_process(self):
+        from repro.obs.trace import Tracer, use_tracer
+
+        with Tracer.tap_only() as tracer, use_tracer(tracer):
+            assert pool_size(True) == 0
+
+    def test_metered_full_run_stays_in_process(self):
+        from repro.obs.registry import MetricsRegistry, use_registry
+
+        with use_registry(MetricsRegistry()):
+            assert pool_size(True) == 0
 
 
 class TestLipsFactory:

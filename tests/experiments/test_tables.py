@@ -23,12 +23,12 @@ def test_table4_totals_row():
 
 
 def test_main_prints_all(capsys):
-    main([])
+    main()
     out = capsys.readouterr().out
     assert "Table I" in out and "Table III" in out and "Table IV" in out
 
 
 def test_main_selective(capsys):
-    main(["table1"])
+    main(which=["table1"])
     out = capsys.readouterr().out
     assert "Table I" in out and "Table III" not in out

@@ -6,7 +6,7 @@ import pytest
 from repro.cluster.builder import build_paper_testbed
 from repro.core import SchedulingInput, solve_co_offline
 from repro.core.epoch import EpochController
-from repro.experiments.fig5_simulated_savings import run as fig5_run, SMALL_SIZES
+from repro.experiments.fig5_simulated_savings import run as fig5_run
 from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.schedulers import DelayScheduler, FifoScheduler, LipsScheduler
 from repro.workload.apps import table4_jobs
@@ -65,6 +65,6 @@ def test_epoch_controller_reproducible():
 
 
 def test_fig5_reproducible():
-    a = fig5_run(sizes=SMALL_SIZES[:1], seeds=(0,))
-    b = fig5_run(sizes=SMALL_SIZES[:1], seeds=(0,))
+    a = fig5_run(sizes=((100, 5, 5),), seeds=(0,))
+    b = fig5_run(sizes=((100, 5, 5),), seeds=(0,))
     assert a.reductions == b.reductions

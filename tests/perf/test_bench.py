@@ -73,8 +73,8 @@ class TestParser:
         assert args.trace == "t.jsonl" and args.metrics == "m.json"
 
     def test_scaling_flag(self):
-        """The scaling row always runs: --scaling is gone, like --quick and --workers."""
-        for flag in ("--scaling", "--quick", "--workers=2"):
+        """The scaling row always runs: --scaling is gone, like --quick."""
+        for flag in ("--scaling", "--quick"):
             with pytest.raises(SystemExit):
                 build_bench_parser().parse_args([flag])
 
