@@ -18,9 +18,9 @@ Usage::
     python -m repro top http://127.0.0.1:8377      # live dashboard
 
 Each experiment has one reduced size, shared by ``repro <name>`` and its
-``repro check`` claim; ``--full`` switches to the paper's sizes and fans
-the sweeps over a process pool.  One invocation runs each experiment
-once, however many of its tables and claims it prints.
+``repro check`` claim; ``--full`` switches to the paper's sizes.  One
+invocation runs each experiment once, however many of its tables and
+claims it prints.
 ``--trace``/``--metrics`` stream observability data from every
 simulation the experiments run (see :mod:`repro.obs`).
 """
@@ -69,8 +69,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--full",
         action="store_true",
-        help="run at the paper's full experiment sizes, sweeps over a process "
-        "pool (slower)",
+        help="run at the paper's full experiment sizes (slower)",
     )
     parser.add_argument(
         "--csv",

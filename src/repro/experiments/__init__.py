@@ -9,8 +9,8 @@ paper-vs-measured for each.
 
 Scale: each experiment has one reduced size, shared by its table and its
 claim.  ``full=True`` (``--full``) runs the paper's sizes where they
-differ (Figs 5 and 9/10) and fans the Fig 5/6/8/9 sweeps over a process
-pool.
+differ (Figs 5 and 9/10).  The Fig 5, 8 and 9/10 sweeps run over a
+process pool at either size (:mod:`repro.experiments.parallel`).
 """
 
 from repro.experiments.report import format_series, format_table

@@ -121,7 +121,7 @@ def run(
 
 def run_at(full: bool = False) -> Fig5Result:
     """Figure 5 at its reduced size, or at the paper's five with ``full``."""
-    return run(sizes=PAPER_SIZES if full else REDUCED_SIZES, workers=pool_size(full))
+    return run(sizes=PAPER_SIZES if full else REDUCED_SIZES, workers=pool_size())
 
 
 def main(full: bool = False, csv_dir: Optional[str] = None) -> int:

@@ -24,7 +24,6 @@ from repro.experiments.common import (
     compare_schedulers,
     shared,
 )
-from repro.experiments.parallel import pool_size
 from repro.experiments.report import format_table
 from repro.workload.apps import table4_jobs
 
@@ -122,8 +121,8 @@ def fig7_rows(res: Fig6Result) -> List[List[str]]:
 
 
 def run_at(full: bool = False) -> Fig6Result:
-    """The 20-node sweep (already the paper's size); ``full`` adds the pool."""
-    return run(workers=pool_size(full))
+    """The 20-node sweep, in process; it is already the paper's size."""
+    return run()
 
 
 def main(full: bool = False, csv_dir: Optional[str] = None) -> int:

@@ -69,8 +69,8 @@ def run(
 
 
 def run_at(full: bool = False) -> Fig8Result:
-    """The six-epoch sweep (already the paper's size); ``full`` adds the pool."""
-    return run(workers=pool_size(full))
+    """The six-epoch sweep, pooled; it is already the paper's size."""
+    return run(workers=pool_size())
 
 
 def main(full: bool = False, csv_dir: Optional[str] = None) -> int:

@@ -134,7 +134,7 @@ def fig10_rows(res: Fig9Result) -> List[List[str]]:
 
 def run_at(full: bool = False) -> Fig9Result:
     """The SWIM day at its reduced size, or at the paper's with ``full``."""
-    return run(**({} if full else REDUCED), workers=pool_size(full))
+    return run(**({} if full else REDUCED), workers=pool_size())
 
 
 def main(full: bool = False, csv_dir: Optional[str] = None) -> int:

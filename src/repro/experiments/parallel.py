@@ -15,9 +15,12 @@ flags a task whose call closure draws from ambient RNG, and
 ``tests/experiments/test_parallel.py`` pins serial == pooled for every
 task function.
 
-:func:`pool_size` grants a pool only to ``--full`` runs, where it pays
-clearly (Fig 5's five sizes: ~7.8 s serial, ~5.1 s on two workers of a
-2-vCPU host); reduced runs stay in process.
+:func:`pool_size` gives a sweep one worker per CPU.  Only the sweeps
+measured to finish sooner pooled call it: Figs 5, 8 and 9 at both their
+reduced and paper sizes (on a 2-vCPU host, 10 alternating pairs each,
+pooled won 9 or 10 of 10; Fig 5 at paper size ~7.9 s serial vs ~4.5 s).
+Fig 6 runs one three-scheduler pool per node mix and stays in process:
+pooled it won only 4 of 10 pairs, at ~0.68 s either way.
 """
 
 from __future__ import annotations
@@ -29,8 +32,8 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 
-def pool_size(full: bool) -> int:
-    """Workers for a sweep: one per CPU at paper scale, else in process.
+def pool_size() -> int:
+    """Workers for a pooled sweep: one per CPU.
 
     A traced or metered run stays in process: worker processes would
     report to neither the ambient tracer nor the ambient registry.
@@ -38,7 +41,7 @@ def pool_size(full: bool) -> int:
     from repro.obs.registry import current_registry
     from repro.obs.trace import current_tracer
 
-    if not full or current_tracer().enabled or current_registry() is not None:
+    if current_tracer().enabled or current_registry() is not None:
         return 0
     return os.cpu_count() or 1
 

@@ -30,25 +30,30 @@ class TestRunTasks:
 
 
 class TestPoolSize:
-    def test_reduced_runs_in_process(self):
-        assert pool_size(False) == 0
-
-    def test_full_gets_a_worker_per_cpu(self):
+    def test_a_worker_per_cpu(self):
         import os
 
-        assert pool_size(True) == (os.cpu_count() or 1)
+        assert pool_size() == (os.cpu_count() or 1)
 
-    def test_traced_full_run_stays_in_process(self):
+    def test_traced_run_stays_in_process(self):
         from repro.obs.trace import Tracer, use_tracer
 
         with Tracer.tap_only() as tracer, use_tracer(tracer):
-            assert pool_size(True) == 0
+            assert pool_size() == 0
 
-    def test_metered_full_run_stays_in_process(self):
+    def test_metered_run_stays_in_process(self):
         from repro.obs.registry import MetricsRegistry, use_registry
 
         with use_registry(MetricsRegistry()):
-            assert pool_size(True) == 0
+            assert pool_size() == 0
+
+    def test_fig6_sweep_stays_in_process(self, monkeypatch):
+        from repro.experiments import fig6_cost_reduction as fig6
+
+        seen = []
+        monkeypatch.setattr(fig6, "run", lambda **kw: seen.append(kw))
+        fig6.run_at(full=True)
+        assert seen == [{}]
 
 
 class TestLipsFactory:
