@@ -508,24 +508,13 @@ def build_serve_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _run_serve(argv: Sequence[str]) -> int:
-    import tempfile
-    from pathlib import Path
+def serve_soak_config(args: argparse.Namespace):
+    """The service soak ``repro serve`` runs for parsed ``args``."""
+    from repro.resilience import SERVICE, SoakConfig
 
-    from repro.experiments.report import format_table
-    from repro.resilience import SERVICE, SoakConfig, run_soak
-
-    args = build_serve_parser().parse_args(argv)
-    if not args.sim:
-        print(
-            "repro serve only supports simulated time: pass --sim "
-            "(there is no real cluster behind this reproduction)",
-            file=sys.stderr,
-        )
-        return 2
     quick = args.quick
     horizon_s = (args.hours if args.hours is not None else (2.25 if quick else 2.5)) * 3600.0
-    config = SoakConfig(
+    return SoakConfig(
         seeds=(args.seed,),
         targets=(SERVICE,),
         num_machines=args.machines if args.machines is not None else (4 if quick else 6),
@@ -544,6 +533,24 @@ def _run_serve(argv: Sequence[str]) -> int:
         chaos=not args.no_chaos,
         epoch_deadline_s=args.deadline,
     )
+
+
+def _run_serve(argv: Sequence[str]) -> int:
+    import tempfile
+    from pathlib import Path
+
+    from repro.experiments.report import format_table
+    from repro.resilience import run_soak
+
+    args = build_serve_parser().parse_args(argv)
+    if not args.sim:
+        print(
+            "repro serve only supports simulated time: pass --sim "
+            "(there is no real cluster behind this reproduction)",
+            file=sys.stderr,
+        )
+        return 2
+    config = serve_soak_config(args)
     if args.workdir is not None:
         work_dir = Path(args.workdir)
     else:

@@ -109,8 +109,8 @@ class SoakConfig:
     num_jobs: int = 6
     num_submitters: int = 1
     epoch_length: float = 120.0
-    #: chaos windows are drawn inside this span of simulated seconds; the
-    #: service's arrivals are spread over ~90% of it
+    #: chaos windows are drawn inside this span of simulated seconds; each
+    #: service submitter's last arrival lands at 90% of it
     horizon_s: float = 3000.0
     chaos: bool = True
     mean_time_to_failure_s: float = 3000.0
@@ -209,8 +209,10 @@ def build_soak_workload(
 
     The sim/online targets draw each job's arrival uniformly over the first
     eighth of the horizon, right after its sizes.  The service gets one
-    Poisson process per submitter (a private seed each) over 90% of it;
-    job ids partition by submitter.
+    Poisson process per submitter (a private seed each), stretched so its
+    last arrival lands at 90% of the horizon whatever the draw: a fixed
+    count of exponential gaps alone can end the feed long before the
+    soak's sim-time gate.  Job ids partition by submitter.
     """
     service = SERVICE in config.targets
     prefix = "serve" if service else "soak"
@@ -240,8 +242,10 @@ def build_soak_workload(
         rate = config.num_jobs / (config.horizon_s * 0.9)
         for submitter in range(config.num_submitters):
             own = jobs[submitter * config.num_jobs : (submitter + 1) * config.num_jobs]
-            for t, job in PoissonArrivals(own, rate_per_s=rate, seed=seed * 1009 + submitter):
-                jobs[job.job_id] = dataclasses.replace(job, arrival_time=t)
+            stream = list(PoissonArrivals(own, rate_per_s=rate, seed=seed * 1009 + submitter))
+            stretch = config.horizon_s * 0.9 / stream[-1][0]
+            for t, job in stream:
+                jobs[job.job_id] = dataclasses.replace(job, arrival_time=t * stretch)
     return Workload(jobs=jobs, data=data)
 
 

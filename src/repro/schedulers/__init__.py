@@ -7,7 +7,8 @@
 * :class:`~repro.schedulers.fair.FairScheduler` — Facebook's pool-based
   fair scheduler;
 * :class:`~repro.schedulers.greedy_cost.GreedyCostScheduler` — the
-  Section IV greedy lower bound (cheapest ``JM + MS`` per assignment);
+  Section IV greedy strawman (cheapest ``JM + MS`` per assignment):
+  optimal with ample capacity, dearer than LiPS under contention;
 * :class:`~repro.schedulers.quincy.QuincyScheduler` — the related-work
   graph baseline: batch min-cost-flow scheduling (Isard et al.);
 * :class:`~repro.schedulers.lips.LipsScheduler` — the paper's contribution:

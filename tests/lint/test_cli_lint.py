@@ -1,11 +1,14 @@
 """CLI tests for ``python -m repro lint`` and the subcommand registry."""
 
+import ast
 import contextlib
 import io
 import json
+from pathlib import Path
 
 import pytest
 
+import repro
 from repro.cli import SUBCOMMANDS, build_lint_parser, main
 from repro.lint.flow import DEFAULT_ENTRY_POINTS
 
@@ -42,8 +45,15 @@ def test_one_run_covers_the_package_with_flow_stats(package_json):
     rc, payload = package_json
     assert rc == 0
     flow = payload["flow"]
-    # the per-module rules and the flow passes saw the same package trees
-    assert flow["modules"] > 100 and flow["functions"] > 1000 and flow["edges"] > 0
+    # the per-module rules and the flow passes saw the same package trees:
+    # every module and every def in it
+    files = sorted(Path(repro.__file__).parent.rglob("*.py"))
+    defs = sum(
+        isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+        for path in files
+        for node in ast.walk(ast.parse(path.read_text()))
+    )
+    assert flow["modules"] == len(files) and flow["functions"] == defs and flow["edges"] > 0
     # every default entry point resolves to exactly one function
     assert set(flow["entry_points"]) == set(DEFAULT_ENTRY_POINTS)
     assert all(len(qnames) == 1 for qnames in flow["entry_points"].values())

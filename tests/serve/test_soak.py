@@ -3,21 +3,23 @@
 import re
 
 import numpy as np
+import pytest
 
-from repro.cli import main
+from repro.cli import build_serve_parser, main, serve_soak_config
 from repro.resilience.chaos import ChaosPlan, StragglerEvent
 from repro.resilience.soak import (
     LAG_S,
     SERVICE,
     SoakConfig,
     arrival_schedule,
+    build_scenario,
     build_soak_workload,
     derive_service_chaos,
     make_lag_injector,
     run_soak,
     trace_suffix_mismatch,
 )
-from repro.workload.arrivals import MergedArrivals, PoissonArrivals
+from repro.workload.arrivals import PoissonArrivals
 
 
 def service_config(seed, horizon_s=2.5 * 3600.0, **overrides):
@@ -68,17 +70,25 @@ class TestScheduleDerivation:
         config = service_config(3, num_submitters=3, num_jobs=5)
         workload = build_soak_workload(3, config, 4, np.random.default_rng(3))
         rate = 5 / (config.horizon_s * 0.9)
-        merged = MergedArrivals(
-            [
-                PoissonArrivals(workload.jobs[s * 5 : (s + 1) * 5], rate, seed=3 * 1009 + s)
-                for s in range(3)
-            ]
-        )
+        expected = []
+        for s in range(3):
+            own = workload.jobs[s * 5 : (s + 1) * 5]
+            stream = list(PoissonArrivals(own, rate, seed=3 * 1009 + s))
+            stretch = config.horizon_s * 0.9 / stream[-1][0]
+            expected += [(t * stretch, job.job_id) for t, job in stream]
         schedule, _ = arrival_schedule(workload)
-        assert [(t, job.job_id) for t, job in schedule] == [
-            (t, job.job_id) for t, job in merged
-        ]
+        assert [(t, job.job_id) for t, job in schedule] == sorted(expected)
         assert all(job.arrival_time == t for t, job in schedule)
+
+    @pytest.mark.parametrize("size", [["--quick"], []], ids=["quick", "default"])
+    def test_arrivals_outlast_the_sim_time_gate(self, size):
+        # the soak reads its sim-time gate after the queue drains, so the feed
+        # must outlast the gate on every seed, whatever the exponential draw
+        for seed in range(10):
+            args = build_serve_parser().parse_args(["--sim", *size, "--seed", str(seed)])
+            config = serve_soak_config(args)
+            last = max(job.arrival_time for job in build_scenario(seed, config).workload.jobs)
+            assert args.min_hours * 3600.0 <= last <= config.horizon_s, (seed, last)
 
 
 class TestChaosDerivation:
