@@ -32,7 +32,6 @@ from repro.core import (
 from repro.hadoop import HadoopSimulator, SimConfig
 from repro.schedulers import (
     DelayScheduler,
-    FairScheduler,
     FifoScheduler,
     GreedyCostScheduler,
     LipsScheduler,
@@ -56,7 +55,6 @@ __all__ = [
     "DataObject",
     "DelayScheduler",
     "EpochController",
-    "FairScheduler",
     "FairShareConfig",
     "FifoScheduler",
     "GreedyCostScheduler",

@@ -73,18 +73,12 @@ def min_cost_for_deadline(
     inp: SchedulingInput,
     deadline_s: float,
     backend: Optional[object] = None,
-    placement_tiebreak: float = 0.0,
 ) -> FrontierPoint:
     """Cheapest co-schedule finishing within ``deadline_s`` (or infeasible)."""
     if deadline_s <= 0:
         raise ValueError("deadline must be positive")
     try:
-        sol = solve_co_offline(
-            inp,
-            backend=backend,
-            horizon=deadline_s,
-            placement_tiebreak=placement_tiebreak,
-        )
+        sol = solve_co_offline(inp, backend=backend, horizon=deadline_s)
     except RuntimeError:
         return FrontierPoint(deadline_s=deadline_s, cost=None, solution=None)
     return FrontierPoint(

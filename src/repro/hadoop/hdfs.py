@@ -2,9 +2,9 @@
 
 The NameNode side of Hadoop as the scheduler sees it: every data object is
 split into 64 MB blocks, each replicated onto ``replication`` distinct data
-stores by a :class:`PlacementPolicy`.  LiPS swaps the policy (the paper's
-``ReplicationTargetChooser``) to implement LP-driven placement; the baseline
-schedulers use the default random policy.
+stores by a :class:`PlacementPolicy`.  ``SimConfig.populate`` picks the
+initial policy: random (the default), capacity-aware, or every block at its
+origin; LiPS then moves blocks where its plan places the data.
 """
 
 from __future__ import annotations
@@ -70,33 +70,6 @@ class RandomPlacement(PlacementPolicy):
         return list(rng.choice(fits, size=k, replace=False))
 
 
-class ZoneSpreadPlacement(PlacementPolicy):
-    """Rack/zone-aware variant: spread replicas across zones when possible."""
-
-    def choose(self, cluster, block, replication, rng, used_mb, capacity_mb):
-        stores_by_zone: Dict[str, List[int]] = {}
-        for s in cluster.stores:
-            if used_mb[s.store_id] + block.size_mb <= capacity_mb[s.store_id]:
-                stores_by_zone.setdefault(s.zone, []).append(s.store_id)
-        zones = sorted(stores_by_zone)
-        if not zones:
-            raise RuntimeError("no store has capacity for a new block replica")
-        chosen: List[int] = []
-        zi = rng.integers(0, len(zones))
-        while len(chosen) < replication and any(stores_by_zone.values()):
-            zone = zones[int(zi) % len(zones)]
-            zi += 1
-            pool = stores_by_zone[zone]
-            if not pool:
-                if all(not v for v in stores_by_zone.values()):
-                    break
-                continue
-            pick = int(rng.choice(pool))
-            pool.remove(pick)
-            chosen.append(pick)
-        return chosen
-
-
 class CapacityAwarePlacement(PlacementPolicy):
     """Purlieus-style placement: data goes where compute lives.
 
@@ -130,57 +103,6 @@ class CapacityAwarePlacement(PlacementPolicy):
             chosen.append(pick)
             w[pick] = 0.0
         return chosen
-
-
-class ExplicitPlacement(PlacementPolicy):
-    """Places blocks per an explicit (data, store) fraction matrix.
-
-    Used by the LiPS scheduler: the LP's ``x^d`` placement is realised by
-    assigning each object's blocks to stores proportionally to the solved
-    fractions (largest-remainder apportionment over blocks).
-    """
-
-    def __init__(self, xd: np.ndarray) -> None:
-        self.xd = np.asarray(xd, dtype=float)
-        self._cursor: Dict[int, List[int]] = {}
-
-    def _plan_for(self, data_id: int, num_blocks: int) -> List[int]:
-        from repro.core.rounding import largest_remainder_round
-
-        fractions = self.xd[data_id]
-        counts = largest_remainder_round(fractions, num_blocks)
-        plan: List[int] = []
-        for store, count in enumerate(counts):
-            plan.extend([store] * int(count))
-        return plan
-
-    def choose(self, cluster, block, replication, rng, used_mb, capacity_mb):
-        data_blocks = self._cursor.get(block.data_id)
-        if data_blocks is None:
-            # total block count is unknown here; plans are built lazily per
-            # block using fraction-weighted choice for replication > 1
-            data_blocks = []
-            self._cursor[block.data_id] = data_blocks
-        fractions = self.xd[block.data_id]
-        total = fractions.sum()
-        if total <= 0:
-            raise RuntimeError(f"no placement fractions for data {block.data_id}")
-        probs = fractions / total
-        # deterministic striping: pick the store whose cumulative share is
-        # most under-served so far
-        counts = np.bincount(data_blocks, minlength=len(probs)) if data_blocks else np.zeros(len(probs))
-        deficit = probs * (len(data_blocks) + 1) - counts
-        primary = int(np.argmax(deficit))
-        data_blocks.append(primary)
-        replicas = [primary]
-        if replication > 1:
-            others = np.argsort(-probs)
-            for s in others:
-                if len(replicas) >= replication:
-                    break
-                if int(s) != primary and probs[int(s)] > 0:
-                    replicas.append(int(s))
-        return replicas
 
 
 class HDFS:

@@ -707,8 +707,7 @@ class HadoopSimulator:
         )
 
     def _schedule_epoch(self, first: bool = False) -> None:
-        """Fire the scheduler's epoch hook, re-reading ``epoch_length`` each
-        time so adaptive schedulers can retune their own cadence."""
+        """Fire the scheduler's epoch hook every ``epoch_length`` seconds."""
         e = self.scheduler.epoch_length
         assert e is not None and e > 0
 
@@ -732,7 +731,7 @@ class HadoopSimulator:
                     "epoch",
                     "scheduler-epoch",
                     start,
-                    self.scheduler.epoch_length or e,
+                    e,
                     index=index,
                     queued=queued,
                     cost_delta=self.metrics.total_cost - cost0,

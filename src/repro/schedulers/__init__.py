@@ -4,8 +4,6 @@
   FIFO job order with greedy locality (node, then zone, then any);
 * :class:`~repro.schedulers.delay.DelayScheduler` — Zaharia et al.'s delay
   scheduling (the paper's strongest "move computation" baseline);
-* :class:`~repro.schedulers.fair.FairScheduler` — Facebook's pool-based
-  fair scheduler;
 * :class:`~repro.schedulers.greedy_cost.GreedyCostScheduler` — the
   Section IV greedy strawman (cheapest ``JM + MS`` per assignment):
   optimal with ample capacity, dearer than LiPS under contention;
@@ -15,22 +13,16 @@
   epoch-based LP co-scheduling of data and tasks.
 """
 
-from repro.schedulers.adaptive import AdaptiveLipsScheduler
 from repro.schedulers.base import Assignment, TaskScheduler
-from repro.schedulers.capacity import CapacityScheduler
 from repro.schedulers.delay import DelayScheduler
-from repro.schedulers.fair import FairScheduler
 from repro.schedulers.fifo import FifoScheduler
 from repro.schedulers.greedy_cost import GreedyCostScheduler
 from repro.schedulers.lips import LipsScheduler
 from repro.schedulers.quincy import QuincyScheduler
 
 __all__ = [
-    "AdaptiveLipsScheduler",
     "Assignment",
-    "CapacityScheduler",
     "DelayScheduler",
-    "FairScheduler",
     "FifoScheduler",
     "GreedyCostScheduler",
     "LipsScheduler",

@@ -26,8 +26,7 @@ class DelayScheduler(TaskScheduler):
     """FIFO + delay scheduling for locality.
 
     Parameters follow the delay-scheduling paper's W1/W2 thresholds; the
-    defaults (2 heartbeats / 4 heartbeats at 3 s) match common Hadoop
-    FairScheduler settings.
+    defaults are 2 and 4 heartbeats at 3 s.
     """
 
     def __init__(self, node_delay_s: float = 6.0, zone_delay_s: float = 12.0) -> None:

@@ -10,7 +10,7 @@
   of the paper's Figure 5 simulation;
 * :mod:`repro.workload.swim` — a synthetic SWIM/Facebook-like day trace for
   the 100-node experiments (Figures 9-10);
-* :mod:`repro.workload.arrivals` — arrival processes for the online setting.
+* :mod:`repro.workload.arrivals` — Poisson arrivals for the online setting.
 """
 
 from repro.workload.apps import (
@@ -20,7 +20,7 @@ from repro.workload.apps import (
     table1_rows,
     table4_jobs,
 )
-from repro.workload.arrivals import ArrivalProcess, PoissonArrivals, TraceArrivals
+from repro.workload.arrivals import PoissonArrivals
 from repro.workload.generator import RandomWorkload, random_workload
 from repro.workload.job import DataObject, Job, Task, Workload
 from repro.workload.matrix import access_matrix
@@ -29,14 +29,12 @@ from repro.workload.swim import SwimConfig, synthesize_facebook_day
 __all__ = [
     "APP_PROFILES",
     "AppProfile",
-    "ArrivalProcess",
     "DataObject",
     "Job",
     "PoissonArrivals",
     "RandomWorkload",
     "SwimConfig",
     "Task",
-    "TraceArrivals",
     "Workload",
     "access_matrix",
     "make_job",

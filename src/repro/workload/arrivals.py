@@ -1,17 +1,11 @@
-"""Arrival processes for the online scheduling setting.
+"""Poisson arrivals for the online setting.
 
-The epoch controller (:mod:`repro.core.epoch`) consumes any
-:class:`ArrivalProcess`; Poisson arrivals cover synthetic experiments,
-trace-driven arrivals cover SWIM-style replays, and
-:class:`MergedArrivals` interleaves several independent processes into one
-time-ordered stream — the service layer (:mod:`repro.serve`) uses it to
-model concurrent submitters hammering one scheduler.
+The service soak (:mod:`repro.resilience.soak`) draws one
+:class:`PoissonArrivals` stream per concurrent submitter.
 """
 
 from __future__ import annotations
 
-import abc
-import heapq
 from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
@@ -19,35 +13,13 @@ import numpy as np
 from repro.workload.job import Job
 
 
-class ArrivalProcess(abc.ABC):
-    """Produces ``(arrival_time, job)`` pairs in nondecreasing time order."""
-
-    @abc.abstractmethod
-    def __iter__(self) -> Iterator[Tuple[float, Job]]:
-        ...
-
-    def jobs_in_window(self, start: float, end: float) -> List[Job]:
-        """All jobs with ``start <= arrival < end`` (convenience for epochs)."""
-        return [job for t, job in self if start <= t < end]
-
-
-class TraceArrivals(ArrivalProcess):
-    """Replays jobs at their recorded ``arrival_time``."""
-
-    def __init__(self, jobs: Sequence[Job]) -> None:
-        self._jobs = sorted(jobs, key=lambda j: (j.arrival_time, j.job_id))
-
-    def __iter__(self) -> Iterator[Tuple[float, Job]]:
-        for job in self._jobs:
-            yield job.arrival_time, job
-
-
-class PoissonArrivals(ArrivalProcess):
+class PoissonArrivals:
     """Assigns Poisson-process arrival times to a job list.
 
     The jobs' own ``arrival_time`` fields are ignored; a fresh draw with rate
     ``rate_per_s`` orders them.  Sampling happens once at construction so
-    iteration is repeatable.
+    iteration is repeatable.  Yields ``(arrival_time, job)`` pairs in
+    nondecreasing time order.
     """
 
     def __init__(self, jobs: Sequence[Job], rate_per_s: float, seed: int = 0) -> None:
@@ -59,36 +31,6 @@ class PoissonArrivals(ArrivalProcess):
         self._schedule: List[Tuple[float, Job]] = [
             (float(t), j) for t, j in zip(times, jobs)
         ]
-
-    def __iter__(self) -> Iterator[Tuple[float, Job]]:
-        yield from self._schedule
-
-
-class MergedArrivals(ArrivalProcess):
-    """Merges several arrival processes into one nondecreasing stream.
-
-    Models N concurrent submitters against a single scheduler: each source
-    keeps its own rate/seed, and the merge is a stable k-way heap merge
-    (ties broken by source index, then job_id), so iteration order is a
-    pure function of the sources.  Duplicate ``job_id`` values across
-    sources are rejected up front — downstream accounting keys on them.
-    """
-
-    def __init__(self, sources: Sequence[ArrivalProcess]) -> None:
-        if not sources:
-            raise ValueError("MergedArrivals needs at least one source")
-        streams = [
-            [(t, idx, job) for t, job in source] for idx, source in enumerate(sources)
-        ]
-        merged = list(heapq.merge(*streams, key=lambda rec: (rec[0], rec[1], rec[2].job_id)))
-        seen = {}
-        for _, idx, job in merged:
-            if job.job_id in seen and seen[job.job_id] != idx:
-                raise ValueError(
-                    f"job_id {job.job_id} appears in sources {seen[job.job_id]} and {idx}"
-                )
-            seen[job.job_id] = idx
-        self._schedule: List[Tuple[float, Job]] = [(t, job) for t, _, job in merged]
 
     def __iter__(self) -> Iterator[Tuple[float, Job]]:
         yield from self._schedule

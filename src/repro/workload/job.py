@@ -83,7 +83,7 @@ class Job:
     arrival_time:
         Submission time in seconds (0 in the offline models).
     pool:
-        FairScheduler pool name (user/class); informational for FIFO/LiPS.
+        Pool name (user/class) that :mod:`repro.core.fairness` groups jobs by.
     read_fraction:
         Fraction of each accessed data object the job actually reads — the
         paper's partial-access extension ("fractional values in JD_ij").

@@ -1,11 +1,10 @@
 """Unit tests for the HDFS block/placement model."""
 
-import numpy as np
 import pytest
 
 from repro.cluster.builder import ClusterBuilder
 from repro.cluster.topology import Topology
-from repro.hadoop.hdfs import HDFS, ExplicitPlacement, ZoneSpreadPlacement
+from repro.hadoop.hdfs import HDFS
 from repro.workload.job import DataObject
 
 
@@ -97,31 +96,6 @@ def test_move_block_noop_when_present(cluster):
     h.populate([data(64.0)])
     block = h.blocks_of(0)[0]
     assert h.move_block(block, block.replicas[0]) == 0.0
-
-
-def test_zone_spread_placement(cluster):
-    h = HDFS(cluster, replication=2, policy=ZoneSpreadPlacement(), seed=0)
-    h.populate([data(64.0)])
-    block = h.blocks_of(0)[0]
-    zones = {cluster.stores[s].zone for s in block.replicas}
-    assert len(zones) == 2  # replicas spread across both zones
-
-
-def test_explicit_placement_follows_fractions(cluster):
-    xd = np.array([[0.0, 0.5, 0.5, 0.0]])
-    h = HDFS(cluster, replication=1, policy=ExplicitPlacement(xd), seed=0)
-    h.populate([data(640.0)])
-    counts = {s: 0 for s in range(4)}
-    for b in h.blocks_of(0):
-        counts[b.replicas[0]] += 1
-    assert counts[0] == 0 and counts[3] == 0
-    assert counts[1] == 5 and counts[2] == 5
-
-
-def test_explicit_placement_rejects_zero_fractions(cluster):
-    h = HDFS(cluster, replication=1, policy=ExplicitPlacement(np.zeros((1, 4))))
-    with pytest.raises(RuntimeError, match="no placement fractions"):
-        h.populate([data(64.0)])
 
 
 def test_random_placement_deterministic_by_seed(cluster):

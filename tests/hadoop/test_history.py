@@ -5,7 +5,7 @@ import pytest
 from repro.cluster.builder import ClusterBuilder
 from repro.cluster.topology import Topology
 from repro.hadoop.failures import FailurePlan
-from repro.hadoop.history import KILLED, SUCCESS, AttemptRecord, JobHistory, render_timeline
+from repro.hadoop.history import KILLED
 from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.schedulers import FifoScheduler
 from repro.workload.job import DataObject, Job, Workload
@@ -55,13 +55,6 @@ class TestRecording:
         for r in sim.history.for_job(1):
             assert r.source_store is None
 
-    def test_for_machine_sorted(self, cluster, workload):
-        sim, _ = run(cluster, workload)
-        for m in (0, 1):
-            recs = sim.history.for_machine(m)
-            starts = [r.start_time for r in recs]
-            assert starts == sorted(starts)
-
     def test_killed_attempts_recorded(self, cluster, workload):
         plan = FailurePlan()
         plan.add(0, fail_time=5.0, recover_time=500.0)
@@ -77,34 +70,3 @@ class TestRecording:
     def test_span_matches_makespan(self, cluster, workload):
         sim, res = run(cluster, workload)
         assert sim.history.span() == pytest.approx(res.metrics.makespan)
-
-
-class TestTimeline:
-    def test_render_empty(self):
-        assert "empty" in render_timeline(JobHistory(), [0])
-
-    def test_render_rows_and_width(self, cluster, workload):
-        sim, _ = run(cluster, workload)
-        text = render_timeline(sim.history, [0, 1], width=40)
-        lines = text.splitlines()
-        assert len(lines) == 3  # header + 2 machines
-        body = lines[1].split("|")[1]
-        assert len(body) == 40
-
-    def test_render_counts_concurrency(self):
-        h = JobHistory()
-        for k in range(3):
-            h.add(
-                AttemptRecord(
-                    job_id=0, task_index=k, machine_id=0,
-                    start_time=0.0, finish_time=10.0,
-                    read_seconds=0.0, compute_seconds=10.0, outcome=SUCCESS,
-                )
-            )
-        text = render_timeline(h, [0], width=10)
-        assert "3" in text.splitlines()[1]
-
-    def test_labels(self, cluster, workload):
-        sim, _ = run(cluster, workload)
-        text = render_timeline(sim.history, [0], labels={0: "cheap-node"})
-        assert "cheap-node" in text

@@ -27,9 +27,7 @@ def test_examples_directory_inventory():
         "ec2_cost_savings.py",
         "epoch_tuning.py",
         "facebook_day.py",
-        "pipeline_dag.py",
         "quickstart.py",
-        "tenant_billing.py",
     ]
 
 
@@ -60,16 +58,3 @@ def test_facebook_day():
     assert "trace preview" in r.stdout
     assert "LiPS saving" in r.stdout
 
-
-def test_pipeline_dag():
-    r = run_example("pipeline_dag.py")
-    assert r.returncode == 0, r.stderr
-    assert "pipeline levels" in r.stdout
-    assert "shadow prices" in r.stdout
-
-
-def test_tenant_billing():
-    r = run_example("tenant_billing.py")
-    assert r.returncode == 0, r.stderr
-    assert "cluster bill" in r.stdout
-    assert "timeline" in r.stdout

@@ -5,11 +5,11 @@ without the ``scipy.optimize`` package around it) loads at the first LP
 solve.  ``scipy.sparse`` loads only for sparse algebra (the reference
 simplex), never to build or solve a LiPS or Quincy model.  networkx is
 not a dependency at all: it is only the test suite's oracle for Quincy's
-flow LP and ``JobDag``'s levels.  A run that never solves an LP — the
-Hadoop baselines — pays for none of them, a LiPS run pays for the HiGHS
-core alone, and ``import repro`` works with only the declared
-dependencies.  Each check runs in a fresh interpreter, since this test
-process has long since imported all of them.
+flow LP.  A run that never solves an LP — the Hadoop baselines — pays for
+none of them, a LiPS run pays for the HiGHS core alone, and ``import
+repro`` works with only the declared dependencies.  Each check runs in a
+fresh interpreter, since this test process has long since imported all of
+them.
 """
 
 import json
@@ -170,7 +170,7 @@ sys.modules["networkx"] = None
 
 
 def test_import_repro_without_networkx():
-    r = run_python(NO_NETWORKX + "import repro, repro.schedulers, repro.workload.dag\n")
+    r = run_python(NO_NETWORKX + "import repro, repro.schedulers\n")
     assert r.returncode == 0, r.stderr
 
 
@@ -185,7 +185,7 @@ def test_cli_help_without_networkx():
     assert "usage" in r.stdout.lower()
 
 
-def test_quincy_and_job_dags_run_without_networkx():
+def test_quincy_runs_without_networkx():
     r = run_python(
         NO_NETWORKX
         + f"""
@@ -193,7 +193,6 @@ import json
 from repro.cluster.builder import build_paper_testbed
 from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.schedulers import QuincyScheduler
-from repro.workload.dag import chain
 from repro.workload.swim import SwimConfig, synthesize_facebook_day
 
 workload = synthesize_facebook_day(SwimConfig(
@@ -205,7 +204,6 @@ sim = HadoopSimulator(
     build_paper_testbed(6, seed=3), workload, sched, SimConfig(placement_seed=3),
 )
 seen = {{"jobs": sim.run().num_jobs, "solves": sched.solves}}
-seen["levels"] = chain(workload).levels()
 seen["core"] = {CORE!r} in sys.modules
 # networkx's entry is the None that blocks it
 seen["imported"] = [m for m in {HEAVY!r} if sys.modules.get(m) is not None]
@@ -216,7 +214,6 @@ print(json.dumps(seen))
     seen = json.loads(r.stdout.splitlines()[-1])
     assert seen["jobs"] == 8
     assert seen["solves"] >= 1
-    assert seen["levels"] == [[j] for j in range(8)]
     # Quincy's flow is an LP on the HiGHS core, like LiPS's epochs
     assert seen["core"] is True
     assert seen["imported"] == []

@@ -9,11 +9,6 @@ for the module that defines the name, not for one that re-exports it:
 reads, so a package ``__init__``'s re-exports keep no module alive.  A
 module the walk misses is run by nothing but tests and examples; it earns
 a ``repro check`` claim or goes.
-
-``PENDING`` names the modules that fail the rule today and are to be
-deleted, one group per change.  The list is exact: a new unreached module
-fails the test, and so does a listed module that is deleted or gains a
-caller, until it leaves the list.  It can only shrink.
 """
 
 import ast
@@ -26,18 +21,6 @@ SRC = ROOT / "src"
 
 #: the ``python -m repro`` shim: an entry point, imported by no module
 ALLOWED = {"repro.__main__"}
-
-#: run only by re-exports, tests and examples; each goes with its tests
-PENDING = {
-    "repro.core.analysis",
-    "repro.cost.chargeback",
-    "repro.schedulers.adaptive",
-    "repro.schedulers.capacity",
-    "repro.schedulers.fair",
-    "repro.workload.dag",
-    "repro.workload.stats",
-    "repro.workload.swim_io",
-}
 
 
 def _module_files():
@@ -113,14 +96,11 @@ def entry_points():
 
 
 def test_every_module_is_reached():
-    unreached = set(FILES) - reachable(entry_points()) - ALLOWED
-    new = sorted(unreached - PENDING)
-    assert not new, (
-        f"{len(new)} module(s) reached only by re-exports, tests or examples: "
-        + ", ".join(new)
+    unreached = sorted(set(FILES) - reachable(entry_points()) - ALLOWED)
+    assert not unreached, (
+        f"{len(unreached)} module(s) reached only by re-exports, tests or examples: "
+        + ", ".join(unreached)
     )
-    gone = sorted(PENDING - unreached)
-    assert not gone, "deleted or now reached; take off PENDING: " + ", ".join(gone)
 
 
 def test_a_re_export_alone_reaches_nothing_but_its_definition():

@@ -72,11 +72,3 @@ def test_strong_duality_on_knapsack_like(costs, cap):
         b_ub = np.array([cap, -cap / 2.0])
         assert res.objective == pytest.approx(float(res.dual_ub @ b_ub), abs=1e-7)
 
-
-def test_shadow_prices_work_with_simplex(small_input):
-    """The analysis helper accepts any dual-exporting backend now."""
-    from repro.core.analysis import capacity_shadow_prices
-
-    sp_h = capacity_shadow_prices(small_input)
-    sp_s = capacity_shadow_prices(small_input, backend=SimplexBackend())
-    assert np.allclose(sp_h.machine_cpu, sp_s.machine_cpu, atol=1e-7)

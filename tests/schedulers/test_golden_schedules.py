@@ -1,13 +1,13 @@
-"""Golden schedules: FIFO, delay, fair, capacity and both LiPS schedulers, pinned.
+"""Golden schedules: FIFO, delay and LiPS, pinned.
 
 Each case replays a small seeded SWIM-style workload on the 20-node paper
 testbed with one machine that fails and recovers, one that is lost for good
-and, on odd seeds, chaos read faults (so failed
-reads are re-queued with a backoff).  The baseline schedulers run with
-speculation on; the LiPS schedulers run with it off, as in the paper.  The golden file freezes each
-run's cost, makespan and a sha256 over its full attempt history, so any
-change to which task a scheduler launches, where, when or from which
-replica shows up as a drift here.
+and, on odd seeds, chaos read faults (so failed reads are re-queued with a
+backoff).  The baseline schedulers run with speculation on; LiPS runs with
+it off, as in the paper.  The golden file freezes each run's cost, makespan
+and a sha256 over its full attempt history, so any change to which task a
+scheduler launches, where, when or from which replica shows up as a drift
+here.
 
 Regenerate (only for an intended schedule change) with::
 
@@ -31,14 +31,7 @@ from repro.hadoop.failures import FailurePlan
 from repro.hadoop.history import AttemptRecord
 from repro.hadoop.sim import HadoopSimulator, SimConfig
 from repro.resilience.chaos import ChaosPlan, ReadFaultEvent
-from repro.schedulers import (
-    AdaptiveLipsScheduler,
-    CapacityScheduler,
-    DelayScheduler,
-    FairScheduler,
-    FifoScheduler,
-    LipsScheduler,
-)
+from repro.schedulers import DelayScheduler, FifoScheduler, LipsScheduler
 from repro.workload.swim import SwimConfig, synthesize_facebook_day
 
 GOLDEN = Path(__file__).parent / "golden_schedules.json"
@@ -50,13 +43,10 @@ DAY_S = 3600.0
 SCHEDULERS = {
     "Delay": DelayScheduler,
     "FIFO": FifoScheduler,
-    "Fair": FairScheduler,
-    "Capacity": CapacityScheduler,
     "LiPS": lambda: LipsScheduler(epoch_length=300.0),
-    "AdaptiveLiPS": lambda: AdaptiveLipsScheduler(target_makespan=DAY_S),
 }
 #: plan-driven schedulers run without speculation, as the paper runs LiPS
-NO_SPECULATION = frozenset({"LiPS", "AdaptiveLiPS"})
+NO_SPECULATION = frozenset({"LiPS"})
 #: job-size classes shrunk so a case runs in a fraction of a second
 CLASSES = (
     ("interactive", 0.6, (1, 8)),

@@ -3,11 +3,11 @@
 Without speculation, ``HadoopSimulator._offer_all_idle`` offers only the
 trackers ``LipsScheduler.offer_trackers`` returns: those whose machine holds
 a non-empty plan.  That is safe only if every other offer is a decline that
-changes nothing.  These seeded LiPS and AdaptiveLiPS runs (the golden
-matrix cases: machine failures, and chaos read faults on odd seeds) probe
-the premise at every ``_offer_all_idle``: each alive tracker with a free map
-slot that was left out is offered anyway and must get ``None``, with the
-plans, ready bounds and planned keys unchanged.  The returned list must
+changes nothing.  These seeded LiPS runs (the golden matrix cases: machine
+failures, and chaos read faults on odd seeds) probe the premise at every
+``_offer_all_idle``: each alive tracker with a free map slot that was left
+out is offered anyway and must get ``None``, with the plans, ready bounds
+and planned keys unchanged.  The returned list must
 equal a brute-force scan of the non-empty plans, and the probed run must
 still match its golden schedule.
 """

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.workload.arrivals import MergedArrivals, PoissonArrivals, TraceArrivals
+from repro.workload.arrivals import PoissonArrivals
 from repro.workload.job import Job
 
 
@@ -11,18 +11,6 @@ def jobs(n):
         Job(job_id=i, name=f"j{i}", tcp=0.0, cpu_seconds_noinput=1.0, arrival_time=float(n - i))
         for i in range(n)
     ]
-
-
-def test_trace_arrivals_sorted_by_time():
-    t = TraceArrivals(jobs(5))
-    times = [time for time, _ in t]
-    assert times == sorted(times)
-
-
-def test_trace_window_query():
-    t = TraceArrivals(jobs(5))  # arrival times 5,4,3,2,1
-    within = t.jobs_in_window(2.0, 4.0)
-    assert {j.arrival_time for j in within} == {2.0, 3.0}
 
 
 def test_poisson_arrivals_monotone_and_positive():
@@ -53,66 +41,3 @@ def test_poisson_mean_gap_tracks_rate():
     times = [t for t, _ in p]
     mean_gap = times[-1] / len(times)
     assert mean_gap == pytest.approx(0.5, rel=0.15)
-
-
-def _trace(ids_and_times):
-    return TraceArrivals(
-        [
-            Job(
-                job_id=i,
-                name=f"j{i}",
-                tcp=0.0,
-                cpu_seconds_noinput=1.0,
-                arrival_time=t,
-            )
-            for i, t in ids_and_times
-        ]
-    )
-
-
-def test_merged_stream_is_nondecreasing():
-    merged = MergedArrivals(
-        [
-            PoissonArrivals(jobs(10), rate_per_s=0.5, seed=1),
-            PoissonArrivals(
-                [Job(job_id=100 + i, name=f"k{i}", tcp=0.0, cpu_seconds_noinput=1.0) for i in range(10)],
-                rate_per_s=0.8,
-                seed=2,
-            ),
-        ]
-    )
-    times = [t for t, _ in merged]
-    assert len(times) == 20
-    assert times == sorted(times)
-
-
-def test_merged_tie_break_is_stable_by_source_then_id():
-    # identical timestamps across sources: earlier source wins, then job_id
-    a = _trace([(0, 5.0), (2, 5.0)])
-    b = _trace([(1, 5.0), (3, 5.0)])
-    merged = MergedArrivals([b, a])
-    assert [job.job_id for _, job in merged] == [1, 3, 0, 2]
-
-
-def test_merged_is_repeatable():
-    def build():
-        return MergedArrivals(
-            [
-                PoissonArrivals(jobs(8), rate_per_s=0.3, seed=9),
-                _trace([(50 + i, float(i)) for i in range(4)]),
-            ]
-        )
-
-    assert [(t, j.job_id) for t, j in build()] == [
-        (t, j.job_id) for t, j in build()
-    ]
-
-
-def test_merged_rejects_duplicate_job_ids():
-    with pytest.raises(ValueError, match="job_id 0 appears"):
-        MergedArrivals([_trace([(0, 1.0)]), _trace([(0, 2.0)])])
-
-
-def test_merged_rejects_empty_source_list():
-    with pytest.raises(ValueError, match="at least one source"):
-        MergedArrivals([])
